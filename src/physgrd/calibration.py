@@ -5,15 +5,15 @@ the derivative axis at the best proportional gain, ten cells total. A dense
 rectangular grid is available through GainGrid for broader sweeps.
 
 Scores aggregate as: mean over a subject's clips, then mean +- std across
-subjects. Cells whose simulation diverges score +inf and are excluded from
-the argmin but recorded in the report.
+subjects. Cells whose simulation diverges on any clip score +inf and are
+excluded from the argmin but recorded in the report.
+
+In closed loop all cells step through a clip together as one batch.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import metrics
-from .dynamics import GravitySpec, PDGains, SimMode, simulate
+from .dynamics import DIVERGENCE_LIMIT, GravitySpec, PDGains, SimMode, _closed_loop, simulate
 from .errors import PhysgrdError, SimulationDivergedError, ValidationError
 from .motion_data import MotionClip, _fmt
 
@@ -78,23 +78,33 @@ class CalibrationReport:
     diverged: tuple[tuple[float, float], ...]
 
 
-def _cell_scores(
-    clips: Sequence[MotionClip],
-    cell: tuple[float, float],
-    gravity: GravitySpec,
-    mode: SimMode,
-) -> dict[str, float] | None:
-    """Per-subject mean vRPE for one cell, or None if any clip diverged."""
-    gains = PDGains(*cell)
-    by_subject: dict[str, list[float]] = {}
-    for clip in clips:
-        try:
-            sim = simulate(clip, gains, gravity, mode)
-        except SimulationDivergedError:
-            return None
-        by_subject.setdefault(clip.subject_id, []).append(metrics.vrpe(sim, clip))
-    # sort values so clip ordering cannot perturb the floating-point mean
-    return {s: float(np.mean(sorted(v))) for s, v in by_subject.items()}
+def _clip_scores(
+    clip: MotionClip, kp: np.ndarray, kd: np.ndarray, gravity: GravitySpec, mode: SimMode
+) -> tuple[np.ndarray, np.ndarray]:
+    """vRPE of one clip under each cell, and which cells diverged on it.
+
+    Closed loop steps every cell at once; open loop simulates each cell.
+    """
+    z = np.empty((len(kp), len(clip)))  # simulated root heights
+    if mode == "closed_loop":
+        ref = clip.root_positions
+        z[:, 0] = ref[0, 2]
+        peak = np.zeros(len(kp))
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = _closed_loop(ref, kp[:, None], kd[:, None], gravity, clip.dt)
+            for t, (_, pos) in enumerate(steps, start=1):
+                z[:, t] = pos[:, 2]
+                peak = np.maximum(peak, np.abs(pos).max(axis=1))
+        diverged = ~(peak <= DIVERGENCE_LIMIT)
+    else:
+        diverged = np.zeros(len(kp), dtype=bool)
+        for i, gains in enumerate(map(PDGains, kp, kd)):
+            try:
+                z[i] = simulate(clip, gains, gravity, mode).positions[:, 2]
+            except SimulationDivergedError:
+                diverged[i] = True
+    z[diverged] = np.nan
+    return metrics.vrpe_heights(z, clip.root_positions[:, 2]), diverged
 
 
 def calibrate(
@@ -102,13 +112,12 @@ def calibrate(
     grid: GainGrid | Sequence[tuple[float, float]] | None = None,
     gravity: GravitySpec | None = None,
     mode: SimMode = "closed_loop",
-    max_workers: int | None = None,
 ) -> CalibrationReport:
     """Exhaustively score gain cells and pick the argmin.
 
-    Ties break toward the smaller kp, then the smaller kd. max_workers
-    defaults to the PHYSGRD_THREADS environment variable (1 if unset);
-    results are reduced in cell order regardless of worker count.
+    Each clip is simulated under every cell; only its per-cell vRPE is kept.
+    A cell that diverges on any clip scores +inf. Ties break toward the
+    smaller kp, then the smaller kd.
     """
     clips = list(clips)
     if not clips:
@@ -122,35 +131,33 @@ def calibrate(
         cells = [(float(kp), float(kd)) for kp, kd in grid]
         if not cells:
             raise ValidationError("cell list must be non-empty")
-    if max_workers is None:
-        max_workers = int(os.environ.get("PHYSGRD_THREADS", "1") or "1")
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(
-                pool.map(lambda c: _cell_scores(clips, c, gravity, mode), cells)
-            )
-    else:
-        results = [_cell_scores(clips, c, gravity, mode) for c in cells]
+    kp, kd = np.array(cells, dtype=float).T
+    scores = np.empty((len(cells), len(clips)))
+    diverged = np.zeros(len(cells), dtype=bool)
+    for j, clip in enumerate(clips):
+        scores[:, j], clip_diverged = _clip_scores(clip, kp, kd, gravity, mode)
+        diverged |= clip_diverged
 
+    # mean over a subject's sorted clip scores, so clip order cannot perturb it
     subjects = sorted({c.subject_id for c in clips})
+    by_subject = np.column_stack([
+        np.sort(scores[:, [c.subject_id == s for c in clips]], axis=1).mean(axis=1)
+        for s in subjects
+    ])
     per_cell: dict[tuple[float, float], tuple[float, float]] = {}
     per_subject: dict[str, dict[tuple[float, float], float]] = {s: {} for s in subjects}
-    diverged: list[tuple[float, float]] = []
-    for cell, scores in zip(cells, results):
-        if scores is None:
-            diverged.append(cell)
+    for cell, vals, bad in zip(cells, by_subject, diverged):
+        if bad:
             per_cell[cell] = (float("inf"), float("inf"))
             continue
-        vals = np.array([scores[s] for s in subjects], dtype=float)
         per_cell[cell] = (float(vals.mean()), float(vals.std()))
-        for s in subjects:
-            per_subject[s][cell] = scores[s]
+        for s, v in zip(subjects, vals):
+            per_subject[s][cell] = float(v)
 
-    finite = [(per_cell[c][0], c[0], c[1]) for c in cells if c not in diverged]
-    if not finite:
+    if diverged.all():
         raise AllCellsDivergedError("every gain cell diverged during simulation")
-    best_score, best_kp, best_kd = min(finite)
+    best_score, best_kp, best_kd = min((per_cell[c][0], *c) for c in cells)
     return CalibrationReport(
         cells=tuple(cells),
         per_cell=per_cell,
@@ -158,7 +165,7 @@ def calibrate(
         best=PDGains(kp=best_kp, kd=best_kd),
         best_score=best_score,
         mode=mode,
-        diverged=tuple(diverged),
+        diverged=tuple(c for c, bad in zip(cells, diverged) if bad),
     )
 
 
@@ -188,5 +195,9 @@ def write_best_gains(report: CalibrationReport, path: str | Path) -> None:
 
 
 def load_gains(path: str | Path) -> PDGains:
-    doc = json.loads(Path(path).read_text())
-    return PDGains(kp=float(doc["kp"]), kd=float(doc["kd"]))
+    """Read kp and kd from a best_gains.json-style object."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        return PDGains(kp=float(doc["kp"]), kd=float(doc["kd"]))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: gains need numeric 'kp' and 'kd' ({exc!r})") from None

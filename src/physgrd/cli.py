@@ -5,8 +5,6 @@ Every command is deterministic given its inputs and --seed, so rerunning a
 pipeline reproduces its artifacts byte for byte. Exit codes: 0 success,
 2 usage error, 1 runtime error; failures print one machine-parseable line
 to stderr.
-
-PHYSGRD_THREADS caps internal parallelism (calibration grid cells).
 """
 
 from __future__ import annotations

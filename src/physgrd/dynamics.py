@@ -11,7 +11,6 @@ precedes the position update.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
@@ -37,7 +36,7 @@ class PDGains:
     kd: float
 
     def __post_init__(self):
-        if self.kp < 0 or self.kd < 0:
+        if not (self.kp >= 0 and self.kd >= 0):  # also rejects NaN
             raise UnitError(f"gains must be non-negative, got ({self.kp}, {self.kd})")
 
 
@@ -114,6 +113,46 @@ def euler_step(
     return new_pos, new_vel
 
 
+def _closed_loop(ref: np.ndarray, kp, kd, gravity: GravitySpec, dt: float):
+    """Yield (force, pos) after each closed-loop PD step along ref.
+
+    The state starts at ref[0] at rest, and step t pulls it toward ref[t+1].
+    Scalar gains step a (3,) state; (B, 1) gain columns step B cells at
+    once as a (B, 3) state, elementwise as the scalar arithmetic.
+    """
+    pos = np.broadcast_to(ref[0], np.broadcast_shapes(np.shape(kp), (3,)))
+    vel = np.zeros(pos.shape)
+    for target in ref[1:]:
+        f = kp * (target - pos) - kd * vel
+        pos, vel = euler_step(pos, vel, f, gravity, dt)
+        yield f, pos
+
+
+def _integrate(start: np.ndarray, forces: np.ndarray, gravity: GravitySpec, dt: float):
+    """Positions and velocities, (T, 3) each, under T-1 given step forces.
+
+    The semi-implicit Euler step from rest at start, written as two running
+    sums; np.add.accumulate adds in order, so it matches the step loop bit
+    for bit. Raises at the first frame with a non-finite or too large position.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        vel = np.add.accumulate(np.vstack([np.zeros(3), (forces - gravity.g_accel) * dt]))
+        pos = np.add.accumulate(np.vstack([start, vel[1:] * dt]))
+    worst = np.abs(pos[1:]).max(axis=1)
+    bad = np.flatnonzero(~(worst <= DIVERGENCE_LIMIT))
+    if bad.size:
+        raise SimulationDivergedError(frame=int(bad[0]) + 1, value=float(worst[bad[0]]))
+    return pos, vel
+
+
+def _frame_forces(result: SimResult) -> np.ndarray:
+    """Step forces padded to one row per frame by repeating the last (zeros if none)."""
+    force = result.total_force
+    if len(force) == 0:
+        return np.zeros((len(result), 3))
+    return np.vstack([force, force[-1:]])
+
+
 def simulate(
     clip: MotionClip,
     gains: PDGains,
@@ -129,39 +168,18 @@ def simulate(
     integrated without feedback.
     """
     gravity = gravity or GravitySpec()
-    pos_ref = clip.root_positions
-    T = len(clip)
-    dt = clip.dt
-
-    positions = np.empty((T, 3))
-    velocities = np.empty((T, 3))
-    forces = np.empty((max(T - 1, 0), 3))
-    positions[0] = pos_ref[0]
-    velocities[0] = 0.0
-
-    if mode == "open_loop":
-        mocap_vel = finite_diff_velocity(clip)
-    elif mode != "closed_loop":
+    ref = clip.root_positions
+    if mode == "closed_loop":
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = _closed_loop(ref, gains.kp, gains.kd, gravity, clip.dt)
+            forces = np.array([f for f, _ in steps]).reshape(-1, 3)
+    elif mode == "open_loop":
+        forces = pd_force(ref[1:], ref[:-1], finite_diff_velocity(clip)[:-1], gains)
+    else:
         raise ValueError(f"unknown simulation mode {mode!r}")
-
-    pos = positions[0].copy()
-    vel = velocities[0].copy()
-    for t in range(T - 1):
-        if mode == "closed_loop":
-            f = pd_force(pos_ref[t + 1], pos, vel, gains)
-        else:
-            f = pd_force(pos_ref[t + 1], pos_ref[t], mocap_vel[t], gains)
-        acc = f - gravity.g_accel
-        vel = vel + acc * dt
-        pos = pos + vel * dt
-        worst = float(np.abs(pos).max())
-        if not math.isfinite(worst) or worst > DIVERGENCE_LIMIT:
-            raise SimulationDivergedError(frame=t + 1, value=worst)
-        forces[t] = f
-        positions[t + 1] = pos
-        velocities[t + 1] = vel
-
-    return SimResult(positions=positions, velocities=velocities, total_force=forces, dt=dt)
+    # the closed loop's own states are these running sums of its forces
+    positions, velocities = _integrate(ref[0], forces, gravity, clip.dt)
+    return SimResult(positions=positions, velocities=velocities, total_force=forces, dt=clip.dt)
 
 
 def physics_force_series(
@@ -176,11 +194,7 @@ def physics_force_series(
     one so downstream losses can align force to every frame. A single-frame
     clip gets a zero force row.
     """
-    result = simulate(clip, gains, gravity, mode)
-    T = len(clip)
-    if T == 1:
-        return np.zeros((1, 3))
-    return np.vstack([result.total_force, result.total_force[-1:]])
+    return _frame_forces(simulate(clip, gains, gravity, mode))
 
 
 def rollout_forces(
@@ -195,43 +209,21 @@ def rollout_forces(
     (mirroring the physics_force_series padding).
     """
     gravity = gravity or GravitySpec()
-    forces = np.asarray(forces, dtype=float).reshape(-1, 3)
+    forces = np.array(forces, dtype=float).reshape(-1, 3)
     T = len(clip)
     if len(forces) not in (T, max(T - 1, 0)):
         raise ValidationError(
             f"force series must have {T} or {T - 1} rows, got {len(forces)}"
         )
-    dt = clip.dt
-    positions = np.empty((T, 3))
-    velocities = np.empty((T, 3))
-    applied = np.empty((max(T - 1, 0), 3))
-    positions[0] = clip.root_positions[0]
-    velocities[0] = 0.0
-    pos = positions[0].copy()
-    vel = velocities[0].copy()
-    for t in range(T - 1):
-        f = forces[t]
-        vel = vel + (f - gravity.g_accel) * dt
-        pos = pos + vel * dt
-        worst = float(np.abs(pos).max())
-        if not math.isfinite(worst) or worst > DIVERGENCE_LIMIT:
-            raise SimulationDivergedError(frame=t + 1, value=worst)
-        applied[t] = f
-        positions[t + 1] = pos
-        velocities[t + 1] = vel
-    return SimResult(positions=positions, velocities=velocities, total_force=applied, dt=dt)
+    applied = forces[: max(T - 1, 0)]
+    positions, velocities = _integrate(clip.root_positions[0], applied, gravity, clip.dt)
+    return SimResult(positions=positions, velocities=velocities, total_force=applied, dt=clip.dt)
 
 
 def to_bodyweight(normalized_force: np.ndarray, gravity: GravitySpec | None = None) -> np.ndarray:
     """Convert mass-normalized force (m/s^2) to body-weight units."""
     gravity = gravity or GravitySpec()
     return np.asarray(normalized_force, dtype=float) / gravity.magnitude
-
-
-def from_bodyweight(bw_force: np.ndarray, gravity: GravitySpec | None = None) -> np.ndarray:
-    """Convert body-weight force to mass-normalized units (m/s^2)."""
-    gravity = gravity or GravitySpec()
-    return np.asarray(bw_force, dtype=float) * gravity.magnitude
 
 
 def write_sim_csv(result: SimResult, path: str | Path) -> None:
@@ -242,10 +234,7 @@ def write_sim_csv(result: SimResult, path: str | Path) -> None:
     """
     path = Path(path)
     T = len(result)
-    if T == 1 or len(result.total_force) == 0:
-        force = np.zeros((T, 3))
-    else:
-        force = np.vstack([result.total_force, result.total_force[-1:]])
+    force = _frame_forces(result)
     lines = ["t,px,py,pz,vx,vy,vz,fx,fy,fz"]
     for i in range(T):
         cells = [_fmt(i * result.dt)]

@@ -50,8 +50,13 @@ def vrpe(sim: SimResult, clip: MotionClip) -> float:
     """Mean squared vertical position error of a simulation, scaled by 10^3."""
     if len(sim) != len(clip):
         raise LengthMismatchError(f"simulation has {len(sim)} frames, clip {len(clip)}")
-    d = sim.positions[:, 2] - clip.root_positions[:, 2]
-    return float(np.mean(d * d) * VRPE_SCALE)
+    return float(vrpe_heights(sim.positions[:, 2], clip.root_positions[:, 2]))
+
+
+def vrpe_heights(z: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
+    """vRPE of simulated root heights z, (..., T), against z_ref, (T,)."""
+    d = z - z_ref
+    return np.mean(d * d, axis=-1) * VRPE_SCALE
 
 
 @dataclass(frozen=True)

@@ -435,11 +435,6 @@ def write_force_plate(
     path.write_text("\n".join(lines) + "\n")
 
 
-def attach_plate(clip: MotionClip, record: ForcePlateRecord) -> DatasetEntry:
-    """Pair a plate record with its clip, enforcing equal length."""
-    return DatasetEntry(clip=clip, plate=record)
-
-
 # ---------------------------------------------------------------------------
 # Manifest
 # ---------------------------------------------------------------------------

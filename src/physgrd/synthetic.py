@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .dynamics import _integrate, euler_step
 from .errors import ValidationError
 from .motion_data import (
     Dataset,
@@ -189,15 +190,10 @@ def _gen_hop(p: dict, rng: np.random.Generator, g: float):
     base = float(p["base_height"])
     if jit:
         base += 0.1 * jit * (rng.random() - 0.5)
-    dt = 1.0 / rate
-    positions = np.zeros((T, 3))
-    positions[0, 2] = base
-    v = 0.0
-    z = base
-    for t in range(T - 1):
-        v += (fz[t] - g) * dt
-        z += v * dt
-        positions[t + 1, 2] = z
+    forces = np.zeros((T - 1, 3))
+    forces[:, 2] = fz[:-1]
+    gravity = GravitySpec(g_accel=np.array([0.0, 0.0, g]))
+    positions, _ = _integrate(np.array([0.0, 0.0, base]), forces, gravity, 1.0 / rate)
 
     total_bw = np.zeros((T, 3))
     total_bw[:, 2] = fz / g
@@ -278,7 +274,7 @@ def _gen_spring_tracked(p: dict, rng: np.random.Generator, g: float):
     if jit:
         base += 0.2 * jit * (rng.random() - 0.5)
 
-    g_vec = np.array([0.0, 0.0, g])
+    gravity = GravitySpec(g_accel=np.array([0.0, 0.0, g]))
     denom = 1.0 - kp * dt * dt
     positions = np.zeros((T, 3))
     forces = np.zeros((max(T - 1, 0), 3))
@@ -287,10 +283,9 @@ def _gen_spring_tracked(p: dict, rng: np.random.Generator, g: float):
     v = np.zeros(3)
     for t in range(T - 1):
         # target that makes the closed-loop tracking step land exactly on it
-        target = x + (v * dt * (1.0 - kd * dt) - g_vec * dt * dt) / denom
+        target = x + (v * dt * (1.0 - kd * dt) - gravity.g_accel * dt * dt) / denom
         f = kp * (target - x) - kd * v
-        v = v + (f - g_vec) * dt
-        x = x + v * dt
+        x, v = euler_step(x, v, f, gravity, dt)
         forces[t] = f
         positions[t + 1] = x
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import euler_reference
 from physgrd.calibration import (
     DEFAULT_GAIN_CELLS,
     AllCellsDivergedError,
@@ -10,6 +11,7 @@ from physgrd.calibration import (
     write_best_gains,
     write_report_csv,
 )
+from physgrd.dynamics import PDGains, physics_force_series, rollout_forces, simulate
 from physgrd.errors import ValidationError
 from physgrd.motion_data import MotionClip
 from physgrd.synthetic import gen_synthetic, make_dataset
@@ -87,10 +89,23 @@ class TestCalibrate:
 
     def test_diverged_cell_scores_inf_but_search_continues(self):
         clips = spring_clips(n=1)
-        report = calibrate(clips, [(50000.0, 0.0), (70.0, 3.0)], max_workers=1)
+        report = calibrate(clips, [(50000.0, 0.0), (70.0, 3.0)])
         assert (50000.0, 0.0) in report.diverged
         assert report.per_cell[(50000.0, 0.0)][0] == float("inf")
         assert (report.best.kp, report.best.kd) == (70.0, 3.0)
+
+        # kp*dt^2 = 5 is unstable at 100 Hz but 0.05 is stable at 1 kHz, so
+        # (50000, 0) diverges on one clip of three and (70, 3) on none
+        fine, _ = gen_synthetic("hop", {"subject_id": "S2", "frame_rate": 1000.0,
+                                        "duration": 0.5}, seed=1)
+        clips = spring_clips(n=2) + [fine]
+        cells = [(70.0, 3.0), (50000.0, 0.0), (50.0, 6.0)]
+        report = calibrate(clips, cells)
+        assert report.diverged == ((50000.0, 0.0),)
+        assert report.per_cell[(50000.0, 0.0)] == (float("inf"), float("inf"))
+        alone = calibrate(clips, [(70.0, 3.0), (50.0, 6.0)])
+        assert {c: report.per_cell[c] for c in alone.cells} == alone.per_cell
+        assert report.per_subject == alone.per_subject
 
     def test_all_diverged_raises(self):
         clips = spring_clips(n=1)
@@ -101,12 +116,34 @@ class TestCalibrate:
         with pytest.raises(ValidationError):
             calibrate([], [(70.0, 3.0)])
 
-    def test_thread_pool_matches_sequential(self):
-        clips = spring_clips(n=2)
-        seq = calibrate(clips, list(DEFAULT_GAIN_CELLS), max_workers=1)
-        par = calibrate(clips, list(DEFAULT_GAIN_CELLS), max_workers=4)
-        assert seq.per_cell == par.per_cell
-        assert (seq.best.kp, seq.best.kd) == (par.best.kp, par.best.kd)
+    def test_batched_matches_reference(self):
+        # clips of several lengths, kinds and subjects, two clips for S1
+        clips = spring_clips(n=2) + [
+            gen_synthetic("hop", {"subject_id": "S1", "duration": 1.3}, seed=4)[0],
+            gen_synthetic("walk", {"subject_id": "S3", "duration": 0.9}, seed=5)[0],
+        ]
+        cells = list(DEFAULT_GAIN_CELLS) + [(50.0, 6.0), (2000.0, 80.0), (50000.0, 0.0)]
+        for mode in ("closed_loop", "open_loop"):
+            for clip in clips:
+                for gains in (PDGains(70, 3), PDGains(2000.0, 80.0)):
+                    sim = simulate(clip, gains, mode=mode)
+                    ref = euler_reference.simulate(clip, gains, mode=mode)
+                    for name in ("positions", "velocities", "total_force"):
+                        np.testing.assert_array_equal(getattr(sim, name), getattr(ref, name))
+                    np.testing.assert_array_equal(
+                        physics_force_series(clip, gains, mode=mode),
+                        euler_reference.physics_force_series(clip, gains, mode=mode),
+                    )
+                    sim = rollout_forces(clip, ref.total_force)
+                    ref = euler_reference.rollout_forces(clip, ref.total_force)
+                    np.testing.assert_array_equal(sim.positions, ref.positions)
+                    np.testing.assert_array_equal(sim.velocities, ref.velocities)
+
+            report = calibrate(clips, cells, mode=mode)
+            per_cell, per_subject, best = euler_reference.calibrate_scores(clips, cells, mode=mode)
+            assert report.per_cell == per_cell
+            assert report.per_subject == per_subject
+            assert (report.best.kp, report.best.kd) == best
 
     def test_damping_ordering_on_hop(self):
         ds = make_dataset(["hop"], n_subjects=3, seed=7, base_params={"duration": 4.0})

@@ -111,6 +111,21 @@ class TestSimulate:
         header = (tmp_path / "sim" / "S1_hop_000_sim.csv").read_text().splitlines()[0]
         assert header == "t,px,py,pz,vx,vy,vz,fx,fy,fz"
 
+    @pytest.mark.parametrize("text", [
+        '{"kp": 70}', "[70, 3]", "not json", '{"kp": "x", "kd": 3}', '{"kp": NaN, "kd": 3}',
+    ])
+    def test_malformed_gains_file_is_runtime_error(self, tmp_path, capsys, text):
+        manifest = gen_small(tmp_path / "data", subjects=1)
+        gains = tmp_path / "gains.json"
+        gains.write_text(text)
+        capsys.readouterr()
+        assert run(
+            "simulate", "--manifest", manifest, "--gains", gains, "--out-dir", tmp_path / "sim",
+        ) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("physgrd: error: ")
+        assert "Traceback" not in err[0]
+
 
 class TestTrainPredictMetrics:
     def pipeline(self, tmp_path, lambda2="0.005"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import euler_reference
 from physgrd.dynamics import (
     GravitySpec,
     PDGains,
@@ -112,6 +113,22 @@ class TestSimulate:
         with pytest.raises(SimulationDivergedError) as err:
             simulate(clip, PDGains(50000, 0))
         assert err.value.frame > 0
+
+        # open loop and given forces diverge at the reference loop's frame
+        pos = np.column_stack([np.zeros((200, 2)), np.linspace(1.0, 3.0, 200)])
+        ramp = MotionClip("S1", "ramp", 100.0, 70.0, pos, pos)
+        push = np.tile([0.0, 0.0, 1e7], (200, 1))
+        for ours, reference, args in [
+            (simulate, euler_reference.simulate, (clip, PDGains(50000, 0))),
+            (simulate, euler_reference.simulate, (ramp, PDGains(1e9, 0), None, "open_loop")),
+            (rollout_forces, euler_reference.rollout_forces, (ramp, push)),
+        ]:
+            with pytest.raises(SimulationDivergedError) as err:
+                ours(*args)
+            with pytest.raises(SimulationDivergedError) as ref:
+                reference(*args)
+            assert (err.value.frame, err.value.value) == (ref.value.frame, ref.value.value)
+            assert 1 < err.value.frame < 200
 
     def test_open_loop_never_beats_closed_on_spring_tracked(self):
         clip, _ = gen_synthetic("spring_tracked", {"kp": 50, "kd": 6, "duration": 2.0}, seed=5)
