@@ -6,6 +6,16 @@ an ELU after every convolution and after the first two FC layers. It maps
 per-frame feature vectors to per-foot 3D reaction forces in body-weight
 units (output width 6 = 2 feet x 3 components).
 
+Each convolution is one GEMM (im2col): the layer input, zero-padded and
+laid out channels first, is copied into a (C_in*K, B*T) column matrix with
+K contiguous slice copies, and the (C_out, C_in*K) weights multiply it. The
+backward pass rebuilds that matrix from the cached layer input for the
+weight gradient, and correlates the doubly padded output gradient's column
+matrix with the flipped kernel for the input gradient. Operand order and
+memory layout match what numpy's einsum hands BLAS for the same
+contractions, so the results are bit-identical to the direct einsum form
+(tests/conv_reference.py) at every shape.
+
 The training objective combines a force-plate term (masked frames skipped,
 renormalized per window) and a physics-consistency term tying the summed
 two-foot prediction to the PD reaction force computed from the trajectory.
@@ -18,12 +28,11 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import GravitySpec, PDGains, SimMode, physics_force_series
 from .errors import CheckpointError, ValidationError
@@ -45,6 +54,24 @@ def elu(x):
 
 def _elu_grad(pre: np.ndarray) -> np.ndarray:
     return np.where(pre > 0, 1.0, np.exp(np.minimum(pre, 0.0)))
+
+
+def _cols(h: np.ndarray, pad: int) -> np.ndarray:
+    """Column matrix of a (B, T, C) sequence zero-padded by pad frames at
+    each end: shape (C*K, B*T') with T' = T + 2*pad - K + 1, where row
+    c*K + k, column b*T' + t holds padded frame t + k of channel c.
+
+    Built from a channels-first padded copy with K contiguous slice copies,
+    so every conv layer is one GEMM against it (im2col).
+    """
+    B, T, C = h.shape
+    hp = np.zeros((C, B, T + 2 * pad))
+    hp[:, :, pad:pad + T] = h.transpose(2, 0, 1)
+    n = T + 2 * pad - KERNEL + 1
+    cols = np.empty((C, KERNEL, B, n))
+    for k in range(KERNEL):
+        cols[:, k] = hp[:, :, k:k + n]
+    return cols.reshape(C * KERNEL, B * n)
 
 
 @dataclass(frozen=True)
@@ -152,13 +179,16 @@ class TemporalConvNet:
                 f"expected input (B, T, {self.input_width}), got {x.shape}"
             )
         cache = {"conv": [], "fc": []} if want_cache else None
+        B, T = x.shape[:2]
         h = x
         for w, b in self.conv:
-            hp = np.pad(h, ((0, 0), (PAD, PAD), (0, 0)))
-            win = sliding_window_view(hp, KERNEL, axis=1)  # (B, T, C_in, K)
-            pre = np.einsum("btck,ock->bto", win, w, optimize=True) + b
+            O = len(w)
+            # keep the (C_out, B, T) memory order: the gradient sums that
+            # derive from pre add in that order
+            pre = np.dot(w.reshape(O, -1), _cols(h, PAD)).reshape(O, B, T).transpose(1, 2, 0)
+            pre += b
             if want_cache:
-                cache["conv"].append((win, pre))
+                cache["conv"].append((h, pre))
             h = elu(pre)
         n_fc = len(self.fc)
         for i, (w, b) in enumerate(self.fc):
@@ -174,7 +204,7 @@ class TemporalConvNet:
         dout is dLoss/d(final pre-activation), (B, T, 6); all loss
         normalization is already folded into it.
         """
-        T = dout.shape[1]
+        B, T = dout.shape[:2]
         fc_grads: list[list[np.ndarray]] = [None] * len(self.fc)
         g = dout
         for i in reversed(range(len(self.fc))):
@@ -192,16 +222,16 @@ class TemporalConvNet:
         g = g * _elu_grad(cache["conv"][-1][1])  # through the last conv's ELU
         for i in reversed(range(len(self.conv))):
             w, _ = self.conv[i]
-            win, _ = cache["conv"][i]
-            conv_grads[i] = [
-                np.einsum("bto,btck->ock", g, win, optimize=True),
-                g.sum(axis=(0, 1)),
-            ]
+            O, C = w.shape[:2]
+            h_in, _ = cache["conv"][i]
+            dw = np.dot(_cols(h_in, PAD), g.reshape(B * T, O))  # (C_in*K, C_out)
+            conv_grads[i] = [dw.reshape(C, KERNEL, O).transpose(2, 0, 1), g.sum(axis=(0, 1))]
             if i > 0:
-                gp = np.pad(g, ((0, 0), (KERNEL - 1, KERNEL - 1), (0, 0)))
-                gw = sliding_window_view(gp, KERNEL, axis=1)  # (B, T+K-1, C_out, K)
-                dxpad = np.einsum("btok,ock->btc", gw, w[:, :, ::-1], optimize=True)
-                dx = dxpad[:, PAD:PAD + T]
+                # full correlation with the flipped kernel over all T+K-1
+                # positions, then keep the T that line up with the input
+                w_flip = w[:, :, ::-1].transpose(1, 0, 2).reshape(C, O * KERNEL)
+                dxpad = np.dot(w_flip, _cols(g, KERNEL - 1))  # (C_in, B*(T+K-1))
+                dx = dxpad.reshape(C, B, T + KERNEL - 1).transpose(1, 2, 0)[:, PAD:PAD + T]
                 g = dx * _elu_grad(cache["conv"][i - 1][1])
 
         flat: list[np.ndarray] = []
@@ -414,9 +444,11 @@ def train(
 
         sums = np.zeros(3)
         n_seen = 0
+        batch = 0
         for wl in sorted(by_len):
             group = by_len[wl]
             for start in range(0, len(group), cfg.batch_size):
+                batch += 1
                 chunk = group[start:start + cfg.batch_size]
                 feats = np.stack([prepared[ci][0][o:o + wl] for ci, o, _ in chunk])
                 plate = np.stack([prepared[ci][1][o:o + wl] for ci, o, _ in chunk])
@@ -425,6 +457,10 @@ def train(
                 loss, t1, t2, grads = net.loss_and_grads(
                     feats, plate, valid, phys, cfg.lambda1, cfg.lambda2
                 )
+                if not math.isfinite(loss):
+                    raise ValidationError(
+                        f"non-finite training loss ({loss}) at epoch {epoch}, batch {batch}"
+                    )
                 adam.step(net.parameters(), grads)
                 sums += np.array([loss, t1, t2]) * len(chunk)
                 n_seen += len(chunk)
@@ -455,7 +491,7 @@ def _encode(arr: np.ndarray) -> str:
 
 
 def _decode(text: str, shape: tuple[int, ...]) -> np.ndarray:
-    raw = np.frombuffer(base64.b64decode(text), dtype="<f8")
+    raw = np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
     if raw.size != int(np.prod(shape)):
         raise CheckpointError(f"parameter blob has {raw.size} values, expected {shape}")
     return raw.reshape(shape).copy()
@@ -468,17 +504,7 @@ def save_checkpoint(net: TemporalConvNet, cfg: TrainConfig, path: str | Path) ->
         "input_width": net.input_width,
         "conv_channels": list(net.conv_channels),
         "fc_widths": list(net.fc_widths),
-        "train_config": {
-            "epochs": cfg.epochs,
-            "batch_size": cfg.batch_size,
-            "learning_rate": cfg.learning_rate,
-            "seed": cfg.seed,
-            "lambda1": cfg.lambda1,
-            "lambda2": cfg.lambda2,
-            "window_len": cfg.window_len,
-            "conv_channels": list(cfg.conv_channels),
-            "fc_widths": list(cfg.fc_widths),
-        },
+        "train_config": asdict(cfg),
         "conv_layers": [{"weights": _encode(w), "bias": _encode(b)} for w, b in net.conv],
         "fc_layers": [{"weights": _encode(w), "bias": _encode(b)} for w, b in net.fc],
         # choices the architecture text leaves open, recorded for reproducibility
@@ -497,37 +523,33 @@ def load_checkpoint(path: str | Path) -> tuple[TemporalConvNet, TrainConfig]:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {version!r} is not supported (expected {CHECKPOINT_VERSION})"
         )
-    tc = doc["train_config"]
-    cfg = TrainConfig(
-        epochs=tc["epochs"],
-        batch_size=tc["batch_size"],
-        learning_rate=tc["learning_rate"],
-        seed=tc["seed"],
-        lambda1=tc["lambda1"],
-        lambda2=tc["lambda2"],
-        window_len=tc["window_len"],
-        conv_channels=tuple(tc["conv_channels"]),
-        fc_widths=tuple(tc["fc_widths"]),
-    )
-    net = TemporalConvNet(
-        doc["input_width"], tuple(doc["conv_channels"]), tuple(doc["fc_widths"]), seed=0
-    )
-    in_ch = net.input_width
-    for layer, blob in zip(net.conv, doc["conv_layers"]):
-        out_ch = layer[0].shape[0]
-        layer[0] = _decode(blob["weights"], (out_ch, in_ch, KERNEL))
-        layer[1] = _decode(blob["bias"], (out_ch,))
-        in_ch = out_ch
-    for layer, blob in zip(net.fc, doc["fc_layers"]):
-        out_w = layer[0].shape[0]
-        layer[0] = _decode(blob["weights"], (out_w, in_ch))
-        layer[1] = _decode(blob["bias"], (out_w,))
-        in_ch = out_w
+    try:
+        tc = doc["train_config"]
+        cfg = TrainConfig(**{f.name: tc[f.name] for f in fields(TrainConfig)})
+        net = TemporalConvNet(
+            doc["input_width"], tuple(doc["conv_channels"]), tuple(doc["fc_widths"]), seed=0
+        )
+        blobs = (doc["conv_layers"], doc["fc_layers"])
+        if [len(b) for b in blobs] != [len(net.conv), len(net.fc)]:
+            raise CheckpointError(
+                f"checkpoint {path} has {len(blobs[0])} conv and {len(blobs[1])} fc layers, "
+                f"expected {len(net.conv)} and {len(net.fc)}"
+            )
+        for layers, layer_blobs in zip((net.conv, net.fc), blobs):
+            for layer, blob in zip(layers, layer_blobs):
+                layer[0] = _decode(blob["weights"], layer[0].shape)
+                layer[1] = _decode(blob["bias"], layer[1].shape)
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        raise CheckpointError(
+            f"malformed checkpoint {path}: {type(exc).__name__}: {exc}"
+        ) from None
     return net, cfg
 
 

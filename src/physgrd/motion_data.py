@@ -294,11 +294,11 @@ def load_clip_csv(
         if not math.isfinite(t[r]):
             raise ValidationError(f"row {r + 1}: non-finite timestamp")
     pos = data[:, 1:4]
-    bad = np.argwhere(~np.isfinite(pos))
+    bad = np.argwhere(~np.isfinite(data[:, 1:]))  # positions and f* features
     if len(bad):
         r, c = bad[0]
         raise ValidationError(
-            f"row {int(r) + 1}: non-finite position in column {header[1 + int(c)]!r}"
+            f"row {int(r) + 1}: non-finite value in column {header[1 + int(c)]!r}"
         )
 
     if len(t) >= 2:
@@ -445,21 +445,30 @@ def load_manifest(path: str | Path) -> Dataset:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict) or "subjects" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("subjects"), list):
         raise ParseError(f"{path}: manifest must be an object with a 'subjects' list")
 
     entries: list[DatasetEntry] = []
     root = path.parent
-    for subj in doc["subjects"]:
-        sid = subj["id"]
-        mass = float(subj["mass_kg"])
-        for spec in subj["clips"]:
-            clip = load_clip_csv(
-                root / spec["clip_path"],
-                subject_id=sid,
-                motion_label=spec["motion_label"],
-                mass=mass,
-            )
+    for n, subj in enumerate(doc["subjects"]):
+        try:
+            sid, mass, specs = subj["id"], float(subj["mass_kg"]), subj["clips"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(
+                f"{path}: subject {n} needs an 'id', a numeric 'mass_kg' and a 'clips' "
+                f"list ({type(exc).__name__}: {exc})"
+            ) from None
+        if not isinstance(specs, list):
+            raise ParseError(f"{path}: 'clips' of subject {sid!r} must be a list")
+        for spec in specs:
+            try:
+                clip_path, label = spec["clip_path"], spec["motion_label"]
+            except (KeyError, TypeError) as exc:
+                raise ParseError(
+                    f"{path}: every clip of subject {sid!r} needs a 'clip_path' and a "
+                    f"'motion_label' ({type(exc).__name__}: {exc})"
+                ) from None
+            clip = load_clip_csv(root / clip_path, subject_id=sid, motion_label=label, mass=mass)
             plate = None
             plate_path = spec.get("plate_path")
             if plate_path:

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from physgrd.cli import main
-from physgrd.grf_model import Prediction, write_prediction_csv
+from physgrd.grf_model import (
+    Prediction,
+    TemporalConvNet,
+    TrainConfig,
+    save_checkpoint,
+    write_prediction_csv,
+)
 from physgrd.motion_data import entry_stems, load_manifest
 
 
@@ -96,6 +102,22 @@ class TestCalibrate:
         # errors are a single machine-parseable line
         assert len(err.splitlines()) == 1
         assert err.startswith("physgrd: error:")
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["subjects"][0].pop("mass_kg"),
+        lambda doc: doc["subjects"][1].pop("id"),
+        lambda doc: doc["subjects"][0].pop("clips"),
+        lambda doc: doc.update(subjects="S1"),
+    ], ids=["no-mass", "no-id", "no-clips", "subjects-not-list"])
+    def test_malformed_manifest_is_runtime_error(self, tmp_path, capsys, edit):
+        manifest = gen_small(tmp_path / "data")
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("calibrate", "--manifest", manifest, "--out-dir", tmp_path / "calib") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("physgrd: error: ParseError: ")
 
 
 class TestSimulate:
@@ -198,6 +220,27 @@ class TestTrainPredictMetrics:
             "predict", "--manifest", manifest, "--checkpoint", ckpt,
             "--out-dir", tmp_path / "pred",
         ) == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [1, 2],
+        lambda doc: {"format_version": 1},
+        lambda doc: {**doc, "train_config": {}},
+        lambda doc: {**doc, "fc_layers": [{"weights": "AAA", "bias": "AAA"}] * 3},
+    ], ids=["json-list", "no-keys", "empty-train-config", "bad-base64"])
+    def test_malformed_checkpoint_is_runtime_error(self, tmp_path, capsys, edit):
+        manifest = gen_small(tmp_path / "data", kind="walk", subjects=1, duration=1.0)
+        width = load_manifest(manifest).entries[0].clip.feature_width
+        cfg = TrainConfig(conv_channels=(6, 6, 6, 6), fc_widths=(8, 6))
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(TemporalConvNet(width, cfg.conv_channels, cfg.fc_widths), cfg, ckpt)
+        ckpt.write_text(json.dumps(edit(json.loads(ckpt.read_text()))))
+        capsys.readouterr()
+        assert run(
+            "predict", "--manifest", manifest, "--checkpoint", ckpt,
+            "--out-dir", tmp_path / "pred",
+        ) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("physgrd: error: CheckpointError: ")
 
     def test_physics_weight_improves_held_out_vrpe(self, tmp_path):
         # plates go missing during the walk's ramp-up, so the physics term is

@@ -1,8 +1,11 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+import conv_reference
 from physgrd.errors import CheckpointError, ValidationError
 from physgrd.grf_model import (
     Adam,
@@ -202,6 +205,32 @@ class TestBackward:
             np.testing.assert_array_equal(a, b)
 
 
+class TestConvReference:
+    """The column-matrix GEMMs give the einsum reference's bits exactly."""
+
+    @pytest.mark.parametrize("B, T, D, channels", [
+        (1, 1000, 9, 128),  # predict: one canonical-width clip
+        (64, 240, 9, 128),  # train: one canonical-width batch
+        (13, 240, 9, 128),  # train: a short last batch
+        (7, 37, 5, 9),
+        (3, 1, 5, 9),  # shorter than the kernel
+        (2, 3, 5, 9),
+    ])
+    def test_forward_and_backward_bit_identical(self, B, T, D, channels):
+        net = TemporalConvNet(D, (channels,) * 4, (8, 6), seed=B + T)
+        r = np.random.default_rng(T)
+        x = r.normal(size=(B, T, D))
+        dout = r.normal(size=(B, T, 6))
+        out_ref, cache_ref = conv_reference.forward(net, x)
+        out, cache = net._forward(x, want_cache=True)
+        assert np.array_equal(out, out_ref)
+        grads_ref = conv_reference.backward(net, dout, cache_ref)
+        grads = net._backward(dout, cache)
+        assert len(grads) == len(grads_ref)
+        for g, g_ref in zip(grads, grads_ref):
+            assert g.shape == g_ref.shape and np.array_equal(g, g_ref)
+
+
 class TestAdam:
     def test_moves_against_gradient(self):
         p = np.ones(3)
@@ -252,6 +281,17 @@ class TestTrain:
         assert lines[0] == "epoch,train_loss,term1,term2,test_vgrf_l,test_vgrf_r,test_vrpe"
         assert len(lines) == 5
 
+    def test_nonfinite_loss_names_epoch_and_batch(self):
+        ds = self.make_ds()
+        entries = list(ds.entries)
+        feats = np.array(entries[0].clip.features)
+        feats[5, 3] = np.nan
+        entries[0] = dataclasses.replace(
+            entries[0], clip=dataclasses.replace(entries[0].clip, features=feats)
+        )
+        with pytest.raises(ValidationError, match=r"epoch 1, batch 1\b"):
+            train(dataclasses.replace(ds, entries=tuple(entries)), self.cfg(), (["S1"], "S2"))
+
     def test_overfit_single_hop_clip(self):
         # capacity oracle: fit one clip's plate data in 500 steps. The clip
         # spans exactly one window so every epoch repeats the same batch,
@@ -296,6 +336,31 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         path.write_text("not json")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc.pop("train_config"),
+        lambda doc: doc["train_config"].pop("seed"),
+        lambda doc: doc.pop("fc_layers"),
+        lambda doc: doc["conv_layers"].pop(),
+        lambda doc: doc["conv_layers"][0].update(weights="not*base64!"),
+        lambda doc: doc["fc_layers"][1].update(bias=7),
+        lambda doc: doc.update(conv_channels="six"),
+    ], ids=["no-train-config", "no-seed", "no-fc", "three-conv", "bad-base64",
+            "bias-not-text", "channels-not-list"])
+    def test_malformed_rejected(self, tmp_path, mutate):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(TemporalConvNet(7, **TOY, seed=9), TrainConfig(**TOY), path)
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_json_list_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(CheckpointError, match="not a JSON object"):
             load_checkpoint(path)
 
 

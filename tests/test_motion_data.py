@@ -90,6 +90,16 @@ class TestClipCsv:
         with pytest.raises(ValidationError, match=r"row 2.*'py'"):
             load_clip_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_feature_names_row_and_column(self, tmp_path, value):
+        path = tmp_path / "c.csv"
+        path.write_text(
+            "t,px,py,pz,f0,f1\n0.0,0.0,0.0,1.0,0.5,0.5\n"
+            f"0.01,0.0,0.0,1.0,0.5,{value}\n"
+        )
+        with pytest.raises(ValidationError, match=r"row 2.*'f1'"):
+            load_clip_csv(path)
+
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("t,px,py,pz\n0.0,0.0,0.0\n")
@@ -229,6 +239,26 @@ class TestManifest:
     def test_bad_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{nope")
+        with pytest.raises(ParseError):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc["subjects"][0].pop("mass_kg"),
+        lambda doc: doc["subjects"][0].pop("id"),
+        lambda doc: doc["subjects"][0].pop("clips"),
+        lambda doc: doc["subjects"][0].update(mass_kg="heavy"),
+        lambda doc: doc["subjects"][0].update(clips="S1_hop_000_clip.csv"),
+        lambda doc: doc["subjects"][0]["clips"][0].pop("clip_path"),
+        lambda doc: doc["subjects"].append(7),
+        lambda doc: doc.update(subjects={"S1": {}}),
+    ], ids=["no-mass", "no-id", "no-clips", "mass-not-number", "clips-not-list",
+            "no-clip-path", "subject-not-object", "subjects-not-list"])
+    def test_malformed_subject_rejected(self, tmp_path, mutate):
+        clip, plate = gen_synthetic("hop", {"duration": 0.5}, seed=1)
+        path = write_manifest(Dataset((DatasetEntry(clip, plate),)), tmp_path)
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
             load_manifest(path)
 
