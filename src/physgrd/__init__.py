@@ -18,7 +18,6 @@ from .motion_data import (
     GravitySpec,
     MotionClip,
     finite_diff_velocity,
-    load_clip,
     load_clip_csv,
     load_force_plate,
     load_manifest,

@@ -36,9 +36,6 @@ from .motion_data import (
     write_manifest,
 )
 
-_KINDS = ("hop", "walk", "ballistic", "spring_tracked")
-
-
 class _Parser(argparse.ArgumentParser):
     """Argparse with single-line errors on stderr and exit code 2."""
 
@@ -92,8 +89,8 @@ def _gains_from(args, parser) -> PDGains:
 def cmd_gen(args, parser) -> int:
     kinds = [k.strip() for k in args.kind.split(",")]
     for k in kinds:
-        if k not in _KINDS:
-            parser.error(f"unknown kind {k!r} (choose from {', '.join(_KINDS)})")
+        if k not in synthetic.KINDS:
+            parser.error(f"unknown kind {k!r} (choose from {', '.join(synthetic.KINDS)})")
     if args.duration <= 0:
         parser.error("--duration must be > 0")
     if args.frame_rate <= 0:

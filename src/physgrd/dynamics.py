@@ -18,7 +18,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import SimulationDivergedError, UnitError, ValidationError
-from .motion_data import GravitySpec, MotionClip, finite_diff_velocity, _fmt
+from .motion_data import GravitySpec, MotionClip, finite_diff_velocity, _write_rows
 
 DIVERGENCE_LIMIT = 1e6  # meters; any |component| beyond this aborts
 SimMode = Literal["closed_loop", "open_loop"]
@@ -232,14 +232,6 @@ def write_sim_csv(result: SimResult, path: str | Path) -> None:
     The force column of the final frame repeats the last applied force (zero
     for a single-frame result).
     """
-    path = Path(path)
-    T = len(result)
-    force = _frame_forces(result)
-    lines = ["t,px,py,pz,vx,vy,vz,fx,fy,fz"]
-    for i in range(T):
-        cells = [_fmt(i * result.dt)]
-        cells += [_fmt(v) for v in result.positions[i]]
-        cells += [_fmt(v) for v in result.velocities[i]]
-        cells += [_fmt(v) for v in force[i]]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    times = np.arange(len(result)) * result.dt
+    data = np.column_stack([times, result.positions, result.velocities, _frame_forces(result)])
+    _write_rows(path, ("t", "px", "py", "pz", "vx", "vy", "vz", "fx", "fy", "fz"), data)

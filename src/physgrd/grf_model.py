@@ -37,7 +37,7 @@ import numpy as np
 from .dynamics import GravitySpec, PDGains, SimMode, physics_force_series
 from .errors import CheckpointError, ValidationError
 from .metrics import evaluate_prediction
-from .motion_data import Dataset, ForcePlateRecord, _fmt
+from .motion_data import Dataset, ForcePlateRecord, _fmt, _read_rows, _write_rows
 
 KERNEL = 7
 PAD = KERNEL // 2
@@ -553,25 +553,23 @@ def load_checkpoint(path: str | Path) -> tuple[TemporalConvNet, TrainConfig]:
     return net, cfg
 
 
+_PREDICTION_HEADER = ("t", "L_fx", "L_fy", "L_fz", "R_fx", "R_fy", "R_fz")
+
+
 def write_prediction_csv(pred: Prediction, path: str | Path, frame_rate: float) -> None:
     """Per-frame per-foot body-weight forces: t,L_fx..L_fz,R_fx..R_fz."""
-    lines = ["t,L_fx,L_fy,L_fz,R_fx,R_fy,R_fz"]
-    for i in range(len(pred)):
-        cells = [_fmt(i / frame_rate)]
-        cells += [_fmt(v) for v in pred.forces[i, 0]]
-        cells += [_fmt(v) for v in pred.forces[i, 1]]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    T = len(pred)
+    times = np.arange(T) / frame_rate
+    _write_rows(path, _PREDICTION_HEADER, np.column_stack([times, pred.forces.reshape(T, 6)]))
 
 
 def load_prediction_csv(path: str | Path) -> Prediction:
     path = Path(path)
     lines = path.read_text().splitlines()
-    if not lines or lines[0] != "t,L_fx,L_fy,L_fz,R_fx,R_fy,R_fz":
+    if not lines or lines[0] != ",".join(_PREDICTION_HEADER):
         raise ValidationError(f"{path}: not a prediction file")
-    rows = [[float(c) for c in line.split(",")] for line in lines[1:] if line.strip()]
-    data = np.array(rows, dtype=float)
-    return Prediction(forces=data[:, 1:7].reshape(len(data), 2, 3))
+    data = _read_rows(path, lines, _PREDICTION_HEADER)
+    return Prediction(forces=data[:, 1:].reshape(len(data), 2, 3))
 
 
 def gradient_check(

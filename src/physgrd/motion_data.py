@@ -15,6 +15,12 @@ Plate CSV     header ``t,L_fx,L_fy,L_fz,L_copx,L_copy,L_contact,R_fx,...``;
 Manifest      JSON ``{"subjects": [{"id", "mass_kg", "clips": [...]}]}``;
               each clip entry carries ``motion_label``, ``clip_path``,
               ``plate_path`` and ``force_unit`` ("newton" or "bodyweight").
+
+Every numeric CSV (clip, plate, prediction, simulation) goes through one row
+codec, ``_write_rows``/``_read_rows``: cells are the shortest round-tripping
+``repr`` of each float (``NaN`` for NaN), byte-identical to formatting cell
+by cell with ``_fmt``, and are read back with Python's ``float``, so every
+file reads back to the same bits.
 """
 
 from __future__ import annotations
@@ -46,6 +52,51 @@ def _fmt(value: float) -> str:
     if math.isnan(value):
         return "NaN"
     return repr(float(value))
+
+
+def _write_rows(path: str | Path, header: Sequence[str], data: np.ndarray) -> None:
+    """Write ``header`` and one comma-separated line per row of ``data``.
+
+    ``data`` is a (T, n) float matrix; every cell is written as ``repr`` of
+    its Python value, NaN as ``NaN``, which are the bytes ``_fmt`` gives. An
+    object matrix may hold Python ints, written as integers (plate contact
+    flags).
+    """
+    body = "".join([",".join(map(repr, row.tolist())) + "\n" for row in data])
+    # float repr spells NaN "nan"; no other float or int repr holds those letters
+    Path(path).write_text(",".join(header) + "\n" + body.replace("nan", "NaN"))
+
+
+def _parse_float(text: str, row: int, col: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"row {row}: column '{col}' is not a number: {text!r}") from None
+
+
+def _read_rows(path: Path, lines: Sequence[str], header: Sequence[str]) -> np.ndarray:
+    """Parse the lines after the header into a (rows, len(header)) array.
+
+    Blank lines are skipped, but error messages number rows by their line
+    after the header. Cells are parsed with Python's ``float``.
+    """
+    n = len(header)
+    out = np.empty((len(lines) - 1, n))
+    k = 0
+    for r, line in enumerate(lines[1:], start=1):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != n:
+            raise ParseError(f"row {r}: expected {n} columns, got {len(cells)}")
+        try:
+            out[k] = list(map(float, cells))
+        except ValueError:  # rescan the row to name the bad cell
+            out[k] = [_parse_float(c, r, col) for col, c in zip(header, cells)]
+        k += 1
+    if k == 0:
+        raise ParseError(f"{path}: no data rows")
+    return out[:k]
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -95,9 +146,10 @@ class MotionClip:
     features: np.ndarray
 
     def __post_init__(self):
-        if self.frame_rate <= 0:
+        # written "not > 0" so that NaN is rejected too
+        if not (self.frame_rate > 0):
             raise UnitError(f"frame_rate must be > 0, got {self.frame_rate}")
-        if self.mass <= 0:
+        if not (self.mass > 0):
             raise UnitError(f"mass must be > 0, got {self.mass}")
         pos = np.asarray(self.root_positions, dtype=float)
         feat = np.asarray(self.features, dtype=float)
@@ -118,6 +170,9 @@ class MotionClip:
             raise ValidationError(
                 f"non-finite root position at frame {t}, component {'xyz'[c]}"
             )
+        if not np.all(np.isfinite(feat)):
+            t, c = np.argwhere(~np.isfinite(feat))[0]
+            raise ValidationError(f"non-finite feature at frame {t}, column {c}")
         object.__setattr__(self, "root_positions", _readonly(pos))
         object.__setattr__(self, "features", _readonly(feat))
 
@@ -242,13 +297,6 @@ class Dataset:
 # Clip CSV
 # ---------------------------------------------------------------------------
 
-def _parse_float(text: str, row: int, col: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"row {row}: column '{col}' is not a number: {text!r}") from None
-
-
 def load_clip_csv(
     path: str | Path,
     *,
@@ -275,24 +323,11 @@ def load_clip_csv(
         if name != f"f{i}":
             raise ParseError(f"{path}: expected feature column f{i}, got {name!r}")
 
-    rows = []
-    for r, line in enumerate(lines[1:], start=1):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ParseError(
-                f"row {r}: expected {len(header)} columns, got {len(cells)}"
-            )
-        rows.append([_parse_float(c, r, header[j]) for j, c in enumerate(cells)])
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-
-    data = np.array(rows, dtype=float)
+    data = _read_rows(path, lines, header)
     t = data[:, 0]
-    for r in range(len(t)):
-        if not math.isfinite(t[r]):
-            raise ValidationError(f"row {r + 1}: non-finite timestamp")
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        raise ValidationError(f"row {int(bad[0]) + 1}: non-finite timestamp")
     pos = data[:, 1:4]
     bad = np.argwhere(~np.isfinite(data[:, 1:]))  # positions and f* features
     if len(bad):
@@ -330,28 +365,8 @@ def load_clip_csv(
 
 def write_clip_csv(clip: MotionClip, path: str | Path) -> None:
     """Write a clip in the format load_clip_csv reads, exactly round-tripping."""
-    path = Path(path)
-    D = clip.feature_width
-    header = ["t", "px", "py", "pz"] + [f"f{i}" for i in range(D - 3)]
-    lines = [",".join(header)]
-    times = clip.times
-    for i in range(len(clip)):
-        cells = [_fmt(times[i])] + [_fmt(v) for v in clip.features[i]]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def load_clip(path: str | Path, format: str = "csv", **meta):
-    """Load either a single clip CSV or a whole manifest.
-
-    format="csv" returns a MotionClip (metadata via keyword arguments),
-    format="manifest" returns a Dataset keyed by subject.
-    """
-    if format == "csv":
-        return load_clip_csv(path, **meta)
-    if format == "manifest":
-        return load_manifest(path)
-    raise ValueError(f"unknown clip format {format!r}")
+    header = ["t", "px", "py", "pz"] + [f"f{i}" for i in range(clip.feature_width - 3)]
+    _write_rows(path, header, np.column_stack([clip.times, clip.features]))
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +401,7 @@ def load_force_plate(
     if header != expected:
         raise ParseError(f"{path}: bad plate header {header[:4]}...")
 
-    rows = []
-    for r, line in enumerate(lines[1:], start=1):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != len(expected):
-            raise ParseError(f"row {r}: expected {len(expected)} columns, got {len(cells)}")
-        rows.append([_parse_float(c, r, expected[j]) for j, c in enumerate(cells)])
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    data = np.array(rows, dtype=float)
+    data = _read_rows(path, lines, expected)
 
     T = len(data)
     force = np.empty((T, 2, 3))
@@ -409,7 +414,7 @@ def load_force_plate(
         contact[:, f] = data[:, base + 5] != 0.0
 
     if force_unit == "newton":
-        if mass is None or mass <= 0:
+        if mass is None or not (mass > 0):
             raise UnitError("newton-valued plate file needs a positive subject mass")
         force = force / (mass * STANDARD_GRAVITY)
     elif force_unit != "bodyweight":
@@ -423,16 +428,13 @@ def write_force_plate(
     path: str | Path,
     frame_rate: float,
 ) -> None:
-    path = Path(path)
-    lines = [",".join(_plate_header())]
-    for i in range(len(record)):
-        cells = [_fmt(i / frame_rate)]
-        for f in range(2):
-            cells += [_fmt(v) for v in record.per_foot_force[i, f]]
-            cells += [_fmt(v) for v in record.per_foot_cop[i, f]]
-            cells.append("1" if record.contact_flags[i, f] else "0")
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    cols = [np.arange(len(record)) / frame_rate]
+    for f in range(2):
+        cols += [record.per_foot_force[:, f], record.per_foot_cop[:, f], record.contact_flags[:, f]]
+    data = np.column_stack(cols).astype(object)
+    # contact flags are written as the integers 1 and 0
+    data[:, _PLATE_FOOT_COLS::_PLATE_FOOT_COLS] = record.contact_flags.astype(int)
+    _write_rows(path, _plate_header(), data)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .motion_data import (
     MotionClip,
 )
 
-_KINDS = ("hop", "walk", "ballistic", "spring_tracked")
+KINDS = ("hop", "walk", "ballistic", "spring_tracked")
 
 _COMMON_DEFAULTS = {
     "subject_id": "S1",
@@ -61,7 +61,7 @@ _KIND_DEFAULTS = {
 
 
 def _merge_params(kind: str, params: Mapping | None) -> dict:
-    if kind not in _KINDS:
+    if kind not in KINDS:
         raise ValidationError(f"unknown generator kind {kind!r}")
     merged = dict(_COMMON_DEFAULTS)
     merged.update(_KIND_DEFAULTS[kind])
@@ -353,7 +353,7 @@ def make_dataset(
                 if kind == "ballistic":
                     params.pop("jitter", None)
                 clip_seed = int(
-                    np.random.SeedSequence((seed, si, _KINDS.index(kind), ci))
+                    np.random.SeedSequence((seed, si, KINDS.index(kind), ci))
                     .generate_state(1)[0]
                 )
                 clip, plate = gen_synthetic(kind, params, seed=clip_seed)

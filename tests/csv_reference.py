@@ -1,0 +1,101 @@
+"""Reference writers and reader for the numeric CSV formats, one cell at a time.
+
+These are the per-cell loops the clip, plate, prediction and simulation
+files were written and read with before the shared row codec in
+``physgrd.motion_data``: every float is formatted on its own with ``fmt``
+and every cell is parsed on its own with Python's ``float``. The codec must
+write the same bytes and read the same bits.
+"""
+
+import math
+from pathlib import Path
+
+import numpy as np
+
+from physgrd.errors import ParseError
+
+
+def fmt(value):
+    """Shortest decimal string that round-trips the float exactly."""
+    if math.isnan(value):
+        return "NaN"
+    return repr(float(value))
+
+
+def _write(path, lines):
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_clip_csv(clip, path):
+    D = clip.feature_width
+    lines = [",".join(["t", "px", "py", "pz"] + [f"f{i}" for i in range(D - 3)])]
+    times = clip.times
+    for i in range(len(clip)):
+        lines.append(",".join([fmt(times[i])] + [fmt(v) for v in clip.features[i]]))
+    _write(path, lines)
+
+
+def write_force_plate(record, path, frame_rate):
+    cols = ["t"]
+    for foot in ("L", "R"):
+        cols += [f"{foot}_fx", f"{foot}_fy", f"{foot}_fz",
+                 f"{foot}_copx", f"{foot}_copy", f"{foot}_contact"]
+    lines = [",".join(cols)]
+    for i in range(len(record)):
+        cells = [fmt(i / frame_rate)]
+        for f in range(2):
+            cells += [fmt(v) for v in record.per_foot_force[i, f]]
+            cells += [fmt(v) for v in record.per_foot_cop[i, f]]
+            cells.append("1" if record.contact_flags[i, f] else "0")
+        lines.append(",".join(cells))
+    _write(path, lines)
+
+
+def write_prediction_csv(pred, path, frame_rate):
+    lines = ["t,L_fx,L_fy,L_fz,R_fx,R_fy,R_fz"]
+    for i in range(len(pred)):
+        cells = [fmt(i / frame_rate)]
+        cells += [fmt(v) for v in pred.forces[i, 0]]
+        cells += [fmt(v) for v in pred.forces[i, 1]]
+        lines.append(",".join(cells))
+    _write(path, lines)
+
+
+def write_sim_csv(result, path):
+    force = result.total_force
+    force = np.zeros((len(result), 3)) if len(force) == 0 else np.vstack([force, force[-1:]])
+    lines = ["t,px,py,pz,vx,vy,vz,fx,fy,fz"]
+    for i in range(len(result)):
+        cells = [fmt(i * result.dt)]
+        cells += [fmt(v) for v in result.positions[i]]
+        cells += [fmt(v) for v in result.velocities[i]]
+        cells += [fmt(v) for v in force[i]]
+        lines.append(",".join(cells))
+    _write(path, lines)
+
+
+def read_rows(path):
+    """The data rows of a numeric CSV as a float array, parsed cell by cell.
+
+    Blank lines are skipped; errors number rows by their line after the
+    header, as the loaders do.
+    """
+    lines = Path(path).read_text().splitlines()
+    header = [h.strip() for h in lines[0].split(",")]
+    rows = []
+    for r, line in enumerate(lines[1:], start=1):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ParseError(f"row {r}: expected {len(header)} columns, got {len(cells)}")
+        row = []
+        for col, text in zip(header, cells):
+            try:
+                row.append(float(text))
+            except ValueError:
+                raise ParseError(
+                    f"row {r}: column '{col}' is not a number: {text!r}"
+                ) from None
+        rows.append(row)
+    return np.array(rows, dtype=float)

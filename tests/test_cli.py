@@ -148,6 +148,19 @@ class TestSimulate:
         assert len(err) == 1 and err[0].startswith("physgrd: error: ")
         assert "Traceback" not in err[0]
 
+    def test_nan_mass_manifest_is_runtime_error(self, tmp_path, capsys):
+        manifest = gen_small(tmp_path / "data", subjects=1)
+        doc = json.loads(manifest.read_text())
+        doc["subjects"][0]["mass_kg"] = float("nan")
+        manifest.write_text(json.dumps(doc))  # written as the JSON extension NaN
+        capsys.readouterr()
+        assert run(
+            "simulate", "--manifest", manifest, "--kp", "70", "--kd", "3",
+            "--out-dir", tmp_path / "sim",
+        ) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("physgrd: error: UnitError: ")
+
 
 class TestTrainPredictMetrics:
     def pipeline(self, tmp_path, lambda2="0.005"):
@@ -203,6 +216,29 @@ class TestTrainPredictMetrics:
             assert float(left) == 0.0 and float(right) == 0.0
         vrpe_table = (tmp_path / "metrics" / "table_vrpe.csv").read_text().splitlines()
         assert float(vrpe_table[1].split(",")[1]) < 1e-9
+
+    @pytest.mark.parametrize("row", ["0,1,2,x,4,5,6", "0,1,2,3,4,5"],
+                             ids=["non-numeric", "short-row"])
+    def test_malformed_prediction_is_runtime_error(self, tmp_path, capsys, row):
+        manifest = gen_small(tmp_path / "data", kind="walk", subjects=1, duration=1.0)
+        ds = load_manifest(manifest)
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        for entry, stem in zip(ds, entry_stems(ds)):
+            path = pred_dir / f"{stem}_pred.csv"
+            write_prediction_csv(
+                Prediction(forces=np.zeros((len(entry.clip), 2, 3))), path, entry.clip.frame_rate
+            )
+        lines = path.read_text().splitlines()
+        lines[2] = row
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(
+            "metrics", "--manifest", manifest, "--pred-dir", pred_dir,
+            "--out-dir", tmp_path / "metrics",
+        ) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("physgrd: error: ParseError: row 2")
 
     def test_missing_prediction_is_runtime_error(self, tmp_path):
         manifest = gen_small(tmp_path / "data", kind="walk", subjects=1, duration=1.0)

@@ -16,7 +16,6 @@ from physgrd.motion_data import (
     GravitySpec,
     MotionClip,
     finite_diff_velocity,
-    load_clip,
     load_clip_csv,
     load_force_plate,
     load_manifest,
@@ -53,6 +52,17 @@ class TestMotionClip:
             make_clip([[0, 0, 1]], rate=0.0)
         with pytest.raises(UnitError):
             make_clip([[0, 0, 1]], mass=-1.0)
+        with pytest.raises(UnitError, match="frame_rate"):
+            make_clip([[0, 0, 1]], rate=np.nan)
+        with pytest.raises(UnitError, match="mass"):
+            make_clip([[0, 0, 1]], mass=np.nan)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_features(self, value):
+        feat = np.zeros((3, 5))
+        feat[1, 4] = value
+        with pytest.raises(ValidationError, match="frame 1, column 4"):
+            make_clip([[0, 0, 1.0]] * 3, features=feat)
 
     def test_rejects_nonfinite_positions(self):
         with pytest.raises(ValidationError, match="frame 1"):
@@ -208,6 +218,8 @@ class TestForcePlate:
         write_force_plate(plate, path, 100.0)
         with pytest.raises(UnitError):
             load_force_plate(path, force_unit="newton")
+        with pytest.raises(UnitError):
+            load_force_plate(path, force_unit="newton", mass=np.nan)
 
 
 class TestManifest:
@@ -228,12 +240,12 @@ class TestManifest:
             )
             assert loaded.clip.mass == pytest.approx(orig.clip.mass, rel=1e-12)
 
-    def test_load_clip_dispatches_on_format(self, tmp_path):
+    def test_loads_manifest_and_single_clip(self, tmp_path):
         clip, plate = gen_synthetic("hop", {"duration": 0.5}, seed=1)
         manifest = write_manifest(Dataset((DatasetEntry(clip, plate),)), tmp_path)
-        ds = load_clip(manifest, format="manifest")
+        ds = load_manifest(manifest)
         assert isinstance(ds, Dataset)
-        single = load_clip(tmp_path / "S1_hop_000_clip.csv", format="csv", mass=70.0)
+        single = load_clip_csv(tmp_path / "S1_hop_000_clip.csv", mass=70.0)
         assert isinstance(single, MotionClip)
 
     def test_bad_json(self, tmp_path):
