@@ -8,7 +8,13 @@ Scores aggregate as: mean over a subject's clips, then mean +- std across
 subjects. Cells whose simulation diverges on any clip score +inf and are
 excluded from the argmin but recorded in the report.
 
-In closed loop all cells step through a clip together as one batch.
+In closed loop, clips of equal length and frame rate step together in
+buckets, with every cell of every clip in one batch: one Python step per
+frame of a bucket, not per frame of each clip. A bucket keeps its
+simulated root heights, (clips, cells, T), until it is scored; the clips per
+bucket are capped so that buffer stays within _HEIGHTS_BUDGET floats
+(1 MiB), which bounds memory whatever the grid or cohort size. Open loop
+simulates each cell on each clip.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ DEFAULT_GAIN_CELLS: tuple[tuple[float, float], ...] = (
     (10.0, 0.0), (30.0, 0.0), (50.0, 0.0), (70.0, 0.0), (90.0, 0.0),
     (70.0, 3.0), (70.0, 6.0), (70.0, 9.0), (70.0, 12.0), (70.0, 15.0),
 )
+
+# float64 heights one closed-loop bucket may hold, (clips, cells, T): 1 MiB
+_HEIGHTS_BUDGET = 2**17
 
 
 class AllCellsDivergedError(PhysgrdError):
@@ -78,31 +87,57 @@ class CalibrationReport:
     diverged: tuple[tuple[float, float], ...]
 
 
-def _clip_scores(
+def _buckets(clips: Sequence[MotionClip], n_cells: int):
+    """Yield lists of clip indices that can step together.
+
+    Clips group by (length, dt) in order of first appearance; each group is
+    split into runs of at most _HEIGHTS_BUDGET // (cells * T) clips (at
+    least one).
+    """
+    groups: dict[tuple[int, float], list[int]] = {}
+    for j, clip in enumerate(clips):
+        groups.setdefault((len(clip), clip.dt), []).append(j)
+    for (T, _), idx in groups.items():
+        size = max(1, _HEIGHTS_BUDGET // (n_cells * T))
+        for start in range(0, len(idx), size):
+            yield idx[start:start + size]
+
+
+def _closed_loop_scores(
+    bucket: Sequence[MotionClip], kp: np.ndarray, kd: np.ndarray, gravity: GravitySpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """vRPE and divergence, (cells, clips) each, of equal-length clips stepped together.
+
+    The state is (clips, cells, 3); every element sees the arithmetic of a
+    single clip and cell stepped alone. The divergence check keeps an
+    elementwise running max of |pos| and reduces it once at the end.
+    """
+    ref = np.stack([c.root_positions for c in bucket], axis=1)[:, :, None]  # (T, n, 1, 3)
+    z = np.empty((len(bucket), len(kp), len(ref)))  # simulated root heights
+    z[:, :, 0] = ref[0, :, :, 2]
+    peak = np.zeros(z.shape[:2] + (3,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = _closed_loop(ref, kp[:, None], kd[:, None], gravity, bucket[0].dt)
+        for t, (_, pos) in enumerate(steps, start=1):
+            z[:, :, t] = pos[..., 2]
+            np.maximum(peak, np.abs(pos), out=peak)
+    diverged = ~(peak.max(axis=2) <= DIVERGENCE_LIMIT)
+    z[diverged] = np.nan
+    scores = [metrics.vrpe_heights(z[i], c.root_positions[:, 2]) for i, c in enumerate(bucket)]
+    return np.column_stack(scores), diverged.T
+
+
+def _open_loop_scores(
     clip: MotionClip, kp: np.ndarray, kd: np.ndarray, gravity: GravitySpec, mode: SimMode
 ) -> tuple[np.ndarray, np.ndarray]:
-    """vRPE of one clip under each cell, and which cells diverged on it.
-
-    Closed loop steps every cell at once; open loop simulates each cell.
-    """
+    """vRPE of one clip under each cell, and which cells diverged on it."""
     z = np.empty((len(kp), len(clip)))  # simulated root heights
-    if mode == "closed_loop":
-        ref = clip.root_positions
-        z[:, 0] = ref[0, 2]
-        peak = np.zeros(len(kp))
-        with np.errstate(over="ignore", invalid="ignore"):
-            steps = _closed_loop(ref, kp[:, None], kd[:, None], gravity, clip.dt)
-            for t, (_, pos) in enumerate(steps, start=1):
-                z[:, t] = pos[:, 2]
-                peak = np.maximum(peak, np.abs(pos).max(axis=1))
-        diverged = ~(peak <= DIVERGENCE_LIMIT)
-    else:
-        diverged = np.zeros(len(kp), dtype=bool)
-        for i, gains in enumerate(map(PDGains, kp, kd)):
-            try:
-                z[i] = simulate(clip, gains, gravity, mode).positions[:, 2]
-            except SimulationDivergedError:
-                diverged[i] = True
+    diverged = np.zeros(len(kp), dtype=bool)
+    for i, gains in enumerate(map(PDGains, kp, kd)):
+        try:
+            z[i] = simulate(clip, gains, gravity, mode).positions[:, 2]
+        except SimulationDivergedError:
+            diverged[i] = True
     z[diverged] = np.nan
     return metrics.vrpe_heights(z, clip.root_positions[:, 2]), diverged
 
@@ -134,10 +169,15 @@ def calibrate(
 
     kp, kd = np.array(cells, dtype=float).T
     scores = np.empty((len(cells), len(clips)))
-    diverged = np.zeros(len(cells), dtype=bool)
-    for j, clip in enumerate(clips):
-        scores[:, j], clip_diverged = _clip_scores(clip, kp, kd, gravity, mode)
-        diverged |= clip_diverged
+    diverged = np.zeros((len(cells), len(clips)), dtype=bool)
+    if mode == "closed_loop":
+        for idx in _buckets(clips, len(cells)):
+            bucket = [clips[j] for j in idx]
+            scores[:, idx], diverged[:, idx] = _closed_loop_scores(bucket, kp, kd, gravity)
+    else:
+        for j, clip in enumerate(clips):
+            scores[:, j], diverged[:, j] = _open_loop_scores(clip, kp, kd, gravity, mode)
+    diverged = diverged.any(axis=1)
 
     # mean over a subject's sorted clip scores, so clip order cannot perturb it
     subjects = sorted({c.subject_id for c in clips})

@@ -76,8 +76,9 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _gains_from(args, parser) -> PDGains:
-    if getattr(args, "gains", None):
+def _gains_from(args) -> PDGains:
+    """--gains file if given, else --kp/--kd (the shared gains options)."""
+    if args.gains:
         return calibration.load_gains(args.gains)
     return PDGains(kp=args.kp, kd=args.kd)
 
@@ -161,7 +162,7 @@ def cmd_calibrate(args, parser) -> int:
 
 
 def cmd_simulate(args, parser) -> int:
-    gains = _gains_from(args, parser)
+    gains = _gains_from(args)
     gravity = _gravity(args)
     if args.manifest:
         dataset = load_manifest(args.manifest)
@@ -209,7 +210,7 @@ def cmd_train(args, parser) -> int:
         conv_channels=args.conv_channels,
         fc_widths=args.fc_widths,
     )
-    gains = _gains_from(args, parser)
+    gains = _gains_from(args)
     net, log = grf_model.train(
         dataset, cfg, (train_subjects, test_subject), gains, _gravity(args), args.mode
     )
@@ -289,7 +290,7 @@ def cmd_metrics(args, parser) -> int:
 def cmd_plot(args, parser) -> int:
     clip = load_clip_csv(args.clip, mass=args.mass)
     gravity = _gravity(args)
-    gains = _gains_from(args, parser)
+    gains = _gains_from(args)
     out = _out_dir(args)
     t = clip.times
 
@@ -308,7 +309,7 @@ def cmd_plot(args, parser) -> int:
         )
     sim = simulate(clip, gains, gravity, args.mode)
     traj_series.append(svgplot.LineSeries("simulated z", t, sim.positions[:, 2]))
-    phys_bw = to_bodyweight(physics_force_series(clip, gains, gravity, args.mode), gravity)
+    phys_bw = to_bodyweight(physics_force_series(clip, gains, gravity, args.mode))
     force_series.append(svgplot.LineSeries("physics vGRF", t, phys_bw[:, 2]))
     if args.pred:
         pred = grf_model.load_prediction_csv(args.pred)
@@ -344,6 +345,11 @@ def build_parser() -> _Parser:
     common.add_argument("--mode", choices=("closed_loop", "open_loop"),
                         default="closed_loop", help="simulation feedback mode")
     common.add_argument("--out-dir", default=".", help="output directory")
+    gains = _Parser(add_help=False)
+    gains.add_argument("--kp", type=float, default=70.0,
+                       help="PD gain kp for simulation and physics supervision")
+    gains.add_argument("--kd", type=float, default=3.0, help="PD gain kd")
+    gains.add_argument("--gains", default=None, help="best_gains.json from calibrate")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -384,16 +390,13 @@ def build_parser() -> _Parser:
                    help="append a kp,kd cell to the search set")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("simulate", parents=[common], help="PD-track clips and export")
+    p = sub.add_parser("simulate", parents=[common, gains], help="PD-track clips and export")
     p.add_argument("--manifest")
     p.add_argument("--clip", help="single clip CSV instead of a manifest")
     p.add_argument("--mass", type=float, default=1.0, help="mass for bare --clip loads")
-    p.add_argument("--kp", type=float, default=70.0)
-    p.add_argument("--kd", type=float, default=3.0)
-    p.add_argument("--gains", help="best_gains.json from calibrate")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("train", parents=[common], help="train the force predictor")
+    p = sub.add_parser("train", parents=[common, gains], help="train the force predictor")
     p.add_argument("--manifest", required=True)
     p.add_argument("--test-subject", default=None,
                    help="held-out subject id (default: last by sort order)")
@@ -405,9 +408,6 @@ def build_parser() -> _Parser:
     p.add_argument("--window-len", type=int, default=240)
     p.add_argument("--conv-channels", type=_int_list, default=(128, 128, 128, 128))
     p.add_argument("--fc-widths", type=_int_list, default=(64, 32))
-    p.add_argument("--kp", type=float, default=70.0, help="gains for physics supervision")
-    p.add_argument("--kd", type=float, default=3.0)
-    p.add_argument("--gains", help="best_gains.json from calibrate")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", parents=[common], help="run a checkpoint over clips")
@@ -422,14 +422,11 @@ def build_parser() -> _Parser:
     p.add_argument("--subject", default=None)
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("plot", parents=[common], help="emit SVG overlays")
+    p = sub.add_parser("plot", parents=[common, gains], help="emit SVG overlays")
     p.add_argument("--clip", required=True)
     p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--plate", default=None)
     p.add_argument("--pred", default=None)
-    p.add_argument("--kp", type=float, default=70.0)
-    p.add_argument("--kd", type=float, default=3.0)
-    p.add_argument("--gains", default=None)
     p.set_defaults(func=cmd_plot)
 
     return parser

@@ -3,7 +3,8 @@
 All forces here are mass-normalized (units of acceleration, m/s^2): the
 root obeys  xdd = f - g  where f is the total reaction force divided by
 body mass and g is the gravity acceleration vector. Body-weight units used
-by plate data convert via f_bw = f / |g|.
+by plate data convert via f_bw = f / 9.81 (to_bodyweight), whatever the
+simulated gravity.
 
 The integrator is semi-implicit (symplectic) Euler: the velocity update
 precedes the position update.
@@ -18,7 +19,14 @@ from typing import Literal
 import numpy as np
 
 from .errors import SimulationDivergedError, UnitError, ValidationError
-from .motion_data import GravitySpec, MotionClip, finite_diff_velocity, _write_rows
+from .motion_data import (  # the body-weight conversions are re-exported here
+    GravitySpec,
+    MotionClip,
+    _write_rows,
+    finite_diff_velocity,
+    from_bodyweight,
+    to_bodyweight,
+)
 
 DIVERGENCE_LIMIT = 1e6  # meters; any |component| beyond this aborts
 SimMode = Literal["closed_loop", "open_loop"]
@@ -117,10 +125,12 @@ def _closed_loop(ref: np.ndarray, kp, kd, gravity: GravitySpec, dt: float):
     """Yield (force, pos) after each closed-loop PD step along ref.
 
     The state starts at ref[0] at rest, and step t pulls it toward ref[t+1].
-    Scalar gains step a (3,) state; (B, 1) gain columns step B cells at
-    once as a (B, 3) state, elementwise as the scalar arithmetic.
+    Its shape is that of ref[0] broadcast with the gains: scalar gains on a
+    (T, 3) ref step a (3,) state; (B, 1) gain columns step B cells as a
+    (B, 3) state; a (T, n, 1, 3) ref of n clips under (B, 1) gains steps an
+    (n, B, 3) state. Every element follows the scalar arithmetic.
     """
-    pos = np.broadcast_to(ref[0], np.broadcast_shapes(np.shape(kp), (3,)))
+    pos = np.broadcast_to(ref[0], np.broadcast_shapes(np.shape(kp), ref[0].shape))
     vel = np.zeros(pos.shape)
     for target in ref[1:]:
         f = kp * (target - pos) - kd * vel
@@ -218,12 +228,6 @@ def rollout_forces(
     applied = forces[: max(T - 1, 0)]
     positions, velocities = _integrate(clip.root_positions[0], applied, gravity, clip.dt)
     return SimResult(positions=positions, velocities=velocities, total_force=applied, dt=clip.dt)
-
-
-def to_bodyweight(normalized_force: np.ndarray, gravity: GravitySpec | None = None) -> np.ndarray:
-    """Convert mass-normalized force (m/s^2) to body-weight units."""
-    gravity = gravity or GravitySpec()
-    return np.asarray(normalized_force, dtype=float) / gravity.magnitude
 
 
 def write_sim_csv(result: SimResult, path: str | Path) -> None:

@@ -34,10 +34,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import GravitySpec, PDGains, SimMode, physics_force_series
+from .dynamics import GravitySpec, PDGains, SimMode, physics_force_series, to_bodyweight
 from .errors import CheckpointError, ValidationError
 from .metrics import evaluate_prediction
-from .motion_data import Dataset, ForcePlateRecord, _fmt, _read_rows, _write_rows
+from .motion_data import Dataset, ForcePlateRecord, _fmt, _read_lines, _read_rows, _write_rows
 
 KERNEL = 7
 PAD = KERNEL // 2
@@ -319,8 +319,8 @@ def composite_loss(
     """Composite objective for one clip; every force input in body weights.
 
     The physics series from the dynamics module is mass-normalized
-    (acceleration units) and must be divided by the gravity magnitude
-    before it gets here; train() does that conversion.
+    (acceleration units) and must go through to_bodyweight before it gets
+    here; train() does that conversion.
     """
     pred = np.asarray(getattr(pred, "forces", pred), dtype=float)
     phys = np.asarray(phys_force_bw, dtype=float)
@@ -415,10 +415,9 @@ def train(
         raise ValidationError(f"inconsistent feature widths across clips: {sorted(widths)}")
     D = widths.pop()
 
-    g_mag = gravity.magnitude
     prepared = []
     for e in train_set:
-        phys_bw = physics_force_series(e.clip, gains, gravity, mode) / g_mag
+        phys_bw = to_bodyweight(physics_force_series(e.clip, gains, gravity, mode))
         prepared.append(
             (e.clip.features, e.plate.per_foot_force, e.plate.valid_mask, phys_bw)
         )
@@ -521,7 +520,7 @@ def save_checkpoint(net: TemporalConvNet, cfg: TrainConfig, path: str | Path) ->
 def load_checkpoint(path: str | Path) -> tuple[TemporalConvNet, TrainConfig]:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, undecodable or bad JSON
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} is not a JSON object")
@@ -565,7 +564,7 @@ def write_prediction_csv(pred: Prediction, path: str | Path, frame_rate: float) 
 
 def load_prediction_csv(path: str | Path) -> Prediction:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != ",".join(_PREDICTION_HEADER):
         raise ValidationError(f"{path}: not a prediction file")
     data = _read_rows(path, lines, _PREDICTION_HEADER)

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .dynamics import GravitySpec, SimResult, rollout_forces
+from .dynamics import GravitySpec, SimResult, from_bodyweight, rollout_forces
 from .errors import (
     LengthMismatchError,
     NoValidFramesError,
@@ -56,7 +56,8 @@ def vrpe(sim: SimResult, clip: MotionClip) -> float:
 def vrpe_heights(z: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
     """vRPE of simulated root heights z, (..., T), against z_ref, (T,)."""
     d = z - z_ref
-    return np.mean(d * d, axis=-1) * VRPE_SCALE
+    d *= d
+    return np.mean(d, axis=-1) * VRPE_SCALE
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ def evaluate_prediction(
         left, right = vgrf_mse(pred_bw, plate)
     else:
         left, right = float("nan"), float("nan")
-    total_norm = pred_bw.sum(axis=1) * gravity.magnitude
+    total_norm = from_bodyweight(pred_bw.sum(axis=1))
     try:
         sim = rollout_forces(clip, total_norm, gravity)
     except SimulationDivergedError:

@@ -67,6 +67,14 @@ def _write_rows(path: str | Path, header: Sequence[str], data: np.ndarray) -> No
     Path(path).write_text(",".join(header) + "\n" + body.replace("nan", "NaN"))
 
 
+def _read_lines(path: Path) -> list[str]:
+    """The lines of a text file; bytes that do not decode raise ParseError."""
+    try:
+        return path.read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file ({exc})") from None
+
+
 def _parse_float(text: str, row: int, col: str) -> float:
     try:
         return float(text)
@@ -97,6 +105,21 @@ def _read_rows(path: Path, lines: Sequence[str], header: Sequence[str]) -> np.nd
     if k == 0:
         raise ParseError(f"{path}: no data rows")
     return out[:k]
+
+
+def to_bodyweight(force: np.ndarray, mass: float = 1.0) -> np.ndarray:
+    """Force in body weights, force / (mass * STANDARD_GRAVITY).
+
+    The default mass of 1 takes a mass-normalized force (m/s^2). A body
+    weight is always mass * 9.81 N, whatever gravity a simulation runs
+    under, so plate data and physics supervision share one unit.
+    """
+    return np.asarray(force, dtype=float) / (mass * STANDARD_GRAVITY)
+
+
+def from_bodyweight(force_bw: np.ndarray) -> np.ndarray:
+    """Mass-normalized force (m/s^2) of a body-weight force; inverts to_bodyweight."""
+    return np.asarray(force_bw, dtype=float) * STANDARD_GRAVITY
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -312,7 +335,7 @@ def load_clip_csv(
     is inferred from the time column; a single-row file needs it passed in.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = [h.strip() for h in lines[0].split(",")]
@@ -393,7 +416,7 @@ def load_force_plate(
     the subject mass.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = [h.strip() for h in lines[0].split(",")]
@@ -416,7 +439,7 @@ def load_force_plate(
     if force_unit == "newton":
         if mass is None or not (mass > 0):
             raise UnitError("newton-valued plate file needs a positive subject mass")
-        force = force / (mass * STANDARD_GRAVITY)
+        force = to_bodyweight(force, mass)
     elif force_unit != "bodyweight":
         raise UnitError(f"unknown force unit {force_unit!r}")
 
@@ -445,7 +468,7 @@ def load_manifest(path: str | Path) -> Dataset:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bytes that do not decode
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("subjects"), list):
         raise ParseError(f"{path}: manifest must be an object with a 'subjects' list")
@@ -460,6 +483,8 @@ def load_manifest(path: str | Path) -> Dataset:
                 f"{path}: subject {n} needs an 'id', a numeric 'mass_kg' and a 'clips' "
                 f"list ({type(exc).__name__}: {exc})"
             ) from None
+        if not isinstance(sid, str):
+            raise ParseError(f"{path}: 'id' of subject {n} must be a string, got {sid!r}")
         if not isinstance(specs, list):
             raise ParseError(f"{path}: 'clips' of subject {sid!r} must be a list")
         for spec in specs:
@@ -470,9 +495,15 @@ def load_manifest(path: str | Path) -> Dataset:
                     f"{path}: every clip of subject {sid!r} needs a 'clip_path' and a "
                     f"'motion_label' ({type(exc).__name__}: {exc})"
                 ) from None
+            plate_path = spec.get("plate_path")
+            names = (label, clip_path) + ((plate_path,) if plate_path else ())
+            if not all(isinstance(v, str) and "\0" not in v for v in names):
+                raise ParseError(
+                    f"{path}: 'motion_label', 'clip_path' and 'plate_path' of subject {sid!r} "
+                    f"must be strings without NUL, got {names!r}"
+                )
             clip = load_clip_csv(root / clip_path, subject_id=sid, motion_label=label, mass=mass)
             plate = None
-            plate_path = spec.get("plate_path")
             if plate_path:
                 unit = spec.get("force_unit", "bodyweight")
                 plate = load_force_plate(root / plate_path, force_unit=unit, mass=mass)

@@ -34,6 +34,7 @@ from .motion_data import (
     ForcePlateRecord,
     GravitySpec,
     MotionClip,
+    to_bodyweight,
 )
 
 KINDS = ("hop", "walk", "ballistic", "spring_tracked")
@@ -85,7 +86,8 @@ def build_features(positions: np.ndarray, frame_rate: float) -> np.ndarray:
 
     Velocity and acceleration are causal backward differences with zero
     boundary rows, matching finite_diff_velocity. Acceleration is expressed
-    in gravity units so all channels sit at comparable magnitudes.
+    in standard gravities (to_bodyweight) so all channels sit at comparable
+    magnitudes.
     """
     pos = np.asarray(positions, dtype=float)
     vel = np.zeros_like(pos)
@@ -93,8 +95,7 @@ def build_features(positions: np.ndarray, frame_rate: float) -> np.ndarray:
     if len(pos) > 1:
         vel[1:] = (pos[1:] - pos[:-1]) * frame_rate
         acc[1:] = (vel[1:] - vel[:-1]) * frame_rate
-    g = GravitySpec().magnitude
-    return np.hstack([pos, vel, acc / g])
+    return np.hstack([pos, vel, to_bodyweight(acc)])
 
 
 def _plate_from_split(
@@ -196,7 +197,7 @@ def _gen_hop(p: dict, rng: np.random.Generator, g: float):
     positions, _ = _integrate(np.array([0.0, 0.0, base]), forces, gravity, 1.0 / rate)
 
     total_bw = np.zeros((T, 3))
-    total_bw[:, 2] = fz / g
+    total_bw[:, 2] = to_bodyweight(fz)
     share = np.full(T, 0.5)
     plate = _plate_from_split(total_bw, share, positions[:, :2], p, rng)
     return _finish(positions, p), plate
@@ -239,7 +240,7 @@ def _gen_walk(p: dict, rng: np.random.Generator, g: float):
     total[:, 2] += g
 
     share = 0.5 * (1.0 + np.sin(omega * t))
-    total_bw = total / g
+    total_bw = to_bodyweight(total)
     plate = _plate_from_split(total_bw, share, positions[:, :2], p, rng)
     return _finish(positions, p), plate
 
@@ -290,7 +291,7 @@ def _gen_spring_tracked(p: dict, rng: np.random.Generator, g: float):
         positions[t + 1] = x
 
     total = np.vstack([forces, forces[-1:]]) if T > 1 else np.zeros((1, 3))
-    total_bw = total / g
+    total_bw = to_bodyweight(total)
     share = np.full(T, 0.5)
     plate = _plate_from_split(total_bw, share, positions[:, :2], p, rng)
     return _finish(positions, p), plate

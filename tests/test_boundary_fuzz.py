@@ -1,0 +1,117 @@
+"""Fuzzing the CLI's input boundary with truncated and byte-mutated files.
+
+Whatever a gains file, manifest or prediction CSV holds, a command must
+either succeed or fail with exit code 1 and one ``physgrd: error:`` line;
+an exception escaping ``main`` is the traceback a user would see.
+"""
+
+import contextlib
+import io
+import shutil
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from physgrd.cli import main
+from physgrd.grf_model import Prediction, write_prediction_csv
+from physgrd.motion_data import entry_stems, load_manifest
+
+# bytes that JSON and CSV care about, plus any byte at all (not all UTF-8)
+_BYTES = st.one_of(st.sampled_from(list(b'0123456789.-+eE,"{}[]: \nNa')), st.integers(0, 255))
+
+# the file each fuzz target mutates, relative to its work directory
+_TARGET_FILE = {
+    "gains": "gains.json",
+    "manifest": "data/manifest.json",
+    "prediction": "pred/S1_hop_000_pred.csv",
+}
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A two-subject dataset, a gains file and one prediction CSV per clip."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data = root / "data"
+    argv = ["gen", "--kind", "hop", "--subjects", "2", "--duration", "0.3",
+            "--out-dir", str(data)]
+    assert main(argv) == 0
+    (root / "gains.json").write_text('{\n  "kd": 3.0,\n  "kp": 70.0,\n  "mode": "closed_loop"\n}\n')
+    pred_dir = root / "pred"
+    pred_dir.mkdir()
+    ds = load_manifest(data / "manifest.json")
+    for entry, stem in zip(ds, entry_stems(ds)):
+        forces = np.full((len(entry.clip), 2, 3), 0.5)
+        write_prediction_csv(Prediction(forces=forces), pred_dir / f"{stem}_pred.csv",
+                             entry.clip.frame_rate)
+    return root
+
+
+def _mutate(data, original: bytes) -> bytes:
+    if data.draw(st.booleans(), label="truncate"):
+        return original[:data.draw(st.integers(0, len(original) - 1), label="keep")]
+    out = bytearray(original)
+    for _ in range(data.draw(st.integers(1, 4), label="edits")):
+        out[data.draw(st.integers(0, len(out) - 1), label="at")] = data.draw(_BYTES, label="byte")
+    return bytes(out)
+
+
+def _command(target: str, root: Path, work: Path) -> list[str]:
+    """Copy the valid inputs the target's command reads into work; return its argv."""
+    shutil.copytree(root / "data", work / "data")
+    out = str(work / "out")
+    if target == "gains":
+        shutil.copy(root / "gains.json", work / "gains.json")
+        return ["simulate", "--manifest", str(work / "data" / "manifest.json"),
+                "--gains", str(work / "gains.json"), "--out-dir", out]
+    if target == "manifest":
+        return ["simulate", "--manifest", str(work / "data" / "manifest.json"), "--out-dir", out]
+    shutil.copytree(root / "pred", work / "pred")
+    return ["metrics", "--manifest", str(work / "data" / "manifest.json"),
+            "--pred-dir", str(work / "pred"), "--out-dir", out]
+
+
+@pytest.mark.parametrize("target", sorted(_TARGET_FILE))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mutated_input_exits_cleanly(valid_files, target, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        argv = _command(target, valid_files, work)
+        path = work / _TARGET_FILE[target]
+        path.write_bytes(_mutate(data, path.read_bytes()))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("physgrd: error: "), lines
+
+
+@pytest.mark.parametrize("target", ["gains", "manifest", "prediction", "clip", "checkpoint"])
+def test_undecodable_input_exits_cleanly(valid_files, target, tmp_path, capsys):
+    data = valid_files / "data"
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe\x80 not text")
+    out = ["--out-dir", str(tmp_path / "out")]
+    manifest = str(data / "manifest.json")
+    if target == "prediction":
+        shutil.copytree(valid_files / "pred", tmp_path / "pred")
+        shutil.copy(bad, tmp_path / _TARGET_FILE["prediction"])
+    argv = {
+        "gains": ["simulate", "--manifest", manifest, "--gains", str(bad)],
+        "manifest": ["simulate", "--manifest", str(bad)],
+        "prediction": ["metrics", "--manifest", manifest, "--pred-dir", str(tmp_path / "pred")],
+        "clip": ["simulate", "--clip", str(bad)],
+        "checkpoint": ["predict", "--manifest", manifest, "--checkpoint", str(bad)],
+    }[target]
+    capsys.readouterr()
+    assert main(argv + out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("physgrd: error: "), err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import euler_reference
+from physgrd import calibration
 from physgrd.calibration import (
     DEFAULT_GAIN_CELLS,
     AllCellsDivergedError,
@@ -12,7 +13,7 @@ from physgrd.calibration import (
     write_report_csv,
 )
 from physgrd.dynamics import PDGains, physics_force_series, rollout_forces, simulate
-from physgrd.errors import ValidationError
+from physgrd.errors import SimulationDivergedError, ValidationError
 from physgrd.motion_data import MotionClip
 from physgrd.synthetic import gen_synthetic, make_dataset
 
@@ -144,6 +145,85 @@ class TestCalibrate:
             assert report.per_cell == per_cell
             assert report.per_subject == per_subject
             assert (report.best.kp, report.best.kd) == best
+
+    @staticmethod
+    def assert_matches_reference(clips, cells):
+        report = calibrate(clips, cells)
+        per_cell, per_subject, best = euler_reference.calibrate_scores(clips, cells)
+        assert report.per_cell == per_cell
+        assert report.per_subject == per_subject
+        assert (report.best.kp, report.best.kd) == best
+        return report
+
+    def test_budget_splits_equal_length_group(self):
+        # 240 cells x 200 frames: the 1 MiB height budget fits two clips per bucket
+        clips = spring_clips(n=2) + [
+            gen_synthetic("hop", {"subject_id": "S3", "duration": 2.0}, seed=4)[0]
+        ]
+        grid = GainGrid(tuple(10.0 + 60.0 * i for i in range(15)), tuple(range(0, 32, 2)))
+        assert len(grid.cells()) == 240 and {len(c) for c in clips} == {200}
+        assert list(calibration._buckets(clips, len(grid.cells()))) == [[0, 1], [2]]
+        self.assert_matches_reference(clips, grid.cells())
+
+    def test_equal_length_other_frame_rate_steps_apart(self):
+        coarse = gen_synthetic("hop", {"subject_id": "S1", "duration": 1.5}, seed=4)[0]
+        fine = gen_synthetic("hop", {"subject_id": "S2", "duration": 0.75,
+                                     "frame_rate": 200.0}, seed=5)[0]
+        clips = [coarse, fine, spring_clips(n=1)[0]]
+        assert len(coarse) == len(fine) == 150
+        assert list(calibration._buckets(clips, len(DEFAULT_GAIN_CELLS))) == [[0], [1], [2]]
+        self.assert_matches_reference(clips, list(DEFAULT_GAIN_CELLS))
+
+    def test_cell_diverging_on_one_clip_of_a_bucket(self):
+        # kp*dt^2 just above 4 grows slowly: the hop crosses the limit before
+        # its last frame, the clip standing still does not
+        hop = gen_synthetic("hop", {"subject_id": "S1", "duration": 2.0}, seed=4)[0]
+        pos = np.tile(hop.root_positions[:1], (len(hop), 1))
+        still = MotionClip("S2", "still", hop.frame_rate, 70.0, pos, pos)
+        clips, edge = [hop, still], (40096.0, 0.0)
+        with pytest.raises(SimulationDivergedError):
+            euler_reference.simulate(hop, PDGains(*edge))
+        euler_reference.simulate(still, PDGains(*edge))
+        assert list(calibration._buckets(clips, 3)) == [[0, 1]]
+
+        cells = [(70.0, 3.0), edge, (50.0, 6.0)]
+        report = self.assert_matches_reference(clips, cells)
+        assert report.diverged == (edge,)
+        alone = calibrate(clips, [(70.0, 3.0), (50.0, 6.0)])
+        assert {c: report.per_cell[c] for c in alone.cells} == alone.per_cell
+        assert report.per_subject == alone.per_subject
+
+    def test_excursion_past_limit_diverges_after_return(self):
+        # one reference frame 1.1e6 m up: the stiff cell follows it past the
+        # limit and comes back down, the soft one never gets near it
+        hop = gen_synthetic("hop", {"subject_id": "S1", "duration": 1.0}, seed=4)[0]
+        pos = hop.root_positions.copy()
+        pos[50, 2] = 1.1e6
+        spike = MotionClip("S2", "spike", hop.frame_rate, 70.0, pos, pos)
+        stiff, soft = (10000.0, 150.0), (70.0, 3.0)
+        with pytest.raises(SimulationDivergedError):
+            euler_reference.simulate(spike, PDGains(*stiff))
+        assert np.abs(euler_reference.simulate(spike, PDGains(*soft)).positions).max() < 1e5
+        report = self.assert_matches_reference([hop, spike], [soft, stiff])
+        assert report.diverged == (stiff,)
+
+    def test_clip_permutation_gives_identical_report_bytes(self, tmp_path):
+        # lengths 200, 130, 90 and two subjects: permutations regroup the buckets
+        clips = spring_clips(n=2) + [
+            gen_synthetic("hop", {"subject_id": "S1", "duration": 1.3}, seed=4)[0],
+            gen_synthetic("walk", {"subject_id": "S2", "duration": 0.9}, seed=5)[0],
+            gen_synthetic("hop", {"subject_id": "S2", "duration": 2.0}, seed=6)[0],
+        ]
+        grid = GainGrid((10.0, 50.0, 90.0, 50000.0), (0.0, 6.0))
+        files = []
+        for k, order in enumerate(([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3])):
+            report = calibrate([clips[i] for i in order], grid)
+            write_report_csv(report, tmp_path / f"report{k}.csv")
+            write_best_gains(report, tmp_path / f"best{k}.json")
+            files.append([(tmp_path / f"{n}{k}.{e}").read_bytes()
+                          for n, e in (("report", "csv"), ("best", "json"))])
+        assert files[0] == files[1] == files[2]
+        self.assert_matches_reference(clips, grid.cells())
 
     def test_damping_ordering_on_hop(self):
         ds = make_dataset(["hop"], n_subjects=3, seed=7, base_params={"duration": 4.0})

@@ -15,8 +15,14 @@ from physgrd.dynamics import (
     write_sim_csv,
 )
 from physgrd.errors import SimulationDivergedError, UnitError, ValidationError
-from physgrd.metrics import vrpe
-from physgrd.motion_data import MotionClip
+from physgrd.metrics import evaluate_prediction, vrpe
+from physgrd.motion_data import (
+    STANDARD_GRAVITY,
+    ForcePlateRecord,
+    MotionClip,
+    load_force_plate,
+    write_force_plate,
+)
 from physgrd.synthetic import gen_synthetic
 
 
@@ -236,3 +242,28 @@ class TestUnits:
     def test_bodyweight_round_trip(self):
         f = np.array([[0.0, 0.0, 9.81]])
         np.testing.assert_allclose(to_bodyweight(f), [[0, 0, 1.0]], rtol=1e-12)
+
+    def test_bodyweight_is_standard_gravity_at_any_gravity(self, tmp_path):
+        # default outputs keep their bits: |(0, 0, 9.81)| is exactly 9.81
+        assert GravitySpec().magnitude == STANDARD_GRAVITY == 9.81
+        moon = GravitySpec(np.array([0.0, 0.0, 1.62]))
+        standing = 1.62 / 9.81
+        T, mass = 500, 60.0
+
+        # a subject standing still on the plates reads m * 1.62 N in total
+        force = np.zeros((T, 2, 3))
+        force[:, :, 2] = mass * 1.62 / 2
+        record = ForcePlateRecord(force, np.zeros((T, 2, 2)), np.ones((T, 2), dtype=bool))
+        write_force_plate(record, tmp_path / "plate.csv", 100.0)
+        plate = load_force_plate(tmp_path / "plate.csv", force_unit="newton", mass=mass)
+        np.testing.assert_allclose(plate.total_force()[:, 2], standing, rtol=1e-12)
+
+        # physics supervision of a static clip settles on the force holding it up
+        clip = const_clip(T=T)
+        phys_bw = to_bodyweight(physics_force_series(clip, PDGains(100.0, 20.0), moon))
+        np.testing.assert_allclose(phys_bw[-1], [0.0, 0.0, standing], rtol=1e-9, atol=1e-12)
+
+        # and that body-weight reading, rolled out under the same gravity, holds still
+        pred = np.zeros((T, 2, 3))
+        pred[:, :, 2] = standing / 2
+        assert evaluate_prediction(clip, None, pred, moon)[2] < 1e-12

@@ -263,8 +263,14 @@ class TestManifest:
         lambda doc: doc["subjects"][0]["clips"][0].pop("clip_path"),
         lambda doc: doc["subjects"].append(7),
         lambda doc: doc.update(subjects={"S1": {}}),
+        lambda doc: doc["subjects"][0].update(id=5),
+        lambda doc: doc["subjects"][0]["clips"][0].update(motion_label=[1]),
+        lambda doc: doc["subjects"][0]["clips"][0].update(clip_path=5),
+        lambda doc: doc["subjects"][0]["clips"][0].update(plate_path=True),
+        lambda doc: doc["subjects"][0]["clips"][0].update(clip_path="S1\u0000.csv"),
     ], ids=["no-mass", "no-id", "no-clips", "mass-not-number", "clips-not-list",
-            "no-clip-path", "subject-not-object", "subjects-not-list"])
+            "no-clip-path", "subject-not-object", "subjects-not-list", "id-number",
+            "label-list", "clip-path-number", "plate-path-bool", "nul-in-path"])
     def test_malformed_subject_rejected(self, tmp_path, mutate):
         clip, plate = gen_synthetic("hop", {"duration": 0.5}, seed=1)
         path = write_manifest(Dataset((DatasetEntry(clip, plate),)), tmp_path)
