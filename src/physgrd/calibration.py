@@ -8,13 +8,12 @@ Scores aggregate as: mean over a subject's clips, then mean +- std across
 subjects. Cells whose simulation diverges on any clip score +inf and are
 excluded from the argmin but recorded in the report.
 
-In closed loop, clips of equal length and frame rate step together in
-buckets, with every cell of every clip in one batch: one Python step per
-frame of a bucket, not per frame of each clip. A bucket keeps its
-simulated root heights, (clips, cells, T), until it is scored; the clips per
-bucket are capped so that buffer stays within _HEIGHTS_BUDGET floats
-(1 MiB), which bounds memory whatever the grid or cohort size. Open loop
-simulates each cell on each clip.
+Clips of equal length and frame rate are simulated together in buckets,
+with every cell of every clip in one batch: closed loop makes one Python
+step per frame of a bucket, and open loop integrates a bucket's forces in
+one pass. A bucket keeps its simulated root heights, (clips, cells, T),
+until it is scored; the clips per bucket are capped so that buffer stays
+within _HEIGHTS_BUDGET floats (1 MiB), whatever the grid or cohort size.
 """
 
 from __future__ import annotations
@@ -27,9 +26,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import metrics
-from .dynamics import DIVERGENCE_LIMIT, GravitySpec, PDGains, SimMode, _closed_loop, simulate
-from .errors import PhysgrdError, SimulationDivergedError, ValidationError
-from .motion_data import MotionClip, _fmt
+from .dynamics import DIVERGENCE_LIMIT, GravitySpec, PDGains, SimMode, pd_force
+from .dynamics import _closed_loop, _integrate, _valid_gain
+from .dynamics import simulate  # noqa: F401  perfbench/tracing.py wraps calibration.simulate
+from .errors import PhysgrdError, ValidationError
+from .motion_data import MotionClip, _write_table, finite_diff_velocity
 
 # kp swept at kd=0, then kd swept at the best kp
 DEFAULT_GAIN_CELLS: tuple[tuple[float, float], ...] = (
@@ -58,8 +59,8 @@ class GainGrid:
             object.__setattr__(self, name, vals)
             if not vals:
                 raise ValidationError(f"{name} must be non-empty")
-            if any(v < 0 for v in vals):
-                raise ValidationError(f"{name} must be non-negative")
+            if not all(map(_valid_gain, vals)):
+                raise ValidationError(f"{name} must be finite and non-negative")
             if len(set(vals)) != len(vals):
                 raise ValidationError(f"{name} contains duplicates")
             if list(vals) != sorted(vals):
@@ -103,43 +104,41 @@ def _buckets(clips: Sequence[MotionClip], n_cells: int):
             yield idx[start:start + size]
 
 
-def _closed_loop_scores(
-    bucket: Sequence[MotionClip], kp: np.ndarray, kd: np.ndarray, gravity: GravitySpec
+def _bucket_scores(
+    bucket: Sequence[MotionClip], kp: np.ndarray, kd: np.ndarray, gravity: GravitySpec,
+    mode: SimMode,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """vRPE and divergence, (cells, clips) each, of equal-length clips stepped together.
+    """vRPE and divergence, (cells, clips) each, of equal-length clips simulated together.
 
     The state is (clips, cells, 3); every element sees the arithmetic of a
-    single clip and cell stepped alone. The divergence check keeps an
-    elementwise running max of |pos| and reduces it once at the end.
+    single clip and cell simulated alone. Open loop integrates each cell's PD
+    forces on the mocap states, (T-1, clips, cells, 3), at once. Divergence
+    is an elementwise max of |pos| over the steps, reduced at the end.
     """
-    ref = np.stack([c.root_positions for c in bucket], axis=1)[:, :, None]  # (T, n, 1, 3)
+    ref = np.stack([c.root_positions for c in bucket], axis=1)  # (T, n, 3)
     z = np.empty((len(bucket), len(kp), len(ref)))  # simulated root heights
-    z[:, :, 0] = ref[0, :, :, 2]
+    z[:, :, 0] = ref[0, :, None, 2]
     peak = np.zeros(z.shape[:2] + (3,))
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = _closed_loop(ref, kp[:, None], kd[:, None], gravity, bucket[0].dt)
-        for t, (_, pos) in enumerate(steps, start=1):
-            z[:, :, t] = pos[..., 2]
-            np.maximum(peak, np.abs(pos), out=peak)
+        if mode == "closed_loop":
+            steps = _closed_loop(ref[:, :, None], kp[:, None], kd[:, None], gravity, bucket[0].dt)
+            for t, (_, pos) in enumerate(steps, start=1):
+                z[:, :, t] = pos[..., 2]
+                np.maximum(peak, np.abs(pos), out=peak)
+        elif mode == "open_loop":
+            vel = np.stack([finite_diff_velocity(c) for c in bucket], axis=1)
+            forces = np.stack([
+                pd_force(ref[1:], ref[:-1], vel[:-1], PDGains(p, d)) for p, d in zip(kp, kd)
+            ], axis=2)
+            pos = _integrate(ref[0, :, None], forces, gravity, bucket[0].dt)[0][1:]
+            z[:, :, 1:] = np.moveaxis(pos[..., 2], 0, -1)
+            np.abs(pos).max(axis=0, initial=0.0, out=peak)
+        else:
+            raise ValueError(f"unknown simulation mode {mode!r}")
     diverged = ~(peak.max(axis=2) <= DIVERGENCE_LIMIT)
     z[diverged] = np.nan
     scores = [metrics.vrpe_heights(z[i], c.root_positions[:, 2]) for i, c in enumerate(bucket)]
     return np.column_stack(scores), diverged.T
-
-
-def _open_loop_scores(
-    clip: MotionClip, kp: np.ndarray, kd: np.ndarray, gravity: GravitySpec, mode: SimMode
-) -> tuple[np.ndarray, np.ndarray]:
-    """vRPE of one clip under each cell, and which cells diverged on it."""
-    z = np.empty((len(kp), len(clip)))  # simulated root heights
-    diverged = np.zeros(len(kp), dtype=bool)
-    for i, gains in enumerate(map(PDGains, kp, kd)):
-        try:
-            z[i] = simulate(clip, gains, gravity, mode).positions[:, 2]
-        except SimulationDivergedError:
-            diverged[i] = True
-    z[diverged] = np.nan
-    return metrics.vrpe_heights(z, clip.root_positions[:, 2]), diverged
 
 
 def calibrate(
@@ -167,16 +166,14 @@ def calibrate(
         if not cells:
             raise ValidationError("cell list must be non-empty")
 
+    for kp, kd in cells:
+        PDGains(kp, kd)  # reject an invalid cell before anything is simulated
     kp, kd = np.array(cells, dtype=float).T
     scores = np.empty((len(cells), len(clips)))
     diverged = np.zeros((len(cells), len(clips)), dtype=bool)
-    if mode == "closed_loop":
-        for idx in _buckets(clips, len(cells)):
-            bucket = [clips[j] for j in idx]
-            scores[:, idx], diverged[:, idx] = _closed_loop_scores(bucket, kp, kd, gravity)
-    else:
-        for j, clip in enumerate(clips):
-            scores[:, j], diverged[:, j] = _open_loop_scores(clip, kp, kd, gravity, mode)
+    for idx in _buckets(clips, len(cells)):
+        bucket = [clips[j] for j in idx]
+        scores[:, idx], diverged[:, idx] = _bucket_scores(bucket, kp, kd, gravity, mode)
     diverged = diverged.any(axis=1)
 
     # mean over a subject's sorted clip scores, so clip order cannot perturb it
@@ -211,17 +208,13 @@ def calibrate(
 
 def write_report_csv(report: CalibrationReport, path: str | Path) -> None:
     """Table-shaped CSV: one row per gain cell, per-subject columns + avg/std."""
-    path = Path(path)
     subjects = sorted(report.per_subject)
-    lines = ["kp,kd," + ",".join(subjects) + ",avg,std"]
-    for cell in report.cells:
-        mean, std = report.per_cell[cell]
-        vals = [report.per_subject[s].get(cell, float("inf")) for s in subjects]
-        cells_txt = [_fmt(cell[0]), _fmt(cell[1])]
-        cells_txt += [_fmt(v) for v in vals]
-        cells_txt += [_fmt(mean), _fmt(std)]
-        lines.append(",".join(cells_txt))
-    path.write_text("\n".join(lines) + "\n")
+    rows = [
+        [*cell, *(report.per_subject[s].get(cell, float("inf")) for s in subjects),
+         *report.per_cell[cell]]
+        for cell in report.cells
+    ]
+    _write_table(path, ["kp", "kd", *subjects, "avg", "std"], rows)
 
 
 def write_best_gains(report: CalibrationReport, path: str | Path) -> None:

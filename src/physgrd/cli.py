@@ -29,6 +29,7 @@ from .errors import PhysgrdError
 from .motion_data import (
     Dataset,
     DatasetEntry,
+    _write_table,
     entry_stems,
     load_clip_csv,
     load_force_plate,
@@ -92,11 +93,12 @@ def cmd_gen(args, parser) -> int:
     for k in kinds:
         if k not in synthetic.KINDS:
             parser.error(f"unknown kind {k!r} (choose from {', '.join(synthetic.KINDS)})")
-    if args.duration <= 0:
+    # written "not > 0" so that NaN is rejected too
+    if not (args.duration > 0):
         parser.error("--duration must be > 0")
-    if args.frame_rate <= 0:
+    if not (args.frame_rate > 0):
         parser.error("--frame-rate must be > 0")
-    if args.freq is not None and args.freq <= 0:
+    if args.freq is not None and not (args.freq > 0):
         parser.error("--freq must be > 0")
     if args.subjects < 1 or args.clips < 1:
         parser.error("--subjects and --clips must be >= 1")
@@ -172,17 +174,15 @@ def cmd_simulate(args, parser) -> int:
     else:
         parser.error("simulate needs --manifest or --clip")
     out = _out_dir(args)
-    lines = ["subject,motion,file,vrpe"]
+    rows = []
     for entry, stem in zip(dataset, entry_stems(dataset)):
         res = simulate(entry.clip, gains, gravity, args.mode)
         name = f"{stem}_sim.csv"
         write_sim_csv(res, out / name)
-        lines.append(
-            f"{entry.clip.subject_id},{entry.clip.motion_label},{name},"
-            f"{metrics.vrpe(res, entry.clip)!r}"
-        )
+        rows.append((entry.clip.subject_id, entry.clip.motion_label, name,
+                     metrics.vrpe(res, entry.clip)))
         print(out / name)
-    (out / "simulate_summary.csv").write_text("\n".join(lines) + "\n")
+    _write_table(out / "simulate_summary.csv", ("subject", "motion", "file", "vrpe"), rows)
     print(out / "simulate_summary.csv")
     return 0
 
@@ -248,10 +248,9 @@ def cmd_metrics(args, parser) -> int:
     gravity = _gravity(args)
     out = _out_dir(args)
 
-    rows = ["subject,motion,file,vgrf_l,vgrf_r,vrpe"]
+    rows = []
     per_vgrf: dict[tuple, tuple[float, float]] = {}
     per_vrpe: dict[tuple, float] = {}
-    found = 0
     for entry, stem in zip(dataset, entry_stems(dataset)):
         if args.subject and entry.clip.subject_id != args.subject:
             continue
@@ -262,18 +261,15 @@ def cmd_metrics(args, parser) -> int:
         left, right, v = metrics.evaluate_prediction(
             entry.clip, entry.plate, pred.forces, gravity
         )
-        found += 1
         key = (entry.clip.subject_id, entry.clip.motion_label, stem)
         if entry.plate is not None:
             per_vgrf[key] = (left, right)
         per_vrpe[key] = v
-        rows.append(
-            f"{entry.clip.subject_id},{entry.clip.motion_label},{pred_path.name},"
-            f"{left!r},{right!r},{v!r}"
-        )
-    if not found:
+        rows.append((*key[:2], pred_path.name, left, right, v))
+    if not rows:
         raise PhysgrdError("no predictions matched the manifest")
-    (out / "metrics_summary.csv").write_text("\n".join(rows) + "\n")
+    header = ("subject", "motion", "file", "vgrf_l", "vgrf_r", "vrpe")
+    _write_table(out / "metrics_summary.csv", header, rows)
     print(out / "metrics_summary.csv")
     if per_vgrf:
         metrics.write_metric_table(

@@ -12,6 +12,7 @@ precedes the position update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
@@ -32,6 +33,11 @@ DIVERGENCE_LIMIT = 1e6  # meters; any |component| beyond this aborts
 SimMode = Literal["closed_loop", "open_loop"]
 
 
+def _valid_gain(value: float) -> bool:
+    """Whether a PD gain is finite and non-negative; NaN is not."""
+    return 0 <= value < math.inf
+
+
 @dataclass(frozen=True)
 class PDGains:
     """Proportional/derivative tracking gains.
@@ -44,8 +50,8 @@ class PDGains:
     kd: float
 
     def __post_init__(self):
-        if not (self.kp >= 0 and self.kd >= 0):  # also rejects NaN
-            raise UnitError(f"gains must be non-negative, got ({self.kp}, {self.kd})")
+        if not (_valid_gain(self.kp) and _valid_gain(self.kd)):
+            raise UnitError(f"gains must be finite and non-negative, got ({self.kp}, {self.kd})")
 
 
 @dataclass(frozen=True)
@@ -139,20 +145,25 @@ def _closed_loop(ref: np.ndarray, kp, kd, gravity: GravitySpec, dt: float):
 
 
 def _integrate(start: np.ndarray, forces: np.ndarray, gravity: GravitySpec, dt: float):
-    """Positions and velocities, (T, 3) each, under T-1 given step forces.
+    """Positions and velocities, (T, ..., 3) each, under (T-1, ..., 3) step forces.
 
     The semi-implicit Euler step from rest at start, written as two running
-    sums; np.add.accumulate adds in order, so it matches the step loop bit
-    for bit. Raises at the first frame with a non-finite or too large position.
+    sums over the time axis; np.add.accumulate adds in order, so every
+    element matches the step loop bit for bit. Diverged values are returned.
     """
+    frame = (1,) + forces.shape[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        vel = np.add.accumulate(np.vstack([np.zeros(3), (forces - gravity.g_accel) * dt]))
-        pos = np.add.accumulate(np.vstack([start, vel[1:] * dt]))
-    worst = np.abs(pos[1:]).max(axis=1)
+        vel = np.add.accumulate(np.concatenate([np.zeros(frame), (forces - gravity.g_accel) * dt]))
+        pos = np.add.accumulate(np.concatenate([np.broadcast_to(start, frame), vel[1:] * dt]))
+    return pos, vel
+
+
+def _raise_if_diverged(positions: np.ndarray) -> None:
+    """Raise at the first frame after the start with a non-finite or too large position."""
+    worst = np.abs(positions[1:]).max(axis=1)
     bad = np.flatnonzero(~(worst <= DIVERGENCE_LIMIT))
     if bad.size:
         raise SimulationDivergedError(frame=int(bad[0]) + 1, value=float(worst[bad[0]]))
-    return pos, vel
 
 
 def _frame_forces(result: SimResult) -> np.ndarray:
@@ -189,6 +200,7 @@ def simulate(
         raise ValueError(f"unknown simulation mode {mode!r}")
     # the closed loop's own states are these running sums of its forces
     positions, velocities = _integrate(ref[0], forces, gravity, clip.dt)
+    _raise_if_diverged(positions)
     return SimResult(positions=positions, velocities=velocities, total_force=forces, dt=clip.dt)
 
 
@@ -227,6 +239,7 @@ def rollout_forces(
         )
     applied = forces[: max(T - 1, 0)]
     positions, velocities = _integrate(clip.root_positions[0], applied, gravity, clip.dt)
+    _raise_if_diverged(positions)
     return SimResult(positions=positions, velocities=velocities, total_force=applied, dt=clip.dt)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +37,8 @@ import numpy as np
 from .dynamics import GravitySpec, PDGains, SimMode, physics_force_series, to_bodyweight
 from .errors import CheckpointError, ValidationError
 from .metrics import evaluate_prediction
-from .motion_data import Dataset, ForcePlateRecord, _fmt, _read_lines, _read_rows, _write_rows
+from .motion_data import Dataset, ForcePlateRecord, _read_lines, _read_rows, _write_rows
+from .motion_data import _write_table
 
 KERNEL = 7
 PAD = KERNEL // 2
@@ -94,10 +95,11 @@ class TrainConfig:
         object.__setattr__(self, "fc_widths", tuple(int(w) for w in self.fc_widths))
         if self.epochs <= 0 or self.batch_size <= 0 or self.window_len <= 0:
             raise ValidationError("epochs, batch_size and window_len must be positive")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValidationError("loss weights must be non-negative")
+        # written "not (... < inf)" so that NaN is rejected too
+        if not (0 < self.learning_rate < math.inf):
+            raise ValidationError("learning_rate must be finite and positive")
+        if not (0 <= self.lambda1 < math.inf and 0 <= self.lambda2 < math.inf):
+            raise ValidationError("loss weights must be finite and non-negative")
         if len(self.conv_channels) != 4:
             raise ValidationError("the network has exactly four conv layers")
         if len(self.fc_widths) != 2:
@@ -374,16 +376,7 @@ class TrainLogRow:
 
 
 def write_train_log(log: Sequence[TrainLogRow], path: str | Path) -> None:
-    lines = ["epoch,train_loss,term1,term2,test_vgrf_l,test_vgrf_r,test_vrpe"]
-    for row in log:
-        lines.append(
-            ",".join(
-                [str(row.epoch)]
-                + [_fmt(v) for v in (row.train_loss, row.term1, row.term2,
-                                     row.test_vgrf_l, row.test_vgrf_r, row.test_vrpe)]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, [f.name for f in fields(TrainLogRow)], map(astuple, log))
 
 
 def train(

@@ -21,7 +21,7 @@ from .errors import (
     SimulationDivergedError,
     ValidationError,
 )
-from .motion_data import ForcePlateRecord, MotionClip, _fmt
+from .motion_data import ForcePlateRecord, MotionClip, _write_table
 
 VRPE_SCALE = 1e3  # reported position errors are m^2 scaled up by 10^3
 
@@ -118,14 +118,8 @@ def aggregate(per_clip: Mapping[tuple, object], kind: str = "vrpe") -> MetricTab
 
 
 def write_metric_table(table: MetricTable, path: str | Path) -> None:
-    path = Path(path)
-    c1, c2 = table.columns
-    lines = [f"motion,{c1},{c2}"]
-    for motion in sorted(table.rows):
-        a, b = table.rows[motion]
-        lines.append(f"{motion},{_fmt(a)},{_fmt(b)}")
-    lines.append(f"Average,{_fmt(table.average[0])},{_fmt(table.average[1])}")
-    path.write_text("\n".join(lines) + "\n")
+    rows = [(motion, *table.rows[motion]) for motion in sorted(table.rows)]
+    _write_table(path, ("motion", *table.columns), rows + [("Average", *table.average)])
 
 
 def loso_splits(subjects: Iterable[str]) -> list[tuple[tuple[str, ...], str]]:

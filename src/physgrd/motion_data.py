@@ -15,18 +15,23 @@ Plate CSV     header ``t,L_fx,L_fy,L_fz,L_copx,L_copy,L_contact,R_fx,...``;
 Manifest      JSON ``{"subjects": [{"id", "mass_kg", "clips": [...]}]}``;
               each clip entry carries ``motion_label``, ``clip_path``,
               ``plate_path`` and ``force_unit`` ("newton" or "bodyweight").
+              Ids and labels name output files, so they must match
+              ``[A-Za-z0-9._-]+``.
 
 Every numeric CSV (clip, plate, prediction, simulation) goes through one row
 codec, ``_write_rows``/``_read_rows``: cells are the shortest round-tripping
 ``repr`` of each float (``NaN`` for NaN), byte-identical to formatting cell
 by cell with ``_fmt``, and are read back with Python's ``float``, so every
-file reads back to the same bits.
+file reads back to the same bits. Every text table (reports, logs, run
+summaries, plot sidecars) goes through ``_write_table``, which writes floats
+the same way, so a missing value is ``NaN`` there too.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -41,6 +46,9 @@ from .errors import (
 )
 
 STANDARD_GRAVITY = 9.81  # m/s^2, used for body-weight normalization
+
+# Subject ids and motion labels become parts of file names (entry_stems).
+_SAFE_NAME = re.compile(r"[A-Za-z0-9._-]+")
 
 # Column layout of the plate CSV, per foot: fx fy fz copx copy contact.
 _PLATE_FOOT_COLS = 6
@@ -65,6 +73,12 @@ def _write_rows(path: str | Path, header: Sequence[str], data: np.ndarray) -> No
     body = "".join([",".join(map(repr, row.tolist())) + "\n" for row in data])
     # float repr spells NaN "nan"; no other float or int repr holds those letters
     Path(path).write_text(",".join(header) + "\n" + body.replace("nan", "NaN"))
+
+
+def _write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as CSV: floats as ``_fmt`` does, other cells with ``str``."""
+    lines = [header] + [[_fmt(c) if isinstance(c, float) else str(c) for c in row] for row in rows]
+    Path(path).write_text("".join(",".join(line) + "\n" for line in lines))
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -169,11 +183,15 @@ class MotionClip:
     features: np.ndarray
 
     def __post_init__(self):
-        # written "not > 0" so that NaN is rejected too
-        if not (self.frame_rate > 0):
-            raise UnitError(f"frame_rate must be > 0, got {self.frame_rate}")
-        if not (self.mass > 0):
-            raise UnitError(f"mass must be > 0, got {self.mass}")
+        for name in ("subject_id", "motion_label"):  # they name output files
+            value = getattr(self, name)
+            if not (isinstance(value, str) and _SAFE_NAME.fullmatch(value)):
+                raise ValidationError(f"{name} must match [A-Za-z0-9._-]+, got {value!r}")
+        # written "not (0 < x < inf)" so that NaN is rejected too
+        if not (0 < self.frame_rate < math.inf):
+            raise UnitError(f"frame_rate must be finite and > 0, got {self.frame_rate}")
+        if not (0 < self.mass < math.inf):
+            raise UnitError(f"mass must be finite and > 0, got {self.mass}")
         pos = np.asarray(self.root_positions, dtype=float)
         feat = np.asarray(self.features, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3:
@@ -437,8 +455,8 @@ def load_force_plate(
         contact[:, f] = data[:, base + 5] != 0.0
 
     if force_unit == "newton":
-        if mass is None or not (mass > 0):
-            raise UnitError("newton-valued plate file needs a positive subject mass")
+        if mass is None or not (0 < mass < math.inf):
+            raise UnitError("newton-valued plate file needs a finite, positive subject mass")
         force = to_bodyweight(force, mass)
     elif force_unit != "bodyweight":
         raise UnitError(f"unknown force unit {force_unit!r}")

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LengthMismatchError, ValidationError
-from .motion_data import _fmt
+from .motion_data import _write_table
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
@@ -69,13 +69,9 @@ def _num(x: float) -> str:
 
 def write_series_csv(series: Sequence[LineSeries], path: str | Path) -> None:
     """Long-format sidecar: series,t,value with NaN for hidden points."""
-    lines = ["series,t,value"]
-    for s in series:
-        shown = s.visible()
-        for i in range(len(s.t)):
-            v = s.values[i] if shown[i] else float("nan")
-            lines.append(f"{s.label},{_fmt(s.t[i])},{_fmt(v)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [(s.label, t, v) for s in series
+            for t, v in zip(s.t.tolist(), np.where(s.visible(), s.values, np.nan).tolist())]
+    _write_table(path, ("series", "t", "value"), rows)
 
 
 def write_svg(

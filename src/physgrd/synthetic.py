@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import _integrate, euler_step
+from .dynamics import _integrate, _raise_if_diverged, euler_step
 from .errors import ValidationError
 from .motion_data import (
     Dataset,
@@ -72,12 +72,9 @@ def _merge_params(kind: str, params: Mapping | None) -> dict:
         merged[key] = value
     if merged["motion_label"] is None:
         merged["motion_label"] = kind
-    if merged["frame_rate"] <= 0:
-        raise ValidationError(f"frame_rate must be > 0, got {merged['frame_rate']}")
-    if merged["duration"] <= 0:
-        raise ValidationError(f"duration must be > 0, got {merged['duration']}")
-    if merged["mass"] <= 0:
-        raise ValidationError(f"mass must be > 0, got {merged['mass']}")
+    for key in ("frame_rate", "duration", "mass"):  # "not > 0" rejects NaN too
+        if not (merged[key] > 0):
+            raise ValidationError(f"{key} must be > 0, got {merged[key]}")
     return merged
 
 
@@ -195,6 +192,7 @@ def _gen_hop(p: dict, rng: np.random.Generator, g: float):
     forces[:, 2] = fz[:-1]
     gravity = GravitySpec(g_accel=np.array([0.0, 0.0, g]))
     positions, _ = _integrate(np.array([0.0, 0.0, base]), forces, gravity, 1.0 / rate)
+    _raise_if_diverged(positions)
 
     total_bw = np.zeros((T, 3))
     total_bw[:, 2] = to_bodyweight(fz)

@@ -1,10 +1,13 @@
-"""Reference writers and reader for the numeric CSV formats, one cell at a time.
+"""Reference writers and reader for the CSV formats, one cell at a time.
 
 These are the per-cell loops the clip, plate, prediction and simulation
 files were written and read with before the shared row codec in
 ``physgrd.motion_data``: every float is formatted on its own with ``fmt``
 and every cell is parsed on its own with Python's ``float``. The codec must
-write the same bytes and read the same bits.
+write the same bytes and read the same bits. The text-table writers below
+(calibration report, metric table, training log, plot sidecar) are the
+hand-joined ones that ``motion_data._write_table`` replaced; it must write
+their bytes too.
 """
 
 import math
@@ -71,6 +74,52 @@ def write_sim_csv(result, path):
         cells += [fmt(v) for v in result.velocities[i]]
         cells += [fmt(v) for v in force[i]]
         lines.append(",".join(cells))
+    _write(path, lines)
+
+
+def write_report_csv(report, path):
+    subjects = sorted(report.per_subject)
+    lines = ["kp,kd," + ",".join(subjects) + ",avg,std"]
+    for cell in report.cells:
+        mean, std = report.per_cell[cell]
+        vals = [report.per_subject[s].get(cell, float("inf")) for s in subjects]
+        cells_txt = [fmt(cell[0]), fmt(cell[1])]
+        cells_txt += [fmt(v) for v in vals]
+        cells_txt += [fmt(mean), fmt(std)]
+        lines.append(",".join(cells_txt))
+    _write(path, lines)
+
+
+def write_metric_table(table, path):
+    c1, c2 = table.columns
+    lines = [f"motion,{c1},{c2}"]
+    for motion in sorted(table.rows):
+        a, b = table.rows[motion]
+        lines.append(f"{motion},{fmt(a)},{fmt(b)}")
+    lines.append(f"Average,{fmt(table.average[0])},{fmt(table.average[1])}")
+    _write(path, lines)
+
+
+def write_train_log(log, path):
+    lines = ["epoch,train_loss,term1,term2,test_vgrf_l,test_vgrf_r,test_vrpe"]
+    for row in log:
+        lines.append(
+            ",".join(
+                [str(row.epoch)]
+                + [fmt(v) for v in (row.train_loss, row.term1, row.term2,
+                                    row.test_vgrf_l, row.test_vgrf_r, row.test_vrpe)]
+            )
+        )
+    _write(path, lines)
+
+
+def write_series_csv(series, path):
+    lines = ["series,t,value"]
+    for s in series:
+        shown = s.visible()
+        for i in range(len(s.t)):
+            v = s.values[i] if shown[i] else float("nan")
+            lines.append(f"{s.label},{fmt(s.t[i])},{fmt(v)}")
     _write(path, lines)
 
 

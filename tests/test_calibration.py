@@ -13,9 +13,12 @@ from physgrd.calibration import (
     write_report_csv,
 )
 from physgrd.dynamics import PDGains, physics_force_series, rollout_forces, simulate
-from physgrd.errors import SimulationDivergedError, ValidationError
+from physgrd.errors import SimulationDivergedError, UnitError, ValidationError
 from physgrd.motion_data import MotionClip
 from physgrd.synthetic import gen_synthetic, make_dataset
+
+
+MODES = ("closed_loop", "open_loop")
 
 
 def spring_clips(kp=50.0, kd=6.0, n=3, seed=3):
@@ -40,6 +43,11 @@ class TestGainGrid:
             GainGrid((30.0, 10.0), (0.0,))
         with pytest.raises(ValidationError):
             GainGrid((-1.0, 10.0), (0.0,))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                GainGrid((10.0, bad), (0.0,))
+            with pytest.raises(ValidationError):
+                GainGrid((10.0,), (0.0, bad))
 
     def test_default_cells_walk_both_gain_axes(self):
         # kp 10..90 step 20 at kd=0, then kd 3..15 step 3 at kp=70
@@ -117,6 +125,17 @@ class TestCalibrate:
         with pytest.raises(ValidationError):
             calibrate([], [(70.0, 3.0)])
 
+    @pytest.mark.parametrize("cell", [(-5.0, 0.0), (70.0, -1.0), (np.nan, 0.0), (np.inf, 3.0)],
+                             ids=["kp-negative", "kd-negative", "kp-nan", "kp-inf"])
+    def test_invalid_cell_rejected_before_simulating(self, monkeypatch, cell):
+        def never(*args):
+            raise AssertionError("simulated before the cells were checked")
+
+        monkeypatch.setattr(calibration, "_bucket_scores", never)
+        for mode in MODES:
+            with pytest.raises(UnitError):
+                calibrate(spring_clips(n=1), [(70.0, 3.0), cell], mode=mode)
+
     def test_batched_matches_reference(self):
         # clips of several lengths, kinds and subjects, two clips for S1
         clips = spring_clips(n=2) + [
@@ -147,9 +166,9 @@ class TestCalibrate:
             assert (report.best.kp, report.best.kd) == best
 
     @staticmethod
-    def assert_matches_reference(clips, cells):
-        report = calibrate(clips, cells)
-        per_cell, per_subject, best = euler_reference.calibrate_scores(clips, cells)
+    def assert_matches_reference(clips, cells, mode="closed_loop"):
+        report = calibrate(clips, cells, mode=mode)
+        per_cell, per_subject, best = euler_reference.calibrate_scores(clips, cells, mode=mode)
         assert report.per_cell == per_cell
         assert report.per_subject == per_subject
         assert (report.best.kp, report.best.kd) == best
@@ -163,7 +182,8 @@ class TestCalibrate:
         grid = GainGrid(tuple(10.0 + 60.0 * i for i in range(15)), tuple(range(0, 32, 2)))
         assert len(grid.cells()) == 240 and {len(c) for c in clips} == {200}
         assert list(calibration._buckets(clips, len(grid.cells()))) == [[0, 1], [2]]
-        self.assert_matches_reference(clips, grid.cells())
+        for mode in MODES:
+            self.assert_matches_reference(clips, grid.cells(), mode)
 
     def test_equal_length_other_frame_rate_steps_apart(self):
         coarse = gen_synthetic("hop", {"subject_id": "S1", "duration": 1.5}, seed=4)[0]
@@ -172,7 +192,8 @@ class TestCalibrate:
         clips = [coarse, fine, spring_clips(n=1)[0]]
         assert len(coarse) == len(fine) == 150
         assert list(calibration._buckets(clips, len(DEFAULT_GAIN_CELLS))) == [[0], [1], [2]]
-        self.assert_matches_reference(clips, list(DEFAULT_GAIN_CELLS))
+        for mode in MODES:
+            self.assert_matches_reference(clips, list(DEFAULT_GAIN_CELLS), mode)
 
     def test_cell_diverging_on_one_clip_of_a_bucket(self):
         # kp*dt^2 just above 4 grows slowly: the hop crosses the limit before
@@ -192,6 +213,26 @@ class TestCalibrate:
         alone = calibrate(clips, [(70.0, 3.0), (50.0, 6.0)])
         assert {c: report.per_cell[c] for c in alone.cells} == alone.per_cell
         assert report.per_subject == alone.per_subject
+        self.assert_matches_reference(clips, cells, "open_loop")
+
+    def test_open_loop_cell_diverging_on_one_clip_of_a_bucket(self):
+        # open-loop forces follow the mocap: kp 1e9 drives the hop past the
+        # limit at frame 85 of 200, while the still clip gets no PD force at all
+        hop = gen_synthetic("hop", {"subject_id": "S1", "duration": 2.0}, seed=4)[0]
+        pos = np.tile(hop.root_positions[:1], (len(hop), 1))
+        still = MotionClip("S2", "still", hop.frame_rate, 70.0, pos, pos)
+        clips, edge = [hop, still], (1e9, 0.0)
+        with pytest.raises(SimulationDivergedError):
+            euler_reference.simulate(hop, PDGains(*edge), mode="open_loop")
+        euler_reference.simulate(still, PDGains(*edge), mode="open_loop")
+        assert list(calibration._buckets(clips, 3)) == [[0, 1]]
+
+        cells = [(70.0, 3.0), edge, (50.0, 6.0)]
+        report = self.assert_matches_reference(clips, cells, "open_loop")
+        assert report.diverged == (edge,)
+        alone = calibrate(clips, [(70.0, 3.0), (50.0, 6.0)], mode="open_loop")
+        assert {c: report.per_cell[c] for c in alone.cells} == alone.per_cell
+        assert report.per_subject == alone.per_subject
 
     def test_excursion_past_limit_diverges_after_return(self):
         # one reference frame 1.1e6 m up: the stiff cell follows it past the
@@ -204,8 +245,9 @@ class TestCalibrate:
         with pytest.raises(SimulationDivergedError):
             euler_reference.simulate(spike, PDGains(*stiff))
         assert np.abs(euler_reference.simulate(spike, PDGains(*soft)).positions).max() < 1e5
-        report = self.assert_matches_reference([hop, spike], [soft, stiff])
-        assert report.diverged == (stiff,)
+        for mode in MODES:
+            report = self.assert_matches_reference([hop, spike], [soft, stiff], mode)
+            assert report.diverged == (stiff,)
 
     def test_clip_permutation_gives_identical_report_bytes(self, tmp_path):
         # lengths 200, 130, 90 and two subjects: permutations regroup the buckets

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from physgrd import metrics
 from physgrd.cli import main
+from physgrd.dynamics import PDGains, simulate
 from physgrd.grf_model import (
     Prediction,
     TemporalConvNet,
@@ -67,6 +69,14 @@ class TestGen:
             run("gen", "--kind", "sprint", "--out-dir", tmp_path)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--duration", "--frame-rate", "--freq"])
+    def test_nan_is_usage_error(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            run("gen", "--kind", "hop", flag, "nan", "--out-dir", tmp_path)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0] == f"physgrd: usage-error: {flag} must be > 0"
+
 
 class TestCalibrate:
     def test_singleton_cell(self, tmp_path):
@@ -102,6 +112,25 @@ class TestCalibrate:
         # errors are a single machine-parseable line
         assert len(err.splitlines()) == 1
         assert err.startswith("physgrd: error:")
+
+    @pytest.mark.parametrize("cells", [
+        ("--kp-values", "10,nan", "--kd-values", "0"),
+        ("--kp-values", "10,inf", "--kd-values", "0"),
+        ("--kp-values", "10", "--kd-values", "0,nan"),
+        ("--extra-cell=-5,0",),
+        ("--extra-cell", "nan,3"),
+        ("--kp=-5", "--kd", "0"),
+        ("--kp", "inf", "--kd", "0"),
+    ], ids=["grid-kp-nan", "grid-kp-inf", "grid-kd-nan", "extra-negative", "extra-nan",
+            "single-negative", "single-inf"])
+    def test_invalid_gain_is_runtime_error(self, tmp_path, capsys, cells):
+        manifest = gen_small(tmp_path / "data")
+        capsys.readouterr()
+        assert run("calibrate", "--manifest", manifest, *cells, "--out-dir", tmp_path / "c") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("physgrd: error: ")
+        assert "must be finite and non-negative" in err[0]
+        assert not (tmp_path / "c" / "calibration_report.csv").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["subjects"][0].pop("mass_kg"),
@@ -160,6 +189,37 @@ class TestSimulate:
         ) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("physgrd: error: UnitError: ")
+
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda doc: doc["subjects"][0].update(id="../x"), "ValidationError: subject_id"),
+        (lambda doc: doc["subjects"][0]["clips"][0].update(motion_label="a,b"),
+         "ValidationError: motion_label"),
+        (lambda doc: doc["subjects"][0].update(mass_kg=float("inf")), "UnitError: mass"),
+    ], ids=["id-parent-dir", "label-comma", "mass-inf"])
+    def test_unsafe_name_or_infinite_mass_is_runtime_error(self, tmp_path, capsys, edit, error):
+        manifest = gen_small(tmp_path / "data" / "in", subjects=1)
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))  # inf is written as the JSON extension Infinity
+        before = tree_bytes(tmp_path)
+        capsys.readouterr()
+        assert run("simulate", "--manifest", manifest, "--out-dir", tmp_path / "data" / "sim") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"physgrd: error: {error}")
+        written = set(tree_bytes(tmp_path)) - set(before)
+        assert written == set()
+
+    def test_summary_vrpe_reads_back_bit_for_bit(self, tmp_path):
+        manifest = gen_small(tmp_path / "data", subjects=2)
+        assert run("simulate", "--manifest", manifest, "--out-dir", tmp_path / "sim") == 0
+        lines = (tmp_path / "sim" / "simulate_summary.csv").read_text().splitlines()
+        assert lines[0] == "subject,motion,file,vrpe"
+        ds = load_manifest(manifest)
+        assert len(lines) == len(ds) + 1
+        for entry, line in zip(ds, lines[1:]):
+            expected = metrics.vrpe(simulate(entry.clip, PDGains(70.0, 3.0)), entry.clip)
+            assert float(line.split(",")[3]).hex() == expected.hex()
 
 
 class TestTrainPredictMetrics:
@@ -239,6 +299,40 @@ class TestTrainPredictMetrics:
         ) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("physgrd: error: ParseError: row 2")
+
+    def test_plateless_metrics_write_nan(self, tmp_path):
+        manifest = gen_small(tmp_path / "data", kind="walk", subjects=1, duration=1.0)
+        doc = json.loads(manifest.read_text())
+        for clip in doc["subjects"][0]["clips"]:
+            clip["plate_path"] = None
+        manifest.write_text(json.dumps(doc))
+        ds = load_manifest(manifest)
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        for entry, stem in zip(ds, entry_stems(ds)):
+            forces = np.zeros((len(entry.clip), 2, 3))
+            write_prediction_csv(Prediction(forces=forces), pred_dir / f"{stem}_pred.csv",
+                                 entry.clip.frame_rate)
+        assert run(
+            "metrics", "--manifest", manifest, "--pred-dir", pred_dir,
+            "--out-dir", tmp_path / "metrics",
+        ) == 0
+        lines = (tmp_path / "metrics" / "metrics_summary.csv").read_text().splitlines()
+        assert lines[0] == "subject,motion,file,vgrf_l,vgrf_r,vrpe"
+        assert lines[1].startswith("S1,walk,S1_walk_000_pred.csv,NaN,NaN,")
+        assert not (tmp_path / "metrics" / "table_vgrf.csv").exists()
+
+    def test_nan_learning_rate_is_runtime_error(self, tmp_path, capsys):
+        manifest = gen_small(tmp_path / "data", kind="walk", subjects=2, duration=1.0)
+        capsys.readouterr()
+        assert run(
+            "train", "--manifest", manifest, "--learning-rate", "nan",
+            "--out-dir", tmp_path / "train",
+        ) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "physgrd: error: ValidationError: learning_rate must be finite and positive"
+        ]
 
     def test_missing_prediction_is_runtime_error(self, tmp_path):
         manifest = gen_small(tmp_path / "data", kind="walk", subjects=1, duration=1.0)

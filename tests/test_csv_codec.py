@@ -1,7 +1,8 @@
-"""The shared CSV row codec against the per-cell reference in csv_reference.py.
+"""The shared CSV writers against the per-cell reference in csv_reference.py.
 
-Every writer must produce the reference's bytes, and every reader must
-return the reference's bits, on the benchmark dataset and at edge values.
+Every writer, numeric rows and text tables alike, must produce the
+reference's bytes, and every reader must return the reference's bits, on the
+benchmark dataset and at edge values.
 """
 
 import tempfile
@@ -13,14 +14,18 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import csv_reference as ref
+from physgrd import calibration
 from physgrd.dynamics import PDGains, SimResult, simulate, write_sim_csv
 from physgrd.errors import ParseError
 from physgrd.grf_model import (
     Prediction,
     TemporalConvNet,
+    TrainLogRow,
     load_prediction_csv,
     write_prediction_csv,
+    write_train_log,
 )
+from physgrd.metrics import MetricTable, write_metric_table
 from physgrd.motion_data import (
     ForcePlateRecord,
     MotionClip,
@@ -31,6 +36,7 @@ from physgrd.motion_data import (
     write_clip_csv,
     write_force_plate,
 )
+from physgrd.svgplot import LineSeries, write_series_csv
 from physgrd.synthetic import make_dataset
 
 EDGE = [-0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5, 1.0, 0.0, 1 / 3, -1e-300]
@@ -152,6 +158,63 @@ class TestEdgeValues:
         forces = edge_matrix(4, 3)
         forces[1, 2], forces[2, 0], forces[3, 1] = np.inf, -np.inf, np.nan
         check_sim(unchecked_sim(edge_matrix(5, 3), edge_matrix(5, 3, 1), forces, 0.001), tmp_path)
+
+
+TABLE_EDGE = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, 1 / 3, -1e-300, 0.0]
+
+
+def check_table(write, write_ref, obj, tmp_path):
+    new, old = tmp_path / "new_table.csv", tmp_path / "old_table.csv"
+    write(obj, new)
+    write_ref(obj, old)
+    assert new.read_bytes() == old.read_bytes()
+    return new.read_text()
+
+
+class TestTableWriters:
+    def test_report_csv(self, tmp_path):
+        cells = ((10.0, 0.0), (70.0, 3.0), (50000.0, 0.0), (1e16, 5e-324))
+        values = np.resize(TABLE_EDGE, (len(cells), 4)).tolist()
+        report = calibration.CalibrationReport(
+            cells=cells,
+            per_cell={c: (v[2], v[3]) for c, v in zip(cells, values)},
+            per_subject={"S1": {c: v[0] for c, v in zip(cells, values)},
+                         "S2": {c: v[1] for c, v in zip(cells[:2], values)}},  # rest diverged
+            best=PDGains(10.0, 0.0), best_score=0.0, mode="open_loop", diverged=cells[2:],
+        )
+        text = check_table(calibration.write_report_csv, ref.write_report_csv, report, tmp_path)
+        assert text.splitlines()[3] == "50000.0,0.0,-1e-300,inf,NaN,inf"
+
+    def test_report_csv_of_a_search(self, tmp_path):
+        clips = make_dataset(["spring_tracked"], 2, seed=3, base_params={"duration": 1.0}).clips()
+        for mode in ("closed_loop", "open_loop"):
+            report = calibration.calibrate(clips, [(70.0, 3.0), (1e10, 0.0)], mode=mode)
+            assert report.diverged == ((1e10, 0.0),)
+            check_table(calibration.write_report_csv, ref.write_report_csv, report, tmp_path)
+
+    @pytest.mark.parametrize("kind", ["vgrf", "vrpe"])
+    def test_metric_table(self, tmp_path, kind):
+        rows = {m: (a, b) for m, a, b in zip(("hop", "spring_tracked", "walk", "x.1"),
+                                            TABLE_EDGE, TABLE_EDGE[3:])}
+        table = MetricTable(kind=kind, rows=rows, average=(np.nan, -0.0))
+        text = check_table(write_metric_table, ref.write_metric_table, table, tmp_path)
+        assert text.splitlines()[-1] == "Average,NaN,-0.0"
+
+    def test_train_log(self, tmp_path):
+        values = np.resize(TABLE_EDGE, (12, 6)).tolist()
+        log = [TrainLogRow(epoch, *v) for epoch, v in enumerate(values, start=1)]
+        text = check_table(write_train_log, ref.write_train_log, log, tmp_path)
+        assert text.splitlines()[1] == "1,NaN,inf,-inf,-0.0,5e-324,1e+16"
+        assert text.splitlines()[-1].startswith("12,")
+
+    def test_series_csv_hides_masked_and_nonfinite_points(self, tmp_path):
+        t = np.array(TABLE_EDGE[3:] + [2.5])
+        values = np.array(TABLE_EDGE[:len(t)])
+        mask = np.resize([True, True, False], len(t))
+        series = [LineSeries("plate vGRF", t, values, mask), LineSeries("z", t, values[::-1])]
+        text = check_table(write_series_csv, ref.write_series_csv, series, tmp_path)
+        assert text.splitlines()[1:4] == ["plate vGRF,-0.0,NaN", "plate vGRF,5e-324,NaN",
+                                          "plate vGRF,1e+16,NaN"]
 
 
 PRED_HEADER = "t,L_fx,L_fy,L_fz,R_fx,R_fy,R_fz"

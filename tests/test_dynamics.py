@@ -53,6 +53,9 @@ class TestPDForce:
     def test_negative_gains_rejected(self):
         with pytest.raises(UnitError):
             PDGains(-1, 0)
+        for bad in ((np.nan, 0), (0, np.nan), (np.inf, 0), (0, np.inf)):
+            with pytest.raises(UnitError):
+                PDGains(*bad)
 
 
 class TestEulerStep:

@@ -398,5 +398,9 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValidationError):
             TrainConfig(lambda1=-0.1)
+        for bad in ({"learning_rate": np.nan}, {"learning_rate": np.inf},
+                    {"lambda1": np.nan}, {"lambda2": np.nan}, {"lambda2": np.inf}):
+            with pytest.raises(ValidationError):
+                TrainConfig(**bad)
         with pytest.raises(ValidationError):
             TrainConfig(conv_channels=(8, 8))

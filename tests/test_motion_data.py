@@ -56,6 +56,20 @@ class TestMotionClip:
             make_clip([[0, 0, 1]], rate=np.nan)
         with pytest.raises(UnitError, match="mass"):
             make_clip([[0, 0, 1]], mass=np.nan)
+        with pytest.raises(UnitError, match="frame_rate"):
+            make_clip([[0, 0, 1]], rate=np.inf)
+        with pytest.raises(UnitError, match="mass"):
+            make_clip([[0, 0, 1]], mass=np.inf)
+
+    @pytest.mark.parametrize("field", ["subject_id", "motion_label"])
+    @pytest.mark.parametrize("name", ["../x", "a/b", "a,b", "", "a b", "x\n", 5])
+    def test_rejects_unsafe_names(self, field, name):
+        with pytest.raises(ValidationError, match=field):
+            make_clip([[0, 0, 1]], **{field: name})
+
+    def test_accepts_safe_names(self):
+        clip = make_clip([[0, 0, 1]], subject_id="S-1.a", motion_label="spring_tracked")
+        assert (clip.subject_id, clip.motion_label) == ("S-1.a", "spring_tracked")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_features(self, value):
@@ -220,6 +234,8 @@ class TestForcePlate:
             load_force_plate(path, force_unit="newton")
         with pytest.raises(UnitError):
             load_force_plate(path, force_unit="newton", mass=np.nan)
+        with pytest.raises(UnitError):
+            load_force_plate(path, force_unit="newton", mass=np.inf)
 
 
 class TestManifest:
@@ -254,30 +270,36 @@ class TestManifest:
         with pytest.raises(ParseError):
             load_manifest(path)
 
-    @pytest.mark.parametrize("mutate", [
-        lambda doc: doc["subjects"][0].pop("mass_kg"),
-        lambda doc: doc["subjects"][0].pop("id"),
-        lambda doc: doc["subjects"][0].pop("clips"),
-        lambda doc: doc["subjects"][0].update(mass_kg="heavy"),
-        lambda doc: doc["subjects"][0].update(clips="S1_hop_000_clip.csv"),
-        lambda doc: doc["subjects"][0]["clips"][0].pop("clip_path"),
-        lambda doc: doc["subjects"].append(7),
-        lambda doc: doc.update(subjects={"S1": {}}),
-        lambda doc: doc["subjects"][0].update(id=5),
-        lambda doc: doc["subjects"][0]["clips"][0].update(motion_label=[1]),
-        lambda doc: doc["subjects"][0]["clips"][0].update(clip_path=5),
-        lambda doc: doc["subjects"][0]["clips"][0].update(plate_path=True),
-        lambda doc: doc["subjects"][0]["clips"][0].update(clip_path="S1\u0000.csv"),
+    @pytest.mark.parametrize("mutate, error", [
+        (lambda doc: doc["subjects"][0].pop("mass_kg"), ParseError),
+        (lambda doc: doc["subjects"][0].pop("id"), ParseError),
+        (lambda doc: doc["subjects"][0].pop("clips"), ParseError),
+        (lambda doc: doc["subjects"][0].update(mass_kg="heavy"), ParseError),
+        (lambda doc: doc["subjects"][0].update(clips="S1_hop_000_clip.csv"), ParseError),
+        (lambda doc: doc["subjects"][0]["clips"][0].pop("clip_path"), ParseError),
+        (lambda doc: doc["subjects"].append(7), ParseError),
+        (lambda doc: doc.update(subjects={"S1": {}}), ParseError),
+        (lambda doc: doc["subjects"][0].update(id=5), ParseError),
+        (lambda doc: doc["subjects"][0]["clips"][0].update(motion_label=[1]), ParseError),
+        (lambda doc: doc["subjects"][0]["clips"][0].update(clip_path=5), ParseError),
+        (lambda doc: doc["subjects"][0]["clips"][0].update(plate_path=True), ParseError),
+        (lambda doc: doc["subjects"][0]["clips"][0].update(clip_path="S1\u0000.csv"), ParseError),
+        (lambda doc: doc["subjects"][0].update(id="../x"), ValidationError),
+        (lambda doc: doc["subjects"][0].update(id=""), ValidationError),
+        (lambda doc: doc["subjects"][0]["clips"][0].update(motion_label="a,b"), ValidationError),
+        (lambda doc: doc["subjects"][0]["clips"][0].update(motion_label="x/y"), ValidationError),
+        (lambda doc: doc["subjects"][0].update(mass_kg=float("inf")), UnitError),
     ], ids=["no-mass", "no-id", "no-clips", "mass-not-number", "clips-not-list",
             "no-clip-path", "subject-not-object", "subjects-not-list", "id-number",
-            "label-list", "clip-path-number", "plate-path-bool", "nul-in-path"])
-    def test_malformed_subject_rejected(self, tmp_path, mutate):
+            "label-list", "clip-path-number", "plate-path-bool", "nul-in-path", "id-parent-dir",
+            "id-empty", "label-comma", "label-slash", "mass-inf"])
+    def test_malformed_subject_rejected(self, tmp_path, mutate, error):
         clip, plate = gen_synthetic("hop", {"duration": 0.5}, seed=1)
         path = write_manifest(Dataset((DatasetEntry(clip, plate),)), tmp_path)
         doc = json.loads(path.read_text())
         mutate(doc)
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError):
+        path.write_text(json.dumps(doc))  # inf is written as the JSON extension Infinity
+        with pytest.raises(error):
             load_manifest(path)
 
 

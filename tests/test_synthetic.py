@@ -70,6 +70,11 @@ class TestHop:
         with pytest.raises(ValidationError):
             gen_synthetic("hop", {"freq": -1.0}, seed=0)
 
+    @pytest.mark.parametrize("key", ["duration", "frame_rate", "mass"])
+    def test_nan_common_parameter_rejected(self, key):
+        with pytest.raises(ValidationError, match=key):
+            gen_synthetic("hop", {key: float("nan")}, seed=0)
+
     def test_bad_amplitude_rejected(self):
         with pytest.raises(ValidationError):
             gen_synthetic("hop", {"amplitude": 1.5}, seed=0)
