@@ -8,12 +8,13 @@ Scores aggregate as: mean over a subject's clips, then mean +- std across
 subjects. Cells whose simulation diverges on any clip score +inf and are
 excluded from the argmin but recorded in the report.
 
-Clips of equal length and frame rate are simulated together in buckets,
-with every cell of every clip in one batch: closed loop makes one Python
-step per frame of a bucket, and open loop integrates a bucket's forces in
-one pass. A bucket keeps its simulated root heights, (clips, cells, T),
-until it is scored; the clips per bucket are capped so that buffer stays
-within _HEIGHTS_BUDGET floats (1 MiB), whatever the grid or cohort size.
+All clips of equal length and frame rate form one bucket, simulated with
+every cell of every clip in one batch: closed loop makes one Python step
+per frame of a bucket, open loop integrates a bucket's forces one block of
+frames at a time. A bucket is scored while it is simulated, one leaf of
+numpy's pairwise sum (at most 128 frames) at a time, so the memory it needs
+is (clips, cells, 128) floats whatever the clip length, and its scores are
+bit for bit those of np.mean over the whole clip.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ DEFAULT_GAIN_CELLS: tuple[tuple[float, float], ...] = (
     (10.0, 0.0), (30.0, 0.0), (50.0, 0.0), (70.0, 0.0), (90.0, 0.0),
     (70.0, 3.0), (70.0, 6.0), (70.0, 9.0), (70.0, 12.0), (70.0, 15.0),
 )
-
-# float64 heights one closed-loop bucket may hold, (clips, cells, T): 1 MiB
-_HEIGHTS_BUDGET = 2**17
 
 
 class AllCellsDivergedError(PhysgrdError):
@@ -88,20 +86,56 @@ class CalibrationReport:
     diverged: tuple[tuple[float, float], ...]
 
 
-def _buckets(clips: Sequence[MotionClip], n_cells: int):
-    """Yield lists of clip indices that can step together.
-
-    Clips group by (length, dt) in order of first appearance; each group is
-    split into runs of at most _HEIGHTS_BUDGET // (cells * T) clips (at
-    least one).
-    """
+def _buckets(clips: Sequence[MotionClip]) -> list[list[int]]:
+    """Clip indices that step together: one list per (length, dt), in first-seen order."""
     groups: dict[tuple[int, float], list[int]] = {}
     for j, clip in enumerate(clips):
         groups.setdefault((len(clip), clip.dt), []).append(j)
-    for (T, _), idx in groups.items():
-        size = max(1, _HEIGHTS_BUDGET // (n_cells * T))
-        for start in range(0, len(idx), size):
-            yield idx[start:start + size]
+    return list(groups.values())
+
+
+def _leaf_heights(
+    bucket: Sequence[MotionClip], ref: np.ndarray, kp: np.ndarray, kd: np.ndarray,
+    gravity: GravitySpec, mode: SimMode, peak: np.ndarray,
+):
+    """Yield simulated root heights, (clips, cells, stop - start), for each
+    range of metrics.pairwise_leaves(T) in turn, in one reused buffer.
+
+    ref holds the clips' root positions, (T, clips, 3). The state is
+    (clips, cells, 3); every element sees the arithmetic of a single clip
+    and cell simulated alone. Frame 0 is the start state. Closed loop steps
+    one frame at a time; open loop integrates a leaf's PD forces on the
+    mocap states, (leaf, clips, cells, 3), from the state the leaf before
+    ended in. peak keeps the elementwise max of |pos| over the steps.
+    """
+    T, dt = len(ref), bucket[0].dt
+    buf = np.empty(peak.shape[:2] + (min(T, metrics.PAIRWISE_LEAF),))
+    if mode == "closed_loop":
+        steps = _closed_loop(ref[:, :, None], kp[:, None], kd[:, None], gravity, dt)
+    else:
+        mocap_vel = np.stack([finite_diff_velocity(c) for c in bucket], axis=1)
+        pos, vel = ref[0, :, None], 0.0
+    for start, stop in metrics.pairwise_leaves(T):
+        heights = buf[..., :stop - start]
+        first = max(start, 1)  # the first frame that is simulated
+        if start == 0:
+            heights[..., 0] = ref[0, :, None, 2]
+        if mode == "closed_loop":
+            for k, (_, pos) in zip(range(first - start, stop - start), steps):
+                heights[..., k] = pos[..., 2]
+                np.maximum(peak, np.abs(pos), out=peak)
+        elif first < stop:
+            forces = np.stack([
+                pd_force(ref[first:stop], ref[first - 1:stop - 1], mocap_vel[first - 1:stop - 1],
+                         PDGains(p, d))
+                for p, d in zip(kp, kd)
+            ], axis=2)
+            run, vels = _integrate(pos, forces, gravity, dt, vel)
+            pos, vel = run[-1].copy(), vels[-1].copy()
+            heights[..., first - start:] = np.moveaxis(run[1:, ..., 2], 0, -1)
+            np.maximum(peak, np.abs(run[1:], out=run[1:]).max(axis=0), out=peak)
+            del forces, run, vels  # no two leaves' stacks are alive at once
+        yield heights
 
 
 def _bucket_scores(
@@ -110,35 +144,21 @@ def _bucket_scores(
 ) -> tuple[np.ndarray, np.ndarray]:
     """vRPE and divergence, (cells, clips) each, of equal-length clips simulated together.
 
-    The state is (clips, cells, 3); every element sees the arithmetic of a
-    single clip and cell simulated alone. Open loop integrates each cell's PD
-    forces on the mocap states, (T-1, clips, cells, 3), at once. Divergence
-    is an elementwise max of |pos| over the steps, reduced at the end.
+    The heights are scored as _leaf_heights simulates them (metrics.vrpe_leaves),
+    so nothing of size clips x cells x T is allocated. Divergence is the
+    running max of |pos| reduced at the end; a diverged pair scores NaN.
     """
+    if mode not in ("closed_loop", "open_loop"):
+        raise ValueError(f"unknown simulation mode {mode!r}")
     ref = np.stack([c.root_positions for c in bucket], axis=1)  # (T, n, 3)
-    z = np.empty((len(bucket), len(kp), len(ref)))  # simulated root heights
-    z[:, :, 0] = ref[0, :, None, 2]
-    peak = np.zeros(z.shape[:2] + (3,))
+    z_ref = np.moveaxis(ref[:, :, None, 2], 0, -1)  # (n, 1, T)
+    peak = np.zeros((len(bucket), len(kp), 3))
+    leaves = _leaf_heights(bucket, ref, kp, kd, gravity, mode, peak)
     with np.errstate(over="ignore", invalid="ignore"):
-        if mode == "closed_loop":
-            steps = _closed_loop(ref[:, :, None], kp[:, None], kd[:, None], gravity, bucket[0].dt)
-            for t, (_, pos) in enumerate(steps, start=1):
-                z[:, :, t] = pos[..., 2]
-                np.maximum(peak, np.abs(pos), out=peak)
-        elif mode == "open_loop":
-            vel = np.stack([finite_diff_velocity(c) for c in bucket], axis=1)
-            forces = np.stack([
-                pd_force(ref[1:], ref[:-1], vel[:-1], PDGains(p, d)) for p, d in zip(kp, kd)
-            ], axis=2)
-            pos = _integrate(ref[0, :, None], forces, gravity, bucket[0].dt)[0][1:]
-            z[:, :, 1:] = np.moveaxis(pos[..., 2], 0, -1)
-            np.abs(pos).max(axis=0, initial=0.0, out=peak)
-        else:
-            raise ValueError(f"unknown simulation mode {mode!r}")
+        scores = metrics.vrpe_leaves(z_ref, leaves)
     diverged = ~(peak.max(axis=2) <= DIVERGENCE_LIMIT)
-    z[diverged] = np.nan
-    scores = [metrics.vrpe_heights(z[i], c.root_positions[:, 2]) for i, c in enumerate(bucket)]
-    return np.column_stack(scores), diverged.T
+    scores[diverged] = np.nan
+    return scores.T, diverged.T
 
 
 def calibrate(
@@ -171,7 +191,7 @@ def calibrate(
     kp, kd = np.array(cells, dtype=float).T
     scores = np.empty((len(cells), len(clips)))
     diverged = np.zeros((len(cells), len(clips)), dtype=bool)
-    for idx in _buckets(clips, len(cells)):
+    for idx in _buckets(clips):
         bucket = [clips[j] for j in idx]
         scores[:, idx], diverged[:, idx] = _bucket_scores(bucket, kp, kd, gravity, mode)
     diverged = diverged.any(axis=1)

@@ -336,11 +336,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="physgrd", description=__doc__.strip().splitlines()[0])
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=42, help="master random seed")
-    common.add_argument("--gravity-z", type=float, default=9.81,
-                        help="gravity magnitude along -z [m/s^2]")
-    common.add_argument("--mode", choices=("closed_loop", "open_loop"),
-                        default="closed_loop", help="simulation feedback mode")
     common.add_argument("--out-dir", default=".", help="output directory")
+    physics = _Parser(add_help=False)  # every command but gen, which simulates nothing
+    physics.add_argument("--gravity-z", type=float, default=9.81,
+                         help="gravity magnitude along -z [m/s^2]")
+    physics.add_argument("--mode", choices=("closed_loop", "open_loop"),
+                         default="closed_loop", help="simulation feedback mode")
     gains = _Parser(add_help=False)
     gains.add_argument("--kp", type=float, default=70.0,
                        help="PD gain kp for simulation and physics supervision")
@@ -374,7 +375,7 @@ def build_parser() -> _Parser:
                    help="per-subject parameter jitter fraction")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("calibrate", parents=[common], help="grid-search PD gains")
+    p = sub.add_parser("calibrate", parents=[common, physics], help="grid-search PD gains")
     p.add_argument("--manifest", required=True)
     p.add_argument("--kp", type=float, default=None, help="singleton cell kp")
     p.add_argument("--kd", type=float, default=None, help="singleton cell kd")
@@ -386,13 +387,14 @@ def build_parser() -> _Parser:
                    help="append a kp,kd cell to the search set")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("simulate", parents=[common, gains], help="PD-track clips and export")
+    p = sub.add_parser("simulate", parents=[common, physics, gains],
+                       help="PD-track clips and export")
     p.add_argument("--manifest")
     p.add_argument("--clip", help="single clip CSV instead of a manifest")
     p.add_argument("--mass", type=float, default=1.0, help="mass for bare --clip loads")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("train", parents=[common, gains], help="train the force predictor")
+    p = sub.add_parser("train", parents=[common, physics, gains], help="train the force predictor")
     p.add_argument("--manifest", required=True)
     p.add_argument("--test-subject", default=None,
                    help="held-out subject id (default: last by sort order)")
@@ -406,19 +408,19 @@ def build_parser() -> _Parser:
     p.add_argument("--fc-widths", type=_int_list, default=(64, 32))
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", parents=[common], help="run a checkpoint over clips")
+    p = sub.add_parser("predict", parents=[common, physics], help="run a checkpoint over clips")
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--subject", default=None, help="restrict to one subject")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("metrics", parents=[common], help="score predictions")
+    p = sub.add_parser("metrics", parents=[common, physics], help="score predictions")
     p.add_argument("--manifest", required=True)
     p.add_argument("--pred-dir", required=True)
     p.add_argument("--subject", default=None)
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("plot", parents=[common, gains], help="emit SVG overlays")
+    p = sub.add_parser("plot", parents=[common, physics, gains], help="emit SVG overlays")
     p.add_argument("--clip", required=True)
     p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--plate", default=None)

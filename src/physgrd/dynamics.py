@@ -144,16 +144,21 @@ def _closed_loop(ref: np.ndarray, kp, kd, gravity: GravitySpec, dt: float):
         yield f, pos
 
 
-def _integrate(start: np.ndarray, forces: np.ndarray, gravity: GravitySpec, dt: float):
+def _integrate(
+    start: np.ndarray, forces: np.ndarray, gravity: GravitySpec, dt: float, start_vel=0.0,
+):
     """Positions and velocities, (T, ..., 3) each, under (T-1, ..., 3) step forces.
 
-    The semi-implicit Euler step from rest at start, written as two running
-    sums over the time axis; np.add.accumulate adds in order, so every
-    element matches the step loop bit for bit. Diverged values are returned.
+    The semi-implicit Euler step from start, at rest unless start_vel is
+    given, written as two running sums over the time axis. np.add.accumulate
+    adds in order, so every element matches the step loop bit for bit, and
+    so does a run split into chunks that each start from the last state of
+    the one before. Diverged values are returned.
     """
     frame = (1,) + forces.shape[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        vel = np.add.accumulate(np.concatenate([np.zeros(frame), (forces - gravity.g_accel) * dt]))
+        vel = np.concatenate([np.broadcast_to(start_vel, frame), (forces - gravity.g_accel) * dt])
+        vel = np.add.accumulate(vel)
         pos = np.add.accumulate(np.concatenate([np.broadcast_to(start, frame), vel[1:] * dt]))
     return pos, vel
 

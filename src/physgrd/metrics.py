@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -58,6 +58,56 @@ def vrpe_heights(z: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
     d = z - z_ref
     d *= d
     return np.mean(d, axis=-1) * VRPE_SCALE
+
+
+# np.mean over a contiguous float64 axis is numpy's pairwise sum over T: a
+# range longer than this splits in two, a shorter one is a leaf it adds alone
+PAIRWISE_LEAF = 128
+
+
+def _pairwise_split(n: int) -> int:
+    half = n // 2
+    return half - half % 8
+
+
+def pairwise_leaves(n: int, start: int = 0) -> list[tuple[int, int]]:
+    """(start, stop) of the leaves numpy's pairwise sum of n values adds, in order."""
+    if n <= PAIRWISE_LEAF:
+        return [(start, start + n)]
+    half = _pairwise_split(n)
+    return pairwise_leaves(half, start) + pairwise_leaves(n - half, start + half)
+
+
+def pairwise_total(n: int, leaf_sums: Iterator[np.ndarray]) -> np.ndarray:
+    """Add the sums of pairwise_leaves(n) in the order of numpy's tree.
+
+    leaf_sums is drawn lazily, left to right, so at most one partial sum per
+    tree level is alive at a time.
+    """
+    if n <= PAIRWISE_LEAF:
+        return next(leaf_sums)
+    half = _pairwise_split(n)
+    return pairwise_total(half, leaf_sums) + pairwise_total(n - half, leaf_sums)
+
+
+def vrpe_leaves(z_ref: np.ndarray, leaves: Iterable[np.ndarray]) -> np.ndarray:
+    """vrpe_heights, bit for bit, of heights that arrive one pairwise leaf at a time.
+
+    z_ref is (..., T); leaves yields the simulated heights (..., stop - start)
+    of each range of pairwise_leaves(T) in turn. Each leaf is squared in
+    place and summed with np.sum, numpy's own leaf code, so no buffer of
+    length T is needed. tests/test_metrics.py pins it to np.mean, so a numpy
+    that sums otherwise fails there instead of moving report bytes.
+    """
+    T = z_ref.shape[-1]
+
+    def leaf_sums():
+        for (start, stop), d in zip(pairwise_leaves(T), leaves):
+            d -= z_ref[..., start:stop]
+            d *= d
+            yield np.sum(d, axis=-1)
+
+    return pairwise_total(T, leaf_sums()) / T * VRPE_SCALE
 
 
 @dataclass(frozen=True)

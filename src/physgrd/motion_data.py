@@ -329,10 +329,6 @@ class Dataset:
     def clips(self) -> list[MotionClip]:
         return [e.clip for e in self.entries]
 
-    def subset(self, subjects: Iterable[str]) -> "Dataset":
-        keep = set(subjects)
-        return Dataset(tuple(e for e in self.entries if e.clip.subject_id in keep))
-
 
 # ---------------------------------------------------------------------------
 # Clip CSV

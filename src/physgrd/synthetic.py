@@ -16,12 +16,15 @@ spring_tracked the unique trajectory that is a fixed point of the
                clip with those gains reproduces it to machine precision,
                which lets the calibration grid recover the gains exactly.
 
-All generators are pure functions of (kind, params, seed).
+All generators are pure functions of (kind, params, seed). Every numeric
+parameter is checked against its range in _PARAM_RANGES before anything is
+generated, and a clip may not span more than MAX_FRAMES frames.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -60,6 +63,35 @@ _KIND_DEFAULTS = {
     "spring_tracked": {"kp": 50.0, "kd": 6.0, "base_height": 1.0, "jitter": 0.0},
 }
 
+MAX_FRAMES = 1_000_000  # duration x frame rate of one clip: under 3 h at 100 Hz
+
+# (lo, hi, wording) of the check "lo <= x < hi", which NaN fails
+_POSITIVE = (math.ulp(0.0), math.inf, "finite and > 0")
+_NON_NEGATIVE = (0.0, math.inf, "finite and >= 0")
+_FINITE = (-sys.float_info.max, math.inf, "finite")
+_PARAM_RANGES = {
+    "mass": _POSITIVE,
+    "frame_rate": _POSITIVE,
+    "duration": _POSITIVE,
+    "missing_lead": (0.0, 1.0, "in [0, 1)"),
+    "plate_noise": _NON_NEGATIVE,
+    "freq": _POSITIVE,
+    "amplitude": (0.0, math.nextafter(1.0, 2.0), "in [0, 1]"),
+    "contact_fraction": (math.ulp(0.0), 1.0, "in (0, 1)"),
+    "base_height": _FINITE,
+    # keeps every jittered factor 1 + jitter * (u - 0.5), u in [0, 1), positive
+    "jitter": (0.0, 2.0, "in [0, 2)"),
+    "speed": _NON_NEGATIVE,
+    "step_freq": _POSITIVE,
+    "bob_amplitude": _FINITE,
+    "sway_amplitude": _FINITE,
+    "ramp_time": _FINITE,
+    "x0": _FINITE,
+    "v0": _FINITE,
+    "kp": _NON_NEGATIVE,
+    "kd": _NON_NEGATIVE,
+}
+
 
 def _merge_params(kind: str, params: Mapping | None) -> dict:
     if kind not in KINDS:
@@ -72,9 +104,14 @@ def _merge_params(kind: str, params: Mapping | None) -> dict:
         merged[key] = value
     if merged["motion_label"] is None:
         merged["motion_label"] = kind
-    for key in ("frame_rate", "duration", "mass"):  # "not > 0" rejects NaN too
-        if not (merged[key] > 0):
-            raise ValidationError(f"{key} must be > 0, got {merged[key]}")
+    for key, value in merged.items():
+        if key in _PARAM_RANGES:
+            lo, hi, wording = _PARAM_RANGES[key]
+            if not all(lo <= x < hi for x in np.ravel(value)):
+                raise ValidationError(f"{key} must be {wording}, got {value}")
+    for start, end in merged["missing_spans"]:
+        if not (0.0 <= start <= end <= 1.0):
+            raise ValidationError(f"bad missing span ({start}, {end})")
     return merged
 
 
@@ -123,20 +160,21 @@ def _plate_from_split(
     cop[~contact] = np.nan
 
     missing = np.zeros(T, dtype=bool)
-    lead = float(p["missing_lead"])
-    if not 0.0 <= lead < 1.0:
-        raise ValidationError(f"missing_lead must be in [0, 1), got {lead}")
-    missing[: int(round(lead * T))] = True
+    missing[: int(round(float(p["missing_lead"]) * T))] = True
     for start, end in p["missing_spans"]:
-        if not (0.0 <= start <= end <= 1.0):
-            raise ValidationError(f"bad missing span ({start}, {end})")
         missing[int(round(start * T)): int(round(end * T))] = True
     force[missing] = np.nan
     return ForcePlateRecord(per_foot_force=force, per_foot_cop=cop, contact_flags=contact)
 
 
-def _frames(p: Mapping) -> int:
-    T = int(round(float(p["duration"]) * float(p["frame_rate"])))
+def _frames(p: Mapping, endpoint: bool = False) -> int:
+    """Frames in duration x frame_rate, one more with the end point sampled too."""
+    span = float(p["duration"]) * float(p["frame_rate"])
+    if span > MAX_FRAMES:  # inf too; checked before anything is allocated
+        raise ValidationError(
+            f"duration {p['duration']} s at {p['frame_rate']} Hz exceeds {MAX_FRAMES} frames"
+        )
+    T = int(round(span)) + endpoint
     if T < 1:
         raise ValidationError(
             f"duration {p['duration']} s at {p['frame_rate']} Hz yields no frames"
@@ -158,12 +196,6 @@ def _finish(positions: np.ndarray, p: Mapping) -> MotionClip:
 def _gen_hop(p: dict, rng: np.random.Generator, g: float):
     freq = float(p["freq"])
     amp = float(p["amplitude"])
-    if freq <= 0:
-        raise ValidationError(f"hop frequency must be > 0, got {freq}")
-    if not 0.0 <= amp <= 1.0:
-        raise ValidationError(f"hop amplitude must be in [0, 1], got {amp}")
-    if not 0.0 < p["contact_fraction"] < 1.0:
-        raise ValidationError("contact_fraction must be in (0, 1)")
     jit = float(p["jitter"])
     if jit:
         freq *= 1.0 + jit * (rng.random() - 0.5)
@@ -204,10 +236,6 @@ def _gen_hop(p: dict, rng: np.random.Generator, g: float):
 def _gen_walk(p: dict, rng: np.random.Generator, g: float):
     speed = float(p["speed"])
     step_freq = float(p["step_freq"])
-    if speed < 0:
-        raise ValidationError(f"walk speed must be >= 0, got {speed}")
-    if step_freq <= 0:
-        raise ValidationError(f"step_freq must be > 0, got {step_freq}")
     jit = float(p["jitter"])
     if jit:
         speed *= 1.0 + jit * (rng.random() - 0.5)
@@ -247,7 +275,7 @@ def _gen_ballistic(p: dict, rng: np.random.Generator, g: float):
     x0 = np.asarray(p["x0"], dtype=float).reshape(3)
     v0 = np.asarray(p["v0"], dtype=float).reshape(3)
     rate = float(p["frame_rate"])
-    T = int(round(p["duration"] * rate)) + 1
+    T = _frames(p, endpoint=True)
     t = (np.arange(T) / rate)[:, None]
     g_vec = np.array([0.0, 0.0, g])
     positions = x0 + v0 * t - 0.5 * g_vec * t**2
@@ -261,8 +289,6 @@ def _gen_ballistic(p: dict, rng: np.random.Generator, g: float):
 def _gen_spring_tracked(p: dict, rng: np.random.Generator, g: float):
     kp = float(p["kp"])
     kd = float(p["kd"])
-    if kp < 0 or kd < 0:
-        raise ValidationError(f"gains must be non-negative, got ({kp}, {kd})")
     rate = float(p["frame_rate"])
     dt = 1.0 / rate
     if kp * dt * dt >= 1.0:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from finite_difference import gradient_check
 from physgrd.calibration import DEFAULT_GAIN_CELLS, calibrate
 from physgrd.cli import main as cli_main
 from physgrd.dynamics import PDGains, SimResult, simulate
@@ -18,7 +19,6 @@ from physgrd.grf_model import (
     TemporalConvNet,
     TrainConfig,
     composite_loss,
-    gradient_check,
     train,
 )
 from physgrd.metrics import vgrf_mse, vrpe

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,10 @@ class TestCalibrate:
         with pytest.raises(ValidationError):
             calibrate([], [(70.0, 3.0)])
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="sideways"):
+            calibrate(spring_clips(n=1), [(70.0, 3.0)], mode="sideways")
+
     @pytest.mark.parametrize("cell", [(-5.0, 0.0), (70.0, -1.0), (np.nan, 0.0), (np.inf, 3.0)],
                              ids=["kp-negative", "kd-negative", "kp-nan", "kp-inf"])
     def test_invalid_cell_rejected_before_simulating(self, monkeypatch, cell):
@@ -174,16 +180,43 @@ class TestCalibrate:
         assert (report.best.kp, report.best.kd) == best
         return report
 
-    def test_budget_splits_equal_length_group(self):
-        # 240 cells x 200 frames: the 1 MiB height budget fits two clips per bucket
+    def test_equal_length_group_steps_as_one_bucket(self):
+        # 240 cells x 200 frames: all three clips step in one bucket, whatever its size
         clips = spring_clips(n=2) + [
             gen_synthetic("hop", {"subject_id": "S3", "duration": 2.0}, seed=4)[0]
         ]
         grid = GainGrid(tuple(10.0 + 60.0 * i for i in range(15)), tuple(range(0, 32, 2)))
         assert len(grid.cells()) == 240 and {len(c) for c in clips} == {200}
-        assert list(calibration._buckets(clips, len(grid.cells()))) == [[0, 1], [2]]
+        assert list(calibration._buckets(clips)) == [[0, 1, 2]]
         for mode in MODES:
             self.assert_matches_reference(clips, grid.cells(), mode)
+
+    def test_long_clips_match_reference(self):
+        # 1001 and 300 frames: leaves of several levels of the pairwise tree
+        clips = [
+            gen_synthetic("hop", {"subject_id": "S1", "duration": 10.01}, seed=4)[0],
+            gen_synthetic("walk", {"subject_id": "S2", "duration": 10.01}, seed=5)[0],
+            gen_synthetic("hop", {"subject_id": "S2", "duration": 3.0}, seed=6)[0],
+        ]
+        assert [len(c) for c in clips] == [1001, 1001, 300]
+        for mode in MODES:
+            report = self.assert_matches_reference(clips, [(70.0, 3.0), (1e9, 0.0), (30.0, 9.0)],
+                                                   mode)
+            assert report.diverged == ((1e9, 0.0),)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bucket_never_holds_heights_of_every_frame(self, mode):
+        # 2 clips x 100 cells x 8000 frames: their heights would take 12.8 MB
+        clips = [gen_synthetic("hop", {"subject_id": f"S{i}", "duration": 80.0}, seed=i)[0]
+                 for i in (1, 2)]
+        grid = GainGrid(tuple(10.0 + 5.0 * i for i in range(10)), tuple(range(0, 20, 2)))
+        tracemalloc.start()
+        try:
+            calibrate(clips, grid, mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 100 * 8000 * 8 / 2
 
     def test_equal_length_other_frame_rate_steps_apart(self):
         coarse = gen_synthetic("hop", {"subject_id": "S1", "duration": 1.5}, seed=4)[0]
@@ -191,7 +224,7 @@ class TestCalibrate:
                                      "frame_rate": 200.0}, seed=5)[0]
         clips = [coarse, fine, spring_clips(n=1)[0]]
         assert len(coarse) == len(fine) == 150
-        assert list(calibration._buckets(clips, len(DEFAULT_GAIN_CELLS))) == [[0], [1], [2]]
+        assert list(calibration._buckets(clips)) == [[0], [1], [2]]
         for mode in MODES:
             self.assert_matches_reference(clips, list(DEFAULT_GAIN_CELLS), mode)
 
@@ -205,7 +238,7 @@ class TestCalibrate:
         with pytest.raises(SimulationDivergedError):
             euler_reference.simulate(hop, PDGains(*edge))
         euler_reference.simulate(still, PDGains(*edge))
-        assert list(calibration._buckets(clips, 3)) == [[0, 1]]
+        assert list(calibration._buckets(clips)) == [[0, 1]]
 
         cells = [(70.0, 3.0), edge, (50.0, 6.0)]
         report = self.assert_matches_reference(clips, cells)
@@ -225,7 +258,7 @@ class TestCalibrate:
         with pytest.raises(SimulationDivergedError):
             euler_reference.simulate(hop, PDGains(*edge), mode="open_loop")
         euler_reference.simulate(still, PDGains(*edge), mode="open_loop")
-        assert list(calibration._buckets(clips, 3)) == [[0, 1]]
+        assert list(calibration._buckets(clips)) == [[0, 1]]
 
         cells = [(70.0, 3.0), edge, (50.0, 6.0)]
         report = self.assert_matches_reference(clips, cells, "open_loop")

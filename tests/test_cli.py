@@ -78,6 +78,33 @@ class TestGen:
         assert len(err) == 1 and err[0] == f"physgrd: usage-error: {flag} must be > 0"
 
 
+    @pytest.mark.parametrize("flags", [
+        ("--kind", "hop", "--jitter", "nan"),
+        ("--kind", "walk", "--jitter", "2"),
+        ("--kind", "hop", "--plate-noise", "nan"),
+        ("--kind", "hop", "--amplitude", "nan"),
+        ("--kind", "spring_tracked", "--kd", "inf"),
+        ("--kind", "ballistic", "--x0", "0,nan,1"),
+        ("--kind", "hop", "--duration", "1e12"),
+        ("--kind", "ballistic", "--duration", "1e12"),
+    ], ids=["jitter-nan", "jitter-2", "plate-noise-nan", "amplitude-nan", "kd-inf", "x0-nan",
+            "duration-1e12", "ballistic-duration-1e12"])
+    def test_bad_generator_parameter_is_runtime_error(self, tmp_path, capsys, flags):
+        assert run("gen", *flags, "--out-dir", tmp_path) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("physgrd: error: ValidationError: ")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", [("--gravity-z", "1.62"), ("--mode", "open_loop")],
+                             ids=["gravity-z", "mode"])
+    def test_simulation_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            run("gen", "--kind", "hop", *flag, "--out-dir", tmp_path)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("physgrd: usage-error: unrecognized")
+
+
 class TestCalibrate:
     def test_singleton_cell(self, tmp_path):
         manifest = gen_small(tmp_path / "data")

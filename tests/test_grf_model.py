@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import conv_reference
+from finite_difference import gradient_check
 from physgrd.errors import CheckpointError, ValidationError
 from physgrd.grf_model import (
     Adam,
@@ -14,7 +15,6 @@ from physgrd.grf_model import (
     TrainConfig,
     composite_loss,
     elu,
-    gradient_check,
     load_checkpoint,
     load_prediction_csv,
     save_checkpoint,

@@ -8,11 +8,16 @@ from physgrd.errors import (
     ValidationError,
 )
 from physgrd.metrics import (
+    PAIRWISE_LEAF,
     aggregate,
     evaluate_prediction,
     loso_splits,
+    pairwise_leaves,
+    pairwise_total,
     vgrf_mse,
     vrpe,
+    vrpe_heights,
+    vrpe_leaves,
     write_metric_table,
 )
 from physgrd.motion_data import ForcePlateRecord, MotionClip
@@ -141,6 +146,74 @@ class TestVrpe:
         )
         with pytest.raises(LengthMismatchError):
             vrpe(sim, clip)
+
+
+STREAM_LENGTHS = list(range(1, 301)) + [999, 1000, 1001, 2500, 4097]
+
+
+def edge_rows(T, seed=0):
+    """(3, 3, T): random rows of mixed magnitude, and rows of zeros, 1e-300,
+    1e300, an inf, NaN, and halves of 1e300 that overflow when summed."""
+    rng = np.random.default_rng(seed)
+    rows = rng.random((9, T)) * 10.0 ** rng.integers(-3, 4, (9, 1))
+    rows[0] = 0.0
+    rows[1] = 1e-300
+    rows[2] = 1e300
+    rows[3, T // 2] = np.inf
+    rows[4] = np.nan
+    rows[5, ::2] = 1e300
+    return rows.reshape(3, 3, T)
+
+
+def leaf_copies(x):
+    """x's pairwise leaves copied one at a time into one reused buffer."""
+    buf = np.empty(x.shape[:-1] + (PAIRWISE_LEAF,))
+    for start, stop in pairwise_leaves(x.shape[-1]):
+        leaf = buf[..., :stop - start]
+        leaf[...] = x[..., start:stop]
+        yield leaf
+
+
+class TestStreamingSum:
+    """The streamed sum must equal np.mean bit for bit; if a numpy release
+    changes its pairwise sum, these fail instead of the report bytes moving."""
+
+    def test_leaves_tile_the_range(self):
+        for T in STREAM_LENGTHS:
+            leaves = pairwise_leaves(T)
+            assert [a for a, _ in leaves] == [0] + [b for _, b in leaves[:-1]]
+            assert leaves[-1][1] == T
+            assert all(0 < b - a <= PAIRWISE_LEAF for a, b in leaves)
+
+    def test_leaf_sums_equal_np_mean(self):
+        bad = []
+        for T in STREAM_LENGTHS:
+            x = edge_rows(T)
+            sums = (np.sum(leaf, axis=-1) for leaf in leaf_copies(x))
+            if not np.array_equal(pairwise_total(T, sums) / T, np.mean(x, axis=-1),
+                                  equal_nan=True):
+                bad.append(T)
+        assert bad == []
+
+    def test_vrpe_leaves_equal_vrpe_heights(self):
+        bad = []
+        for T in STREAM_LENGTHS:
+            z = edge_rows(T, seed=1)
+            z_ref = edge_rows(T, seed=2)[:, :1]
+            z_ref[2] = np.random.default_rng(3).random(T)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = vrpe_heights(z, z_ref)
+                got = vrpe_leaves(z_ref, leaf_copies(z))
+            if not np.array_equal(got, want, equal_nan=True):
+                bad.append(T)
+        assert bad == []
+
+    def test_sequential_sum_would_not_match(self):
+        # rounding tells summation orders apart, so the checks above would
+        # see a plain left-to-right sum: it misses np.mean
+        x = np.random.default_rng(4).random((3, 1000)) * 10.0 ** np.arange(3)[:, None]
+        sequential = np.add.accumulate(x, axis=-1)[:, -1] / 1000
+        assert not np.array_equal(sequential, np.mean(x, axis=-1))
 
 
 class TestAggregate:

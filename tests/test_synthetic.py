@@ -3,7 +3,15 @@ import pytest
 
 from physgrd.dynamics import PDGains, rollout_forces, simulate
 from physgrd.errors import ValidationError
-from physgrd.synthetic import build_features, gen_synthetic, make_dataset
+from physgrd.synthetic import (
+    _COMMON_DEFAULTS,
+    _KIND_DEFAULTS,
+    KINDS,
+    MAX_FRAMES,
+    build_features,
+    gen_synthetic,
+    make_dataset,
+)
 
 
 class TestDeterminism:
@@ -160,3 +168,36 @@ class TestMakeDataset:
     def test_unknown_param_rejected(self):
         with pytest.raises(ValidationError):
             gen_synthetic("hop", {"wavelength": 3}, seed=0)
+
+
+NUMERIC_PARAMS = sorted(
+    (kind, key)
+    for kind in KINDS
+    for key in {**_COMMON_DEFAULTS, **_KIND_DEFAULTS[kind]}
+    if key not in ("subject_id", "motion_label", "missing_spans")
+)
+
+
+class TestParameterRanges:
+    @pytest.mark.parametrize("kind,key", NUMERIC_PARAMS,
+                             ids=[f"{kind}-{key}" for kind, key in NUMERIC_PARAMS])
+    def test_non_finite_rejected(self, kind, key):
+        default = {**_COMMON_DEFAULTS, **_KIND_DEFAULTS[kind]}[key]
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            value = tuple(bad for _ in default) if isinstance(default, tuple) else bad
+            with pytest.raises(ValidationError, match=key):
+                gen_synthetic(kind, {key: value}, seed=0)
+
+    def test_bounds(self):
+        for key, ok, bad in (("amplitude", 1.0, 1.0 + 1e-15), ("contact_fraction", 1e-3, 0.0),
+                             ("jitter", 1.99, 2.0), ("freq", 1e-3, 0.0),
+                             ("missing_lead", 0.0, 1.0), ("plate_noise", 0.0, -1e-9)):
+            gen_synthetic("hop", {key: ok, "duration": 0.5}, seed=0)
+            with pytest.raises(ValidationError, match=key):
+                gen_synthetic("hop", {key: bad, "duration": 0.5}, seed=0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_frame_cap_checked_before_allocating(self, kind):
+        for params in ({"duration": 1e12}, {"duration": 1e300, "frame_rate": 1e300}):
+            with pytest.raises(ValidationError, match=f"exceeds {MAX_FRAMES} frames"):
+                gen_synthetic(kind, params, seed=0)
