@@ -408,7 +408,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fc-widths", type=_int_list, default=(64, 32))
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", parents=[common, physics], help="run a checkpoint over clips")
+    p = sub.add_parser("predict", parents=[common], help="run a checkpoint over clips")
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--subject", default=None, help="restrict to one subject")

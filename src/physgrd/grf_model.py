@@ -9,12 +9,30 @@ units (output width 6 = 2 feet x 3 components).
 Each convolution is one GEMM (im2col): the layer input, zero-padded and
 laid out channels first, is copied into a (C_in*K, B*T) column matrix with
 K contiguous slice copies, and the (C_out, C_in*K) weights multiply it. The
-backward pass rebuilds that matrix from the cached layer input for the
-weight gradient, and correlates the doubly padded output gradient's column
-matrix with the flipped kernel for the input gradient. Operand order and
-memory layout match what numpy's einsum hands BLAS for the same
-contractions, so the results are bit-identical to the direct einsum form
-(tests/conv_reference.py) at every shape.
+backward pass rebuilds that matrix from the cached padded input for the
+weight gradient (the last layer's is still in place from the forward), and
+correlates the doubly padded output gradient's column matrix with the
+flipped kernel for the input gradient. Operand order and memory layout
+match what numpy's einsum hands BLAS for the same contractions, so the
+results are bit-identical to the direct einsum form (tests/conv_reference.py)
+at every shape.
+
+The conv stack runs in a workspace held by the net: a few named, flat,
+grow-only float64 buffers, each viewed at the shape a use needs, so
+repeated calls do not allocate (and page-fault) the conv stack's large
+arrays again. A training step uses the column matrix (sized for the
+backward's largest build), each layer's padded input and pre-activation,
+and one spare buffer: the last layer's padded input, then the conv stack's
+output, then the backward's padded output gradient and input gradient.
+ELU writes straight into the next layer's padded buffer, and the backward
+overwrites each pre-activation with its ELU gradient and then with the
+gradient at that layer's output. forward() passes one padded buffer and
+one pre-activation buffer through every layer.
+
+So only one cache per net is live: any later call on the net invalidates
+the cache of an earlier _forward, and a net must not be used from two
+threads at once. Nothing returned (loss, gradients, predictions) aliases
+the workspace, and train() empties it before it returns the net.
 
 The training objective combines a force-plate term (masked frames skipped,
 renormalized per window) and a physics-consistency term tying the summed
@@ -46,33 +64,26 @@ OUT_WIDTH = 6  # two feet x three force components
 CHECKPOINT_VERSION = 1
 
 
-def elu(x):
-    """ELU with alpha = 1: x for x > 0, exp(x) - 1 otherwise."""
+def elu(x, out=None):
+    """ELU with alpha = 1: x for x > 0, exp(x) - 1 otherwise.
+
+    Computed as max(x, expm1(min(x, 0))), which is exact because
+    expm1(x) >= x. With out (which must not overlap x) the result is
+    written there.
+    """
     arr = np.asarray(x, dtype=float)
-    out = np.where(arr > 0, arr, np.expm1(np.minimum(arr, 0.0)))
+    if out is None:
+        out = np.empty_like(arr)
+    np.expm1(np.minimum(arr, 0.0, out=out), out=out)
+    np.maximum(arr, out, out=out)
     return float(out) if out.ndim == 0 else out
 
 
-def _elu_grad(pre: np.ndarray) -> np.ndarray:
-    return np.where(pre > 0, 1.0, np.exp(np.minimum(pre, 0.0)))
-
-
-def _cols(h: np.ndarray, pad: int) -> np.ndarray:
-    """Column matrix of a (B, T, C) sequence zero-padded by pad frames at
-    each end: shape (C*K, B*T') with T' = T + 2*pad - K + 1, where row
-    c*K + k, column b*T' + t holds padded frame t + k of channel c.
-
-    Built from a channels-first padded copy with K contiguous slice copies,
-    so every conv layer is one GEMM against it (im2col).
-    """
-    B, T, C = h.shape
-    hp = np.zeros((C, B, T + 2 * pad))
-    hp[:, :, pad:pad + T] = h.transpose(2, 0, 1)
-    n = T + 2 * pad - KERNEL + 1
-    cols = np.empty((C, KERNEL, B, n))
-    for k in range(KERNEL):
-        cols[:, k] = hp[:, :, k:k + n]
-    return cols.reshape(C * KERNEL, B * n)
+def _elu_grad(pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """ELU derivative exp(min(pre, 0)), exactly 1.0 where pre > 0; out=pre
+    computes it in place."""
+    out = np.minimum(pre, 0.0, out=out)
+    return np.exp(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -167,6 +178,55 @@ class TemporalConvNet:
             w = rng.uniform(-limit, limit, size=(out_w, in_ch))
             self.fc.append([w, np.zeros(out_w)])
             in_ch = out_w
+        self._ws: dict[str, np.ndarray] = {}  # the conv workspace, see _buf
+
+    def _buf(self, name: str, *shape: int) -> np.ndarray:
+        """Workspace buffer `name` viewed at shape; its values are stale.
+
+        Each buffer is flat and grow-only: it is replaced, the old storage
+        dropped first, only when shape needs more values than it holds.
+        """
+        size = math.prod(shape)
+        flat = self._ws.get(name)
+        if flat is None or flat.size < size:
+            self._ws.pop(name, None)
+            flat = self._ws[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+    def _padded(self, name: str, C: int, B: int, T: int, pad: int) -> np.ndarray:
+        """Channels-first (C, B, T + 2*pad) buffer with zeroed pad frames;
+        the caller fills frames pad..pad+T."""
+        hp = self._buf(name, C, B, T + 2 * pad)
+        hp[:, :, :pad] = 0.0
+        hp[:, :, pad + T:] = 0.0
+        return hp
+
+    def _cols(self, hp: np.ndarray, n: int) -> np.ndarray:
+        """Column matrix of a padded (C, B, n + K - 1) buffer: shape
+        (C*K, B*n), where row c*K + k, column b*n + t holds padded frame
+        t + k of channel c. Built with K contiguous slice copies into the
+        workspace's one column buffer (im2col)."""
+        C, B = hp.shape[:2]
+        cols = self._buf("cols", C, KERNEL, B, n)
+        for k in range(KERNEL):
+            cols[:, k] = hp[:, :, k:k + n]
+        return cols.reshape(C * KERNEL, B * n)
+
+    def _reserve(self, B: int, T: int) -> None:
+        """Grow cols and spare to the largest size a (B, T) training step
+        uses, so neither is replaced (and briefly held twice) mid-step."""
+        widths = (self.input_width, *self.conv_channels)
+        n = T + KERNEL - 1  # frames of the input-gradient correlation
+        below = zip(widths[1:-1], widths[2:])  # (C_in, C_out) of layers 1..
+        self._buf("cols", KERNEL * max(
+            max(c * B * T for c in widths[:-1]),
+            max(o * B * n for o in widths[2:]),
+        ))
+        self._buf("spare", max(
+            widths[-2] * B * (T + 2 * PAD),
+            widths[-1] * B * T,
+            *(max(o * B * (n + KERNEL - 1), c * B * n) for c, o in below),
+        ))
 
     def parameters(self) -> list[np.ndarray]:
         """All trainable arrays in a fixed order (conv then FC, W then b)."""
@@ -180,21 +240,43 @@ class TemporalConvNet:
             raise ValidationError(
                 f"expected input (B, T, {self.input_width}), got {x.shape}"
             )
-        cache = {"conv": [], "fc": []} if want_cache else None
         B, T = x.shape[:2]
-        h = x
-        for w, b in self.conv:
+        n_conv = len(self.conv)
+        # layer i reads pads[i] and writes its output to pads[i + 1]. A
+        # padded input is dead once its columns are built, so without a
+        # cache one buffer serves every layer; a training step keeps each
+        # for the backward but the last, whose columns stay in place
+        if want_cache:
+            cache = {"conv": [], "fc": []}
+            self._reserve(B, T)
+            pads = [f"pad{i}" for i in range(n_conv - 1)] + ["spare", "spare"]
+            pres = [f"pre{i}" for i in range(n_conv)]
+        else:
+            cache = None
+            pads, pres = ["pad0"] * (n_conv + 1), ["pre0"] * n_conv
+        hp = self._padded(pads[0], self.input_width, B, T, PAD)
+        hp[:, :, PAD:PAD + T] = x.transpose(2, 0, 1)
+        for i, (w, b) in enumerate(self.conv):
             O = len(w)
+            cols = self._cols(hp, T)
             # keep the (C_out, B, T) memory order: the gradient sums that
             # derive from pre add in that order
-            pre = np.dot(w.reshape(O, -1), _cols(h, PAD)).reshape(O, B, T).transpose(1, 2, 0)
+            pre = np.dot(w.reshape(O, -1), cols, out=self._buf(pres[i], O, B * T))
+            pre = pre.reshape(O, B, T).transpose(1, 2, 0)
             pre += b
             if want_cache:
-                cache["conv"].append((h, pre))
-            h = elu(pre)
+                # the backward rebuilds a layer's columns from its padded
+                # input; the last layer's are still in the column buffer
+                cache["conv"].append((cols if i == n_conv - 1 else hp, pre))
+            if i < n_conv - 1:
+                hp = self._padded(pads[i + 1], O, B, T, PAD)
+                elu(pre, out=hp[:, :, PAD:PAD + T].transpose(1, 2, 0))
+            else:
+                h = elu(pre, out=self._buf(pads[i + 1], O, B, T).transpose(1, 2, 0))
         n_fc = len(self.fc)
         for i, (w, b) in enumerate(self.fc):
-            pre = h @ w.T + b
+            pre = h @ w.T
+            pre += b
             if want_cache:
                 cache["fc"].append((h, pre))
             h = pre if i == n_fc - 1 else elu(pre)
@@ -204,7 +286,9 @@ class TemporalConvNet:
         """Gradients w.r.t. every parameter, aligned with parameters().
 
         dout is dLoss/d(final pre-activation), (B, T, 6); all loss
-        normalization is already folded into it.
+        normalization is already folded into it. The cache is used up: each
+        hidden layer's pre-activation is overwritten by its ELU gradient
+        and, in the conv stack, then by the gradient at that layer's output.
         """
         B, T = dout.shape[:2]
         fc_grads: list[list[np.ndarray]] = [None] * len(self.fc)
@@ -218,23 +302,33 @@ class TemporalConvNet:
             ]
             g = g @ w  # gradient at this layer's input
             if i > 0:
-                g = g * _elu_grad(cache["fc"][i - 1][1])
+                pre = cache["fc"][i - 1][1]
+                g *= _elu_grad(pre, out=pre)
 
-        conv_grads: list[list[np.ndarray]] = [None] * len(self.conv)
-        g = g * _elu_grad(cache["conv"][-1][1])  # through the last conv's ELU
-        for i in reversed(range(len(self.conv))):
+        conv = cache["conv"]
+        conv_grads: list[list[np.ndarray]] = [None] * len(conv)
+        # through the last conv's ELU, as a product of two temporaries: numpy
+        # may store it in either (a large one goes into the ELU gradient's
+        # (C_out, B, T) order), and the bias-gradient sum adds in that order
+        g = g * _elu_grad(conv[-1][1])
+        n = T + KERNEL - 1
+        for i in reversed(range(len(conv))):
             w, _ = self.conv[i]
             O, C = w.shape[:2]
-            h_in, _ = cache["conv"][i]
-            dw = np.dot(_cols(h_in, PAD), g.reshape(B * T, O))  # (C_in*K, C_out)
+            src, _ = conv[i]
+            cols = src if i == len(conv) - 1 else self._cols(src, T)
+            dw = np.dot(cols, g.reshape(B * T, O))  # (C_in*K, C_out)
             conv_grads[i] = [dw.reshape(C, KERNEL, O).transpose(2, 0, 1), g.sum(axis=(0, 1))]
             if i > 0:
                 # full correlation with the flipped kernel over all T+K-1
                 # positions, then keep the T that line up with the input
+                gp = self._padded("spare", O, B, T, KERNEL - 1)
+                gp[:, :, KERNEL - 1:KERNEL - 1 + T] = g.transpose(2, 0, 1)
                 w_flip = w[:, :, ::-1].transpose(1, 0, 2).reshape(C, O * KERNEL)
-                dxpad = np.dot(w_flip, _cols(g, KERNEL - 1))  # (C_in, B*(T+K-1))
-                dx = dxpad.reshape(C, B, T + KERNEL - 1).transpose(1, 2, 0)[:, PAD:PAD + T]
-                g = dx * _elu_grad(cache["conv"][i - 1][1])
+                dxpad = np.dot(w_flip, self._cols(gp, n), out=self._buf("spare", C, B * n))
+                dx = dxpad.reshape(C, B, n).transpose(1, 2, 0)[:, PAD:PAD + T]
+                pre = conv[i - 1][1]
+                g = np.multiply(dx, _elu_grad(pre, out=pre), out=pre)
 
         flat: list[np.ndarray] = []
         for dw, db in conv_grads + fc_grads:
@@ -471,6 +565,7 @@ def train(
         log.append(
             TrainLogRow(epoch, train_loss, term1, term2, vgrf_l, vgrf_r, test_vrpe)
         )
+    net._ws.clear()  # a returned net holds no training-sized buffers
     return net, log
 
 

@@ -320,12 +320,6 @@ class Dataset:
     def subjects(self) -> list[str]:
         return sorted({e.clip.subject_id for e in self.entries})
 
-    def by_subject(self) -> dict[str, list[DatasetEntry]]:
-        out: dict[str, list[DatasetEntry]] = {}
-        for e in self.entries:
-            out.setdefault(e.clip.subject_id, []).append(e)
-        return out
-
     def clips(self) -> list[MotionClip]:
         return [e.clip for e in self.entries]
 

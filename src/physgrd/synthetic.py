@@ -18,7 +18,8 @@ spring_tracked the unique trajectory that is a fixed point of the
 
 All generators are pure functions of (kind, params, seed). Every numeric
 parameter is checked against its range in _PARAM_RANGES before anything is
-generated, and a clip may not span more than MAX_FRAMES frames.
+generated, and neither a clip nor a hop period may span more than
+MAX_FRAMES frames.
 """
 
 from __future__ import annotations
@@ -201,6 +202,10 @@ def _gen_hop(p: dict, rng: np.random.Generator, g: float):
         freq *= 1.0 + jit * (rng.random() - 0.5)
     rate = float(p["frame_rate"])
     T = _frames(p)
+    if not rate / freq <= MAX_FRAMES:  # inf too; checked before anything is allocated
+        raise ValidationError(
+            f"hop period frame_rate / freq = {rate} / {freq} exceeds {MAX_FRAMES} frames"
+        )
 
     # Frame-aligned period: the raised-cosine bump then sums to exactly half
     # its width, making velocity exactly periodic under the discrete scheme.

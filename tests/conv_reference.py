@@ -4,14 +4,23 @@ layer written as an einsum over sliding-window views.
 This is the direct form of the convolution: each layer contracts a
 (B, T, C_in, K) window view of the zero-padded input with the (C_out, C_in, K)
 weights, and the input gradient correlates the doubly padded output
-gradient with the flipped kernel. The network's column-matrix GEMMs must
-match it bit for bit.
+gradient with the flipped kernel. ELU and its derivative are written with
+np.where on fresh arrays. The network's column-matrix GEMMs and in-place
+activations must match it bit for bit.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from physgrd.grf_model import KERNEL, PAD, _elu_grad, elu
+from physgrd.grf_model import KERNEL, PAD
+
+
+def elu(x):
+    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+
+
+def _elu_grad(pre):
+    return np.where(pre > 0, 1.0, np.exp(np.minimum(pre, 0.0)))
 
 
 def forward(net, x):

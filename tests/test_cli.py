@@ -87,19 +87,25 @@ class TestGen:
         ("--kind", "ballistic", "--x0", "0,nan,1"),
         ("--kind", "hop", "--duration", "1e12"),
         ("--kind", "ballistic", "--duration", "1e12"),
+        ("--kind", "hop", "--freq", "1e-300"),
     ], ids=["jitter-nan", "jitter-2", "plate-noise-nan", "amplitude-nan", "kd-inf", "x0-nan",
-            "duration-1e12", "ballistic-duration-1e12"])
+            "duration-1e12", "ballistic-duration-1e12", "hop-freq-1e-300"])
     def test_bad_generator_parameter_is_runtime_error(self, tmp_path, capsys, flags):
         assert run("gen", *flags, "--out-dir", tmp_path) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("physgrd: error: ValidationError: ")
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("flag", [("--gravity-z", "1.62"), ("--mode", "open_loop")],
-                             ids=["gravity-z", "mode"])
-    def test_simulation_flags_are_usage_errors(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("command, flag", [
+        (("gen", "--kind", "hop"), ("--gravity-z", "1.62")),
+        (("gen", "--kind", "hop"), ("--mode", "open_loop")),
+        (("predict", "--manifest", "m.json", "--checkpoint", "c.json"), ("--gravity-z", "nan")),
+        (("predict", "--manifest", "m.json", "--checkpoint", "c.json"), ("--mode", "open_loop")),
+    ], ids=["gravity-z", "mode", "predict-gravity-z", "predict-mode"])
+    def test_simulation_flags_are_usage_errors(self, tmp_path, capsys, command, flag):
+        # neither command simulates anything, so neither takes the physics flags
         with pytest.raises(SystemExit) as exc:
-            run("gen", "--kind", "hop", *flag, "--out-dir", tmp_path)
+            run(*command, *flag, "--out-dir", tmp_path)
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("physgrd: usage-error: unrecognized")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from physgrd.grf_model import (
     Prediction,
     TemporalConvNet,
     TrainConfig,
+    _elu_grad,
     composite_loss,
     elu,
     load_checkpoint,
@@ -61,6 +63,19 @@ class TestElu:
     def test_array_form(self):
         out = elu(np.array([-2.0, 0.0, 2.0]))
         np.testing.assert_allclose(out, [math.expm1(-2.0), 0.0, 2.0], rtol=1e-12)
+
+    def test_in_place_forms_match_where_forms_bit_for_bit(self):
+        # elu is max(x, expm1(min(x, 0))) and its gradient exp(min(x, 0));
+        # both must give the np.where forms' bits, also into a strided out
+        r = np.random.default_rng(0)
+        x = np.concatenate([r.normal(size=20000) * s for s in (1e-300, 1e-9, 0.1, 1, 30, 800)] + [
+            np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, -1e-308, -745.2, -2.0**-54])])
+        x = np.resize(x, (3, 37, len(x) // 37 // 3 + 1))
+        ref = conv_reference.elu(x)
+        padded = np.empty(x.shape[:2] + (x.shape[2] + 6,))
+        for out in (elu(x), elu(x, out=padded[:, :, 3:-3])):
+            assert np.ascontiguousarray(out).tobytes() == ref.tobytes()
+        assert _elu_grad(x.copy(), out=None).tobytes() == conv_reference._elu_grad(x).tobytes()
 
 
 class TestForward:
@@ -229,6 +244,65 @@ class TestConvReference:
         assert len(grads) == len(grads_ref)
         for g, g_ref in zip(grads, grads_ref):
             assert g.shape == g_ref.shape and np.array_equal(g, g_ref)
+
+
+class TestWorkspace:
+    """The net's grow-only conv workspace: reuse across shapes, no aliasing,
+    and no more memory than the allocating version took."""
+
+    ARCH = dict(conv_channels=(24, 40, 16, 32), fc_widths=(16, 8))
+
+    def test_reuse_across_shapes_matches_fresh_net(self):
+        net = TemporalConvNet(9, **self.ARCH, seed=4)
+        calls = [(64, 240, 0), (13, 240, 1), (1, 1000, 2), (64, 240, 3)]
+        for B, T, seed in calls:
+            fresh = TemporalConvNet(9, **self.ARCH, seed=4)
+            if B == 1:
+                x = np.random.default_rng(seed).normal(size=(T, 9))
+                assert np.array_equal(net.forward(x).forces, fresh.forward(x).forces)
+                continue
+            args = (*toy_batch(seed, B, T, 9), 0.002, 0.005)
+            *terms, grads = net.loss_and_grads(*args)
+            *fresh_terms, fresh_grads = fresh.loss_and_grads(*args)
+            assert terms == fresh_terms
+            for g, f in zip(grads, fresh_grads):
+                assert np.array_equal(g, f)
+
+    def test_results_do_not_alias_workspace(self):
+        net = TemporalConvNet(9, **self.ARCH, seed=5)
+        loss, _, _, grads = net.loss_and_grads(*toy_batch(0, 16, 60, 9), 0.002, 0.005)
+        pred = net.forward(np.random.default_rng(1).normal(size=(80, 9)))
+        outs = [*grads, pred.forces]
+        kept = [out.copy() for out in outs]
+        net.loss_and_grads(*toy_batch(2, 16, 60, 9), 0.002, 0.005)
+        net.forward(np.random.default_rng(3).normal(size=(80, 9)))
+        assert net._ws  # the workspace is in use
+        for out, copy in zip(outs, kept):
+            assert np.array_equal(out, copy)
+            assert not any(np.shares_memory(out, buf) for buf in net._ws.values())
+        assert loss == net.loss_and_grads(*toy_batch(0, 16, 60, 9), 0.002, 0.005)[0]
+
+    def test_train_returns_net_without_workspace(self):
+        ds = make_dataset(["hop"], n_subjects=2, seed=5, base_params={"duration": 1.2})
+        cfg = TrainConfig(epochs=1, batch_size=8, window_len=120, **TOY)
+        net, _ = train(ds, cfg, (["S1"], "S2"))
+        assert not net._ws
+
+    def test_canonical_step_peak_memory(self):
+        # 315.9 MB is the traced peak of one canonical step when every conv
+        # array was allocated afresh; the second call counts what the
+        # workspace retained from the first
+        net = TemporalConvNet(9, seed=0)
+        args = (*toy_batch(0, 64, 240, 9), 0.002, 0.005)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                net.loss_and_grads(*args)
+                assert tracemalloc.get_traced_memory()[1] - start <= 315.9e6
+        finally:
+            tracemalloc.stop()
 
 
 class TestAdam:

@@ -196,6 +196,14 @@ class TestParameterRanges:
             with pytest.raises(ValidationError, match=key):
                 gen_synthetic("hop", {key: bad, "duration": 0.5}, seed=0)
 
+    def test_hop_period_cap_checked_before_allocating(self):
+        # frame_rate / freq frames per hop; at 100 Hz freq 1e-4 is exactly the cap
+        gen_synthetic("hop", {"freq": 1e-4, "duration": 0.5}, seed=0)
+        for params in ({"freq": 9.9e-5}, {"freq": 1e-300}, {"freq": 1e-300, "jitter": 1.5},
+                       {"freq": 1e-3, "frame_rate": 1e300, "duration": 1e-300}):
+            with pytest.raises(ValidationError, match=f"hop period .* exceeds {MAX_FRAMES} frames"):
+                gen_synthetic("hop", params, seed=0)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_frame_cap_checked_before_allocating(self, kind):
         for params in ({"duration": 1e12}, {"duration": 1e300, "frame_rate": 1e300}):
