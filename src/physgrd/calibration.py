@@ -9,9 +9,8 @@ subjects. Cells whose simulation diverges on any clip score +inf and are
 excluded from the argmin but recorded in the report.
 
 All clips of equal length and frame rate form one bucket, simulated with
-every cell of every clip in one batch: closed loop makes one Python step
-per frame of a bucket, open loop integrates a bucket's forces one block of
-frames at a time. A bucket is scored while it is simulated, one leaf of
+every cell of every clip in one batch: both modes make one Python step per
+frame of a bucket. A bucket is scored while it is simulated, one leaf of
 numpy's pairwise sum (at most 128 frames) at a time, so the memory it needs
 is (clips, cells, 128) floats whatever the clip length, and its scores are
 bit for bit those of np.mean over the whole clip.
@@ -27,8 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import metrics
-from .dynamics import DIVERGENCE_LIMIT, GravitySpec, PDGains, SimMode, pd_force
-from .dynamics import _closed_loop, _integrate, _valid_gain
+from .dynamics import DIVERGENCE_LIMIT, GravitySpec, PDGains, SimMode, _pd_steps, _valid_gain
 from .dynamics import simulate  # noqa: F401  perfbench/tracing.py wraps calibration.simulate
 from .errors import PhysgrdError, ValidationError
 from .motion_data import MotionClip, _write_table, finite_diff_velocity
@@ -103,38 +101,25 @@ def _leaf_heights(
 
     ref holds the clips' root positions, (T, clips, 3). The state is
     (clips, cells, 3); every element sees the arithmetic of a single clip
-    and cell simulated alone. Frame 0 is the start state. Closed loop steps
-    one frame at a time; open loop integrates a leaf's PD forces on the
-    mocap states, (leaf, clips, cells, 3), from the state the leaf before
-    ended in. peak keeps the elementwise max of |pos| over the steps.
+    and cell simulated alone. Frame 0 is the start state; each later frame
+    is one _pd_steps step, from the simulated state (closed loop) or the
+    mocap state (open loop). peak keeps the elementwise max of |pos| over
+    the steps.
     """
     T, dt = len(ref), bucket[0].dt
     buf = np.empty(peak.shape[:2] + (min(T, metrics.PAIRWISE_LEAF),))
-    if mode == "closed_loop":
-        steps = _closed_loop(ref[:, :, None], kp[:, None], kd[:, None], gravity, dt)
-    else:
-        mocap_vel = np.stack([finite_diff_velocity(c) for c in bucket], axis=1)
-        pos, vel = ref[0, :, None], 0.0
+    mocap_vel = None
+    if mode == "open_loop":
+        mocap_vel = np.stack([finite_diff_velocity(c) for c in bucket], axis=1)[:, :, None]
+    steps = _pd_steps(ref[:, :, None], kp[:, None], kd[:, None], gravity, dt, mocap_vel)
     for start, stop in metrics.pairwise_leaves(T):
         heights = buf[..., :stop - start]
         first = max(start, 1)  # the first frame that is simulated
         if start == 0:
             heights[..., 0] = ref[0, :, None, 2]
-        if mode == "closed_loop":
-            for k, (_, pos) in zip(range(first - start, stop - start), steps):
-                heights[..., k] = pos[..., 2]
-                np.maximum(peak, np.abs(pos), out=peak)
-        elif first < stop:
-            forces = np.stack([
-                pd_force(ref[first:stop], ref[first - 1:stop - 1], mocap_vel[first - 1:stop - 1],
-                         PDGains(p, d))
-                for p, d in zip(kp, kd)
-            ], axis=2)
-            run, vels = _integrate(pos, forces, gravity, dt, vel)
-            pos, vel = run[-1].copy(), vels[-1].copy()
-            heights[..., first - start:] = np.moveaxis(run[1:, ..., 2], 0, -1)
-            np.maximum(peak, np.abs(run[1:], out=run[1:]).max(axis=0), out=peak)
-            del forces, run, vels  # no two leaves' stacks are alive at once
+        for k, (_, pos) in zip(range(first - start, stop - start), steps):
+            heights[..., k] = pos[..., 2]
+            np.maximum(peak, np.abs(pos), out=peak)
         yield heights
 
 

@@ -69,8 +69,8 @@ class SimResult:
     dt: float
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise UnitError(f"dt must be > 0, got {self.dt}")
+        if not (0 < self.dt < math.inf):
+            raise UnitError(f"dt must be finite and > 0, got {self.dt}")
         pos = np.asarray(self.positions, dtype=float)
         vel = np.asarray(self.velocities, dtype=float)
         force = np.asarray(self.total_force, dtype=float).reshape(-1, 3)
@@ -105,7 +105,12 @@ def pd_force(
     target_next = np.asarray(target_next, dtype=float)
     current_pos = np.asarray(current_pos, dtype=float)
     current_vel = np.asarray(current_vel, dtype=float)
-    return gains.kp * (target_next - current_pos) - gains.kd * current_vel
+    return _pd_law(gains.kp, gains.kd, target_next, current_pos, current_vel)
+
+
+def _pd_law(kp, kd, target, pos, vel):
+    """The PD law, for gains and states of any broadcastable shapes."""
+    return kp * (target - pos) - kd * vel
 
 
 def euler_step(
@@ -119,46 +124,50 @@ def euler_step(
 
     acc = f - g;  vel' = vel + acc*dt;  pos' = pos + vel'*dt
     """
-    if dt <= 0:
-        raise UnitError(f"dt must be > 0, got {dt}")
+    if not (0 < dt < math.inf):
+        raise UnitError(f"dt must be finite and > 0, got {dt}")
     acc = np.asarray(normalized_force, dtype=float) - gravity.g_accel
     new_vel = np.asarray(vel, dtype=float) + acc * dt
     new_pos = np.asarray(pos, dtype=float) + new_vel * dt
     return new_pos, new_vel
 
 
-def _closed_loop(ref: np.ndarray, kp, kd, gravity: GravitySpec, dt: float):
-    """Yield (force, pos) after each closed-loop PD step along ref.
+def _pd_steps(ref: np.ndarray, kp, kd, gravity: GravitySpec, dt: float, mocap_vel=None):
+    """Yield (force, pos) after each PD step along ref.
 
-    The state starts at ref[0] at rest, and step t pulls it toward ref[t+1].
-    Its shape is that of ref[0] broadcast with the gains: scalar gains on a
-    (T, 3) ref step a (3,) state; (B, 1) gain columns step B cells as a
-    (B, 3) state; a (T, n, 1, 3) ref of n clips under (B, 1) gains steps an
-    (n, B, 3) state. Every element follows the scalar arithmetic.
+    The state starts at ref[0] at rest, and step t pulls toward ref[t+1]:
+    from the simulated state (closed loop), or, when mocap_vel is given,
+    from the mocap state (ref[t], mocap_vel[t]) (open loop). Its shape is
+    that of ref[0] broadcast with the gains: scalar gains on a (T, 3) ref
+    step a (3,) state; (B, 1) gain columns step B cells as a (B, 3) state; a
+    (T, n, 1, 3) ref of n clips, with a mocap_vel of the same shape, under
+    (B, 1) gains steps an (n, B, 3) state. Every element follows the scalar
+    arithmetic, and semi-implicit Euler per step equals _integrate's sums.
     """
     pos = np.broadcast_to(ref[0], np.broadcast_shapes(np.shape(kp), ref[0].shape))
     vel = np.zeros(pos.shape)
-    for target in ref[1:]:
-        f = kp * (target - pos) - kd * vel
-        pos, vel = euler_step(pos, vel, f, gravity, dt)
-        yield f, pos
+    if mocap_vel is None:
+        for target in ref[1:]:
+            f = _pd_law(kp, kd, target, pos, vel)
+            pos, vel = euler_step(pos, vel, f, gravity, dt)
+            yield f, pos
+    else:
+        for target, src_pos, src_vel in zip(ref[1:], ref, mocap_vel):
+            f = _pd_law(kp, kd, target, src_pos, src_vel)
+            pos, vel = euler_step(pos, vel, f, gravity, dt)
+            yield f, pos
 
 
-def _integrate(
-    start: np.ndarray, forces: np.ndarray, gravity: GravitySpec, dt: float, start_vel=0.0,
-):
+def _integrate(start: np.ndarray, forces: np.ndarray, gravity: GravitySpec, dt: float):
     """Positions and velocities, (T, ..., 3) each, under (T-1, ..., 3) step forces.
 
-    The semi-implicit Euler step from start, at rest unless start_vel is
-    given, written as two running sums over the time axis. np.add.accumulate
-    adds in order, so every element matches the step loop bit for bit, and
-    so does a run split into chunks that each start from the last state of
-    the one before. Diverged values are returned.
+    The semi-implicit Euler step from start at rest, written as two running
+    sums over the time axis. np.add.accumulate adds in order, so every
+    element matches the step loop bit for bit. Diverged values are returned.
     """
     frame = (1,) + forces.shape[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        vel = np.concatenate([np.broadcast_to(start_vel, frame), (forces - gravity.g_accel) * dt])
-        vel = np.add.accumulate(vel)
+        vel = np.add.accumulate(np.concatenate([np.zeros(frame), (forces - gravity.g_accel) * dt]))
         pos = np.add.accumulate(np.concatenate([np.broadcast_to(start, frame), vel[1:] * dt]))
     return pos, vel
 
@@ -193,17 +202,15 @@ def simulate(
     the mocap state (position t and backward-difference velocity) and then
     integrated without feedback.
     """
+    if mode not in ("closed_loop", "open_loop"):
+        raise ValueError(f"unknown simulation mode {mode!r}")
     gravity = gravity or GravitySpec()
     ref = clip.root_positions
-    if mode == "closed_loop":
-        with np.errstate(over="ignore", invalid="ignore"):
-            steps = _closed_loop(ref, gains.kp, gains.kd, gravity, clip.dt)
-            forces = np.array([f for f, _ in steps]).reshape(-1, 3)
-    elif mode == "open_loop":
-        forces = pd_force(ref[1:], ref[:-1], finite_diff_velocity(clip)[:-1], gains)
-    else:
-        raise ValueError(f"unknown simulation mode {mode!r}")
-    # the closed loop's own states are these running sums of its forces
+    mocap_vel = finite_diff_velocity(clip) if mode == "open_loop" else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = _pd_steps(ref, gains.kp, gains.kd, gravity, clip.dt, mocap_vel)
+        forces = np.array([f for f, _ in steps]).reshape(-1, 3)
+    # the steps' own states are these running sums of their forces
     positions, velocities = _integrate(ref[0], forces, gravity, clip.dt)
     _raise_if_diverged(positions)
     return SimResult(positions=positions, velocities=velocities, total_force=forces, dt=clip.dt)

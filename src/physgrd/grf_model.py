@@ -46,6 +46,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import numbers
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -104,8 +105,10 @@ class TrainConfig:
     def __post_init__(self):
         object.__setattr__(self, "conv_channels", tuple(int(c) for c in self.conv_channels))
         object.__setattr__(self, "fc_widths", tuple(int(w) for w in self.fc_widths))
-        if self.epochs <= 0 or self.batch_size <= 0 or self.window_len <= 0:
-            raise ValidationError("epochs, batch_size and window_len must be positive")
+        counts = (self.epochs, self.batch_size, self.window_len)
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+                   for n in counts):
+            raise ValidationError("epochs, batch_size and window_len must be integers >= 1")
         # written "not (... < inf)" so that NaN is rejected too
         if not (0 < self.learning_rate < math.inf):
             raise ValidationError("learning_rate must be finite and positive")
@@ -620,9 +623,10 @@ def load_checkpoint(path: str | Path) -> tuple[TemporalConvNet, TrainConfig]:
     try:
         tc = doc["train_config"]
         cfg = TrainConfig(**{f.name: tc[f.name] for f in fields(TrainConfig)})
-        net = TemporalConvNet(
-            doc["input_width"], tuple(doc["conv_channels"]), tuple(doc["fc_widths"]), seed=0
-        )
+        widths = (tuple(doc["conv_channels"]), tuple(doc["fc_widths"]))
+        if widths != (cfg.conv_channels, cfg.fc_widths):
+            raise ValidationError(f"widths {widths} differ from the train_config's")
+        net = TemporalConvNet(doc["input_width"], *widths, seed=0)
         blobs = (doc["conv_layers"], doc["fc_layers"])
         if [len(b) for b in blobs] != [len(net.conv), len(net.fc)]:
             raise CheckpointError(

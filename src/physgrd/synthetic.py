@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import _integrate, _raise_if_diverged, euler_step
+from .dynamics import _integrate, _pd_law, _raise_if_diverged, euler_step
 from .errors import ValidationError
 from .motion_data import (
     Dataset,
@@ -314,7 +314,7 @@ def _gen_spring_tracked(p: dict, rng: np.random.Generator, g: float):
     for t in range(T - 1):
         # target that makes the closed-loop tracking step land exactly on it
         target = x + (v * dt * (1.0 - kd * dt) - gravity.g_accel * dt * dt) / denom
-        f = kp * (target - x) - kd * v
+        f = _pd_law(kp, kd, target, x, v)
         x, v = euler_step(x, v, f, gravity, dt)
         forces[t] = f
         positions[t + 1] = x

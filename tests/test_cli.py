@@ -101,9 +101,11 @@ class TestGen:
         (("gen", "--kind", "hop"), ("--mode", "open_loop")),
         (("predict", "--manifest", "m.json", "--checkpoint", "c.json"), ("--gravity-z", "nan")),
         (("predict", "--manifest", "m.json", "--checkpoint", "c.json"), ("--mode", "open_loop")),
-    ], ids=["gravity-z", "mode", "predict-gravity-z", "predict-mode"])
+        (("metrics", "--manifest", "m.json", "--pred-dir", "p"), ("--mode", "open_loop")),
+    ], ids=["gravity-z", "mode", "predict-gravity-z", "predict-mode", "metrics-mode"])
     def test_simulation_flags_are_usage_errors(self, tmp_path, capsys, command, flag):
-        # neither command simulates anything, so neither takes the physics flags
+        # none of these commands runs a PD simulation, so none takes --mode; gen and
+        # predict integrate nothing, so neither takes --gravity-z
         with pytest.raises(SystemExit) as exc:
             run(*command, *flag, "--out-dir", tmp_path)
         assert exc.value.code == 2
@@ -389,7 +391,9 @@ class TestTrainPredictMetrics:
         lambda doc: {"format_version": 1},
         lambda doc: {**doc, "train_config": {}},
         lambda doc: {**doc, "fc_layers": [{"weights": "AAA", "bias": "AAA"}] * 3},
-    ], ids=["json-list", "no-keys", "empty-train-config", "bad-base64"])
+        lambda doc: {**doc, "train_config": {**doc["train_config"], "epochs": float("nan"),
+                                              "window_len": 2.5}},
+    ], ids=["json-list", "no-keys", "empty-train-config", "bad-base64", "non-integer-counts"])
     def test_malformed_checkpoint_is_runtime_error(self, tmp_path, capsys, edit):
         manifest = gen_small(tmp_path / "data", kind="walk", subjects=1, duration=1.0)
         width = load_manifest(manifest).entries[0].clip.feature_width

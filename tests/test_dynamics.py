@@ -4,6 +4,7 @@ import pytest
 import euler_reference
 from physgrd.dynamics import (
     GravitySpec,
+    _pd_steps,
     PDGains,
     SimResult,
     euler_step,
@@ -20,10 +21,11 @@ from physgrd.motion_data import (
     STANDARD_GRAVITY,
     ForcePlateRecord,
     MotionClip,
+    finite_diff_velocity,
     load_force_plate,
     write_force_plate,
 )
-from physgrd.synthetic import gen_synthetic
+from physgrd.synthetic import gen_synthetic, make_dataset
 
 
 def const_clip(z=1.0, T=100, rate=100.0):
@@ -89,6 +91,40 @@ class TestEulerStep:
     def test_bad_dt(self):
         with pytest.raises(UnitError):
             euler_step(np.zeros(3), np.zeros(3), np.zeros(3), GravitySpec(), 0.0)
+        for bad in (np.nan, np.inf, -0.01):
+            with pytest.raises(UnitError):
+                euler_step(np.zeros(3), np.zeros(3), np.zeros(3), GravitySpec(), bad)
+
+
+class TestPDSteps:
+    def test_open_loop_matches_pd_force(self):
+        clip, _ = gen_synthetic("hop", {"duration": 1.0}, seed=3)
+        gains, ref, mocap_vel = PDGains(70.0, 3.0), clip.root_positions, finite_diff_velocity(clip)
+        steps = list(_pd_steps(ref, gains.kp, gains.kd, GravitySpec(), clip.dt, mocap_vel))
+        forces = np.array([f for f, _ in steps])
+        np.testing.assert_array_equal(forces, pd_force(ref[1:], ref[:-1], mocap_vel[:-1], gains))
+        # simulate's running sums of those forces are the stepped states
+        sim = simulate(clip, gains, mode="open_loop")
+        np.testing.assert_array_equal(np.array([p for _, p in steps]), sim.positions[1:])
+
+    @pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])
+    def test_gain_columns_match_scalar_runs(self, mode):
+        clips = make_dataset(["hop"], n_subjects=2, seed=5, base_params={"duration": 0.5}).clips()
+        g, dt = GravitySpec(), clips[0].dt
+        kp, kd = np.array([[10.0], [70.0], [90.0]]), np.array([[0.0], [3.0], [15.0]])
+        ref = np.stack([c.root_positions for c in clips], axis=1)[:, :, None]  # (T, n, 1, 3)
+        vel = None
+        if mode == "open_loop":
+            vel = np.stack([finite_diff_velocity(c) for c in clips], axis=1)  # (T, n, 3)
+        batched = list(_pd_steps(ref, kp, kd, g, dt, None if vel is None else vel[:, :, None]))
+        assert batched[0][1].shape == (len(clips), len(kp), 3)
+        for j, clip in enumerate(clips):
+            for b in range(len(kp)):
+                alone = _pd_steps(clip.root_positions, kp[b, 0], kd[b, 0], g, dt,
+                                  None if vel is None else vel[:, j])
+                for (f, pos), (f1, pos1) in zip(batched, alone, strict=True):
+                    np.testing.assert_array_equal(f[j, b], f1)
+                    np.testing.assert_array_equal(pos[j, b], pos1)
 
 
 class TestSimulate:
@@ -228,6 +264,9 @@ class TestSimResult:
                 total_force=np.zeros((3, 3)),  # must be T-1 rows
                 dt=0.01,
             )
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(UnitError):
+                SimResult(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((2, 3)), dt=bad)
 
     def test_csv_export(self, tmp_path):
         clip, _ = gen_synthetic("hop", {"duration": 0.5}, seed=0)

@@ -421,8 +421,13 @@ class TestCheckpoint:
         lambda doc: doc["conv_layers"][0].update(weights="not*base64!"),
         lambda doc: doc["fc_layers"][1].update(bias=7),
         lambda doc: doc.update(conv_channels="six"),
+        lambda doc: doc["train_config"].update(epochs=float("nan")),
+        lambda doc: doc["train_config"].update(window_len=2.5),
+        lambda doc: doc["train_config"].update(conv_channels=[7, 5, 6, 5]),
+        lambda doc: doc["train_config"].update(fc_widths=[8, 7]),
     ], ids=["no-train-config", "no-seed", "no-fc", "three-conv", "bad-base64",
-            "bias-not-text", "channels-not-list"])
+            "bias-not-text", "channels-not-list", "epochs-nan", "window-len-fraction",
+            "config-conv-widths-differ", "config-fc-widths-differ"])
     def test_malformed_rejected(self, tmp_path, mutate):
         path = tmp_path / "ckpt.json"
         save_checkpoint(TemporalConvNet(7, **TOY, seed=9), TrainConfig(**TOY), path)
@@ -470,6 +475,11 @@ class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValidationError):
             TrainConfig(epochs=0)
+        for name in ("epochs", "batch_size", "window_len"):
+            for bad in (np.nan, np.inf, 2.5, 3.0, True, -1):
+                with pytest.raises(ValidationError):
+                    TrainConfig(**{name: bad})
+        assert TrainConfig(epochs=np.int64(2)).epochs == 2
         with pytest.raises(ValidationError):
             TrainConfig(lambda1=-0.1)
         for bad in ({"learning_rate": np.nan}, {"learning_rate": np.inf},
