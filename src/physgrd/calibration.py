@@ -26,9 +26,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import metrics
-from .dynamics import DIVERGENCE_LIMIT, GravitySpec, PDGains, SimMode, _pd_steps, _valid_gain
+from .dynamics import DIVERGENCE_LIMIT, GravitySpec, PDGains, SimMode, _pd_steps
 from .dynamics import simulate  # noqa: F401  perfbench/tracing.py wraps calibration.simulate
-from .errors import PhysgrdError, ValidationError
+from .errors import NON_NEGATIVE, PhysgrdError, ValidationError, check_range
 from .motion_data import MotionClip, _write_table, finite_diff_velocity
 
 # kp swept at kd=0, then kd swept at the best kp
@@ -51,12 +51,12 @@ class GainGrid:
 
     def __post_init__(self):
         for name, vals in (("kp_values", self.kp_values), ("kd_values", self.kd_values)):
-            vals = tuple(float(v) for v in vals)
-            object.__setattr__(self, name, vals)
+            vals = tuple(vals)
             if not vals:
                 raise ValidationError(f"{name} must be non-empty")
-            if not all(map(_valid_gain, vals)):
-                raise ValidationError(f"{name} must be finite and non-negative")
+            check_range(name, vals, NON_NEGATIVE)
+            vals = tuple(map(float, vals))
+            object.__setattr__(self, name, vals)
             if len(set(vals)) != len(vals):
                 raise ValidationError(f"{name} contains duplicates")
             if list(vals) != sorted(vals):

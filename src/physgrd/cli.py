@@ -103,25 +103,8 @@ def cmd_gen(args, parser) -> int:
     if args.subjects < 1 or args.clips < 1:
         parser.error("--subjects and --clips must be >= 1")
 
-    base = {"duration": args.duration, "frame_rate": args.frame_rate}
-    for key, val in (
-        ("mass", args.mass),
-        ("freq", args.freq),
-        ("amplitude", args.amplitude),
-        ("contact_fraction", args.contact_fraction),
-        ("speed", args.speed),
-        ("step_freq", args.step_freq),
-        ("bob_amplitude", args.bob_amplitude),
-        ("kp", args.kp),
-        ("kd", args.kd),
-        ("x0", args.x0),
-        ("v0", args.v0),
-        ("missing_lead", args.missing_lead),
-        ("plate_noise", args.plate_noise),
-        ("jitter", args.jitter),
-    ):
-        if val is not None:
-            base[key] = val
+    # every generator flag's dest is the name of the parameter it sets
+    base = {k: v for k, v in vars(args).items() if k in synthetic.PARAMS and v is not None}
 
     dataset = synthetic.make_dataset(
         kinds, args.subjects, args.clips, seed=args.seed, base_params=base

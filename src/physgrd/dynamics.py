@@ -12,14 +12,14 @@ precedes the position update.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
 
 import numpy as np
 
-from .errors import SimulationDivergedError, UnitError, ValidationError
+from .errors import NON_NEGATIVE, POSITIVE, SimulationDivergedError, UnitError, ValidationError
+from .errors import check_range
 from .motion_data import (  # the body-weight conversions are re-exported here
     GravitySpec,
     MotionClip,
@@ -31,11 +31,6 @@ from .motion_data import (  # the body-weight conversions are re-exported here
 
 DIVERGENCE_LIMIT = 1e6  # meters; any |component| beyond this aborts
 SimMode = Literal["closed_loop", "open_loop"]
-
-
-def _valid_gain(value: float) -> bool:
-    """Whether a PD gain is finite and non-negative; NaN is not."""
-    return 0 <= value < math.inf
 
 
 @dataclass(frozen=True)
@@ -50,8 +45,7 @@ class PDGains:
     kd: float
 
     def __post_init__(self):
-        if not (_valid_gain(self.kp) and _valid_gain(self.kd)):
-            raise UnitError(f"gains must be finite and non-negative, got ({self.kp}, {self.kd})")
+        check_range("gains", (self.kp, self.kd), NON_NEGATIVE, UnitError)
 
 
 @dataclass(frozen=True)
@@ -69,8 +63,7 @@ class SimResult:
     dt: float
 
     def __post_init__(self):
-        if not (0 < self.dt < math.inf):
-            raise UnitError(f"dt must be finite and > 0, got {self.dt}")
+        check_range("dt", self.dt, POSITIVE, UnitError)
         pos = np.asarray(self.positions, dtype=float)
         vel = np.asarray(self.velocities, dtype=float)
         force = np.asarray(self.total_force, dtype=float).reshape(-1, 3)
@@ -124,8 +117,7 @@ def euler_step(
 
     acc = f - g;  vel' = vel + acc*dt;  pos' = pos + vel'*dt
     """
-    if not (0 < dt < math.inf):
-        raise UnitError(f"dt must be finite and > 0, got {dt}")
+    check_range("dt", dt, POSITIVE, UnitError)
     acc = np.asarray(normalized_force, dtype=float) - gravity.g_accel
     new_vel = np.asarray(vel, dtype=float) + acc * dt
     new_pos = np.asarray(pos, dtype=float) + new_vel * dt

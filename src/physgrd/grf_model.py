@@ -46,7 +46,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-import numbers
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -54,7 +53,8 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import GravitySpec, PDGains, SimMode, physics_force_series, to_bodyweight
-from .errors import CheckpointError, ValidationError
+from .errors import NON_NEGATIVE, POSITIVE, CheckpointError, ValidationError, check_int
+from .errors import check_range
 from .metrics import evaluate_prediction
 from .motion_data import Dataset, ForcePlateRecord, _read_lines, _read_rows, _write_rows
 from .motion_data import _write_table
@@ -103,23 +103,18 @@ class TrainConfig:
     fc_widths: tuple[int, ...] = (64, 32)
 
     def __post_init__(self):
-        object.__setattr__(self, "conv_channels", tuple(int(c) for c in self.conv_channels))
-        object.__setattr__(self, "fc_widths", tuple(int(w) for w in self.fc_widths))
-        counts = (self.epochs, self.batch_size, self.window_len)
-        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
-                   for n in counts):
-            raise ValidationError("epochs, batch_size and window_len must be integers >= 1")
-        # written "not (... < inf)" so that NaN is rejected too
-        if not (0 < self.learning_rate < math.inf):
-            raise ValidationError("learning_rate must be finite and positive")
-        if not (0 <= self.lambda1 < math.inf and 0 <= self.lambda2 < math.inf):
-            raise ValidationError("loss weights must be finite and non-negative")
+        # integers are stored as ints, so that asdict(self) is JSON for numpy ints too
+        for name, lo in (("epochs", 1), ("batch_size", 1), ("window_len", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
+        for name in ("conv_channels", "fc_widths"):
+            object.__setattr__(self, name, tuple(check_int(name, w) for w in getattr(self, name)))
+        check_range("learning_rate", self.learning_rate, POSITIVE)
+        check_range("lambda1", self.lambda1, NON_NEGATIVE)
+        check_range("lambda2", self.lambda2, NON_NEGATIVE)
         if len(self.conv_channels) != 4:
             raise ValidationError("the network has exactly four conv layers")
         if len(self.fc_widths) != 2:
             raise ValidationError("the network has exactly three FC layers (two hidden widths)")
-        if any(c <= 0 for c in self.conv_channels) or any(w <= 0 for w in self.fc_widths):
-            raise ValidationError("layer widths must be positive")
 
 
 @dataclass(frozen=True)
@@ -159,14 +154,13 @@ class TemporalConvNet:
         fc_widths: Sequence[int] = (64, 32),
         seed: int = 0,
     ):
-        if input_width < 1:
-            raise ValidationError(f"input width must be >= 1, got {input_width}")
         if len(conv_channels) != 4 or len(fc_widths) != 2:
             raise ValidationError("architecture is fixed at four conv and three FC layers")
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x6E7)))
-        self.input_width = int(input_width)
-        self.conv_channels = tuple(int(c) for c in conv_channels)
-        self.fc_widths = tuple(int(w) for w in fc_widths)
+        seed = check_int("seed", seed, lo=0)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E7)))
+        self.input_width = check_int("input_width", input_width)
+        self.conv_channels = tuple(check_int("conv_channels", c) for c in conv_channels)
+        self.fc_widths = tuple(check_int("fc_widths", w) for w in fc_widths)
 
         self.conv: list[list[np.ndarray]] = []
         in_ch = self.input_width
@@ -517,57 +511,59 @@ def train(
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1)))
 
     log: list[TrainLogRow] = []
-    for epoch in range(1, cfg.epochs + 1):
-        windows: list[tuple[int, int, int]] = []
-        for ci, (feat, _, _, _) in enumerate(prepared):
-            T = len(feat)
-            wl = min(cfg.window_len, T)
-            n_win = max(1, int(round(T / cfg.window_len)))
-            offsets = rng.integers(0, T - wl + 1, size=n_win)
-            windows += [(ci, int(o), wl) for o in offsets]
-        order = rng.permutation(len(windows))
-        windows = [windows[i] for i in order]
-        by_len: dict[int, list[tuple[int, int, int]]] = {}
-        for wdw in windows:
-            by_len.setdefault(wdw[2], []).append(wdw)
+    # a diverging run is caught by the loss and prediction checks, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            windows: list[tuple[int, int, int]] = []
+            for ci, (feat, _, _, _) in enumerate(prepared):
+                T = len(feat)
+                wl = min(cfg.window_len, T)
+                n_win = max(1, int(round(T / cfg.window_len)))
+                offsets = rng.integers(0, T - wl + 1, size=n_win)
+                windows += [(ci, int(o), wl) for o in offsets]
+            order = rng.permutation(len(windows))
+            windows = [windows[i] for i in order]
+            by_len: dict[int, list[tuple[int, int, int]]] = {}
+            for wdw in windows:
+                by_len.setdefault(wdw[2], []).append(wdw)
 
-        sums = np.zeros(3)
-        n_seen = 0
-        batch = 0
-        for wl in sorted(by_len):
-            group = by_len[wl]
-            for start in range(0, len(group), cfg.batch_size):
-                batch += 1
-                chunk = group[start:start + cfg.batch_size]
-                feats = np.stack([prepared[ci][0][o:o + wl] for ci, o, _ in chunk])
-                plate = np.stack([prepared[ci][1][o:o + wl] for ci, o, _ in chunk])
-                valid = np.stack([prepared[ci][2][o:o + wl] for ci, o, _ in chunk])
-                phys = np.stack([prepared[ci][3][o:o + wl] for ci, o, _ in chunk])
-                loss, t1, t2, grads = net.loss_and_grads(
-                    feats, plate, valid, phys, cfg.lambda1, cfg.lambda2
-                )
-                if not math.isfinite(loss):
-                    raise ValidationError(
-                        f"non-finite training loss ({loss}) at epoch {epoch}, batch {batch}"
+            sums = np.zeros(3)
+            n_seen = 0
+            batch = 0
+            for wl in sorted(by_len):
+                group = by_len[wl]
+                for start in range(0, len(group), cfg.batch_size):
+                    batch += 1
+                    chunk = group[start:start + cfg.batch_size]
+                    feats = np.stack([prepared[ci][0][o:o + wl] for ci, o, _ in chunk])
+                    plate = np.stack([prepared[ci][1][o:o + wl] for ci, o, _ in chunk])
+                    valid = np.stack([prepared[ci][2][o:o + wl] for ci, o, _ in chunk])
+                    phys = np.stack([prepared[ci][3][o:o + wl] for ci, o, _ in chunk])
+                    loss, t1, t2, grads = net.loss_and_grads(
+                        feats, plate, valid, phys, cfg.lambda1, cfg.lambda2
                     )
-                adam.step(net.parameters(), grads)
-                sums += np.array([loss, t1, t2]) * len(chunk)
-                n_seen += len(chunk)
-        train_loss, term1, term2 = (sums / max(n_seen, 1)).tolist()
+                    if not math.isfinite(loss):
+                        raise ValidationError(
+                            f"non-finite training loss ({loss}) at epoch {epoch}, batch {batch}"
+                        )
+                    adam.step(net.parameters(), grads)
+                    sums += np.array([loss, t1, t2]) * len(chunk)
+                    n_seen += len(chunk)
+            train_loss, term1, term2 = (sums / max(n_seen, 1)).tolist()
 
-        if test_set:
-            scores = np.array(
-                [
-                    evaluate_prediction(e.clip, e.plate, net.forward(e.clip.features).forces, gravity)
-                    for e in test_set
-                ]
+            if test_set:
+                scores = np.array(
+                    [
+                        evaluate_prediction(e.clip, e.plate, net.forward(e.clip.features).forces, gravity)
+                        for e in test_set
+                    ]
+                )
+                vgrf_l, vgrf_r, test_vrpe = scores.mean(axis=0).tolist()
+            else:
+                vgrf_l = vgrf_r = test_vrpe = float("nan")
+            log.append(
+                TrainLogRow(epoch, train_loss, term1, term2, vgrf_l, vgrf_r, test_vrpe)
             )
-            vgrf_l, vgrf_r, test_vrpe = scores.mean(axis=0).tolist()
-        else:
-            vgrf_l = vgrf_r = test_vrpe = float("nan")
-        log.append(
-            TrainLogRow(epoch, train_loss, term1, term2, vgrf_l, vgrf_r, test_vrpe)
-        )
     net._ws.clear()  # a returned net holds no training-sized buffers
     return net, log
 

@@ -38,12 +38,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    LengthMismatchError,
-    ParseError,
-    UnitError,
-    ValidationError,
-)
+from .errors import POSITIVE, LengthMismatchError, ParseError, UnitError, ValidationError
+from .errors import check_range
 
 STANDARD_GRAVITY = 9.81  # m/s^2, used for body-weight normalization
 
@@ -157,13 +153,12 @@ class GravitySpec:
     def __post_init__(self):
         g = _readonly(np.asarray(self.g_accel, dtype=float).reshape(3))
         object.__setattr__(self, "g_accel", g)
-        mag = float(np.linalg.norm(g))
-        if not (0.0 < mag < 20.0):
-            raise UnitError(f"gravity magnitude {mag:.3g} m/s^2 outside (0, 20)")
+        bounds = (math.ulp(0.0), 20.0, "in (0, 20) m/s^2")
+        check_range("gravity magnitude", self.magnitude, bounds, UnitError)
 
     @property
     def magnitude(self) -> float:
-        return float(np.linalg.norm(self.g_accel))
+        return math.hypot(*self.g_accel)  # no overflow, so no warning, for huge components
 
 
 @dataclass(frozen=True)
@@ -187,11 +182,8 @@ class MotionClip:
             value = getattr(self, name)
             if not (isinstance(value, str) and _SAFE_NAME.fullmatch(value)):
                 raise ValidationError(f"{name} must match [A-Za-z0-9._-]+, got {value!r}")
-        # written "not (0 < x < inf)" so that NaN is rejected too
-        if not (0 < self.frame_rate < math.inf):
-            raise UnitError(f"frame_rate must be finite and > 0, got {self.frame_rate}")
-        if not (0 < self.mass < math.inf):
-            raise UnitError(f"mass must be finite and > 0, got {self.mass}")
+        check_range("frame_rate", self.frame_rate, POSITIVE, UnitError)
+        check_range("mass", self.mass, POSITIVE, UnitError)
         pos = np.asarray(self.root_positions, dtype=float)
         feat = np.asarray(self.features, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3:
@@ -445,8 +437,7 @@ def load_force_plate(
         contact[:, f] = data[:, base + 5] != 0.0
 
     if force_unit == "newton":
-        if mass is None or not (0 < mass < math.inf):
-            raise UnitError("newton-valued plate file needs a finite, positive subject mass")
+        check_range("mass of a newton-valued plate file", mass, POSITIVE, UnitError)
         force = to_bodyweight(force, mass)
     elif force_unit != "bodyweight":
         raise UnitError(f"unknown force unit {force_unit!r}")

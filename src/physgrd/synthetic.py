@@ -25,13 +25,12 @@ MAX_FRAMES frames.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dynamics import _integrate, _pd_law, _raise_if_diverged, euler_step
-from .errors import ValidationError
+from .errors import FINITE, NON_NEGATIVE, POSITIVE, ValidationError, check_int, check_range
 from .motion_data import (
     Dataset,
     DatasetEntry,
@@ -63,34 +62,32 @@ _KIND_DEFAULTS = {
     "ballistic": {"x0": (0.0, 0.0, 2.0), "v0": (0.0, 0.0, 0.0)},
     "spring_tracked": {"kp": 50.0, "kd": 6.0, "base_height": 1.0, "jitter": 0.0},
 }
+PARAMS = frozenset(_COMMON_DEFAULTS).union(*_KIND_DEFAULTS.values())  # every parameter name
 
 MAX_FRAMES = 1_000_000  # duration x frame rate of one clip: under 3 h at 100 Hz
 
-# (lo, hi, wording) of the check "lo <= x < hi", which NaN fails
-_POSITIVE = (math.ulp(0.0), math.inf, "finite and > 0")
-_NON_NEGATIVE = (0.0, math.inf, "finite and >= 0")
-_FINITE = (-sys.float_info.max, math.inf, "finite")
+# the bounds of errors.check_range for each numeric parameter
 _PARAM_RANGES = {
-    "mass": _POSITIVE,
-    "frame_rate": _POSITIVE,
-    "duration": _POSITIVE,
+    "mass": POSITIVE,
+    "frame_rate": POSITIVE,
+    "duration": POSITIVE,
     "missing_lead": (0.0, 1.0, "in [0, 1)"),
-    "plate_noise": _NON_NEGATIVE,
-    "freq": _POSITIVE,
+    "plate_noise": NON_NEGATIVE,
+    "freq": POSITIVE,
     "amplitude": (0.0, math.nextafter(1.0, 2.0), "in [0, 1]"),
     "contact_fraction": (math.ulp(0.0), 1.0, "in (0, 1)"),
-    "base_height": _FINITE,
+    "base_height": FINITE,
     # keeps every jittered factor 1 + jitter * (u - 0.5), u in [0, 1), positive
     "jitter": (0.0, 2.0, "in [0, 2)"),
-    "speed": _NON_NEGATIVE,
-    "step_freq": _POSITIVE,
-    "bob_amplitude": _FINITE,
-    "sway_amplitude": _FINITE,
-    "ramp_time": _FINITE,
-    "x0": _FINITE,
-    "v0": _FINITE,
-    "kp": _NON_NEGATIVE,
-    "kd": _NON_NEGATIVE,
+    "speed": NON_NEGATIVE,
+    "step_freq": POSITIVE,
+    "bob_amplitude": FINITE,
+    "sway_amplitude": FINITE,
+    "ramp_time": FINITE,
+    "x0": FINITE,
+    "v0": FINITE,
+    "kp": NON_NEGATIVE,
+    "kd": NON_NEGATIVE,
 }
 
 
@@ -107,9 +104,7 @@ def _merge_params(kind: str, params: Mapping | None) -> dict:
         merged["motion_label"] = kind
     for key, value in merged.items():
         if key in _PARAM_RANGES:
-            lo, hi, wording = _PARAM_RANGES[key]
-            if not all(lo <= x < hi for x in np.ravel(value)):
-                raise ValidationError(f"{key} must be {wording}, got {value}")
+            check_range(key, value, _PARAM_RANGES[key])
     for start, end in merged["missing_spans"]:
         if not (0.0 <= start <= end <= 1.0):
             raise ValidationError(f"bad missing span ({start}, {end})")
@@ -338,6 +333,7 @@ def gen_synthetic(
     output.
     """
     p = _merge_params(kind, params)
+    check_int("seed", seed, lo=0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     g = GravitySpec().magnitude
     builder = {
@@ -346,7 +342,8 @@ def gen_synthetic(
         "ballistic": _gen_ballistic,
         "spring_tracked": _gen_spring_tracked,
     }[kind]
-    return builder(p, rng, g)
+    with np.errstate(over="ignore", invalid="ignore"):  # MotionClip rejects a non-finite clip
+        return builder(p, rng, g)
 
 
 def make_dataset(
@@ -363,8 +360,9 @@ def make_dataset(
     base_params apply to every clip (per-kind keys are filtered to the kinds
     that accept them).
     """
-    if n_subjects < 1:
-        raise ValidationError("need at least one subject")
+    check_int("n_subjects", n_subjects)
+    check_int("clips_per_subject", clips_per_subject)
+    check_int("seed", seed, lo=0)
     entries: list[DatasetEntry] = []
     base_params = dict(base_params or {})
     for si in range(n_subjects):

@@ -1,10 +1,13 @@
-"""Fuzzing the CLI's input boundary with truncated and byte-mutated files.
+"""Fuzzing the CLI's input boundary with truncated and byte-mutated files,
+and with extreme values of every numeric flag.
 
 Whatever a gains file, manifest or prediction CSV holds, a command must
 either succeed or fail with exit code 1 and one ``physgrd: error:`` line;
-an exception escaping ``main`` is the traceback a user would see.
+an exception escaping ``main`` is the traceback a user would see. A numeric
+flag may also fail as a usage error (exit code 2, one line).
 """
 
+import argparse
 import contextlib
 import io
 import shutil
@@ -16,8 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physgrd.cli import main
-from physgrd.grf_model import Prediction, write_prediction_csv
+from physgrd import synthetic
+from physgrd.cli import build_parser, main
+from physgrd.grf_model import (
+    Prediction,
+    TemporalConvNet,
+    TrainConfig,
+    save_checkpoint,
+    write_prediction_csv,
+)
 from physgrd.motion_data import entry_stems, load_manifest
 
 # bytes that JSON and CSV care about, plus any byte at all (not all UTF-8)
@@ -115,3 +125,66 @@ def test_undecodable_input_exits_cleanly(valid_files, target, tmp_path, capsys):
     assert main(argv + out) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("physgrd: error: "), err
+
+
+_SUBCOMMANDS = next(
+    a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "1e308", str(2**63)]
+# counts whose huge values are valid, long runs: only their invalid values are drawn
+_LONG_RUN_COUNTS = {("gen", "--subjects"), ("gen", "--clips"), ("train", "--epochs")}
+
+
+def _numeric_flags(command: str) -> list[str]:
+    return [a.option_strings[0] for a in _SUBCOMMANDS[command]._actions
+            if a.type in (float, int)]
+
+
+@pytest.fixture(scope="module")
+def command_argv(valid_files):
+    """Each subcommand's argv on the module's tiny inputs, less --out-dir."""
+    data = valid_files / "data"
+    manifest = str(data / "manifest.json")
+    ds = load_manifest(manifest)
+    clip = str(data / f"{entry_stems(ds)[0]}_clip.csv")
+    ckpt = valid_files / "checkpoint.json"
+    cfg = TrainConfig(conv_channels=(4, 4, 4, 4), fc_widths=(4, 4))
+    net = TemporalConvNet(ds.clips()[0].feature_width, cfg.conv_channels, cfg.fc_widths)
+    save_checkpoint(net, cfg, ckpt)
+    return {
+        "gen": ["gen", "--kind", ",".join(synthetic.KINDS), "--duration", "0.3"],
+        "calibrate": ["calibrate", "--manifest", manifest, "--kp", "70", "--kd", "3"],
+        "simulate": ["simulate", "--clip", clip],
+        "train": ["train", "--manifest", manifest, "--epochs", "1", "--batch-size", "4",
+                  "--window-len", "16", "--conv-channels", "4,4,4,4", "--fc-widths", "4,4"],
+        "predict": ["predict", "--manifest", manifest, "--checkpoint", str(ckpt)],
+        "metrics": ["metrics", "--manifest", manifest, "--pred-dir", str(valid_files / "pred")],
+        "plot": ["plot", "--clip", clip],
+    }
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_extreme_numeric_flag_exits_cleanly(command_argv, command, data):
+    flag = data.draw(st.sampled_from(_numeric_flags(command)), label="flag")
+    values = ["0", "-1"] if (command, flag) in _LONG_RUN_COUNTS else _NUMBERS
+    value = data.draw(st.sampled_from(values), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main([*command_argv[command], f"{flag}={value}", "--out-dir", tmp])
+            except SystemExit as exc:  # a usage error
+                code = exc.code
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2) and len(lines) == (code != 0), (code, lines)
+    if code:
+        assert lines[0].startswith("physgrd: error: " if code == 1 else "physgrd: usage-error: ")
+
+
+def test_every_gen_option_sets_a_generator_parameter():
+    # cmd_gen forwards the flags whose dest names a generator parameter, so a
+    # flag with any other dest would be dropped without a word
+    dests = {a.dest for a in _SUBCOMMANDS["gen"]._actions if a.option_strings}
+    assert dests - {"help", "kind", "subjects", "clips", "seed", "out_dir"} <= synthetic.PARAMS

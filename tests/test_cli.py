@@ -366,7 +366,7 @@ class TestTrainPredictMetrics:
         ) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [
-            "physgrd: error: ValidationError: learning_rate must be finite and positive"
+            "physgrd: error: ValidationError: learning_rate must be finite and positive, got nan"
         ]
 
     def test_missing_prediction_is_runtime_error(self, tmp_path):
@@ -393,7 +393,11 @@ class TestTrainPredictMetrics:
         lambda doc: {**doc, "fc_layers": [{"weights": "AAA", "bias": "AAA"}] * 3},
         lambda doc: {**doc, "train_config": {**doc["train_config"], "epochs": float("nan"),
                                               "window_len": 2.5}},
-    ], ids=["json-list", "no-keys", "empty-train-config", "bad-base64", "non-integer-counts"])
+        lambda doc: {**doc, "train_config": {**doc["train_config"], "seed": float("nan")}},
+        lambda doc: {**doc, "train_config": {**doc["train_config"],
+                                              "conv_channels": [6.5, 6, 6, 6]}},
+    ], ids=["json-list", "no-keys", "empty-train-config", "bad-base64", "non-integer-counts",
+            "seed-nan", "fractional-width"])
     def test_malformed_checkpoint_is_runtime_error(self, tmp_path, capsys, edit):
         manifest = gen_small(tmp_path / "data", kind="walk", subjects=1, duration=1.0)
         width = load_manifest(manifest).entries[0].clip.feature_width
@@ -429,6 +433,43 @@ class TestTrainPredictMetrics:
             last = (out / "train_log.csv").read_text().splitlines()[-1]
             scores[lam2] = float(last.split(",")[-1])
         assert scores["0.005"] <= scores["0"]
+
+
+class TestNumericFlags:
+    """Out-of-range and overflowing numbers exit 1 with one line."""
+
+    def one_error_line(self, capsys, argv, prefix):
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"physgrd: error: {prefix}"), err
+
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_negative_seed(self, tmp_path, capsys, command):
+        if command == "gen":
+            argv = ["gen", "--kind", "hop"]
+        else:
+            argv = ["train", "--manifest", gen_small(tmp_path / "data")]
+        self.one_error_line(capsys, [*argv, "--seed=-1", "--out-dir", tmp_path / "out"],
+                            "ValidationError: seed must be an integer >= 0")
+
+    @pytest.mark.parametrize("command", ["calibrate", "simulate", "train", "metrics", "plot"])
+    def test_overflowing_gravity(self, tmp_path, capsys, command):
+        manifest = gen_small(tmp_path / "data")
+        inputs = {
+            "metrics": ["--manifest", manifest, "--pred-dir", tmp_path / "pred"],
+            "plot": ["--clip", tmp_path / "data" / "S1_hop_000_clip.csv"],
+        }.get(command, ["--manifest", manifest])
+        argv = [command, *inputs, "--gravity-z", "1e155", "--out-dir", tmp_path / "out"]
+        self.one_error_line(capsys, argv, "UnitError: gravity magnitude")
+
+    @pytest.mark.parametrize("flag", ["--learning-rate", "--lambda1", "--lambda2"])
+    def test_overflowing_training_weight(self, tmp_path, capsys, flag):
+        manifest = gen_small(tmp_path / "data", kind="walk", duration=1.0)
+        argv = ["train", "--manifest", manifest, flag, "1e308", "--epochs", "1",
+                "--window-len", "16", "--conv-channels", "4,4,4,4", "--fc-widths", "4,4",
+                "--out-dir", tmp_path / "out"]
+        self.one_error_line(capsys, argv, "ValidationError: non-finite")
 
 
 class TestPlot:

@@ -55,7 +55,7 @@ class TestPDForce:
     def test_negative_gains_rejected(self):
         with pytest.raises(UnitError):
             PDGains(-1, 0)
-        for bad in ((np.nan, 0), (0, np.nan), (np.inf, 0), (0, np.inf)):
+        for bad in ((np.nan, 0), (0, np.nan), (np.inf, 0), (0, np.inf), (None, 0), ("70", 3)):
             with pytest.raises(UnitError):
                 PDGains(*bad)
 
@@ -91,7 +91,7 @@ class TestEulerStep:
     def test_bad_dt(self):
         with pytest.raises(UnitError):
             euler_step(np.zeros(3), np.zeros(3), np.zeros(3), GravitySpec(), 0.0)
-        for bad in (np.nan, np.inf, -0.01):
+        for bad in (np.nan, np.inf, -0.01, None, "0.01"):
             with pytest.raises(UnitError):
                 euler_step(np.zeros(3), np.zeros(3), np.zeros(3), GravitySpec(), bad)
 

@@ -165,6 +165,13 @@ class TestMakeDataset:
                            base_params={"duration": 0.5, "mass": 72.0})
         assert {e.clip.mass for e in ds2} == {72.0}
 
+    @pytest.mark.parametrize("counts, seed", [
+        ((2, 0), 0), ((2, -1), 0), ((2.5, 1), 0), ((2, 1), -1), ((2, 1), np.nan),
+    ], ids=["no-clips", "negative-clips", "fractional-subjects", "negative-seed", "nan-seed"])
+    def test_bad_counts_and_seeds_rejected(self, counts, seed):
+        with pytest.raises(ValidationError):
+            make_dataset(["hop"], *counts, seed=seed, base_params={"duration": 0.5})
+
     def test_unknown_param_rejected(self):
         with pytest.raises(ValidationError):
             gen_synthetic("hop", {"wavelength": 3}, seed=0)
