@@ -74,8 +74,9 @@ def check_range(name: str, value, bounds: tuple, error: type = ValidationError) 
         raise error(f"{name} must be {wording}, got {value!r}")
 
 
-def check_int(name: str, value, lo: int = 1, error: type = ValidationError) -> int:
-    """Return value as an int if it is an integer (not a bool) >= lo; raise error otherwise."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= lo):
-        raise error(f"{name} must be an integer >= {lo}, got {value!r}")
+def check_int(name: str, value, lo: int = 1, hi: float = math.inf) -> int:
+    """Return value as an int if it is an integer, not a bool, in [lo, hi]; raise otherwise."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and lo <= value <= hi):
+        upper = "" if hi == math.inf else f" and <= {hi}"
+        raise ValidationError(f"{name} must be an integer >= {lo}{upper}, got {value!r}")
     return int(value)

@@ -62,6 +62,7 @@ from .motion_data import _write_table
 KERNEL = 7
 PAD = KERNEL // 2
 OUT_WIDTH = 6  # two feet x three force components
+MAX_WIDTH = 1024  # widest layer, input included: one 1024x1024 conv weight is 59 MB
 CHECKPOINT_VERSION = 1
 
 
@@ -107,14 +108,13 @@ class TrainConfig:
         for name, lo in (("epochs", 1), ("batch_size", 1), ("window_len", 1), ("seed", 0)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
         for name in ("conv_channels", "fc_widths"):
-            object.__setattr__(self, name, tuple(check_int(name, w) for w in getattr(self, name)))
+            widths = tuple(check_int(name, w, 1, MAX_WIDTH) for w in getattr(self, name))
+            object.__setattr__(self, name, widths)
         check_range("learning_rate", self.learning_rate, POSITIVE)
         check_range("lambda1", self.lambda1, NON_NEGATIVE)
         check_range("lambda2", self.lambda2, NON_NEGATIVE)
-        if len(self.conv_channels) != 4:
-            raise ValidationError("the network has exactly four conv layers")
-        if len(self.fc_widths) != 2:
-            raise ValidationError("the network has exactly three FC layers (two hidden widths)")
+        if len(self.conv_channels) != 4 or len(self.fc_widths) != 2:
+            raise ValidationError("architecture is fixed at four conv and three FC layers")
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,10 @@ class TemporalConvNet:
             raise ValidationError("architecture is fixed at four conv and three FC layers")
         seed = check_int("seed", seed, lo=0)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E7)))
-        self.input_width = check_int("input_width", input_width)
-        self.conv_channels = tuple(check_int("conv_channels", c) for c in conv_channels)
-        self.fc_widths = tuple(check_int("fc_widths", w) for w in fc_widths)
+        self.input_width = check_int("input_width", input_width, 1, MAX_WIDTH)
+        self.conv_channels = tuple(check_int("conv_channels", c, 1, MAX_WIDTH)
+                                   for c in conv_channels)
+        self.fc_widths = tuple(check_int("fc_widths", w, 1, MAX_WIDTH) for w in fc_widths)
 
         self.conv: list[list[np.ndarray]] = []
         in_ch = self.input_width

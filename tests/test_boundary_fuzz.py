@@ -135,9 +135,17 @@ _NUMBERS = ["nan", "inf", "-inf", "0", "-1", "1e308", str(2**63)]
 _LONG_RUN_COUNTS = {("gen", "--subjects"), ("gen", "--clips"), ("train", "--epochs")}
 
 
-def _numeric_flags(command: str) -> list[str]:
-    return [a.option_strings[0] for a in _SUBCOMMANDS[command]._actions
-            if a.type in (float, int)]
+# a list flag's drawn value goes in its first item, the other items valid
+_LIST_FLAGS = {"--x0": "{},0,1", "--v0": "{},0,0", "--kp-values": "{}", "--kd-values": "{}",
+               "--extra-cell": "{},3", "--conv-channels": "{},4,4,4", "--fc-widths": "{},4"}
+
+
+def _numeric_flags(command: str) -> dict[str, str]:
+    """Each flag of command that takes numbers, with the text a drawn value
+    fills; a list flag missing from _LIST_FLAGS is a KeyError, not skipped."""
+    return {flag: "{}" if a.type in (float, int) else _LIST_FLAGS[flag]
+            for a in _SUBCOMMANDS[command]._actions if a.type is not None
+            for flag in a.option_strings[:1]}
 
 
 @pytest.fixture(scope="module")
@@ -167,9 +175,10 @@ def command_argv(valid_files):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_extreme_numeric_flag_exits_cleanly(command_argv, command, data):
-    flag = data.draw(st.sampled_from(_numeric_flags(command)), label="flag")
+    flags = _numeric_flags(command)
+    flag = data.draw(st.sampled_from(sorted(flags)), label="flag")
     values = ["0", "-1"] if (command, flag) in _LONG_RUN_COUNTS else _NUMBERS
-    value = data.draw(st.sampled_from(values), label="value")
+    value = flags[flag].format(data.draw(st.sampled_from(values), label="value"))
     with tempfile.TemporaryDirectory() as tmp:
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):

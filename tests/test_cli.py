@@ -471,6 +471,12 @@ class TestNumericFlags:
                 "--out-dir", tmp_path / "out"]
         self.one_error_line(capsys, argv, "ValidationError: non-finite")
 
+    def test_oversized_width_fails_before_allocating(self, tmp_path, capsys):
+        argv = ["train", "--manifest", gen_small(tmp_path / "data"),
+                "--conv-channels", f"{2**63},4,4,4", "--out-dir", tmp_path / "out"]
+        self.one_error_line(capsys, argv,
+                            "ValidationError: conv_channels must be an integer >= 1 and <= 1024")
+
 
 class TestPlot:
     def test_svg_outputs_with_gaps(self, tmp_path):

@@ -10,6 +10,7 @@ import conv_reference
 from finite_difference import gradient_check
 from physgrd.errors import CheckpointError, ValidationError
 from physgrd.grf_model import (
+    MAX_WIDTH,
     Adam,
     Prediction,
     TemporalConvNet,
@@ -491,18 +492,21 @@ class TestTrainConfig:
         for bad in ({"seed": np.nan}, {"seed": 2.5}, {"seed": -1}, {"seed": True},
                     {"conv_channels": (6.5, 6, 6, 6)}, {"fc_widths": (8.9, 6)},
                     {"fc_widths": (8, True)}, {"conv_channels": ("6", 6, 6, 6)},
-                    {"conv_channels": (np.nan, 6, 6, 6)}, {"fc_widths": (8, 0)}):
+                    {"conv_channels": (np.nan, 6, 6, 6)}, {"fc_widths": (8, 0)},
+                    {"conv_channels": (MAX_WIDTH + 1, 6, 6, 6)}, {"fc_widths": (8, 2**63)}):
             with pytest.raises(ValidationError):
                 TrainConfig(**bad)
         cfg = TrainConfig(epochs=np.int64(2), seed=np.int64(1),
                           conv_channels=np.array([6, 6, 6, 6]), fc_widths=(np.int64(8), 6))
         json.dumps(dataclasses.asdict(cfg))  # numpy ints are stored as ints
+        assert TrainConfig(conv_channels=(MAX_WIDTH,) * 4).conv_channels == (1024,) * 4
 
     def test_net_rejects_non_integer_widths_and_seeds(self):
         TemporalConvNet(7, **TOY, seed=np.int64(3))
         for args, kwargs in (((2.5,), {}), ((0,), {}), ((7,), {"seed": -1}),
                              ((7,), {"seed": 2.5}), ((7,), {"seed": np.nan}),
                              ((7, (6, 0, 6, 6)), {}), ((7, (6.5, 6, 6, 6)), {}),
-                             ((7, (6, 6, 6, 6), (8, 2.5)), {})):
+                             ((7, (6, 6, 6, 6), (8, 2.5)), {}), ((MAX_WIDTH + 1,), {}),
+                             ((7, (6, 6, 6, 2**63)), {})):
             with pytest.raises(ValidationError):
                 TemporalConvNet(*args, **kwargs)
