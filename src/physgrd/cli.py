@@ -20,7 +20,7 @@ from . import calibration, grf_model, metrics, svgplot, synthetic
 from .dynamics import (
     GravitySpec,
     PDGains,
-    physics_force_series,
+    _frame_forces,
     simulate,
     to_bodyweight,
     write_sim_csv,
@@ -288,7 +288,7 @@ def cmd_plot(args, parser) -> int:
         )
     sim = simulate(clip, gains, gravity, args.mode)
     traj_series.append(svgplot.LineSeries("simulated z", t, sim.positions[:, 2]))
-    phys_bw = to_bodyweight(physics_force_series(clip, gains, gravity, args.mode))
+    phys_bw = to_bodyweight(_frame_forces(sim))
     force_series.append(svgplot.LineSeries("physics vGRF", t, phys_bw[:, 2]))
     if args.pred:
         pred = grf_model.load_prediction_csv(args.pred)

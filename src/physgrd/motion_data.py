@@ -21,10 +21,13 @@ Manifest      JSON ``{"subjects": [{"id", "mass_kg", "clips": [...]}]}``;
 Every numeric CSV (clip, plate, prediction, simulation) goes through one row
 codec, ``_write_rows``/``_read_rows``: cells are the shortest round-tripping
 ``repr`` of each float (``NaN`` for NaN), byte-identical to formatting cell
-by cell with ``_fmt``, and are read back with Python's ``float``, so every
-file reads back to the same bits. Every text table (reports, logs, run
-summaries, plot sidecars) goes through ``_write_table``, which writes floats
-the same way, so a missing value is ``NaN`` there too.
+by cell with ``_fmt``, so every file reads back to the same bits. Cells are
+read in bulk with ``np.loadtxt``, which gives the bits Python's ``float``
+gives. Only a body the bulk parse rejects goes through the row scanner,
+which takes what ``float`` takes and names the bad row or cell. Every text
+table (reports, logs, run summaries, plot sidecars) goes through
+``_write_table``, which writes floats the same way, so a missing value is
+``NaN`` there too.
 """
 
 from __future__ import annotations
@@ -95,8 +98,29 @@ def _parse_float(text: str, row: int, col: str) -> float:
 def _read_rows(path: Path, lines: Sequence[str], header: Sequence[str]) -> np.ndarray:
     """Parse the lines after the header into a (rows, len(header)) array.
 
+    The body is parsed in one ``np.loadtxt`` call, which reads a cell
+    through the same C routine as Python's ``float`` and so gives the same
+    bits. A body it rejects (a bad cell or row, or a spelling only ``float``
+    takes, such as ``1_0``) goes to the row scanner ``_scan_rows``.
+    """
+    body = lines[1:]
+    # loadtxt warns on a body with no data; the scanner names that error
+    if any(map(str.strip, body)):
+        try:
+            data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if data.shape[1] == len(header):
+                return data
+    return _scan_rows(path, lines, header)
+
+
+def _scan_rows(path: Path, lines: Sequence[str], header: Sequence[str]) -> np.ndarray:
+    """``_read_rows`` one row at a time, cells parsed with Python's ``float``.
+
     Blank lines are skipped, but error messages number rows by their line
-    after the header. Cells are parsed with Python's ``float``.
+    after the header.
     """
     n = len(header)
     out = np.empty((len(lines) - 1, n))
@@ -412,6 +436,9 @@ def load_force_plate(
 ) -> ForcePlateRecord:
     """Load a plate CSV; NaN force components mark missing rows.
 
+    An infinite force or CoP cell raises ValidationError naming its row and
+    column.
+
     force_unit="newton" converts to body weights at ingestion, which needs
     the subject mass.
     """
@@ -425,6 +452,13 @@ def load_force_plate(
         raise ParseError(f"{path}: bad plate header {header[:4]}...")
 
     data = _read_rows(path, lines, expected)
+    measured = [c for c in range(1, len(expected)) if c % _PLATE_FOOT_COLS]
+    bad = np.argwhere(np.isinf(data[:, measured]))
+    if len(bad):
+        r, c = bad[0]
+        raise ValidationError(
+            f"row {int(r) + 1}: infinite value in column {expected[measured[int(c)]]!r}"
+        )
 
     T = len(data)
     force = np.empty((T, 2, 3))

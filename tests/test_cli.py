@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from physgrd import metrics
+from physgrd import metrics, svgplot
 from physgrd.cli import main
-from physgrd.dynamics import PDGains, simulate
+from physgrd.dynamics import PDGains, physics_force_series, simulate, to_bodyweight
 from physgrd.grf_model import (
     Prediction,
     TemporalConvNet,
@@ -17,7 +17,7 @@ from physgrd.grf_model import (
     save_checkpoint,
     write_prediction_csv,
 )
-from physgrd.motion_data import entry_stems, load_manifest
+from physgrd.motion_data import entry_stems, load_clip_csv, load_manifest
 
 
 def run(*argv):
@@ -182,6 +182,20 @@ class TestCalibrate:
         assert run("calibrate", "--manifest", manifest, "--out-dir", tmp_path / "calib") == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("physgrd: error: ParseError: ")
+
+    def test_infinite_plate_cell_is_runtime_error(self, tmp_path, capsys):
+        manifest = gen_small(tmp_path / "data")
+        plate = tmp_path / "data" / "S2_hop_000_plate.csv"
+        lines = plate.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[3] = "inf"  # L_fz
+        lines[3] = ",".join(cells)
+        plate.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("calibrate", "--manifest", manifest, "--out-dir", tmp_path / "calib") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["physgrd: error: ValidationError: row 3: infinite value in column 'L_fz'"]
+        assert not (tmp_path / "calib").exists()
 
 
 class TestSimulate:
@@ -505,6 +519,22 @@ class TestPlot:
             "--out-dir", tmp_path / "plots",
         ) == 0
         assert (tmp_path / "plots" / "trajectory.svg").exists()
+
+    @pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])
+    def test_physics_series_is_the_standalone_series(self, tmp_path, mode):
+        """The force plot's bytes are those drawn from ``physics_force_series``."""
+        gen_small(tmp_path / "data", kind="walk", subjects=1, duration=1.0)
+        clip_path = tmp_path / "data" / "S1_walk_000_clip.csv"
+        assert run("plot", "--clip", clip_path, "--kp", "50", "--kd", "4", "--mode", mode,
+                   "--out-dir", tmp_path / "plots") == 0
+        clip = load_clip_csv(clip_path)
+        phys_bw = to_bodyweight(physics_force_series(clip, PDGains(50.0, 4.0), mode=mode))
+        series = [svgplot.LineSeries("physics vGRF", clip.times, phys_bw[:, 2])]
+        svgplot.write_svg(series, tmp_path / "force.svg",
+                          title="vertical reaction force", ylabel="force [BW]")
+        svgplot.write_series_csv(series, tmp_path / "force.csv")
+        for name in ("force.svg", "force.csv"):
+            assert (tmp_path / "plots" / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_mismatched_plate_length_is_runtime_error(self, tmp_path):
         gen_small(tmp_path / "a", kind="walk", subjects=1, duration=1.0)

@@ -6,6 +6,7 @@ benchmark dataset and at edge values.
 """
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -272,3 +273,53 @@ def test_round_trip_random_matrix(data):
         expected = "".join(",".join(ref.fmt(v) for v in row) + "\n" for row in data)
         assert text == ",".join(header) + "\n" + expected
         assert same_bits(_read_rows(path, text.splitlines(), header), data)
+
+
+# cells float() takes that the bulk parse may not, junk neither takes, and
+# anything else a few characters long
+ODD_CELLS = ["1_0", " 1.5 ", "Infinity", "-nan", "١٢", "x", "", "0x1p3", "1d5", "1e", "  "]
+NUMBER = st.floats().map(repr)
+CELL = st.one_of(
+    NUMBER,
+    st.sampled_from(ODD_CELLS),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=","), max_size=3),
+)
+ROW = st.one_of(
+    st.lists(NUMBER, min_size=7, max_size=7),
+    st.lists(CELL, min_size=7, max_size=7),
+    st.lists(NUMBER, max_size=9),  # the wrong cell count, or a blank line
+    st.sampled_from([[" "], ["\t  "]]),
+).map(",".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ROW, max_size=5))
+def test_reader_matches_reference(rows):
+    """Same bits as the cell-by-cell reference, or a ParseError with the same text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        path.write_text(PRED_HEADER + "\n" + "\n".join(rows) + "\n")
+        lines = path.read_text().splitlines()
+        try:
+            expected = ref.read_rows(path)
+            if len(expected) == 0:
+                expected = f"{path}: no data rows"
+        except ParseError as exc:
+            expected = str(exc)
+        try:
+            got = _read_rows(path, lines, PRED_HEADER.split(","))
+        except ParseError as exc:
+            assert str(exc) == expected
+        else:
+            assert not isinstance(expected, str), expected
+            assert same_bits(got, expected)
+
+
+@pytest.mark.parametrize("body", ["\n\n\n", "\n   \n\t\n"], ids=["empty", "whitespace"])
+def test_blank_body_has_no_rows_and_no_warning(tmp_path, body):
+    path = tmp_path / "p.csv"
+    path.write_text(PRED_HEADER + "\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="no data rows"):
+            load_prediction_csv(path)

@@ -237,6 +237,21 @@ class TestForcePlate:
         with pytest.raises(UnitError):
             load_force_plate(path, force_unit="newton", mass=np.inf)
 
+    @pytest.mark.parametrize("value", ["inf", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("column", ["L_fz", "R_fx", "L_copy", "R_copx"])
+    def test_infinite_force_or_cop_names_row_and_column(self, tmp_path, column, value):
+        _, plate = gen_synthetic("hop", {"duration": 0.5}, seed=0)
+        path = tmp_path / "p.csv"
+        write_force_plate(plate, path, 100.0)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as exc:
+            load_force_plate(path)
+        assert str(exc.value) == f"row 2: infinite value in column '{column}'"
+
 
 class TestManifest:
     def test_round_trip_two_subjects(self, tmp_path):
