@@ -10,10 +10,13 @@ excluded from the argmin but recorded in the report.
 
 All clips of equal length and frame rate form one bucket, simulated with
 every cell of every clip in one batch: both modes make one Python step per
-frame of a bucket. A bucket is scored while it is simulated, one leaf of
-numpy's pairwise sum (at most 128 frames) at a time, so the memory it needs
-is (clips, cells, 128) floats whatever the clip length, and its scores are
-bit for bit those of np.mean over the whole clip.
+frame of a bucket. The batch state is (3, clips, cells), component axis
+first (dynamics._pd_steps), so each step's operations run over the cells
+in contiguous inner loops, and it is stepped in place. A bucket is scored
+while it is simulated, one leaf of numpy's pairwise sum (at most 128
+frames) at a time, so the memory it needs is (clips, cells, 128) floats
+whatever the clip length, and its scores are bit for bit those of np.mean
+over the whole clip.
 """
 
 from __future__ import annotations
@@ -99,26 +102,27 @@ def _leaf_heights(
     """Yield simulated root heights, (clips, cells, stop - start), for each
     range of metrics.pairwise_leaves(T) in turn, in one reused buffer.
 
-    ref holds the clips' root positions, (T, clips, 3). The state is
-    (clips, cells, 3); every element sees the arithmetic of a single clip
-    and cell simulated alone. Frame 0 is the start state; each later frame
-    is one _pd_steps step, from the simulated state (closed loop) or the
-    mocap state (open loop). peak keeps the elementwise max of |pos| over
-    the steps.
+    ref holds the clips' root positions, (T, 3, clips). The state is
+    (3, clips, cells), component axis first, so each step's operations run
+    over the cells contiguously; every element sees the arithmetic of a
+    single clip and cell simulated alone. Frame 0 is the start state; each
+    later frame is one _pd_steps step, from the simulated state (closed loop)
+    or the mocap state (open loop). peak, (3, clips, cells), keeps the
+    elementwise max of |pos| over the steps.
     """
     T, dt = len(ref), bucket[0].dt
-    buf = np.empty(peak.shape[:2] + (min(T, metrics.PAIRWISE_LEAF),))
+    buf = np.empty(peak.shape[1:] + (min(T, metrics.PAIRWISE_LEAF),))
     mocap_vel = None
     if mode == "open_loop":
-        mocap_vel = np.stack([finite_diff_velocity(c) for c in bucket], axis=1)[:, :, None]
-    steps = _pd_steps(ref[:, :, None], kp[:, None], kd[:, None], gravity, dt, mocap_vel)
+        mocap_vel = np.stack([finite_diff_velocity(c) for c in bucket], axis=2)[..., None]
+    steps = _pd_steps(ref[..., None], kp, kd, gravity, dt, mocap_vel)
     for start, stop in metrics.pairwise_leaves(T):
         heights = buf[..., :stop - start]
         first = max(start, 1)  # the first frame that is simulated
         if start == 0:
-            heights[..., 0] = ref[0, :, None, 2]
+            heights[..., 0] = ref[0, 2, :, None]
         for k, (_, pos) in zip(range(first - start, stop - start), steps):
-            heights[..., k] = pos[..., 2]
+            heights[..., k] = pos[2]
             np.maximum(peak, np.abs(pos), out=peak)
         yield heights
 
@@ -131,17 +135,18 @@ def _bucket_scores(
 
     The heights are scored as _leaf_heights simulates them (metrics.vrpe_leaves),
     so nothing of size clips x cells x T is allocated. Divergence is the
-    running max of |pos| reduced at the end; a diverged pair scores NaN.
+    running max of |pos| reduced over the components at the end; a diverged
+    pair scores NaN.
     """
     if mode not in ("closed_loop", "open_loop"):
         raise ValueError(f"unknown simulation mode {mode!r}")
-    ref = np.stack([c.root_positions for c in bucket], axis=1)  # (T, n, 3)
-    z_ref = np.moveaxis(ref[:, :, None, 2], 0, -1)  # (n, 1, T)
-    peak = np.zeros((len(bucket), len(kp), 3))
+    ref = np.stack([c.root_positions for c in bucket], axis=2)  # (T, 3, n)
+    z_ref = np.moveaxis(ref[:, 2, :, None], 0, -1)  # (n, 1, T)
+    peak = np.zeros((3, len(bucket), len(kp)))
     leaves = _leaf_heights(bucket, ref, kp, kd, gravity, mode, peak)
     with np.errstate(over="ignore", invalid="ignore"):
         scores = metrics.vrpe_leaves(z_ref, leaves)
-    diverged = ~(peak.max(axis=2) <= DIVERGENCE_LIMIT)
+    diverged = ~(peak.max(axis=0) <= DIVERGENCE_LIMIT)
     scores[diverged] = np.nan
     return scores.T, diverged.T
 

@@ -8,6 +8,12 @@ simulated gravity.
 
 The integrator is semi-implicit (symplectic) Euler: the velocity update
 precedes the position update.
+
+Every PD step, in simulate and in calibration's batched grid, runs through
+_pd_steps. Its states put the component axis first, (3, ...), so a batch of
+clips x cells steps as (3, clips, cells) with the cells innermost, and it
+steps preallocated arrays in place: what it yields is overwritten by the
+next step. The public (..., 3) functions are unaffected.
 """
 
 from __future__ import annotations
@@ -101,9 +107,25 @@ def pd_force(
     return _pd_law(gains.kp, gains.kd, target_next, current_pos, current_vel)
 
 
-def _pd_law(kp, kd, target, pos, vel):
-    """The PD law, for gains and states of any broadcastable shapes."""
-    return kp * (target - pos) - kd * vel
+def _pd_law(kp, kd, target, pos, vel, out=None, scratch=None):
+    """The PD law, for gains and states of any broadcastable shapes.
+
+    With out and scratch, both of the result's shape, the force is written
+    into out and nothing is allocated.
+    """
+    f = np.multiply(kp, np.subtract(target, pos, out=out), out=out)
+    return np.subtract(f, np.multiply(kd, vel, out=scratch), out=out)
+
+
+def _euler(pos: np.ndarray, vel: np.ndarray, f, g, dt: float, scratch: np.ndarray) -> None:
+    """One semi-implicit Euler step in place on pos and vel, through scratch.
+
+    acc = f - g;  vel += acc*dt;  pos += vel*dt
+    """
+    acc = np.subtract(f, g, out=scratch)
+    acc *= dt
+    vel += acc
+    pos += np.multiply(vel, dt, out=scratch)
 
 
 def euler_step(
@@ -116,37 +138,50 @@ def euler_step(
     """One semi-implicit Euler step: velocity first, then position.
 
     acc = f - g;  vel' = vel + acc*dt;  pos' = pos + vel'*dt
+
+    The inputs are left as they are; new arrays are returned.
     """
     check_range("dt", dt, POSITIVE, UnitError)
-    acc = np.asarray(normalized_force, dtype=float) - gravity.g_accel
-    new_vel = np.asarray(vel, dtype=float) + acc * dt
-    new_pos = np.asarray(pos, dtype=float) + new_vel * dt
-    return new_pos, new_vel
+    f = np.asarray(normalized_force, dtype=float)
+    shape = np.broadcast_shapes(np.shape(pos), np.shape(vel), f.shape, gravity.g_accel.shape)
+    pos = np.array(np.broadcast_to(pos, shape), dtype=float)
+    vel = np.array(np.broadcast_to(vel, shape), dtype=float)
+    _euler(pos, vel, f, gravity.g_accel, dt, np.empty(shape))
+    return pos, vel
 
 
 def _pd_steps(ref: np.ndarray, kp, kd, gravity: GravitySpec, dt: float, mocap_vel=None):
     """Yield (force, pos) after each PD step along ref.
 
-    The state starts at ref[0] at rest, and step t pulls toward ref[t+1]:
-    from the simulated state (closed loop), or, when mocap_vel is given,
-    from the mocap state (ref[t], mocap_vel[t]) (open loop). Its shape is
+    ref is (T, 3, ...): the component axis comes first. The state starts at
+    ref[0] at rest, and step t pulls toward ref[t+1]: from the simulated
+    state (closed loop), or, when mocap_vel (shaped like ref) is given, from
+    the mocap state (ref[t], mocap_vel[t]) (open loop). The state's shape is
     that of ref[0] broadcast with the gains: scalar gains on a (T, 3) ref
-    step a (3,) state; (B, 1) gain columns step B cells as a (B, 3) state; a
-    (T, n, 1, 3) ref of n clips, with a mocap_vel of the same shape, under
-    (B, 1) gains steps an (n, B, 3) state. Every element follows the scalar
-    arithmetic, and semi-implicit Euler per step equals _integrate's sums.
+    step a (3,) state; a (T, 3, n, 1) ref of n clips under (B,) gains steps
+    a (3, n, B) state, so every operation runs over the B cells in one
+    contiguous inner loop. Gravity is reshaped to (3, 1, ...) to match.
+
+    The state, force and scratch arrays are allocated once and stepped in
+    place, so the yielded force and pos are overwritten by the next step:
+    copy what must outlive it. Every element follows the scalar arithmetic,
+    and semi-implicit Euler per step equals _integrate's sums.
     """
-    pos = np.broadcast_to(ref[0], np.broadcast_shapes(np.shape(kp), ref[0].shape))
-    vel = np.zeros(pos.shape)
+    check_range("dt", dt, POSITIVE, UnitError)
+    shape = np.broadcast_shapes(np.shape(kp), np.shape(kd), ref[0].shape)
+    pos = np.array(np.broadcast_to(ref[0], shape), dtype=float)
+    vel = np.zeros(shape)
+    f, scratch = np.empty(shape), np.empty(shape)
+    g = gravity.g_accel.reshape((3,) + (1,) * (len(shape) - 1))
     if mocap_vel is None:
         for target in ref[1:]:
-            f = _pd_law(kp, kd, target, pos, vel)
-            pos, vel = euler_step(pos, vel, f, gravity, dt)
+            _pd_law(kp, kd, target, pos, vel, f, scratch)
+            _euler(pos, vel, f, g, dt, scratch)
             yield f, pos
     else:
         for target, src_pos, src_vel in zip(ref[1:], ref, mocap_vel):
-            f = _pd_law(kp, kd, target, src_pos, src_vel)
-            pos, vel = euler_step(pos, vel, f, gravity, dt)
+            _pd_law(kp, kd, target, src_pos, src_vel, f, scratch)
+            _euler(pos, vel, f, g, dt, scratch)
             yield f, pos
 
 
@@ -198,10 +233,12 @@ def simulate(
         raise ValueError(f"unknown simulation mode {mode!r}")
     gravity = gravity or GravitySpec()
     ref = clip.root_positions
-    mocap_vel = finite_diff_velocity(clip) if mode == "open_loop" else None
+    forces = np.empty((max(len(ref) - 1, 0), 3))
     with np.errstate(over="ignore", invalid="ignore"):
+        mocap_vel = finite_diff_velocity(clip) if mode == "open_loop" else None
         steps = _pd_steps(ref, gains.kp, gains.kd, gravity, clip.dt, mocap_vel)
-        forces = np.array([f for f, _ in steps]).reshape(-1, 3)
+        for t, (f, _) in enumerate(steps):
+            forces[t] = f
     # the steps' own states are these running sums of their forces
     positions, velocities = _integrate(ref[0], forces, gravity, clip.dt)
     _raise_if_diverged(positions)

@@ -11,7 +11,9 @@ Clip CSV      header ``t,px,py,pz,f0..f{D-4}``; one row per frame; ``t`` in
               By convention the feature vector starts with the root position,
               so a clip with no extra channels has feature width D = 3.
 Plate CSV     header ``t,L_fx,L_fy,L_fz,L_copx,L_copy,L_contact,R_fx,...``;
-              the literal ``NaN`` marks a missing measurement.
+              the literal ``NaN`` marks a missing measurement; contact flags
+              are 0 or 1. A manifest's plate has the clip's frame times
+              (+-1e-6 s).
 Manifest      JSON ``{"subjects": [{"id", "mass_kg", "clips": [...]}]}``;
               each clip entry carries ``motion_label``, ``clip_path``,
               ``plate_path`` and ``force_unit`` ("newton" or "bodyweight").
@@ -48,6 +50,10 @@ STANDARD_GRAVITY = 9.81  # m/s^2, used for body-weight normalization
 
 # Subject ids and motion labels become parts of file names (entry_stems).
 _SAFE_NAME = re.compile(r"[A-Za-z0-9._-]+")
+
+# Frame times may drift this far (s) from a uniform grid, and plate times
+# this far from the clip's.
+_TIME_TOLERANCE = 1e-6
 
 # Column layout of the plate CSV, per foot: fx fy fz copx copy contact.
 _PLATE_FOOT_COLS = 6
@@ -100,12 +106,15 @@ def _read_rows(path: Path, lines: Sequence[str], header: Sequence[str]) -> np.nd
 
     The body is parsed in one ``np.loadtxt`` call, which reads a cell
     through the same C routine as Python's ``float`` and so gives the same
-    bits. A body it rejects (a bad cell or row, or a spelling only ``float``
-    takes, such as ``1_0``) goes to the row scanner ``_scan_rows``.
+    bits. Blank lines are skipped. A body it rejects (a bad cell or row, or
+    a spelling only ``float`` takes, such as ``1_0``) goes to the row scanner
+    ``_scan_rows``.
     """
-    body = lines[1:]
-    # loadtxt warns on a body with no data; the scanner names that error
-    if any(map(str.strip, body)):
+    # loadtxt rejects a whitespace-only line and warns on a body with no
+    # data, so blank lines are dropped here; the scanner, which names the
+    # no-data error, numbers rows by the original lines
+    body = list(filter(str.strip, lines[1:]))
+    if body:
         try:
             data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
         except ValueError:
@@ -358,6 +367,14 @@ def load_clip_csv(
     come from the caller (the dataset manifest supplies them). The frame rate
     is inferred from the time column; a single-row file needs it passed in.
     """
+    return _load_clip(path, subject_id, motion_label, mass, frame_rate)[1]
+
+
+def _load_clip(
+    path: str | Path, subject_id: str, motion_label: str, mass: float,
+    frame_rate: float | None,
+) -> tuple[np.ndarray, MotionClip]:
+    """load_clip_csv, and the file's time column."""
     path = Path(path)
     lines = _read_lines(path)
     if not lines:
@@ -389,7 +406,7 @@ def load_clip_csv(
             raise UnitError(f"{path}: timestamps must be strictly increasing")
         dt = float(t[1] - t[0])
         drift = np.abs(t - (t[0] + dt * np.arange(len(t))))
-        if float(drift.max()) > 1e-6:
+        if float(drift.max()) > _TIME_TOLERANCE:
             raise ValidationError(
                 f"{path}: non-uniform frame spacing (max drift {drift.max():.3g} s)"
             )
@@ -400,7 +417,7 @@ def load_clip_csv(
         rate = frame_rate  # explicit rate wins over the inferred one
 
     features = data[:, 1:]  # position columns double as leading features
-    return MotionClip(
+    return t, MotionClip(
         subject_id=subject_id,
         motion_label=motion_label,
         frame_rate=rate,
@@ -436,12 +453,20 @@ def load_force_plate(
 ) -> ForcePlateRecord:
     """Load a plate CSV; NaN force components mark missing rows.
 
-    An infinite force or CoP cell raises ValidationError naming its row and
-    column.
+    An infinite force or CoP cell, or a contact flag other than 0 or 1,
+    raises ValidationError naming its row and column.
 
     force_unit="newton" converts to body weights at ingestion, which needs
-    the subject mass.
+    the subject mass; a mass so small that a finite force converts to a
+    non-finite one raises UnitError.
     """
+    return _load_plate(path, force_unit, mass)[1]
+
+
+def _load_plate(
+    path: str | Path, force_unit: str, mass: float | None,
+) -> tuple[np.ndarray, ForcePlateRecord]:
+    """load_force_plate, and the file's time column."""
     path = Path(path)
     lines = _read_lines(path)
     if not lines:
@@ -459,6 +484,15 @@ def load_force_plate(
         raise ValidationError(
             f"row {int(r) + 1}: infinite value in column {expected[measured[int(c)]]!r}"
         )
+    flag_cols = list(range(_PLATE_FOOT_COLS, len(expected), _PLATE_FOOT_COLS))
+    flags = data[:, flag_cols]
+    bad = np.argwhere((flags != 0.0) & (flags != 1.0))
+    if len(bad):
+        r, c = bad[0]
+        raise ValidationError(
+            f"row {int(r) + 1}: contact flag in column {expected[flag_cols[int(c)]]!r} "
+            f"must be 0 or 1, got {float(flags[r, c])!r}"
+        )
 
     T = len(data)
     force = np.empty((T, 2, 3))
@@ -472,11 +506,19 @@ def load_force_plate(
 
     if force_unit == "newton":
         check_range("mass of a newton-valued plate file", mass, POSITIVE, UnitError)
-        force = to_bodyweight(force, mass)
+        with np.errstate(over="ignore"):
+            force_bw = to_bodyweight(force, mass)
+        if np.any(np.isfinite(force) & ~np.isfinite(force_bw)):
+            raise UnitError(
+                "mass of a newton-valued plate file is too small to convert its forces "
+                f"to body weights, got {mass!r}"
+            )
+        force = force_bw
     elif force_unit != "bodyweight":
         raise UnitError(f"unknown force unit {force_unit!r}")
 
-    return ForcePlateRecord(per_foot_force=force, per_foot_cop=cop, contact_flags=contact)
+    record = ForcePlateRecord(per_foot_force=force, per_foot_cop=cop, contact_flags=contact)
+    return data[:, 0], record
 
 
 def write_force_plate(
@@ -535,13 +577,27 @@ def load_manifest(path: str | Path) -> Dataset:
                     f"{path}: 'motion_label', 'clip_path' and 'plate_path' of subject {sid!r} "
                     f"must be strings without NUL, got {names!r}"
                 )
-            clip = load_clip_csv(root / clip_path, subject_id=sid, motion_label=label, mass=mass)
+            clip_t, clip = _load_clip(root / clip_path, sid, label, mass, None)
             plate = None
             if plate_path:
                 unit = spec.get("force_unit", "bodyweight")
-                plate = load_force_plate(root / plate_path, force_unit=unit, mass=mass)
-            entries.append(DatasetEntry(clip=clip, plate=plate))
+                plate_t, plate = _load_plate(root / plate_path, unit, mass)
+            entries.append(DatasetEntry(clip=clip, plate=plate))  # rejects another length
+            if plate is not None:
+                _check_plate_times(root / plate_path, plate_t, clip_t)
     return Dataset(tuple(entries))
+
+
+def _check_plate_times(path: Path, plate_t: np.ndarray, clip_t: np.ndarray) -> None:
+    """Raise ValidationError at the first plate row whose time is not the clip's frame time."""
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~(np.abs(plate_t - clip_t) <= _TIME_TOLERANCE))
+    if bad.size:
+        r = int(bad[0])
+        raise ValidationError(
+            f"{path}: row {r + 1}: plate time {float(plate_t[r])!r} is not the clip's "
+            f"frame time {float(clip_t[r])!r} (+-{_TIME_TOLERANCE} s)"
+        )
 
 
 def entry_stems(dataset: Dataset) -> list[str]:

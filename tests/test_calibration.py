@@ -16,7 +16,7 @@ from physgrd.calibration import (
 )
 from physgrd.dynamics import PDGains, physics_force_series, rollout_forces, simulate
 from physgrd.errors import SimulationDivergedError, UnitError, ValidationError
-from physgrd.motion_data import MotionClip
+from physgrd.motion_data import GravitySpec, MotionClip
 from physgrd.synthetic import gen_synthetic, make_dataset
 
 
@@ -172,13 +172,35 @@ class TestCalibrate:
             assert (report.best.kp, report.best.kd) == best
 
     @staticmethod
-    def assert_matches_reference(clips, cells, mode="closed_loop"):
-        report = calibrate(clips, cells, mode=mode)
-        per_cell, per_subject, best = euler_reference.calibrate_scores(clips, cells, mode=mode)
+    def assert_matches_reference(clips, cells, mode="closed_loop", gravity=None):
+        report = calibrate(clips, cells, gravity, mode)
+        per_cell, per_subject, best = euler_reference.calibrate_scores(clips, cells, gravity, mode)
         assert report.per_cell == per_cell
         assert report.per_subject == per_subject
         assert (report.best.kp, report.best.kd) == best
         return report
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_three_cells_three_clips_under_tilted_gravity(self, mode):
+        # the cell and clip axes are as long as the component axis, so gravity
+        # broadcast along the wrong axis would go through without an error
+        clips = spring_clips(n=2) + [
+            gen_synthetic("hop", {"subject_id": "S3", "duration": 2.0}, seed=4)[0]
+        ]
+        assert list(calibration._buckets(clips)) == [[0, 1, 2]]
+        gravity = GravitySpec(g_accel=np.array([0.4, -0.3, 9.7]))
+        cells = [(10.0, 0.0), (70.0, 3.0), (90.0, 15.0)]
+        self.assert_matches_reference(clips, cells, mode, gravity)
+        for clip in clips:
+            for gains in [PDGains(*cell) for cell in cells]:
+                sim = simulate(clip, gains, gravity, mode)
+                ref = euler_reference.simulate(clip, gains, gravity, mode)
+                for name in ("positions", "velocities", "total_force"):
+                    np.testing.assert_array_equal(getattr(sim, name), getattr(ref, name))
+                np.testing.assert_array_equal(
+                    physics_force_series(clip, gains, gravity, mode),
+                    euler_reference.physics_force_series(clip, gains, gravity, mode),
+                )
 
     def test_equal_length_group_steps_as_one_bucket(self):
         # 240 cells x 200 frames: all three clips step in one bucket, whatever its size

@@ -197,6 +197,29 @@ class TestCalibrate:
         assert err == ["physgrd: error: ValidationError: row 3: infinite value in column 'L_fz'"]
         assert not (tmp_path / "calib").exists()
 
+    @pytest.mark.parametrize("column, value, message", [
+        (6, "0.5", "row 3: contact flag in column 'L_contact' must be 0 or 1, got 0.5"),
+        (12, "nan", "row 3: contact flag in column 'R_contact' must be 0 or 1, got nan"),
+        (0, "nan", "row 3: plate time nan is not the clip's frame time 0.02 (+-1e-06 s)"),
+        (0, "0.03", "row 3: plate time 0.03 is not the clip's frame time 0.02 (+-1e-06 s)"),
+    ], ids=["contact-half", "contact-nan", "time-nan", "time-shifted"])
+    def test_bad_plate_contact_or_time_is_runtime_error(
+        self, tmp_path, capsys, column, value, message,
+    ):
+        manifest = gen_small(tmp_path / "data")
+        plate = tmp_path / "data" / "S2_hop_000_plate.csv"
+        lines = plate.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[column] = value
+        lines[3] = ",".join(cells)
+        plate.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("calibrate", "--manifest", manifest, "--out-dir", tmp_path / "calib") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("physgrd: error: ValidationError: ")
+        assert err[0].endswith(message)
+        assert not (tmp_path / "calib").exists()
+
 
 class TestSimulate:
     def test_writes_sim_files(self, tmp_path):
@@ -225,6 +248,23 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("physgrd: error: ")
         assert "Traceback" not in err[0]
+
+    @pytest.mark.parametrize("value", ["1e308", "-1e308"])
+    def test_open_loop_overflowing_clip_is_one_line(self, tmp_path, capsys, value):
+        manifest = gen_small(tmp_path / "data", subjects=1)
+        clip = tmp_path / "data" / "S1_hop_000_clip.csv"
+        lines = clip.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[3] = value  # pz
+        lines[5] = ",".join(cells)
+        clip.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(
+            "simulate", "--manifest", manifest, "--mode", "open_loop",
+            "--out-dir", tmp_path / "sim",
+        ) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("physgrd: error: SimulationDivergedError")
 
     def test_nan_mass_manifest_is_runtime_error(self, tmp_path, capsys):
         manifest = gen_small(tmp_path / "data", subjects=1)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import csv_reference as ref
-from physgrd import calibration
+from physgrd import calibration, motion_data
 from physgrd.dynamics import PDGains, SimResult, simulate, write_sim_csv
 from physgrd.errors import ParseError
 from physgrd.grf_model import (
@@ -323,3 +323,17 @@ def test_blank_body_has_no_rows_and_no_warning(tmp_path, body):
         warnings.simplefilter("error")
         with pytest.raises(ParseError, match="no data rows"):
             load_prediction_csv(path)
+
+
+@pytest.mark.parametrize("blank", ["", "   ", "\t "], ids=["empty", "spaces", "tab"])
+def test_blank_line_keeps_the_bulk_parse(tmp_path, monkeypatch, blank):
+    rows = [",".join(repr(0.1 * (r + c)) for c in range(4)) for r in range(6)]
+    lines = ["a,b,c,d", *rows[:3], blank, *rows[3:], blank]
+    expected = _read_rows(tmp_path / "p.csv", ["a,b,c,d", *rows], "a,b,c,d".split(","))
+
+    def no_scan(*args):
+        raise AssertionError("blank lines sent the body to the row scanner")
+
+    monkeypatch.setattr(motion_data, "_scan_rows", no_scan)
+    got = _read_rows(tmp_path / "p.csv", lines, "a,b,c,d".split(","))
+    assert same_bits(got, expected)

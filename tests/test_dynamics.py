@@ -96,35 +96,49 @@ class TestEulerStep:
                 euler_step(np.zeros(3), np.zeros(3), np.zeros(3), GravitySpec(), bad)
 
 
+def _copied(steps):
+    """The (force, pos) pairs of _pd_steps, copied before the next step overwrites them."""
+    return [(f.copy(), pos.copy()) for f, pos in steps]
+
+
 class TestPDSteps:
     def test_open_loop_matches_pd_force(self):
         clip, _ = gen_synthetic("hop", {"duration": 1.0}, seed=3)
         gains, ref, mocap_vel = PDGains(70.0, 3.0), clip.root_positions, finite_diff_velocity(clip)
-        steps = list(_pd_steps(ref, gains.kp, gains.kd, GravitySpec(), clip.dt, mocap_vel))
+        steps = _copied(_pd_steps(ref, gains.kp, gains.kd, GravitySpec(), clip.dt, mocap_vel))
         forces = np.array([f for f, _ in steps])
         np.testing.assert_array_equal(forces, pd_force(ref[1:], ref[:-1], mocap_vel[:-1], gains))
         # simulate's running sums of those forces are the stepped states
         sim = simulate(clip, gains, mode="open_loop")
         np.testing.assert_array_equal(np.array([p for _, p in steps]), sim.positions[1:])
 
+    def test_yielded_arrays_are_overwritten_by_the_next_step(self):
+        clip, _ = gen_synthetic("hop", {"duration": 0.2}, seed=3)
+        steps = _pd_steps(clip.root_positions, 70.0, 3.0, GravitySpec(), clip.dt)
+        f0, pos0 = next(steps)
+        kept = pos0.copy()
+        f1, pos1 = next(steps)
+        assert f1 is f0 and pos1 is pos0
+        assert not np.array_equal(pos1, kept)
+
     @pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])
     def test_gain_columns_match_scalar_runs(self, mode):
         clips = make_dataset(["hop"], n_subjects=2, seed=5, base_params={"duration": 0.5}).clips()
         g, dt = GravitySpec(), clips[0].dt
-        kp, kd = np.array([[10.0], [70.0], [90.0]]), np.array([[0.0], [3.0], [15.0]])
-        ref = np.stack([c.root_positions for c in clips], axis=1)[:, :, None]  # (T, n, 1, 3)
+        kp, kd = np.array([10.0, 70.0, 90.0]), np.array([0.0, 3.0, 15.0])
+        ref = np.stack([c.root_positions for c in clips], axis=2)[..., None]  # (T, 3, n, 1)
         vel = None
         if mode == "open_loop":
-            vel = np.stack([finite_diff_velocity(c) for c in clips], axis=1)  # (T, n, 3)
-        batched = list(_pd_steps(ref, kp, kd, g, dt, None if vel is None else vel[:, :, None]))
-        assert batched[0][1].shape == (len(clips), len(kp), 3)
+            vel = np.stack([finite_diff_velocity(c) for c in clips], axis=2)  # (T, 3, n)
+        batched = _copied(_pd_steps(ref, kp, kd, g, dt, None if vel is None else vel[..., None]))
+        assert batched[0][1].shape == (3, len(clips), len(kp))
         for j, clip in enumerate(clips):
             for b in range(len(kp)):
-                alone = _pd_steps(clip.root_positions, kp[b, 0], kd[b, 0], g, dt,
-                                  None if vel is None else vel[:, j])
+                alone = _pd_steps(clip.root_positions, kp[b], kd[b], g, dt,
+                                  None if vel is None else vel[:, :, j])
                 for (f, pos), (f1, pos1) in zip(batched, alone, strict=True):
-                    np.testing.assert_array_equal(f[j, b], f1)
-                    np.testing.assert_array_equal(pos[j, b], pos1)
+                    np.testing.assert_array_equal(f[:, j, b], f1)
+                    np.testing.assert_array_equal(pos[:, j, b], pos1)
 
 
 class TestSimulate:

@@ -240,17 +240,49 @@ class TestForcePlate:
     @pytest.mark.parametrize("value", ["inf", "-Infinity", "1e400"])
     @pytest.mark.parametrize("column", ["L_fz", "R_fx", "L_copy", "R_copx"])
     def test_infinite_force_or_cop_names_row_and_column(self, tmp_path, column, value):
+        path = self.edited_plate(tmp_path, 2, column, value)
+        with pytest.raises(ValidationError) as exc:
+            load_force_plate(path)
+        assert str(exc.value) == f"row 2: infinite value in column '{column}'"
+
+    @staticmethod
+    def edited_plate(tmp_path, row, column, value):
         _, plate = gen_synthetic("hop", {"duration": 0.5}, seed=0)
         path = tmp_path / "p.csv"
         write_force_plate(plate, path, 100.0)
         lines = path.read_text().splitlines()
-        cells = lines[2].split(",")
+        cells = lines[row].split(",")
         cells[lines[0].split(",").index(column)] = value
-        lines[2] = ",".join(cells)
+        lines[row] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("value, shown", [
+        ("nan", "nan"), ("inf", "inf"), ("0.5", "0.5"), ("-1", "-1.0"), ("2", "2.0"),
+    ])
+    @pytest.mark.parametrize("column", ["L_contact", "R_contact"])
+    def test_contact_flag_other_than_0_or_1_names_row_and_column(
+        self, tmp_path, column, value, shown,
+    ):
+        path = self.edited_plate(tmp_path, 4, column, value)
         with pytest.raises(ValidationError) as exc:
             load_force_plate(path)
-        assert str(exc.value) == f"row 2: infinite value in column '{column}'"
+        assert str(exc.value) == f"row 4: contact flag in column '{column}' must be 0 or 1, got {shown}"
+
+    @pytest.mark.parametrize("value, contact", [("1.0", True), ("0e0", False), ("-0", False)])
+    def test_contact_flag_spellings_of_0_and_1_load(self, tmp_path, value, contact):
+        path = self.edited_plate(tmp_path, 4, "L_contact", value)
+        assert load_force_plate(path).contact_flags[3, 0] == contact
+
+    def test_subnormal_newton_mass_is_unit_error(self, tmp_path):
+        _, plate = gen_synthetic("hop", {"duration": 0.5}, seed=0)
+        path = tmp_path / "p.csv"
+        write_force_plate(plate, path, 100.0)
+        with pytest.raises(UnitError, match="too small to convert its forces.*got 5e-324"):
+            load_force_plate(path, force_unit="newton", mass=5e-324)
+        # a tiny mass whose body weights stay finite is not rejected
+        back = load_force_plate(path, force_unit="newton", mass=1e-300)
+        assert np.all(np.isfinite(back.per_foot_force) == np.isfinite(plate.per_foot_force))
 
 
 class TestManifest:
@@ -316,6 +348,31 @@ class TestManifest:
         path.write_text(json.dumps(doc))  # inf is written as the JSON extension Infinity
         with pytest.raises(error):
             load_manifest(path)
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0.010002", "0.009998", "0.03"])
+    def test_plate_time_must_be_the_clip_frame_time(self, tmp_path, value):
+        clip, plate = gen_synthetic("hop", {"duration": 0.5}, seed=1)
+        manifest = write_manifest(Dataset((DatasetEntry(clip, plate),)), tmp_path)
+        path = tmp_path / "S1_hop_000_plate.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = value + lines[2][lines[2].index(","):]  # row 2, at 0.01 s
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as exc:
+            load_manifest(manifest)
+        assert str(exc.value) == (
+            f"{path}: row 2: plate time {float(value)!r} is not the clip's frame time 0.01 "
+            "(+-1e-06 s)"
+        )
+
+    def test_plate_time_within_tolerance_loads(self, tmp_path):
+        clip, plate = gen_synthetic("hop", {"duration": 0.5}, seed=1)
+        manifest = write_manifest(Dataset((DatasetEntry(clip, plate),)), tmp_path)
+        path = tmp_path / "S1_hop_000_plate.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = "0.0100009" + lines[2][lines[2].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        assert len(load_manifest(manifest)) == 1
 
 
 class TestGravitySpec:
