@@ -29,10 +29,13 @@ from .errors import PhysgrdError
 from .motion_data import (
     Dataset,
     DatasetEntry,
+    MotionClip,
+    _check_times,
+    _load_clip,
+    _load_plate,
     _write_table,
     entry_stems,
     load_clip_csv,
-    load_force_plate,
     load_manifest,
     write_manifest,
 )
@@ -225,11 +228,22 @@ def cmd_predict(args, parser) -> int:
     return 0
 
 
+def _load_prediction_for(path: Path, clip: MotionClip) -> grf_model.Prediction:
+    """A prediction file checked against its clip: one row per frame, at
+    the clip's frame times (write_prediction_csv counts them from 0)."""
+    t, pred = grf_model._load_prediction(path)
+    if len(pred) != len(clip):
+        raise PhysgrdError(
+            f"series length mismatch: prediction has {len(pred)} rows, clip {len(clip)}"
+        )
+    _check_times(path, "prediction", t, clip.times)
+    return pred
+
+
 def cmd_metrics(args, parser) -> int:
     dataset = load_manifest(args.manifest)
     pred_dir = Path(args.pred_dir)
     gravity = _gravity(args)
-    out = _out_dir(args)
 
     rows = []
     per_vgrf: dict[tuple, tuple[float, float]] = {}
@@ -240,7 +254,7 @@ def cmd_metrics(args, parser) -> int:
         pred_path = pred_dir / f"{stem}_pred.csv"
         if not pred_path.exists():
             raise PhysgrdError(f"missing prediction file {pred_path}")
-        pred = grf_model.load_prediction_csv(pred_path)
+        pred = _load_prediction_for(pred_path, entry.clip)
         left, right, v = metrics.evaluate_prediction(
             entry.clip, entry.plate, pred.forces, gravity
         )
@@ -251,6 +265,7 @@ def cmd_metrics(args, parser) -> int:
         rows.append((*key[:2], pred_path.name, left, right, v))
     if not rows:
         raise PhysgrdError("no predictions matched the manifest")
+    out = _out_dir(args)
     header = ("subject", "motion", "file", "vgrf_l", "vgrf_r", "vrpe")
     _write_table(out / "metrics_summary.csv", header, rows)
     print(out / "metrics_summary.csv")
@@ -267,39 +282,36 @@ def cmd_metrics(args, parser) -> int:
 
 
 def cmd_plot(args, parser) -> int:
-    clip = load_clip_csv(args.clip, mass=args.mass)
+    clip_t, clip = _load_clip(args.clip, "S1", "clip", args.mass, None)
     gravity = _gravity(args)
     gains = _gains_from(args)
-    out = _out_dir(args)
     t = clip.times
 
     traj_series = [svgplot.LineSeries("mocap z", t, clip.root_positions[:, 2])]
     force_series = []
 
     if args.plate:
-        plate = load_force_plate(args.plate)
+        plate_t, plate = _load_plate(args.plate, "bodyweight", None)
         if len(plate) != len(clip):
             raise PhysgrdError(
                 f"series length mismatch: plate has {len(plate)} rows, clip {len(clip)}"
             )
+        _check_times(Path(args.plate), "plate", plate_t, clip_t)
         total = plate.per_foot_force[:, 0, 2] + plate.per_foot_force[:, 1, 2]
         force_series.append(
             svgplot.LineSeries("plate vGRF", t, total, mask=plate.valid_mask)
         )
+    pred = _load_prediction_for(Path(args.pred), clip) if args.pred else None
     sim = simulate(clip, gains, gravity, args.mode)
     traj_series.append(svgplot.LineSeries("simulated z", t, sim.positions[:, 2]))
     phys_bw = to_bodyweight(_frame_forces(sim))
     force_series.append(svgplot.LineSeries("physics vGRF", t, phys_bw[:, 2]))
-    if args.pred:
-        pred = grf_model.load_prediction_csv(args.pred)
-        if len(pred) != len(clip):
-            raise PhysgrdError(
-                f"series length mismatch: prediction has {len(pred)} rows, clip {len(clip)}"
-            )
+    if pred is not None:
         force_series.append(
             svgplot.LineSeries("predicted vGRF", t, pred.total()[:, 2])
         )
 
+    out = _out_dir(args)
     svgplot.write_svg(traj_series, out / "trajectory.svg",
                       title="vertical root trajectory", ylabel="z [m]")
     svgplot.write_series_csv(traj_series, out / "trajectory.csv")

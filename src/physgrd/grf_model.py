@@ -6,28 +6,43 @@ an ELU after every convolution and after the first two FC layers. It maps
 per-frame feature vectors to per-foot 3D reaction forces in body-weight
 units (output width 6 = 2 feet x 3 components).
 
-Each convolution is one GEMM (im2col): the layer input, zero-padded and
-laid out channels first, is copied into a (C_in*K, B*T) column matrix with
-K contiguous slice copies, and the (C_out, C_in*K) weights multiply it. The
-backward pass rebuilds that matrix from the cached padded input for the
-weight gradient (the last layer's is still in place from the forward), and
-correlates the doubly padded output gradient's column matrix with the
-flipped kernel for the input gradient. Operand order and memory layout
-match what numpy's einsum hands BLAS for the same contractions, so the
-results are bit-identical to the direct einsum form (tests/conv_reference.py)
-at every shape.
+Each convolution is a GEMM on an im2col column matrix: the layer input,
+zero-padded and laid out channels first, gives a (C_in*K, B*T) matrix
+whose row c*K + k, column b*T + t holds padded frame t + k of channel c,
+and the (C_out, C_in*K) weights multiply it. The backward pass multiplies
+the matrix, rebuilt from the cached padded input, by the output gradient
+for the weight gradient, and correlates the doubly padded output
+gradient's column matrix with the flipped kernel over all T+K-1 positions
+for the input gradient. Operand order and memory layout match what numpy's
+einsum hands BLAS for the same contractions, so the results are
+bit-identical to the direct einsum form (tests/conv_reference.py).
 
-The conv stack runs in a workspace held by the net: a few named, flat,
+No column matrix is held whole. Each GEMM builds and multiplies it one
+span of at most _SPAN_VALUES values (16 MB) at a time, writing into its
+slice of the preallocated result: the forward and input-gradient GEMMs
+split along their output columns, the flattened b*T + t axis (so a span
+may start or end inside a window), and the weight-gradient GEMM along the
+matrix's rows. Two rules, measured on OpenBLAS, keep the bits of the whole
+GEMM. An element's bits depend on the micro-kernel tile that computes it,
+so every cut falls on a multiple of 64 lines, and the spans are nearly
+equal with the ragged lines in the last, which is never the short one.
+Output columns past the last multiple of 8 come from edge kernels whose
+bits depend on the span that holds them, so a matrix with such columns is
+not split along them. A span holds at least 64 lines even where that
+exceeds the budget (a weight gradient with B*T > 32768).
+
+The conv stack runs in a workspace held by the net: named, flat,
 grow-only float64 buffers, each viewed at the shape a use needs, so
-repeated calls do not allocate (and page-fault) the conv stack's large
-arrays again. A training step uses the column matrix (sized for the
-backward's largest build), each layer's padded input and pre-activation,
-and one spare buffer: the last layer's padded input, then the conv stack's
-output, then the backward's padded output gradient and input gradient.
-ELU writes straight into the next layer's padded buffer, and the backward
-overwrites each pre-activation with its ELU gradient and then with the
-gradient at that layer's output. forward() passes one padded buffer and
-one pre-activation buffer through every layer.
+repeated calls do not allocate (and page-fault) its large arrays again. A
+training step uses "cols", one column-matrix span; "pad0".."pad3", each
+layer's padded input, which the backward writes that layer's input
+gradient over once its weight gradient is done (the (C, B, T+K-1) shape is
+the same); "pre0".."pre3", each layer's pre-activation, which the backward
+overwrites with its ELU gradient and then with the gradient at the layer's
+output; and "grad", the conv stack's output and then the backward's padded
+output gradient. ELU writes straight into the next layer's padded buffer.
+forward() passes one padded buffer and one pre-activation buffer through
+every layer.
 
 So only one cache per net is live: any later call on the net invalidates
 the cache of an earlier _forward, and a net must not be used from two
@@ -51,6 +66,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import GravitySpec, PDGains, SimMode, physics_force_series, to_bodyweight
 from .errors import NON_NEGATIVE, POSITIVE, CheckpointError, ValidationError, check_int
@@ -63,7 +79,61 @@ KERNEL = 7
 PAD = KERNEL // 2
 OUT_WIDTH = 6  # two feet x three force components
 MAX_WIDTH = 1024  # widest layer, input included: one 1024x1024 conv weight is 59 MB
+_SPAN_VALUES = 2**21  # column-matrix values (16 MB) one GEMM span builds at most
+_ALIGN = 64  # GEMM spans are cut at multiples of this many rows or columns
 CHECKPOINT_VERSION = 1
+
+
+def _windows(hp: np.ndarray, n: int) -> np.ndarray:
+    """(C, K, B, n) view of a padded (C, B, n + K - 1) buffer, [c, k, b, t] =
+    hp[c, b, k + t]: reshaped to (C*K, B*n) it is the column matrix (im2col)."""
+    return sliding_window_view(hp, n, axis=2).transpose(0, 2, 1, 3)
+
+
+def _pieces(start: int, stop: int, length: int) -> list[tuple[int, int, int, int]]:
+    """Cut the flat range start..stop of a grid `length` wide into at most
+    three (row, rows, col, cols) blocks: the end of a partial first row,
+    the whole rows, and the start of a partial last row."""
+    out = []
+    row, col = divmod(start, length)
+    if col:
+        cols = min(length - col, stop - start)
+        out.append((row, 1, col, cols))
+        start += cols
+        row += 1
+    rows = (stop - start) // length
+    if rows:
+        out.append((row, rows, 0, length))
+        start += rows * length
+        row += rows
+    if start < stop:
+        out.append((row, 1, 0, stop - start))
+    return out
+
+
+def _spans(lines: int, line_values: int) -> list[tuple[int, int]]:
+    """Cut `lines` lines of `line_values` values each into the fewest
+    nearly equal GEMM spans of at most _SPAN_VALUES values, or of one unit
+    of _ALIGN lines (the last with the ragged lines) where that holds more.
+
+    Every cut falls on a multiple of _ALIGN lines and the ragged lines past
+    the last one join the last span, whose unit count is never below the
+    others', so no short span ends the matrix.
+    """
+    units = max(1, lines // _ALIGN)
+    per = max(1, (_SPAN_VALUES // line_values - lines % _ALIGN) // _ALIGN)
+    n = -(-units // per)
+    q, extra = divmod(units, n)
+    cuts = [_ALIGN * (q * k + max(0, k - (n - extra))) for k in range(1, n)]
+    return list(zip([0, *cuts], [*cuts, lines]))
+
+
+def _column_spans(columns: int, rows: int) -> list[tuple[int, int]]:
+    """_spans of a (rows, columns) column matrix split along its columns,
+    which are the GEMM's output columns. OpenBLAS computes the output
+    columns past the last multiple of 8 with edge kernels whose bits
+    depend on the span that holds them, so such a matrix stays whole."""
+    return _spans(columns, rows) if columns % 8 == 0 else [(0, columns)]
 
 
 def elu(x, out=None):
@@ -199,32 +269,33 @@ class TemporalConvNet:
         hp[:, :, pad + T:] = 0.0
         return hp
 
-    def _cols(self, hp: np.ndarray, n: int) -> np.ndarray:
-        """Column matrix of a padded (C, B, n + K - 1) buffer: shape
-        (C*K, B*n), where row c*K + k, column b*n + t holds padded frame
-        t + k of channel c. Built with K contiguous slice copies into the
-        workspace's one column buffer (im2col)."""
-        C, B = hp.shape[:2]
-        cols = self._buf("cols", C, KERNEL, B, n)
-        for k in range(KERNEL):
-            cols[:, k] = hp[:, :, k:k + n]
-        return cols.reshape(C * KERNEL, B * n)
+    def _cols(self, win: np.ndarray, rows: tuple[int, int],
+              cols: tuple[int, int]) -> np.ndarray:
+        """Rows r0..r1, columns s..e of the column matrix of a window view
+        (see _windows), copied into the workspace's "cols" buffer with at
+        most three copies per axis: a partial channel or window at each
+        end and the whole ones between."""
+        (r0, r1), (s, e) = rows, cols
+        n = win.shape[3]
+        out = self._buf("cols", r1 - r0, e - s)
+        i = 0
+        for c, nc, k, nk in _pieces(r0, r1, KERNEL):
+            j = 0
+            for b, nb, t, nt in _pieces(s, e, n):
+                out[i:i + nc * nk, j:j + nb * nt].reshape(nc, nk, nb, nt)[...] = (
+                    win[c:c + nc, k:k + nk, b:b + nb, t:t + nt])
+                j += nb * nt
+            i += nc * nk
+        return out
 
-    def _reserve(self, B: int, T: int) -> None:
-        """Grow cols and spare to the largest size a (B, T) training step
-        uses, so neither is replaced (and briefly held twice) mid-step."""
-        widths = (self.input_width, *self.conv_channels)
-        n = T + KERNEL - 1  # frames of the input-gradient correlation
-        below = zip(widths[1:-1], widths[2:])  # (C_in, C_out) of layers 1..
-        self._buf("cols", KERNEL * max(
-            max(c * B * T for c in widths[:-1]),
-            max(o * B * n for o in widths[2:]),
-        ))
-        self._buf("spare", max(
-            widths[-2] * B * (T + 2 * PAD),
-            widths[-1] * B * T,
-            *(max(o * B * (n + KERNEL - 1), c * B * n) for c, o in below),
-        ))
+    def _times_cols(self, a: np.ndarray, hp: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+        """out = a @ (column matrix of padded buffer hp, (C*K, B*n)), one
+        span of output columns at a time."""
+        win = _windows(hp, n)
+        rows = (0, a.shape[1])
+        for s, e in _column_spans(out.shape[1], a.shape[1]):
+            np.matmul(a, self._cols(win, rows, (s, e)), out=out[:, s:e])
+        return out
 
     def parameters(self) -> list[np.ndarray]:
         """All trainable arrays in a fixed order (conv then FC, W then b)."""
@@ -241,13 +312,13 @@ class TemporalConvNet:
         B, T = x.shape[:2]
         n_conv = len(self.conv)
         # layer i reads pads[i] and writes its output to pads[i + 1]. A
-        # padded input is dead once its columns are built, so without a
-        # cache one buffer serves every layer; a training step keeps each
-        # for the backward but the last, whose columns stay in place
+        # padded input is dead once its GEMM is done, so without a cache one
+        # buffer serves every layer; a training step keeps each for the
+        # backward, which rebuilds the layer's columns from it, and puts the
+        # stack's output in the front of the backward's padded-gradient buffer
         if want_cache:
             cache = {"conv": [], "fc": []}
-            self._reserve(B, T)
-            pads = [f"pad{i}" for i in range(n_conv - 1)] + ["spare", "spare"]
+            pads = [f"pad{i}" for i in range(n_conv)] + ["grad"]
             pres = [f"pre{i}" for i in range(n_conv)]
         else:
             cache = None
@@ -256,21 +327,21 @@ class TemporalConvNet:
         hp[:, :, PAD:PAD + T] = x.transpose(2, 0, 1)
         for i, (w, b) in enumerate(self.conv):
             O = len(w)
-            cols = self._cols(hp, T)
             # keep the (C_out, B, T) memory order: the gradient sums that
             # derive from pre add in that order
-            pre = np.dot(w.reshape(O, -1), cols, out=self._buf(pres[i], O, B * T))
+            pre = self._times_cols(w.reshape(O, -1), hp, T, out=self._buf(pres[i], O, B * T))
             pre = pre.reshape(O, B, T).transpose(1, 2, 0)
             pre += b
             if want_cache:
-                # the backward rebuilds a layer's columns from its padded
-                # input; the last layer's are still in the column buffer
-                cache["conv"].append((cols if i == n_conv - 1 else hp, pre))
+                cache["conv"].append((hp, pre))
             if i < n_conv - 1:
                 hp = self._padded(pads[i + 1], O, B, T, PAD)
                 elu(pre, out=hp[:, :, PAD:PAD + T].transpose(1, 2, 0))
             else:
-                h = elu(pre, out=self._buf(pads[i + 1], O, B, T).transpose(1, 2, 0))
+                # sized for the padded gradient, so the backward does not
+                # regrow the buffer while the FC cache still holds h
+                h = self._buf(pads[i + 1], O * B * (T + 2 * (KERNEL - 1)))[:O * B * T]
+                h = elu(pre, out=h.reshape(O, B, T).transpose(1, 2, 0))
         n_fc = len(self.fc)
         for i, (w, b) in enumerate(self.fc):
             pre = h @ w.T
@@ -313,18 +384,23 @@ class TemporalConvNet:
         for i in reversed(range(len(conv))):
             w, _ = self.conv[i]
             O, C = w.shape[:2]
-            src, _ = conv[i]
-            cols = src if i == len(conv) - 1 else self._cols(src, T)
-            dw = np.dot(cols, g.reshape(B * T, O))  # (C_in*K, C_out)
+            hp, _ = conv[i]
+            g2 = g.reshape(B * T, O)
+            dw = np.empty((C * KERNEL, O))
+            win = _windows(hp, T)
+            for r0, r1 in _spans(C * KERNEL, B * T):
+                np.matmul(self._cols(win, (r0, r1), (0, B * T)), g2, out=dw[r0:r1])
             conv_grads[i] = [dw.reshape(C, KERNEL, O).transpose(2, 0, 1), g.sum(axis=(0, 1))]
             if i > 0:
                 # full correlation with the flipped kernel over all T+K-1
-                # positions, then keep the T that line up with the input
-                gp = self._padded("spare", O, B, T, KERNEL - 1)
+                # positions, written over the padded input (dead now, and of
+                # the same (C, B, T+K-1) shape); keep the T that line up with
+                # the input
+                gp = self._padded("grad", O, B, T, KERNEL - 1)
                 gp[:, :, KERNEL - 1:KERNEL - 1 + T] = g.transpose(2, 0, 1)
                 w_flip = w[:, :, ::-1].transpose(1, 0, 2).reshape(C, O * KERNEL)
-                dxpad = np.dot(w_flip, self._cols(gp, n), out=self._buf("spare", C, B * n))
-                dx = dxpad.reshape(C, B, n).transpose(1, 2, 0)[:, PAD:PAD + T]
+                self._times_cols(w_flip, gp, n, out=hp.reshape(C, B * n))
+                dx = hp[:, :, PAD:PAD + T].transpose(1, 2, 0)
                 pre = conv[i - 1][1]
                 g = np.multiply(dx, _elu_grad(pre, out=pre), out=pre)
 
@@ -652,10 +728,15 @@ def write_prediction_csv(pred: Prediction, path: str | Path, frame_rate: float) 
 
 
 def load_prediction_csv(path: str | Path) -> Prediction:
+    return _load_prediction(path)[1]
+
+
+def _load_prediction(path: str | Path) -> tuple[np.ndarray, Prediction]:
+    """load_prediction_csv, and the file's time column."""
     path = Path(path)
     lines = _read_lines(path)
     if not lines or lines[0] != ",".join(_PREDICTION_HEADER):
         raise ValidationError(f"{path}: not a prediction file")
     data = _read_rows(path, lines, _PREDICTION_HEADER)
-    return Prediction(forces=data[:, 1:].reshape(len(data), 2, 3))
+    return data[:, 0], Prediction(forces=data[:, 1:].reshape(len(data), 2, 3))
 

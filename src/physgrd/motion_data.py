@@ -584,18 +584,19 @@ def load_manifest(path: str | Path) -> Dataset:
                 plate_t, plate = _load_plate(root / plate_path, unit, mass)
             entries.append(DatasetEntry(clip=clip, plate=plate))  # rejects another length
             if plate is not None:
-                _check_plate_times(root / plate_path, plate_t, clip_t)
+                _check_times(root / plate_path, "plate", plate_t, clip_t)
     return Dataset(tuple(entries))
 
 
-def _check_plate_times(path: Path, plate_t: np.ndarray, clip_t: np.ndarray) -> None:
-    """Raise ValidationError at the first plate row whose time is not the clip's frame time."""
+def _check_times(path: Path, kind: str, t: np.ndarray, clip_t: np.ndarray) -> None:
+    """Raise ValidationError at the first row of a `kind` file (plate or
+    prediction) whose time is not the clip's frame time."""
     with np.errstate(over="ignore"):
-        bad = np.flatnonzero(~(np.abs(plate_t - clip_t) <= _TIME_TOLERANCE))
+        bad = np.flatnonzero(~(np.abs(t - clip_t) <= _TIME_TOLERANCE))
     if bad.size:
         r = int(bad[0])
         raise ValidationError(
-            f"{path}: row {r + 1}: plate time {float(plate_t[r])!r} is not the clip's "
+            f"{path}: row {r + 1}: {kind} time {float(t[r])!r} is not the clip's "
             f"frame time {float(clip_t[r])!r} (+-{_TIME_TOLERANCE} s)"
         )
 

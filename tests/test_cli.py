@@ -33,6 +33,15 @@ def gen_small(out_dir, kind="hop", subjects=2, duration=1.2, seed=42, extra=()):
     return Path(out_dir) / "manifest.json"
 
 
+def set_cell(path, row, column, value):
+    """Overwrite one cell of a CSV file; row 0 is the header."""
+    lines = Path(path).read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[column] = value
+    lines[row] = ",".join(cells)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def tree_bytes(root):
     return {
         p.relative_to(root).as_posix(): p.read_bytes()
@@ -389,6 +398,29 @@ class TestTrainPredictMetrics:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("physgrd: error: ParseError: row 2")
 
+    def test_prediction_time_nan_is_runtime_error(self, tmp_path, capsys):
+        manifest = gen_small(tmp_path / "data", kind="walk", subjects=1, duration=1.0)
+        ds = load_manifest(manifest)
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        for entry, stem in zip(ds, entry_stems(ds)):
+            path = pred_dir / f"{stem}_pred.csv"
+            write_prediction_csv(
+                Prediction(forces=np.zeros((len(entry.clip), 2, 3))), path, entry.clip.frame_rate
+            )
+        set_cell(path, 4, 0, "nan")
+        capsys.readouterr()
+        assert run(
+            "metrics", "--manifest", manifest, "--pred-dir", pred_dir,
+            "--out-dir", tmp_path / "metrics",
+        ) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"physgrd: error: ValidationError: {path}: row 4: prediction time nan is not "
+            "the clip's frame time 0.03 (+-1e-06 s)"
+        ]
+        assert not (tmp_path / "metrics").exists()
+
     def test_plateless_metrics_write_nan(self, tmp_path):
         manifest = gen_small(tmp_path / "data", kind="walk", subjects=1, duration=1.0)
         doc = json.loads(manifest.read_text())
@@ -584,6 +616,44 @@ class TestPlot:
             "--plate", tmp_path / "b" / "S1_walk_000_plate.csv",
             "--out-dir", tmp_path / "plots",
         ) == 1
+
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "row 3: plate time nan is not the clip's frame time 0.02 (+-1e-06 s)"),
+        ("5.02", "row 3: plate time 5.02 is not the clip's frame time 0.02 (+-1e-06 s)"),
+    ], ids=["time-nan", "time-shifted"])
+    def test_plate_off_the_clip_frame_times_is_runtime_error(
+        self, tmp_path, capsys, value, message,
+    ):
+        gen_small(tmp_path / "data", kind="hop", subjects=1, duration=1.0)
+        plate = tmp_path / "data" / "S1_hop_000_plate.csv"
+        set_cell(plate, 3, 0, value)
+        capsys.readouterr()
+        assert run(
+            "plot", "--clip", tmp_path / "data" / "S1_hop_000_clip.csv", "--plate", plate,
+            "--out-dir", tmp_path / "plots",
+        ) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"physgrd: error: ValidationError: {plate}: {message}"]
+        assert not (tmp_path / "plots").exists()
+
+    def test_prediction_off_the_clip_frame_times_is_runtime_error(self, tmp_path, capsys):
+        gen_small(tmp_path / "data", kind="hop", subjects=1, duration=1.0)
+        clip = load_clip_csv(tmp_path / "data" / "S1_hop_000_clip.csv")
+        pred = tmp_path / "pred.csv"
+        # the right length at half the clip's frame rate
+        write_prediction_csv(Prediction(forces=np.zeros((len(clip), 2, 3))), pred,
+                             clip.frame_rate / 2)
+        capsys.readouterr()
+        assert run(
+            "plot", "--clip", tmp_path / "data" / "S1_hop_000_clip.csv", "--pred", pred,
+            "--out-dir", tmp_path / "plots",
+        ) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"physgrd: error: ValidationError: {pred}: row 2: prediction time 0.02 is not "
+            "the clip's frame time 0.01 (+-1e-06 s)"
+        ]
+        assert not (tmp_path / "plots").exists()
 
 
 class TestIdempotence:

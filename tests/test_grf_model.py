@@ -8,8 +8,10 @@ import pytest
 
 import conv_reference
 from finite_difference import gradient_check
+from physgrd import grf_model
 from physgrd.errors import CheckpointError, ValidationError
 from physgrd.grf_model import (
+    KERNEL,
     MAX_WIDTH,
     Adam,
     Prediction,
@@ -234,8 +236,44 @@ class TestConvReference:
     ])
     def test_forward_and_backward_bit_identical(self, B, T, D, channels):
         net = TemporalConvNet(D, (channels,) * 4, (8, 6), seed=B + T)
+        self.assert_matches_reference(net, B, T)
+
+    # a toy budget splits the conv GEMMs of 40-channel layers; its 128 rows
+    # of B*T values hold a 64-row weight-gradient span and its ragged rows
+    @pytest.mark.parametrize("B, T", [(32, 100), (8, 437)])
+    def test_spans_at_a_toy_budget_bit_identical(self, monkeypatch, B, T):
+        monkeypatch.setattr(grf_model, "_SPAN_VALUES", 128 * B * T)
+        # B*T and B*(T+K-1) are multiples of 8, so no GEMM stays whole
+        spans = grf_model._column_spans(B * T, 40 * KERNEL)
+        assert len(spans) > 2 and any(s % T for s, _ in spans)  # cuts inside windows
+        assert len(grf_model._column_spans(B * (T + KERNEL - 1), 40 * KERNEL)) > 2
+        net = TemporalConvNet(5, (40,) * 4, (8, 6), seed=B + T)
+        self.assert_matches_reference(net, B, T)
+        assert net._ws["cols"].size <= 128 * B * T
+
+    def test_long_clip_split_along_frames_bit_identical(self, monkeypatch):
+        T = 3000
+        monkeypatch.setattr(grf_model, "_SPAN_VALUES", 128 * T)
+        assert len(grf_model._column_spans(T, 40 * KERNEL)) > 2
+        net = TemporalConvNet(5, (40,) * 4, (8, 6), seed=T)
+        x = np.random.default_rng(T).normal(size=(1, T, 5))
+        pred = net.forward(x[0])
+        assert net._ws["cols"].size <= 128 * T
+        assert np.array_equal(pred.forces.reshape(1, T, 6), conv_reference.forward(net, x)[0])
+        self.assert_matches_reference(net, 1, T)
+
+    def test_ragged_columns_stay_whole(self, monkeypatch):
+        # a column count that is not a multiple of 8 is one span; split at
+        # this budget, the last span's ragged columns change bits
+        monkeypatch.setattr(grf_model, "_SPAN_VALUES", 2**18)
+        assert grf_model._column_spans(1003, 128 * KERNEL) == [(0, 1003)]
+        net = TemporalConvNet(9, (128,) * 4, (8, 6), seed=1003)
+        self.assert_matches_reference(net, 1, 1003)
+
+    @staticmethod
+    def assert_matches_reference(net, B, T):
         r = np.random.default_rng(T)
-        x = r.normal(size=(B, T, D))
+        x = r.normal(size=(B, T, net.input_width))
         dout = r.normal(size=(B, T, 6))
         out_ref, cache_ref = conv_reference.forward(net, x)
         out, cache = net._forward(x, want_cache=True)
@@ -290,9 +328,9 @@ class TestWorkspace:
         assert not net._ws
 
     def test_canonical_step_peak_memory(self):
-        # 315.9 MB is the traced peak of one canonical step when every conv
-        # array was allocated afresh; the second call counts what the
-        # workspace retained from the first
+        # one canonical step traced at 204.2 MB with the column matrix built
+        # in spans (315.9 MB with it whole); the bound is that plus 10%. The
+        # second call counts what the workspace retained from the first
         net = TemporalConvNet(9, seed=0)
         args = (*toy_batch(0, 64, 240, 9), 0.002, 0.005)
         tracemalloc.start()
@@ -301,9 +339,14 @@ class TestWorkspace:
             for _ in range(2):
                 tracemalloc.reset_peak()
                 net.loss_and_grads(*args)
-                assert tracemalloc.get_traced_memory()[1] - start <= 315.9e6
+                assert tracemalloc.get_traced_memory()[1] - start <= 224.6e6
         finally:
             tracemalloc.stop()
+
+    def test_column_buffer_stays_within_budget_at_batch_128(self):
+        net = TemporalConvNet(9, seed=0)
+        net.loss_and_grads(*toy_batch(0, 128, 240, 9), 0.002, 0.005)
+        assert net._ws["cols"].size <= grf_model._SPAN_VALUES
 
 
 class TestAdam:
