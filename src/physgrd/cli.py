@@ -29,8 +29,7 @@ from .errors import PhysgrdError
 from .motion_data import (
     Dataset,
     DatasetEntry,
-    MotionClip,
-    _check_times,
+    _aligned,
     _load_clip,
     _load_plate,
     _write_table,
@@ -124,12 +123,16 @@ def cmd_gen(args, parser) -> int:
 def cmd_calibrate(args, parser) -> int:
     if (args.kp is None) != (args.kd is None):
         parser.error("--kp and --kd must be given together")
+    if (args.kp_values is None) != (args.kd_values is None):
+        parser.error("--kp-values and --kd-values must be given together")
+    if args.kp is not None and args.kp_values is not None:
+        parser.error("--kp/--kd and --kp-values/--kd-values cannot be combined")
     dataset = load_manifest(args.manifest)
     if len(dataset) == 0:
         raise PhysgrdError("empty dataset: manifest lists no clips")
-    if args.kp is not None and args.kd is not None:
+    if args.kp is not None:
         cells = [(args.kp, args.kd)]
-    elif args.kp_values and args.kd_values:
+    elif args.kp_values is not None:
         cells = calibration.GainGrid(args.kp_values, args.kd_values).cells()
     else:
         cells = list(calibration.DEFAULT_GAIN_CELLS)
@@ -216,6 +219,8 @@ def cmd_train(args, parser) -> int:
 
 def cmd_predict(args, parser) -> int:
     dataset = load_manifest(args.manifest)
+    if args.subject and args.subject not in dataset.subjects():
+        raise PhysgrdError(f"subject {args.subject!r} not in dataset {dataset.subjects()}")
     net, _ = grf_model.load_checkpoint(args.checkpoint)
     out = _out_dir(args)
     for entry, stem in zip(dataset, entry_stems(dataset)):
@@ -226,18 +231,6 @@ def cmd_predict(args, parser) -> int:
         grf_model.write_prediction_csv(pred, out / name, entry.clip.frame_rate)
         print(out / name)
     return 0
-
-
-def _load_prediction_for(path: Path, clip: MotionClip) -> grf_model.Prediction:
-    """A prediction file checked against its clip: one row per frame, at
-    the clip's frame times (write_prediction_csv counts them from 0)."""
-    t, pred = grf_model._load_prediction(path)
-    if len(pred) != len(clip):
-        raise PhysgrdError(
-            f"series length mismatch: prediction has {len(pred)} rows, clip {len(clip)}"
-        )
-    _check_times(path, "prediction", t, clip.times)
-    return pred
 
 
 def cmd_metrics(args, parser) -> int:
@@ -254,7 +247,8 @@ def cmd_metrics(args, parser) -> int:
         pred_path = pred_dir / f"{stem}_pred.csv"
         if not pred_path.exists():
             raise PhysgrdError(f"missing prediction file {pred_path}")
-        pred = _load_prediction_for(pred_path, entry.clip)
+        pred = _aligned(pred_path, "prediction", *grf_model._load_prediction(pred_path),
+                        entry.clip.times)  # write_prediction_csv counts them from 0
         left, right, v = metrics.evaluate_prediction(
             entry.clip, entry.plate, pred.forces, gravity
         )
@@ -291,17 +285,14 @@ def cmd_plot(args, parser) -> int:
     force_series = []
 
     if args.plate:
-        plate_t, plate = _load_plate(args.plate, "bodyweight", None)
-        if len(plate) != len(clip):
-            raise PhysgrdError(
-                f"series length mismatch: plate has {len(plate)} rows, clip {len(clip)}"
-            )
-        _check_times(Path(args.plate), "plate", plate_t, clip_t)
+        plate = _aligned(Path(args.plate), "plate",
+                         *_load_plate(args.plate, "bodyweight", None), clip_t)
         total = plate.per_foot_force[:, 0, 2] + plate.per_foot_force[:, 1, 2]
         force_series.append(
             svgplot.LineSeries("plate vGRF", t, total, mask=plate.valid_mask)
         )
-    pred = _load_prediction_for(Path(args.pred), clip) if args.pred else None
+    pred = (_aligned(Path(args.pred), "prediction", *grf_model._load_prediction(args.pred), t)
+            if args.pred else None)
     sim = simulate(clip, gains, gravity, args.mode)
     traj_series.append(svgplot.LineSeries("simulated z", t, sim.positions[:, 2]))
     phys_bw = to_bodyweight(_frame_forces(sim))

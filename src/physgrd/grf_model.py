@@ -72,7 +72,7 @@ from .dynamics import GravitySpec, PDGains, SimMode, physics_force_series, to_bo
 from .errors import NON_NEGATIVE, POSITIVE, CheckpointError, ValidationError, check_int
 from .errors import check_range
 from .metrics import evaluate_prediction
-from .motion_data import Dataset, ForcePlateRecord, _read_lines, _read_rows, _write_rows
+from .motion_data import Dataset, ForcePlateRecord, _check_cells, _read_table, _write_rows
 from .motion_data import _write_table
 
 KERNEL = 7
@@ -734,9 +734,7 @@ def load_prediction_csv(path: str | Path) -> Prediction:
 def _load_prediction(path: str | Path) -> tuple[np.ndarray, Prediction]:
     """load_prediction_csv, and the file's time column."""
     path = Path(path)
-    lines = _read_lines(path)
-    if not lines or lines[0] != ",".join(_PREDICTION_HEADER):
-        raise ValidationError(f"{path}: not a prediction file")
-    data = _read_rows(path, lines, _PREDICTION_HEADER)
+    data = _read_table(path, lambda n: _PREDICTION_HEADER)
+    _check_cells(path, _PREDICTION_HEADER, data, slice(1, None))  # t: motion_data._aligned
     return data[:, 0], Prediction(forces=data[:, 1:].reshape(len(data), 2, 3))
 

@@ -42,7 +42,8 @@ def vgrf_mse(pred: np.ndarray, plate: ForcePlateRecord) -> tuple[float, float]:
     out = []
     for foot in range(2):
         d = pred[valid, foot, 2] - plate.per_foot_force[valid, foot, 2]
-        out.append(float(np.mean(d * d)))
+        with np.errstate(over="ignore"):  # a huge finite error scores inf
+            out.append(float(np.mean(d * d)))
     return out[0], out[1]
 
 
@@ -55,9 +56,10 @@ def vrpe(sim: SimResult, clip: MotionClip) -> float:
 
 def vrpe_heights(z: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
     """vRPE of simulated root heights z, (..., T), against z_ref, (T,)."""
-    d = z - z_ref
-    d *= d
-    return np.mean(d, axis=-1) * VRPE_SCALE
+    with np.errstate(over="ignore"):  # a huge finite error scores inf
+        d = z - z_ref
+        d *= d
+        return np.mean(d, axis=-1) * VRPE_SCALE
 
 
 # np.mean over a contiguous float64 axis is numpy's pairwise sum over T: a
@@ -148,22 +150,24 @@ def aggregate(per_clip: Mapping[tuple, object], kind: str = "vrpe") -> MetricTab
         groups.setdefault(str(key[1]), []).append(per_clip[key])
 
     rows: dict[str, tuple[float, float]] = {}
-    for motion in sorted(groups):
-        vals = sorted(
-            np.atleast_1d(np.asarray(v, dtype=float)).tolist() for v in groups[motion]
-        )
-        arr = np.array(vals, dtype=float)
-        if kind == "vgrf":
-            if arr.shape[1] != 2:
-                raise ValidationError("vgrf values must be (left, right) pairs")
-            rows[motion] = (float(arr[:, 0].mean()), float(arr[:, 1].mean()))
-        else:
-            if arr.shape[1] != 1:
-                raise ValidationError("vrpe values must be scalars")
-            rows[motion] = (float(arr[:, 0].mean()), float(arr[:, 0].std()))
+    # an inf score gives its rows inf or NaN, as the tables report them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for motion in sorted(groups):
+            vals = sorted(
+                np.atleast_1d(np.asarray(v, dtype=float)).tolist() for v in groups[motion]
+            )
+            arr = np.array(vals, dtype=float)
+            if kind == "vgrf":
+                if arr.shape[1] != 2:
+                    raise ValidationError("vgrf values must be (left, right) pairs")
+                rows[motion] = (float(arr[:, 0].mean()), float(arr[:, 1].mean()))
+            else:
+                if arr.shape[1] != 1:
+                    raise ValidationError("vrpe values must be scalars")
+                rows[motion] = (float(arr[:, 0].mean()), float(arr[:, 0].std()))
 
-    body = np.array([rows[m] for m in sorted(rows)], dtype=float)
-    average = (float(body[:, 0].mean()), float(body[:, 1].mean()))
+        body = np.array([rows[m] for m in sorted(rows)], dtype=float)
+        average = (float(body[:, 0].mean()), float(body[:, 1].mean()))
     return MetricTable(kind=kind, rows=rows, average=average)
 
 
@@ -199,7 +203,8 @@ def evaluate_prediction(
         left, right = vgrf_mse(pred_bw, plate)
     else:
         left, right = float("nan"), float("nan")
-    total_norm = from_bodyweight(pred_bw.sum(axis=1))
+    with np.errstate(over="ignore"):  # a huge finite force diverges the rollout
+        total_norm = from_bodyweight(pred_bw.sum(axis=1))
     try:
         sim = rollout_forces(clip, total_norm, gravity)
     except SimulationDivergedError:

@@ -6,19 +6,27 @@ body-weight units with a validity mask for missing measurements.
 
 File formats
 ------------
-Clip CSV      header ``t,px,py,pz,f0..f{D-4}``; one row per frame; ``t`` in
-              seconds, strictly increasing with uniform spacing (+-1e-6 s).
-              By convention the feature vector starts with the root position,
-              so a clip with no extra channels has feature width D = 3.
-Plate CSV     header ``t,L_fx,L_fy,L_fz,L_copx,L_copy,L_contact,R_fx,...``;
-              the literal ``NaN`` marks a missing measurement; contact flags
-              are 0 or 1. A manifest's plate has the clip's frame times
-              (+-1e-6 s).
-Manifest      JSON ``{"subjects": [{"id", "mass_kg", "clips": [...]}]}``;
-              each clip entry carries ``motion_label``, ``clip_path``,
-              ``plate_path`` and ``force_unit`` ("newton" or "bodyweight").
-              Ids and labels name output files, so they must match
-              ``[A-Za-z0-9._-]+``.
+Clip CSV        header ``t,px,py,pz,f0..f{D-4}``; one row per frame; ``t`` in
+                seconds, strictly increasing with uniform spacing (+-1e-6 s).
+                By convention the feature vector starts with the root
+                position, so a clip with no extra channels has feature width
+                D = 3. Every cell is finite.
+Plate CSV       header ``t,L_fx,L_fy,L_fz,L_copx,L_copy,L_contact,R_fx,...``;
+                the literal ``NaN`` marks a missing measurement, no cell is
+                infinite, and contact flags are 0 or 1.
+Prediction CSV  header ``t,L_fx,L_fy,L_fz,R_fx,R_fy,R_fz`` (written and read
+                by grf_model); every force cell is finite.
+Manifest        JSON ``{"subjects": [{"id", "mass_kg", "clips": [...]}]}``;
+                each clip entry carries ``motion_label``, ``clip_path``,
+                ``plate_path`` and ``force_unit`` ("newton" or "bodyweight").
+                Ids and labels name output files, so they must match
+                ``[A-Za-z0-9._-]+``.
+
+The three numeric CSVs are read by ``_read_table``, which rejects a file
+whose header is not its format's (the one its writer writes), and checked by
+``_check_cells``, which names the file, row and column of the first bad
+cell. ``_aligned`` is the one place a plate or prediction is lined up with
+its clip: one row per clip frame, at the clip's frame times (+-1e-6 s).
 
 Every numeric CSV (clip, plate, prediction, simulation) goes through one row
 codec, ``_write_rows``/``_read_rows``: cells are the shortest round-tripping
@@ -39,7 +47,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -58,6 +66,13 @@ _TIME_TOLERANCE = 1e-6
 # Column layout of the plate CSV, per foot: fx fy fz copx copy contact.
 _PLATE_FOOT_COLS = 6
 _PLATE_FEET = ("L", "R")
+_PLATE_HEADER = ("t",) + tuple(f"{foot}_{col}" for foot in _PLATE_FEET
+                               for col in ("fx", "fy", "fz", "copx", "copy", "contact"))
+
+
+def _clip_header(width: int) -> tuple[str, ...]:
+    """Clip CSV header for feature width ``width`` (>= 3)."""
+    return ("t", "px", "py", "pz") + tuple(f"f{i}" for i in range(width - 3))
 
 
 def _fmt(value: float) -> str:
@@ -148,6 +163,38 @@ def _scan_rows(path: Path, lines: Sequence[str], header: Sequence[str]) -> np.nd
     if k == 0:
         raise ParseError(f"{path}: no data rows")
     return out[:k]
+
+
+def _read_table(path: Path, header_for: Callable[[int], Sequence[str]]) -> np.ndarray:
+    """The (rows, columns) cells of a numeric CSV, read by ``_read_rows``. Its
+    header, the n cells of its first line stripped of blanks, must be
+    ``header_for(n)``; another header is a ParseError naming that one."""
+    lines = _read_lines(path)
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    header = tuple(h.strip() for h in lines[0].split(","))
+    expected = tuple(header_for(len(header)))
+    if header != expected:
+        raise ParseError(f"{path}: header must be {','.join(expected)!r}, got {lines[0]!r}")
+    return _read_rows(path, lines, expected)
+
+
+def _check_cells(
+    path: Path, header: Sequence[str], data: np.ndarray, cols: slice,
+    ok: Callable[[np.ndarray], np.ndarray] = np.isfinite,
+    reason: str = "non-finite value in column {col!r}",
+) -> None:
+    """Raise ValidationError at the first cell of ``data[:, cols]``, in
+    reading order, where ``ok`` is False: ``{path}: row {r}: {reason}``,
+    with the column's name and the cell's value formatted into ``reason``
+    as ``col`` and ``value``."""
+    bad = ~ok(data[:, cols])
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        c = range(len(header))[cols][c]
+        raise ValidationError(
+            f"{path}: row {r + 1}: " + reason.format(col=header[c], value=float(data[r, c]))
+        )
 
 
 def to_bodyweight(force: np.ndarray, mass: float = 1.0) -> np.ndarray:
@@ -376,40 +423,21 @@ def _load_clip(
 ) -> tuple[np.ndarray, MotionClip]:
     """load_clip_csv, and the file's time column."""
     path = Path(path)
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
-    if header[:4] != ["t", "px", "py", "pz"]:
-        raise ParseError(f"{path}: header must start with t,px,py,pz, got {header[:4]}")
-    extra_cols = header[4:]
-    for i, name in enumerate(extra_cols):
-        if name != f"f{i}":
-            raise ParseError(f"{path}: expected feature column f{i}, got {name!r}")
-
-    data = _read_rows(path, lines, header)
+    # the header's width gives the feature width
+    data = _read_table(path, lambda n: _clip_header(max(n - 1, 3)))
+    _check_cells(path, _clip_header(data.shape[1] - 1), data, slice(None))
     t = data[:, 0]
-    bad = np.flatnonzero(~np.isfinite(t))
-    if bad.size:
-        raise ValidationError(f"row {int(bad[0]) + 1}: non-finite timestamp")
-    pos = data[:, 1:4]
-    bad = np.argwhere(~np.isfinite(data[:, 1:]))  # positions and f* features
-    if len(bad):
-        r, c = bad[0]
-        raise ValidationError(
-            f"row {int(r) + 1}: non-finite value in column {header[1 + int(c)]!r}"
-        )
 
     if len(t) >= 2:
-        diffs = np.diff(t)
-        if np.any(diffs <= 0):
+        # times near the float range overflow here; the checks below reject them
+        with np.errstate(over="ignore", invalid="ignore"):
+            increasing = np.all(np.diff(t) > 0)
+            dt = float(t[1] - t[0])
+            drift = float(np.max(np.abs(t - (t[0] + dt * np.arange(len(t))))))
+        if not increasing:
             raise UnitError(f"{path}: timestamps must be strictly increasing")
-        dt = float(t[1] - t[0])
-        drift = np.abs(t - (t[0] + dt * np.arange(len(t))))
-        if float(drift.max()) > _TIME_TOLERANCE:
-            raise ValidationError(
-                f"{path}: non-uniform frame spacing (max drift {drift.max():.3g} s)"
-            )
+        if not drift <= _TIME_TOLERANCE:
+            raise ValidationError(f"{path}: non-uniform frame spacing (max drift {drift:.3g} s)")
         rate = 1.0 / dt
     elif frame_rate is None:
         raise UnitError(f"{path}: single-row clip needs an explicit frame_rate")
@@ -422,28 +450,20 @@ def _load_clip(
         motion_label=motion_label,
         frame_rate=rate,
         mass=mass,
-        root_positions=pos,
+        root_positions=data[:, 1:4],
         features=features,
     )
 
 
 def write_clip_csv(clip: MotionClip, path: str | Path) -> None:
     """Write a clip in the format load_clip_csv reads, exactly round-tripping."""
-    header = ["t", "px", "py", "pz"] + [f"f{i}" for i in range(clip.feature_width - 3)]
-    _write_rows(path, header, np.column_stack([clip.times, clip.features]))
+    _write_rows(path, _clip_header(clip.feature_width),
+                np.column_stack([clip.times, clip.features]))
 
 
 # ---------------------------------------------------------------------------
 # Plate CSV
 # ---------------------------------------------------------------------------
-
-def _plate_header() -> list[str]:
-    cols = ["t"]
-    for foot in _PLATE_FEET:
-        cols += [f"{foot}_fx", f"{foot}_fy", f"{foot}_fz",
-                 f"{foot}_copx", f"{foot}_copy", f"{foot}_contact"]
-    return cols
-
 
 def load_force_plate(
     path: str | Path,
@@ -454,7 +474,7 @@ def load_force_plate(
     """Load a plate CSV; NaN force components mark missing rows.
 
     An infinite force or CoP cell, or a contact flag other than 0 or 1,
-    raises ValidationError naming its row and column.
+    raises ValidationError naming the file, row and column.
 
     force_unit="newton" converts to body weights at ingestion, which needs
     the subject mass; a mass so small that a finite force converts to a
@@ -468,41 +488,16 @@ def _load_plate(
 ) -> tuple[np.ndarray, ForcePlateRecord]:
     """load_force_plate, and the file's time column."""
     path = Path(path)
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
-    expected = _plate_header()
-    if header != expected:
-        raise ParseError(f"{path}: bad plate header {header[:4]}...")
-
-    data = _read_rows(path, lines, expected)
-    measured = [c for c in range(1, len(expected)) if c % _PLATE_FOOT_COLS]
-    bad = np.argwhere(np.isinf(data[:, measured]))
-    if len(bad):
-        r, c = bad[0]
-        raise ValidationError(
-            f"row {int(r) + 1}: infinite value in column {expected[measured[int(c)]]!r}"
-        )
-    flag_cols = list(range(_PLATE_FOOT_COLS, len(expected), _PLATE_FOOT_COLS))
-    flags = data[:, flag_cols]
-    bad = np.argwhere((flags != 0.0) & (flags != 1.0))
-    if len(bad):
-        r, c = bad[0]
-        raise ValidationError(
-            f"row {int(r) + 1}: contact flag in column {expected[flag_cols[int(c)]]!r} "
-            f"must be 0 or 1, got {float(flags[r, c])!r}"
-        )
-
-    T = len(data)
-    force = np.empty((T, 2, 3))
-    cop = np.empty((T, 2, 2))
-    contact = np.empty((T, 2), dtype=bool)
-    for f in range(2):
-        base = 1 + f * _PLATE_FOOT_COLS
-        force[:, f, :] = data[:, base:base + 3]
-        cop[:, f, :] = data[:, base + 3:base + 5]
-        contact[:, f] = data[:, base + 5] != 0.0
+    data = _read_table(path, lambda n: _PLATE_HEADER)
+    # t is checked against the clip's frame times (_aligned); the flags come
+    # first, so a measured column's check meets only flags of 0 and 1
+    _check_cells(path, _PLATE_HEADER, data, slice(_PLATE_FOOT_COLS, None, _PLATE_FOOT_COLS),
+                 lambda x: (x == 0.0) | (x == 1.0),
+                 "contact flag in column {col!r} must be 0 or 1, got {value!r}")
+    _check_cells(path, _PLATE_HEADER, data, slice(1, None), lambda x: ~np.isinf(x),
+                 "infinite value in column {col!r}")
+    feet = data[:, 1:].reshape(len(data), len(_PLATE_FEET), _PLATE_FOOT_COLS)
+    force, cop, contact = feet[:, :, :3], feet[:, :, 3:5], feet[:, :, 5] != 0.0
 
     if force_unit == "newton":
         check_range("mass of a newton-valued plate file", mass, POSITIVE, UnitError)
@@ -532,7 +527,7 @@ def write_force_plate(
     data = np.column_stack(cols).astype(object)
     # contact flags are written as the integers 1 and 0
     data[:, _PLATE_FOOT_COLS::_PLATE_FOOT_COLS] = record.contact_flags.astype(int)
-    _write_rows(path, _plate_header(), data)
+    _write_rows(path, _PLATE_HEADER, data)
 
 
 # ---------------------------------------------------------------------------
@@ -581,16 +576,20 @@ def load_manifest(path: str | Path) -> Dataset:
             plate = None
             if plate_path:
                 unit = spec.get("force_unit", "bodyweight")
-                plate_t, plate = _load_plate(root / plate_path, unit, mass)
-            entries.append(DatasetEntry(clip=clip, plate=plate))  # rejects another length
-            if plate is not None:
-                _check_times(root / plate_path, "plate", plate_t, clip_t)
+                plate = _aligned(root / plate_path, "plate",
+                                 *_load_plate(root / plate_path, unit, mass), clip_t)
+            entries.append(DatasetEntry(clip=clip, plate=plate))
     return Dataset(tuple(entries))
 
 
-def _check_times(path: Path, kind: str, t: np.ndarray, clip_t: np.ndarray) -> None:
-    """Raise ValidationError at the first row of a `kind` file (plate or
-    prediction) whose time is not the clip's frame time."""
+def _aligned(path: Path, kind: str, t: np.ndarray, record, clip_t: np.ndarray):
+    """``record``, a plate or prediction read from ``path`` with time column
+    ``t``, once it has one row per clip frame (else LengthMismatchError) at
+    the clip's frame times ``clip_t`` (else ValidationError)."""
+    if len(t) != len(clip_t):
+        raise LengthMismatchError(
+            f"{path}: {kind} has {len(t)} rows but its clip has {len(clip_t)} frames"
+        )
     with np.errstate(over="ignore"):
         bad = np.flatnonzero(~(np.abs(t - clip_t) <= _TIME_TOLERANCE))
     if bad.size:
@@ -599,6 +598,7 @@ def _check_times(path: Path, kind: str, t: np.ndarray, clip_t: np.ndarray) -> No
             f"{path}: row {r + 1}: {kind} time {float(t[r])!r} is not the clip's "
             f"frame time {float(clip_t[r])!r} (+-{_TIME_TOLERANCE} s)"
         )
+    return record
 
 
 def entry_stems(dataset: Dataset) -> list[str]:

@@ -1,10 +1,11 @@
 """Fuzzing the CLI's input boundary with truncated and byte-mutated files,
-and with extreme values of every numeric flag.
+extreme cell values and extreme values of every numeric flag.
 
-Whatever a gains file, manifest or prediction CSV holds, a command must
-either succeed or fail with exit code 1 and one ``physgrd: error:`` line;
-an exception escaping ``main`` is the traceback a user would see. A numeric
-flag may also fail as a usage error (exit code 2, one line).
+Whatever a gains file, manifest, clip, plate or prediction CSV holds, a
+command must either succeed or fail with exit code 1 and one ``physgrd:
+error:`` line; an exception escaping ``main`` is the traceback a user would
+see, and pytest turns a numpy warning into one. A numeric flag may also fail
+as a usage error (exit code 2, one line).
 """
 
 import argparse
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from physgrd import synthetic
@@ -37,6 +38,8 @@ _BYTES = st.one_of(st.sampled_from(list(b'0123456789.-+eE,"{}[]: \nNa')), st.int
 _TARGET_FILE = {
     "gains": "gains.json",
     "manifest": "data/manifest.json",
+    "clip": "data/S1_hop_000_clip.csv",
+    "plate": "data/S1_hop_000_plate.csv",
     "prediction": "pred/S1_hop_000_pred.csv",
 }
 
@@ -84,6 +87,19 @@ def _command(target: str, root: Path, work: Path) -> list[str]:
             "--pred-dir", str(work / "pred"), "--out-dir", out]
 
 
+def _assert_exits_cleanly(argv: list[str]) -> None:
+    """main(argv) exits 0 with nothing on stderr, or 1 with one error line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("physgrd: error: "), lines
+
+
 @pytest.mark.parametrize("target", sorted(_TARGET_FILE))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -93,15 +109,7 @@ def test_mutated_input_exits_cleanly(valid_files, target, data):
         argv = _command(target, valid_files, work)
         path = work / _TARGET_FILE[target]
         path.write_bytes(_mutate(data, path.read_bytes()))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
-    lines = err.getvalue().splitlines()
-    if code == 0:
-        assert lines == []
-    else:
-        assert code == 1
-        assert len(lines) == 1 and lines[0].startswith("physgrd: error: "), lines
+        _assert_exits_cleanly(argv)
 
 
 @pytest.mark.parametrize("target", ["gains", "manifest", "prediction", "clip", "checkpoint"])
@@ -190,6 +198,51 @@ def test_extreme_numeric_flag_exits_cleanly(command_argv, command, data):
     assert code in (0, 1, 2) and len(lines) == (code != 0), (code, lines)
     if code:
         assert lines[0].startswith("physgrd: error: " if code == 1 else "physgrd: usage-error: ")
+
+
+_CELL_VALUES = ["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "0", "-0.0", "", "x",
+                str(2**63)]
+# the commands that read each CSV, with the flag that names it where command_argv does not
+_CELL_READERS = {
+    "clip": dict.fromkeys(("calibrate", "simulate", "train", "predict", "metrics", "plot")),
+    "plate": {**dict.fromkeys(("calibrate", "train", "predict", "metrics")), "plot": "--plate"},
+    "prediction": {"metrics": None, "plot": "--pred"},
+}
+
+
+@settings(max_examples=90, deadline=None)
+@given(case=st.sampled_from([(target, command) for target in sorted(_CELL_READERS)
+                             for command in sorted(_CELL_READERS[target])]),
+       row=st.integers(1, 30), column=st.integers(0, 12), value=st.sampled_from(_CELL_VALUES))
+# each of these made numpy warn on stderr, before the one error line or on a
+# run that exited 0: a clip time overflowing the frame-spacing check, and huge
+# finite cells overflowing the metrics
+@example(case=("clip", "calibrate"), row=1, column=0, value="-1e308")
+@example(case=("clip", "simulate"), row=1, column=0, value="-1e308")
+@example(case=("clip", "train"), row=1, column=0, value="-1e308")
+@example(case=("clip", "predict"), row=1, column=0, value="-1e308")
+@example(case=("clip", "metrics"), row=1, column=0, value="-1e308")
+@example(case=("clip", "plot"), row=1, column=0, value="-1e308")
+@example(case=("clip", "metrics"), row=1, column=3, value="1e308")
+@example(case=("plate", "metrics"), row=1, column=3, value="1e308")
+@example(case=("prediction", "metrics"), row=1, column=3, value="1e308")
+def test_extreme_cell_exits_cleanly(valid_files, command_argv, case, row, column, value):
+    """One cell of a 30-row CSV set to value; a column past the file's wraps."""
+    target, command = case
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(valid_files, work, dirs_exist_ok=True)
+        path = work / _TARGET_FILE[target]
+        lines = path.read_text().splitlines()
+        assert len(lines) == 31
+        cells = lines[row].split(",")
+        cells[column % len(cells)] = value
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        argv = [a.replace(str(valid_files), str(work)) for a in command_argv[command]]
+        flag = _CELL_READERS[target][command]
+        extra = [flag, str(path)] if flag else []
+        _assert_exits_cleanly(argv + extra + ["--out-dir", str(work / "out")])
 
 
 def test_every_gen_option_sets_a_generator_parameter():

@@ -148,6 +148,23 @@ class TestCalibrate:
         assert report[0] == "kp,kd,S1,S2,S3,avg,std"
         assert len(report) == 12  # ten default cells plus the extra one
 
+    @pytest.mark.parametrize("cells, message", [
+        (("--kp-values", "10,20"), "--kp-values and --kd-values must be given together"),
+        (("--kd-values", "1"), "--kp-values and --kd-values must be given together"),
+        (("--kp", "70", "--kd", "3", "--kp-values", "nan", "--kd-values", "1"),
+         "--kp/--kd and --kp-values/--kd-values cannot be combined"),
+    ], ids=["kp-values-alone", "kd-values-alone", "single-cell-and-grid"])
+    def test_grid_flags_that_would_be_ignored_are_usage_errors(
+        self, tmp_path, capsys, cells, message,
+    ):
+        manifest = gen_small(tmp_path / "data", subjects=1)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run("calibrate", "--manifest", manifest, *cells, "--out-dir", tmp_path / "calib")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [f"physgrd: usage-error: {message}"]
+        assert not (tmp_path / "calib").exists()
+
     def test_missing_manifest_is_runtime_error(self, tmp_path, capfd):
         assert run(
             "calibrate", "--manifest", tmp_path / "nope.json", "--out-dir", tmp_path
@@ -203,7 +220,9 @@ class TestCalibrate:
         capsys.readouterr()
         assert run("calibrate", "--manifest", manifest, "--out-dir", tmp_path / "calib") == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["physgrd: error: ValidationError: row 3: infinite value in column 'L_fz'"]
+        assert err == [
+            f"physgrd: error: ValidationError: {plate}: row 3: infinite value in column 'L_fz'"
+        ]
         assert not (tmp_path / "calib").exists()
 
     @pytest.mark.parametrize("column, value, message", [
@@ -420,6 +439,40 @@ class TestTrainPredictMetrics:
             "the clip's frame time 0.03 (+-1e-06 s)"
         ]
         assert not (tmp_path / "metrics").exists()
+
+    def test_infinite_prediction_cell_names_file_row_and_column(self, tmp_path, capsys):
+        manifest = gen_small(tmp_path / "data", kind="walk", subjects=1, duration=1.0)
+        clip = load_manifest(manifest).entries[0].clip
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        path = pred_dir / "S1_walk_000_pred.csv"
+        write_prediction_csv(Prediction(forces=np.zeros((len(clip), 2, 3))), path,
+                             clip.frame_rate)
+        set_cell(path, 3, 6, "inf")
+        capsys.readouterr()
+        assert run(
+            "metrics", "--manifest", manifest, "--pred-dir", pred_dir,
+            "--out-dir", tmp_path / "metrics",
+        ) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"physgrd: error: ValidationError: {path}: row 3: non-finite value in column 'R_fz'"
+        ]
+
+    def test_predict_unknown_subject_is_runtime_error(self, tmp_path, capsys):
+        manifest = gen_small(tmp_path / "data", kind="walk", subjects=2, duration=1.0)
+        width = load_manifest(manifest).entries[0].clip.feature_width
+        cfg = TrainConfig(conv_channels=(4, 4, 4, 4), fc_widths=(4, 4))
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(TemporalConvNet(width, cfg.conv_channels, cfg.fc_widths), cfg, ckpt)
+        capsys.readouterr()
+        assert run(
+            "predict", "--manifest", manifest, "--checkpoint", ckpt, "--subject", "S9",
+            "--out-dir", tmp_path / "pred",
+        ) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "physgrd: error: PhysgrdError: subject 'S9' not in dataset ['S1', 'S2']"
+        ]
+        assert not (tmp_path / "pred").exists()
 
     def test_plateless_metrics_write_nan(self, tmp_path):
         manifest = gen_small(tmp_path / "data", kind="walk", subjects=1, duration=1.0)

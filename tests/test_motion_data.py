@@ -9,6 +9,7 @@ from physgrd.errors import (
     UnitError,
     ValidationError,
 )
+from physgrd.grf_model import load_prediction_csv
 from physgrd.motion_data import (
     Dataset,
     DatasetEntry,
@@ -243,7 +244,7 @@ class TestForcePlate:
         path = self.edited_plate(tmp_path, 2, column, value)
         with pytest.raises(ValidationError) as exc:
             load_force_plate(path)
-        assert str(exc.value) == f"row 2: infinite value in column '{column}'"
+        assert str(exc.value) == f"{path}: row 2: infinite value in column '{column}'"
 
     @staticmethod
     def edited_plate(tmp_path, row, column, value):
@@ -267,7 +268,9 @@ class TestForcePlate:
         path = self.edited_plate(tmp_path, 4, column, value)
         with pytest.raises(ValidationError) as exc:
             load_force_plate(path)
-        assert str(exc.value) == f"row 4: contact flag in column '{column}' must be 0 or 1, got {shown}"
+        assert str(exc.value) == (
+            f"{path}: row 4: contact flag in column '{column}' must be 0 or 1, got {shown}"
+        )
 
     @pytest.mark.parametrize("value, contact", [("1.0", True), ("0e0", False), ("-0", False)])
     def test_contact_flag_spellings_of_0_and_1_load(self, tmp_path, value, contact):
@@ -365,6 +368,15 @@ class TestManifest:
             "(+-1e-06 s)"
         )
 
+    def test_short_plate_names_its_file(self, tmp_path):
+        clip, plate = gen_synthetic("hop", {"duration": 0.5}, seed=1)
+        manifest = write_manifest(Dataset((DatasetEntry(clip, plate),)), tmp_path)
+        path = tmp_path / "S1_hop_000_plate.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        with pytest.raises(LengthMismatchError) as exc:
+            load_manifest(manifest)
+        assert str(exc.value) == f"{path}: plate has 49 rows but its clip has 50 frames"
+
     def test_plate_time_within_tolerance_loads(self, tmp_path):
         clip, plate = gen_synthetic("hop", {"duration": 0.5}, seed=1)
         manifest = write_manifest(Dataset((DatasetEntry(clip, plate),)), tmp_path)
@@ -373,6 +385,21 @@ class TestManifest:
         lines[2] = "0.0100009" + lines[2][lines[2].index(","):]
         path.write_text("\n".join(lines) + "\n")
         assert len(load_manifest(manifest)) == 1
+
+
+@pytest.mark.parametrize("load, header, expected", [
+    (load_clip_csv, "t,px,py,pz,f0,f2", "t,px,py,pz,f0,f1"),
+    (load_clip_csv, "t,px,py", "t,px,py,pz"),
+    (load_force_plate, "t,L_fx,L_fy,L_fz,L_copx,L_copy,L_contact",
+     "t,L_fx,L_fy,L_fz,L_copx,L_copy,L_contact,R_fx,R_fy,R_fz,R_copx,R_copy,R_contact"),
+    (load_prediction_csv, "t,L_fx,L_fy,L_fz,R_fx,R_fy,R_fZ", "t,L_fx,L_fy,L_fz,R_fx,R_fy,R_fz"),
+], ids=["clip-feature-name", "clip-short", "plate-one-foot", "prediction-case"])
+def test_wrong_header_names_the_expected_one(tmp_path, load, header, expected):
+    path = tmp_path / "f.csv"
+    path.write_text(header + "\n" + ",".join(["0"] * len(header.split(","))) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}: header must be {expected!r}, got {header!r}"
 
 
 class TestGravitySpec:
