@@ -223,7 +223,7 @@ _CELL_READERS = {
 @example(case=("clip", "predict"), row=1, column=0, value="-1e308")
 @example(case=("clip", "metrics"), row=1, column=0, value="-1e308")
 @example(case=("clip", "plot"), row=1, column=0, value="-1e308")
-@example(case=("clip", "metrics"), row=1, column=3, value="1e308")
+@example(case=("clip", "metrics"), row=2, column=3, value="1e308")
 @example(case=("plate", "metrics"), row=1, column=3, value="1e308")
 @example(case=("prediction", "metrics"), row=1, column=3, value="1e308")
 def test_extreme_cell_exits_cleanly(valid_files, command_argv, case, row, column, value):
