@@ -13,7 +13,12 @@ Every PD step, in simulate and in calibration's batched grid, runs through
 _pd_steps. Its states put the component axis first, (3, ...), so a batch of
 clips x cells steps as (3, clips, cells) with the cells innermost, and it
 steps preallocated arrays in place: what it yields is overwritten by the
-next step. The public (..., 3) functions are unaffected.
+next step. Gains, gravity, state, force and scratch are all C-ordered
+arrays of the state's full shape: a ufunc with a broadcast operand splits
+its work into one short inner loop per broadcast row (60 loops of 54 cells
+for a (3, 20, 54) batch), which took 1.7 times as long as one loop over the
+whole batch (6.5 against 3.7 us per multiply, numpy 2.4 on a 2-vCPU VM).
+The public (..., 3) functions are unaffected.
 """
 
 from __future__ import annotations
@@ -160,7 +165,10 @@ def _pd_steps(ref: np.ndarray, kp, kd, gravity: GravitySpec, dt: float, mocap_ve
     that of ref[0] broadcast with the gains: scalar gains on a (T, 3) ref
     step a (3,) state; a (T, 3, n, 1) ref of n clips under (B,) gains steps
     a (3, n, B) state, so every operation runs over the B cells in one
-    contiguous inner loop. Gravity is reshaped to (3, 1, ...) to match.
+    contiguous inner loop. Gravity is reshaped to (3, 1, ...) to match, and
+    the gains and gravity are copied once to the state's shape in C order,
+    so only the targets broadcast; strided gains (columns of a cell list)
+    step as fast as contiguous ones.
 
     The state, force and scratch arrays are allocated once and stepped in
     place, so the yielded force and pos are overwritten by the next step:
@@ -169,10 +177,15 @@ def _pd_steps(ref: np.ndarray, kp, kd, gravity: GravitySpec, dt: float, mocap_ve
     """
     check_range("dt", dt, POSITIVE, UnitError)
     shape = np.broadcast_shapes(np.shape(kp), np.shape(kd), ref[0].shape)
-    pos = np.array(np.broadcast_to(ref[0], shape), dtype=float)
-    vel = np.zeros(shape)
-    f, scratch = np.empty(shape), np.empty(shape)
-    g = gravity.g_accel.reshape((3,) + (1,) * (len(shape) - 1))
+
+    def full(a):
+        # order="C": np.array's default order="K" keeps a broadcast view's
+        # axis order, which for (B,) gains under a (3, n, B) state is not C
+        return np.array(np.broadcast_to(a, shape), dtype=float, order="C")
+
+    kp, kd, pos = full(kp), full(kd), full(ref[0])
+    g = full(gravity.g_accel.reshape((3,) + (1,) * (len(shape) - 1)))
+    vel, f, scratch = np.zeros(shape), np.empty(shape), np.empty(shape)
     if mocap_vel is None:
         for target in ref[1:]:
             _pd_law(kp, kd, target, pos, vel, f, scratch)

@@ -72,8 +72,8 @@ from .dynamics import GravitySpec, PDGains, SimMode, physics_force_series, to_bo
 from .errors import NON_NEGATIVE, POSITIVE, CheckpointError, ValidationError, check_int
 from .errors import check_range
 from .metrics import evaluate_prediction
-from .motion_data import Dataset, ForcePlateRecord, _check_cells, _read_table, _write_rows
-from .motion_data import _write_table
+from .motion_data import Dataset, ForcePlateRecord, _check_cells, _read_json, _read_table
+from .motion_data import _write_rows, _write_table
 
 KERNEL = 7
 PAD = KERNEL // 2
@@ -683,8 +683,8 @@ def save_checkpoint(net: TemporalConvNet, cfg: TrainConfig, path: str | Path) ->
 
 def load_checkpoint(path: str | Path) -> tuple[TemporalConvNet, TrainConfig]:
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # unreadable, undecodable or bad JSON
+        doc = _read_json(Path(path), "checkpoint", CheckpointError)
+    except OSError as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} is not a JSON object")

@@ -109,11 +109,20 @@ def _read_lines(path: Path) -> list[str]:
         raise ParseError(f"{path}: not a text file ({exc})") from None
 
 
-def _parse_float(text: str, row: int, col: str) -> float:
+def _read_json(path: Path, what: str, error: type = ParseError):
+    """The JSON document in path. Bytes that do not decode, text that does not
+    parse and nesting too deep for the parser are one error naming the path."""
+    try:
+        return json.loads(path.read_text())
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise error(f"{path}: {what} is not valid JSON ({exc})") from None
+
+
+def _parse_float(path: Path, text: str, row: int, col: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ParseError(f"row {row}: column '{col}' is not a number: {text!r}") from None
+        raise ParseError(f"{path}: row {row}: column '{col}' is not a number: {text!r}") from None
 
 
 def _read_rows(path: Path, lines: Sequence[str], header: Sequence[str]) -> np.ndarray:
@@ -126,8 +135,7 @@ def _read_rows(path: Path, lines: Sequence[str], header: Sequence[str]) -> np.nd
     ``_scan_rows``.
     """
     # loadtxt rejects a whitespace-only line and warns on a body with no
-    # data, so blank lines are dropped here; the scanner, which names the
-    # no-data error, numbers rows by the original lines
+    # data, so blank lines are dropped here; the scanner names the no-data error
     body = list(filter(str.strip, lines[1:]))
     if body:
         try:
@@ -137,32 +145,27 @@ def _read_rows(path: Path, lines: Sequence[str], header: Sequence[str]) -> np.nd
         else:
             if data.shape[1] == len(header):
                 return data
-    return _scan_rows(path, lines, header)
+    return _scan_rows(path, body, header)
 
 
-def _scan_rows(path: Path, lines: Sequence[str], header: Sequence[str]) -> np.ndarray:
-    """``_read_rows`` one row at a time, cells parsed with Python's ``float``.
-
-    Blank lines are skipped, but error messages number rows by their line
-    after the header.
+def _scan_rows(path: Path, body: Sequence[str], header: Sequence[str]) -> np.ndarray:
+    """``_read_rows`` of the non-blank ``body`` lines one row at a time, cells
+    parsed with Python's ``float``. Errors start with the path and number
+    rows by data row, as ``_check_cells`` does.
     """
+    if not body:
+        raise ParseError(f"{path}: no data rows")
     n = len(header)
-    out = np.empty((len(lines) - 1, n))
-    k = 0
-    for r, line in enumerate(lines[1:], start=1):
-        if not line.strip():
-            continue
+    out = np.empty((len(body), n))
+    for r, line in enumerate(body, start=1):
         cells = line.split(",")
         if len(cells) != n:
-            raise ParseError(f"row {r}: expected {n} columns, got {len(cells)}")
+            raise ParseError(f"{path}: row {r}: expected {n} columns, got {len(cells)}")
         try:
-            out[k] = list(map(float, cells))
+            out[r - 1] = list(map(float, cells))
         except ValueError:  # rescan the row to name the bad cell
-            out[k] = [_parse_float(c, r, col) for col, c in zip(header, cells)]
-        k += 1
-    if k == 0:
-        raise ParseError(f"{path}: no data rows")
-    return out[:k]
+            out[r - 1] = [_parse_float(path, c, r, col) for col, c in zip(header, cells)]
+    return out
 
 
 def _read_table(path: Path, header_for: Callable[[int], Sequence[str]]) -> np.ndarray:
@@ -536,10 +539,7 @@ def write_force_plate(
 
 def load_manifest(path: str | Path) -> Dataset:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:  # bad JSON or bytes that do not decode
-        raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    doc = _read_json(path, "manifest")
     if not isinstance(doc, dict) or not isinstance(doc.get("subjects"), list):
         raise ParseError(f"{path}: manifest must be an object with a 'subjects' list")
 

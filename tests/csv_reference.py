@@ -126,25 +126,26 @@ def write_series_csv(series, path):
 def read_rows(path):
     """The data rows of a numeric CSV as a float array, parsed cell by cell.
 
-    Blank lines are skipped; errors number rows by their line after the
-    header, as the loaders do.
+    Blank lines are skipped; errors start with the path and number rows by
+    data row, blank lines not counted, as the loaders do.
     """
     lines = Path(path).read_text().splitlines()
     header = [h.strip() for h in lines[0].split(",")]
     rows = []
-    for r, line in enumerate(lines[1:], start=1):
+    for line in lines[1:]:
         if not line.strip():
             continue
+        r = len(rows) + 1
         cells = line.split(",")
         if len(cells) != len(header):
-            raise ParseError(f"row {r}: expected {len(header)} columns, got {len(cells)}")
+            raise ParseError(f"{path}: row {r}: expected {len(header)} columns, got {len(cells)}")
         row = []
         for col, text in zip(header, cells):
             try:
                 row.append(float(text))
             except ValueError:
                 raise ParseError(
-                    f"row {r}: column '{col}' is not a number: {text!r}"
+                    f"{path}: row {r}: column '{col}' is not a number: {text!r}"
                 ) from None
         rows.append(row)
     return np.array(rows, dtype=float)

@@ -11,6 +11,7 @@ as a usage error (exit code 2, one line).
 import argparse
 import contextlib
 import io
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -21,11 +22,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from physgrd import synthetic
+from physgrd.calibration import load_gains
 from physgrd.cli import build_parser, main
+from physgrd.errors import PhysgrdError
 from physgrd.grf_model import (
     Prediction,
     TemporalConvNet,
     TrainConfig,
+    load_checkpoint,
     save_checkpoint,
     write_prediction_csv,
 )
@@ -133,6 +137,23 @@ def test_undecodable_input_exits_cleanly(valid_files, target, tmp_path, capsys):
     assert main(argv + out) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("physgrd: error: "), err
+
+
+@pytest.mark.parametrize("target", ["gains", "manifest", "checkpoint"])
+def test_deeply_nested_json_exits_cleanly(valid_files, target, tmp_path):
+    # deeper than the JSON parser's recursion limit: a RecursionError, not a ValueError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    manifest = str(valid_files / "data" / "manifest.json")
+    argv = {
+        "gains": ["simulate", "--manifest", manifest, "--gains", str(deep)],
+        "manifest": ["simulate", "--manifest", str(deep)],
+        "checkpoint": ["predict", "--manifest", manifest, "--checkpoint", str(deep)],
+    }[target]
+    _assert_exits_cleanly(argv + ["--out-dir", str(tmp_path / "out")])
+    load = {"gains": load_gains, "manifest": load_manifest, "checkpoint": load_checkpoint}
+    with pytest.raises(PhysgrdError, match=f"^{re.escape(str(deep))}: {target} is not valid JSON"):
+        load[target](deep)
 
 
 _SUBCOMMANDS = next(

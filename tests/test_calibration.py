@@ -1,10 +1,11 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import euler_reference
-from physgrd import calibration
+from physgrd import calibration, metrics
 from physgrd.calibration import (
     DEFAULT_GAIN_CELLS,
     AllCellsDivergedError,
@@ -227,6 +228,31 @@ class TestCalibrate:
             assert report.diverged == ((1e9, 0.0),)
 
     @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("T", [1, 2, 31, 32, 33, 128, 129, 257])
+    def test_gather_block_and_leaf_edges_match_reference(self, mode, T):
+        # _leaf_heights gathers heights in blocks of _GATHER frames from frame 1
+        # and from each later leaf start (128, 192 for T = 257); the spike clip
+        # makes its stiff cell diverge at frame T // 2 + 3, inside a block
+        hop = gen_synthetic("hop", {"subject_id": "S1", "duration": 2.6}, seed=4)[0]
+        walk = gen_synthetic("walk", {"subject_id": "S2", "duration": 2.6}, seed=5)[0]
+        clips = [MotionClip(c.subject_id, c.motion_label, c.frame_rate, c.mass,
+                            c.root_positions[:T], c.features[:T]) for c in (hop, walk)]
+        stiff = (10000.0, 150.0)
+        spike = T // 2 + 3
+        if spike < T:
+            pos = clips[0].root_positions.copy()
+            pos[spike, 2] = 1.1e6
+            clips.append(MotionClip("S3", "spike", hop.frame_rate, 70.0, pos, pos))
+            with pytest.raises(SimulationDivergedError) as exc:
+                euler_reference.simulate(clips[-1], PDGains(*stiff), mode=mode)
+            first = 1 if spike < metrics.PAIRWISE_LEAF else metrics.PAIRWISE_LEAF
+            assert exc.value.frame == spike
+            assert (spike - first) % calibration._GATHER not in (0, calibration._GATHER - 1)
+        assert list(calibration._buckets(clips)) == [list(range(len(clips)))]
+        report = self.assert_matches_reference(clips, [(70.0, 3.0), stiff, (30.0, 9.0)], mode)
+        assert report.diverged == ((stiff,) if spike < T else ())
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_bucket_never_holds_heights_of_every_frame(self, mode):
         # 2 clips x 100 cells x 8000 frames: their heights would take 12.8 MB
         clips = [gen_synthetic("hop", {"subject_id": f"S{i}", "duration": 80.0}, seed=i)[0]
@@ -346,3 +372,13 @@ class TestReportIO:
         write_best_gains(report, path)
         gains = load_gains(path)
         assert (gains.kp, gains.kd) == (50.0, 6.0)
+
+    @pytest.mark.parametrize("text", [
+        '{"kp": true, "kd": "3"}', '{"kp": 70, "kd": false}', '{"kp": "70", "kd": 3}',
+        '{"kp": 70, "kd": null}', '{"kp": 1' + "0" * 400 + ', "kd": 3}',
+    ], ids=["bool-and-string", "bool", "string", "null", "int-beyond-float"])
+    def test_gains_must_be_json_numbers(self, tmp_path, text):
+        path = tmp_path / "gains.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: gains need numeric"):
+            load_gains(path)

@@ -264,6 +264,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("text", [
         '{"kp": 70}', "[70, 3]", "not json", '{"kp": "x", "kd": 3}', '{"kp": NaN, "kd": 3}',
+        '{"kp": true, "kd": "3"}',
     ])
     def test_malformed_gains_file_is_runtime_error(self, tmp_path, capsys, text):
         manifest = gen_small(tmp_path / "data", subjects=1)
@@ -415,7 +416,7 @@ class TestTrainPredictMetrics:
             "--out-dir", tmp_path / "metrics",
         ) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("physgrd: error: ParseError: row 2")
+        assert len(err) == 1 and err[0].startswith(f"physgrd: error: ParseError: {path}: row 2")
 
     def test_prediction_time_nan_is_runtime_error(self, tmp_path, capsys):
         manifest = gen_small(tmp_path / "data", kind="walk", subjects=1, duration=1.0)

@@ -140,6 +140,30 @@ class TestPDSteps:
                     np.testing.assert_array_equal(f[:, j, b], f1)
                     np.testing.assert_array_equal(pos[:, j, b], pos1)
 
+    @pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])
+    def test_strided_gain_columns_match_scalar_reference(self, mode):
+        # the gains as calibrate passes them: rows of a transposed cell list,
+        # every other float of one buffer
+        clips = make_dataset(["hop", "walk"], n_subjects=1, seed=5,
+                             base_params={"duration": 0.5}).clips()
+        cells = [(10.0, 0.0), (70.0, 3.0), (90.0, 15.0), (2000.0, 80.0)]
+        kp, kd = np.array(cells).T
+        assert not kp.flags.c_contiguous
+        g, dt = GravitySpec(g_accel=np.array([0.4, -0.3, 9.7])), clips[0].dt
+        ref = np.stack([c.root_positions for c in clips], axis=2)[..., None]  # (T, 3, n, 1)
+        vel = None
+        if mode == "open_loop":
+            vel = np.stack([finite_diff_velocity(c) for c in clips], axis=2)[..., None]
+        steps = _pd_steps(ref, kp, kd, g, dt, vel)
+        f, pos = next(steps)
+        assert f.flags.c_contiguous and pos.flags.c_contiguous
+        batched = [(f.copy(), pos.copy())] + _copied(steps)
+        for j, clip in enumerate(clips):
+            for b, cell in enumerate(cells):
+                sim = euler_reference.simulate(clip, PDGains(*cell), g, mode)
+                np.testing.assert_array_equal([f[:, j, b] for f, _ in batched], sim.total_force)
+                np.testing.assert_array_equal([p[:, j, b] for _, p in batched], sim.positions[1:])
+
 
 class TestSimulate:
     def test_single_frame_boundary(self):

@@ -125,6 +125,18 @@ class TestClipCsv:
         with pytest.raises(ValidationError, match=r"row 2.*'f1'"):
             load_clip_csv(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("0.01,0,x,1", "row 2: column 'py' is not a number: 'x'"),
+        ("0.01,0,1", "row 2: expected 4 columns, got 3"),
+    ], ids=["bad-cell", "short-row"])
+    def test_scanner_errors_name_the_file_and_count_data_rows(self, tmp_path, row, message):
+        # the blank line is not a data row, as for _check_cells' errors
+        path = tmp_path / "c.csv"
+        path.write_text(f"t,px,py,pz\n0.0,0,0,1\n\n{row}\n")
+        with pytest.raises(ParseError) as exc:
+            load_clip_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("t,px,py,pz\n0.0,0.0,0.0\n")
