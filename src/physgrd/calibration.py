@@ -8,11 +8,11 @@ Scores aggregate as: mean over a subject's clips, then mean +- std across
 subjects. Cells whose simulation diverges on any clip score +inf and are
 excluded from the argmin but recorded in the report.
 
-All clips of equal length and frame rate form one bucket, simulated with
-every cell of every clip in one batch: both modes make one Python step per
-frame of a bucket. The batch state is (3, clips, cells), component axis
-first (dynamics._pd_steps), so each step's operations run over the cells
-in contiguous inner loops, and it is stepped in place. Every array a step
+All clips of equal length and frame rate form one bucket (dynamics._buckets),
+stepped under every cell in one batch by the one PD rollout that `simulate`
+uses too, dynamics._pd_steps: one Python step per frame of a bucket. The
+state is (3, clips, cells), component axis first, so each step's operations
+run over the cells in contiguous inner loops, in place. Every array a step
 touches but the clips' targets, gains included, is a C-ordered array of the
 state's shape, so nearly every operation runs as one inner loop over the
 whole batch. A bucket is scored while it is simulated, one leaf of numpy's
@@ -31,10 +31,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import metrics
-from .dynamics import DIVERGENCE_LIMIT, GravitySpec, PDGains, SimMode, _pd_steps
+from .dynamics import DIVERGENCE_LIMIT, GravitySpec, PDGains, SimMode, _buckets, _pd_steps
 from .dynamics import simulate  # noqa: F401  perfbench/tracing.py wraps calibration.simulate
-from .errors import NON_NEGATIVE, PhysgrdError, ValidationError, check_range
-from .motion_data import MotionClip, _read_json, _write_table, finite_diff_velocity
+from .errors import NON_NEGATIVE, PhysgrdError, UnitError, ValidationError, check_range
+from .motion_data import MotionClip, _json_number, _read_json, _write_table
 
 # kp swept at kd=0, then kd swept at the best kp
 DEFAULT_GAIN_CELLS: tuple[tuple[float, float], ...] = (
@@ -95,28 +95,16 @@ class CalibrationReport:
     diverged: tuple[tuple[float, float], ...]
 
 
-def _buckets(clips: Sequence[MotionClip]) -> list[list[int]]:
-    """Clip indices that step together: one list per (length, dt), in first-seen order."""
-    groups: dict[tuple[int, float], list[int]] = {}
-    for j, clip in enumerate(clips):
-        groups.setdefault((len(clip), clip.dt), []).append(j)
-    return list(groups.values())
-
-
 def _leaf_heights(
-    bucket: Sequence[MotionClip], ref: np.ndarray, kp: np.ndarray, kd: np.ndarray,
+    bucket: Sequence[MotionClip], z_ref: np.ndarray, kp: np.ndarray, kd: np.ndarray,
     gravity: GravitySpec, mode: SimMode, peak: np.ndarray,
 ):
     """Yield simulated root heights, (clips, cells, stop - start), for each
     range of metrics.pairwise_leaves(T) in turn, in one reused buffer.
 
-    ref holds the clips' root positions, (T, 3, clips). The state is
-    (3, clips, cells), component axis first, so each step's operations run
-    over the cells contiguously; every element sees the arithmetic of a
-    single clip and cell simulated alone. Frame 0 is the start state; each
-    later frame is one _pd_steps step, from the simulated state (closed loop)
-    or the mocap state (open loop). peak, (3, clips, cells), keeps the
-    elementwise max of |pos| over the steps.
+    z_ref holds the clips' root heights, (clips, 1, T). Frame 0 is the start,
+    z_ref's first frame; each later frame is one _pd_steps step of the
+    (3, clips, cells) state. peak keeps the elementwise max of its |pos|.
 
     Nothing is allocated per frame, and every per-frame operation runs over
     whole C-ordered arrays: |pos| goes into one buffer, and each step's
@@ -124,19 +112,16 @@ def _leaf_heights(
     is written into the leaf buffer, time axis last, once per block instead
     of one strided column per frame.
     """
-    T, dt = len(ref), bucket[0].dt
+    T = z_ref.shape[-1]
     buf = np.empty(peak.shape[1:] + (min(T, metrics.PAIRWISE_LEAF),))
     block = np.empty((min(T, _GATHER),) + peak.shape[1:])
     absolute = np.empty_like(peak)
-    mocap_vel = None
-    if mode == "open_loop":
-        mocap_vel = np.stack([finite_diff_velocity(c) for c in bucket], axis=2)[..., None]
-    steps = _pd_steps(ref[..., None], kp, kd, gravity, dt, mocap_vel)
+    steps = _pd_steps(bucket, kp, kd, gravity, mode)
     for start, stop in metrics.pairwise_leaves(T):
         heights = buf[..., :stop - start]
         first = max(start, 1)  # the first frame that is simulated
         if start == 0:
-            heights[..., 0] = ref[0, 2, :, None]
+            heights[..., 0] = z_ref[..., 0]
         for lo in range(first - start, stop - start, len(block)):
             hi = min(lo + len(block), stop - start)
             for z, (_, pos) in zip(block[:hi - lo], steps):  # block first: no step is lost
@@ -157,12 +142,9 @@ def _bucket_scores(
     running max of |pos| reduced over the components at the end; a diverged
     pair scores NaN.
     """
-    if mode not in ("closed_loop", "open_loop"):
-        raise ValueError(f"unknown simulation mode {mode!r}")
-    ref = np.stack([c.root_positions for c in bucket], axis=2)  # (T, 3, n)
-    z_ref = np.moveaxis(ref[:, 2, :, None], 0, -1)  # (n, 1, T)
+    z_ref = np.stack([c.root_positions[:, 2] for c in bucket])[:, None]  # (n, 1, T)
     peak = np.zeros((3, len(bucket), len(kp)))
-    leaves = _leaf_heights(bucket, ref, kp, kd, gravity, mode, peak)
+    leaves = _leaf_heights(bucket, z_ref, kp, kd, gravity, mode, peak)
     with np.errstate(over="ignore", invalid="ignore"):
         scores = metrics.vrpe_leaves(z_ref, leaves)
     diverged = ~(peak.max(axis=0) <= DIVERGENCE_LIMIT)
@@ -260,9 +242,8 @@ def load_gains(path: str | Path) -> PDGains:
     """Read kp and kd, JSON numbers, from a best_gains.json-style object."""
     doc = _read_json(Path(path), "gains")
     try:
-        gains = doc["kp"], doc["kd"]
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in gains):
-            raise TypeError(f"got {', '.join(type(v).__name__ for v in gains)}")
-        return PDGains(*map(float, gains))
+        return PDGains(_json_number(doc["kp"]), _json_number(doc["kd"]))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValidationError(f"{path}: gains need numeric 'kp' and 'kd' ({exc!r})") from None
+    except UnitError as exc:
+        raise UnitError(f"{path}: {exc}") from None

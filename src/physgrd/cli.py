@@ -21,6 +21,7 @@ from .dynamics import (
     GravitySpec,
     PDGains,
     _frame_forces,
+    _simulations,
     simulate,
     to_bodyweight,
     write_sim_csv,
@@ -158,14 +159,14 @@ def cmd_simulate(args, parser) -> int:
     if args.manifest:
         dataset = load_manifest(args.manifest)
     elif args.clip:
-        clip = load_clip_csv(args.clip, mass=args.mass)
+        clip = load_clip_csv(args.clip)
         dataset = Dataset((DatasetEntry(clip=clip),))
     else:
         parser.error("simulate needs --manifest or --clip")
     out = _out_dir(args)
     rows = []
-    for entry, stem in zip(dataset, entry_stems(dataset)):
-        res = simulate(entry.clip, gains, gravity, args.mode)
+    results = _simulations(dataset.clips(), gains, gravity, args.mode)
+    for entry, stem, res in zip(dataset, entry_stems(dataset), results):
         name = f"{stem}_sim.csv"
         write_sim_csv(res, out / name)
         rows.append((entry.clip.subject_id, entry.clip.motion_label, name,
@@ -276,7 +277,7 @@ def cmd_metrics(args, parser) -> int:
 
 
 def cmd_plot(args, parser) -> int:
-    clip_t, clip = _load_clip(args.clip, "S1", "clip", args.mass, None)
+    clip_t, clip = _load_clip(args.clip, "S1", "clip", 1.0, None)
     gravity = _gravity(args)
     gains = _gains_from(args)
     t = clip.times
@@ -378,7 +379,6 @@ def build_parser() -> _Parser:
                        help="PD-track clips and export")
     p.add_argument("--manifest")
     p.add_argument("--clip", help="single clip CSV instead of a manifest")
-    p.add_argument("--mass", type=float, default=1.0, help="mass for bare --clip loads")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", parents=[common, gravity, mode, gains], help="train the force predictor")
@@ -409,7 +409,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("plot", parents=[common, gravity, mode, gains], help="emit SVG overlays")
     p.add_argument("--clip", required=True)
-    p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--plate", default=None)
     p.add_argument("--pred", default=None)
     p.set_defaults(func=cmd_plot)

@@ -9,23 +9,25 @@ simulated gravity.
 The integrator is semi-implicit (symplectic) Euler: the velocity update
 precedes the position update.
 
-Every PD step, in simulate and in calibration's batched grid, runs through
-_pd_steps. Its states put the component axis first, (3, ...), so a batch of
-clips x cells steps as (3, clips, cells) with the cells innermost, and it
-steps preallocated arrays in place: what it yields is overwritten by the
-next step. Gains, gravity, state, force and scratch are all C-ordered
-arrays of the state's full shape: a ufunc with a broadcast operand splits
-its work into one short inner loop per broadcast row (60 loops of 54 cells
-for a (3, 20, 54) batch), which took 1.7 times as long as one loop over the
-whole batch (6.5 against 3.7 us per multiply, numpy 2.4 on a 2-vCPU VM).
-The public (..., 3) functions are unaffected.
+One PD rollout, _pd_steps, steps each bucket of equal-length, equal-rate
+clips (_buckets) at once: calibration.calibrate under every gain cell, and
+_simulations under one gain pair (`simulate --manifest`; simulate is its
+bucket of one). States put the component axis first, so clips x cells step
+as (3, clips, cells), cells innermost, in place: what it yields is
+overwritten by the next step. Gains, gravity, state, force and scratch are
+all C-ordered arrays of the state's full shape: a ufunc with a broadcast
+operand splits its work into one short inner loop per broadcast row (60
+loops of 54 cells for a (3, 20, 54) batch), 1.7 times as slow as one loop
+over the whole batch (numpy 2.4, 2-vCPU VM). The public (..., 3) functions
+are unaffected.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -155,47 +157,53 @@ def euler_step(
     return pos, vel
 
 
-def _pd_steps(ref: np.ndarray, kp, kd, gravity: GravitySpec, dt: float, mocap_vel=None):
-    """Yield (force, pos) after each PD step along ref.
+def _buckets(clips: Sequence[MotionClip]) -> list[list[int]]:
+    """Clip indices that step together: one list per (length, dt), in first-seen order."""
+    groups: dict[tuple[int, float], list[int]] = {}
+    for j, clip in enumerate(clips):
+        groups.setdefault((len(clip), clip.dt), []).append(j)
+    return list(groups.values())
 
-    ref is (T, 3, ...): the component axis comes first. The state starts at
-    ref[0] at rest, and step t pulls toward ref[t+1]: from the simulated
-    state (closed loop), or, when mocap_vel (shaped like ref) is given, from
-    the mocap state (ref[t], mocap_vel[t]) (open loop). The state's shape is
-    that of ref[0] broadcast with the gains: scalar gains on a (T, 3) ref
-    step a (3,) state; a (T, 3, n, 1) ref of n clips under (B,) gains steps
-    a (3, n, B) state, so every operation runs over the B cells in one
-    contiguous inner loop. Gravity is reshaped to (3, 1, ...) to match, and
-    the gains and gravity are copied once to the state's shape in C order,
-    so only the targets broadcast; strided gains (columns of a cell list)
-    step as fast as contiguous ones.
 
-    The state, force and scratch arrays are allocated once and stepped in
-    place, so the yielded force and pos are overwritten by the next step:
-    copy what must outlive it. Every element follows the scalar arithmetic,
-    and semi-implicit Euler per step equals _integrate's sums.
+def _pd_steps(bucket: Sequence[MotionClip], kp, kd, gravity: GravitySpec, mode: SimMode):
+    """A generator of (force, pos) after each PD step of a bucket (_buckets).
+
+    The reference, (T, 3, clips, 1), puts the component axis first; the
+    state is ref[0] broadcast with the gains, (3, clips, B) under (B,) gains,
+    so every operation runs over the B cells in one contiguous inner loop.
+    The state starts at ref[0] at rest; step t pulls toward ref[t+1] from
+    the simulated state (closed loop) or the mocap state, ref[t] and its
+    backward-difference velocity (open loop). Gains and gravity are copied
+    to the state's shape in C order, so only the targets broadcast. The mode
+    is checked at the call. Arrays are stepped in place: copy what must
+    outlive the next step. Each element follows the scalar arithmetic.
     """
+    if mode not in ("closed_loop", "open_loop"):
+        raise ValueError(f"unknown simulation mode {mode!r}")
+    dt = bucket[0].dt
     check_range("dt", dt, POSITIVE, UnitError)
+    ref = np.stack([c.root_positions for c in bucket], axis=2)[..., None]
     shape = np.broadcast_shapes(np.shape(kp), np.shape(kd), ref[0].shape)
 
     def full(a):
-        # order="C": np.array's default order="K" keeps a broadcast view's
-        # axis order, which for (B,) gains under a (3, n, B) state is not C
+        # np.array's default order="K" would keep a broadcast view's axis order
         return np.array(np.broadcast_to(a, shape), dtype=float, order="C")
 
     kp, kd, pos = full(kp), full(kd), full(ref[0])
     g = full(gravity.g_accel.reshape((3,) + (1,) * (len(shape) - 1)))
     vel, f, scratch = np.zeros(shape), np.empty(shape), np.empty(shape)
-    if mocap_vel is None:
-        for target in ref[1:]:
-            _pd_law(kp, kd, target, pos, vel, f, scratch)
-            _euler(pos, vel, f, g, dt, scratch)
-            yield f, pos
+    if mode == "open_loop":
+        sources = zip(ref, np.stack([finite_diff_velocity(c) for c in bucket], axis=2)[..., None])
     else:
-        for target, src_pos, src_vel in zip(ref[1:], ref, mocap_vel):
+        sources = itertools.repeat((pos, vel))
+
+    def steps():
+        for target, (src_pos, src_vel) in zip(ref[1:], sources):
             _pd_law(kp, kd, target, src_pos, src_vel, f, scratch)
             _euler(pos, vel, f, g, dt, scratch)
             yield f, pos
+
+    return steps()
 
 
 def _integrate(start: np.ndarray, forces: np.ndarray, gravity: GravitySpec, dt: float):
@@ -220,6 +228,31 @@ def _raise_if_diverged(positions: np.ndarray) -> None:
         raise SimulationDivergedError(frame=int(bad[0]) + 1, value=float(worst[bad[0]]))
 
 
+def _rollout(clip: MotionClip, forces: np.ndarray, gravity: GravitySpec) -> SimResult:
+    """SimResult of (T-1, 3) step forces from the clip's start at rest; raises if it diverges."""
+    positions, velocities = _integrate(clip.root_positions[0], forces, gravity, clip.dt)
+    _raise_if_diverged(positions)
+    return SimResult(positions=positions, velocities=velocities, total_force=forces, dt=clip.dt)
+
+
+def _simulations(clips: Sequence[MotionClip], gains: PDGains, gravity, mode: SimMode):
+    """Yield simulate's SimResult of each clip in input order, stepping each (length, dt)
+    bucket once, at its first clip. A clip is integrated and checked (_rollout) as it is
+    yielded, so every earlier clip is yielded before a diverged one raises."""
+    gravity = gravity or GravitySpec()
+    buckets, pending = iter(_buckets(clips)), {}
+    for j, clip in enumerate(clips):
+        if j not in pending:  # the first clip of the next bucket
+            idx = next(buckets)
+            forces = np.empty((len(clip) - 1, 3, len(idx), 1))
+            with np.errstate(over="ignore", invalid="ignore"):
+                steps = _pd_steps([clips[i] for i in idx], gains.kp, gains.kd, gravity, mode)
+                for t, (f, _) in enumerate(steps):
+                    forces[t] = f
+            pending.update(zip(idx, np.moveaxis(forces[..., 0], 2, 0)))
+        yield _rollout(clip, pending.pop(j), gravity)
+
+
 def _frame_forces(result: SimResult) -> np.ndarray:
     """Step forces padded to one row per frame by repeating the last (zeros if none)."""
     force = result.total_force
@@ -240,22 +273,9 @@ def simulate(
     In closed_loop mode the force at step t targets the reference frame t+1
     from the *simulated* state; in open_loop mode the force is computed from
     the mocap state (position t and backward-difference velocity) and then
-    integrated without feedback.
+    integrated without feedback. This is _simulations' bucket of one.
     """
-    if mode not in ("closed_loop", "open_loop"):
-        raise ValueError(f"unknown simulation mode {mode!r}")
-    gravity = gravity or GravitySpec()
-    ref = clip.root_positions
-    forces = np.empty((max(len(ref) - 1, 0), 3))
-    with np.errstate(over="ignore", invalid="ignore"):
-        mocap_vel = finite_diff_velocity(clip) if mode == "open_loop" else None
-        steps = _pd_steps(ref, gains.kp, gains.kd, gravity, clip.dt, mocap_vel)
-        for t, (f, _) in enumerate(steps):
-            forces[t] = f
-    # the steps' own states are these running sums of their forces
-    positions, velocities = _integrate(ref[0], forces, gravity, clip.dt)
-    _raise_if_diverged(positions)
-    return SimResult(positions=positions, velocities=velocities, total_force=forces, dt=clip.dt)
+    return next(_simulations([clip], gains, gravity, mode))
 
 
 def physics_force_series(
@@ -288,13 +308,8 @@ def rollout_forces(
     forces = np.array(forces, dtype=float).reshape(-1, 3)
     T = len(clip)
     if len(forces) not in (T, max(T - 1, 0)):
-        raise ValidationError(
-            f"force series must have {T} or {T - 1} rows, got {len(forces)}"
-        )
-    applied = forces[: max(T - 1, 0)]
-    positions, velocities = _integrate(clip.root_positions[0], applied, gravity, clip.dt)
-    _raise_if_diverged(positions)
-    return SimResult(positions=positions, velocities=velocities, total_force=applied, dt=clip.dt)
+        raise ValidationError(f"force series must have {T} or {T - 1} rows, got {len(forces)}")
+    return _rollout(clip, forces[: max(T - 1, 0)], gravity)
 
 
 def write_sim_csv(result: SimResult, path: str | Path) -> None:

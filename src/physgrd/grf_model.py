@@ -656,7 +656,7 @@ def _encode(arr: np.ndarray) -> str:
 def _decode(text: str, shape: tuple[int, ...]) -> np.ndarray:
     raw = np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
     if raw.size != int(np.prod(shape)):
-        raise CheckpointError(f"parameter blob has {raw.size} values, expected {shape}")
+        raise ValueError(f"parameter blob has {raw.size} values, expected {shape}")
     return raw.reshape(shape).copy()
 
 
@@ -685,13 +685,14 @@ def load_checkpoint(path: str | Path) -> tuple[TemporalConvNet, TrainConfig]:
     try:
         doc = _read_json(Path(path), "checkpoint", CheckpointError)
     except OSError as exc:
-        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from None
+        raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from None
     if not isinstance(doc, dict):
-        raise CheckpointError(f"checkpoint {path} is not a JSON object")
+        raise CheckpointError(f"{path}: checkpoint is not a JSON object")
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"checkpoint version {version!r} is not supported (expected {CHECKPOINT_VERSION})"
+            f"{path}: checkpoint version {version!r} is not supported "
+            f"(expected {CHECKPOINT_VERSION})"
         )
     try:
         tc = doc["train_config"]
@@ -702,8 +703,8 @@ def load_checkpoint(path: str | Path) -> tuple[TemporalConvNet, TrainConfig]:
         net = TemporalConvNet(doc["input_width"], *widths, seed=0)
         blobs = (doc["conv_layers"], doc["fc_layers"])
         if [len(b) for b in blobs] != [len(net.conv), len(net.fc)]:
-            raise CheckpointError(
-                f"checkpoint {path} has {len(blobs[0])} conv and {len(blobs[1])} fc layers, "
+            raise ValidationError(
+                f"{len(blobs[0])} conv and {len(blobs[1])} fc layers, "
                 f"expected {len(net.conv)} and {len(net.fc)}"
             )
         for layers, layer_blobs in zip((net.conv, net.fc), blobs):
@@ -712,7 +713,7 @@ def load_checkpoint(path: str | Path) -> tuple[TemporalConvNet, TrainConfig]:
                 layer[1] = _decode(blob["bias"], layer[1].shape)
     except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise CheckpointError(
-            f"malformed checkpoint {path}: {type(exc).__name__}: {exc}"
+            f"{path}: malformed checkpoint: {type(exc).__name__}: {exc}"
         ) from None
     return net, cfg
 

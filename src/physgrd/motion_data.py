@@ -17,7 +17,8 @@ Plate CSV       header ``t,L_fx,L_fy,L_fz,L_copx,L_copy,L_contact,R_fx,...``;
 Prediction CSV  header ``t,L_fx,L_fy,L_fz,R_fx,R_fy,R_fz`` (written and read
                 by grf_model); every force cell is finite.
 Manifest        JSON ``{"subjects": [{"id", "mass_kg", "clips": [...]}]}``;
-                each clip entry carries ``motion_label``, ``clip_path``,
+                ``mass_kg`` is a JSON number and no two subjects share an
+                ``id``; each clip entry carries ``motion_label``, ``clip_path``,
                 ``plate_path`` and ``force_unit`` ("newton" or "bodyweight").
                 Ids and labels name output files, so they must match
                 ``[A-Za-z0-9._-]+``.
@@ -68,6 +69,26 @@ _PLATE_FOOT_COLS = 6
 _PLATE_FEET = ("L", "R")
 _PLATE_HEADER = ("t",) + tuple(f"{foot}_{col}" for foot in _PLATE_FEET
                                for col in ("fx", "fy", "fz", "copx", "copy", "contact"))
+
+
+def _check_name(name: str, value) -> None:
+    """A subject id or motion label must be a string matching _SAFE_NAME."""
+    if not (isinstance(value, str) and _SAFE_NAME.fullmatch(value)):
+        raise ValidationError(f"{name} must match [A-Za-z0-9._-]+, got {value!r}")
+
+
+def _check_unit(name: str, value) -> None:
+    """A plate file's force unit is "bodyweight" or "newton"."""
+    if value not in ("bodyweight", "newton"):
+        raise UnitError(f"{name} must be 'bodyweight' or 'newton', got {value!r}")
+
+
+def _json_number(value) -> float:
+    """A JSON number, an int or a float but not a bool, as a float; otherwise
+    TypeError, or OverflowError for an integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
 
 
 def _clip_header(width: int) -> tuple[str, ...]:
@@ -262,9 +283,7 @@ class MotionClip:
 
     def __post_init__(self):
         for name in ("subject_id", "motion_label"):  # they name output files
-            value = getattr(self, name)
-            if not (isinstance(value, str) and _SAFE_NAME.fullmatch(value)):
-                raise ValidationError(f"{name} must match [A-Za-z0-9._-]+, got {value!r}")
+            _check_name(name, getattr(self, name))
         check_range("frame_rate", self.frame_rate, POSITIVE, UnitError)
         check_range("mass", self.mass, POSITIVE, UnitError)
         pos = np.asarray(self.root_positions, dtype=float)
@@ -446,6 +465,7 @@ def _load_clip(
         raise UnitError(f"{path}: single-row clip needs an explicit frame_rate")
     if frame_rate is not None:
         rate = frame_rate  # explicit rate wins over the inferred one
+    check_range(f"{path}: frame rate", rate, POSITIVE, UnitError)  # 1 / a subnormal step is inf
 
     features = data[:, 1:]  # position columns double as leading features
     return t, MotionClip(
@@ -491,6 +511,7 @@ def _load_plate(
 ) -> tuple[np.ndarray, ForcePlateRecord]:
     """load_force_plate, and the file's time column."""
     path = Path(path)
+    _check_unit("force_unit", force_unit)
     data = _read_table(path, lambda n: _PLATE_HEADER)
     # t is checked against the clip's frame times (_aligned); the flags come
     # first, so a measured column's check meets only flags of 0 and 1
@@ -508,12 +529,10 @@ def _load_plate(
             force_bw = to_bodyweight(force, mass)
         if np.any(np.isfinite(force) & ~np.isfinite(force_bw)):
             raise UnitError(
-                "mass of a newton-valued plate file is too small to convert its forces "
-                f"to body weights, got {mass!r}"
+                f"{path}: mass of a newton-valued plate file is too small to convert its "
+                f"forces to body weights, got {mass!r}"
             )
         force = force_bw
-    elif force_unit != "bodyweight":
-        raise UnitError(f"unknown force unit {force_unit!r}")
 
     record = ForcePlateRecord(per_foot_force=force, per_foot_cop=cop, contact_flags=contact)
     return data[:, 0], record
@@ -538,6 +557,13 @@ def write_force_plate(
 # ---------------------------------------------------------------------------
 
 def load_manifest(path: str | Path) -> Dataset:
+    """The clips and plates a manifest lists, with its subjects' masses.
+
+    The manifest's own values are checked before the files they name are
+    read, and their errors start with its path: mass_kg must be a JSON
+    number, subject ids must be unique, and the rules of MotionClip and
+    load_force_plate hold. Errors of a clip or plate file name that file.
+    """
     path = Path(path)
     doc = _read_json(path, "manifest")
     if not isinstance(doc, dict) or not isinstance(doc.get("subjects"), list):
@@ -545,18 +571,24 @@ def load_manifest(path: str | Path) -> Dataset:
 
     entries: list[DatasetEntry] = []
     root = path.parent
+    seen: set[str] = set()
     for n, subj in enumerate(doc["subjects"]):
         try:
-            sid, mass, specs = subj["id"], float(subj["mass_kg"]), subj["clips"]
-        except (KeyError, TypeError, ValueError) as exc:
+            sid, mass, specs = subj["id"], _json_number(subj["mass_kg"]), subj["clips"]
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ParseError(
                 f"{path}: subject {n} needs an 'id', a numeric 'mass_kg' and a 'clips' "
                 f"list ({type(exc).__name__}: {exc})"
             ) from None
         if not isinstance(sid, str):
             raise ParseError(f"{path}: 'id' of subject {n} must be a string, got {sid!r}")
+        if sid in seen:
+            raise ParseError(f"{path}: subject id {sid!r} is repeated (subject {n})")
+        seen.add(sid)
         if not isinstance(specs, list):
             raise ParseError(f"{path}: 'clips' of subject {sid!r} must be a list")
+        _check_name(f"{path}: subject_id", sid)
+        check_range(f"{path}: mass_kg of subject {sid!r}", mass, POSITIVE, UnitError)
         for spec in specs:
             try:
                 clip_path, label = spec["clip_path"], spec["motion_label"]
@@ -565,17 +597,18 @@ def load_manifest(path: str | Path) -> Dataset:
                     f"{path}: every clip of subject {sid!r} needs a 'clip_path' and a "
                     f"'motion_label' ({type(exc).__name__}: {exc})"
                 ) from None
-            plate_path = spec.get("plate_path")
-            names = (label, clip_path) + ((plate_path,) if plate_path else ())
+            plate_path, unit = spec.get("plate_path"), spec.get("force_unit", "bodyweight")
+            names = (label, clip_path) + ((plate_path,) if plate_path is not None else ())
             if not all(isinstance(v, str) and "\0" not in v for v in names):
                 raise ParseError(
                     f"{path}: 'motion_label', 'clip_path' and 'plate_path' of subject {sid!r} "
                     f"must be strings without NUL, got {names!r}"
                 )
+            _check_name(f"{path}: motion_label of subject {sid!r}", label)
+            _check_unit(f"{path}: force_unit of subject {sid!r}", unit)
             clip_t, clip = _load_clip(root / clip_path, sid, label, mass, None)
             plate = None
             if plate_path:
-                unit = spec.get("force_unit", "bodyweight")
                 plate = _aligned(root / plate_path, "plate",
                                  *_load_plate(root / plate_path, unit, mass), clip_t)
             entries.append(DatasetEntry(clip=clip, plate=plate))

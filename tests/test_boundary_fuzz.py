@@ -11,6 +11,7 @@ as a usage error (exit code 2, one line).
 import argparse
 import contextlib
 import io
+import json
 import re
 import shutil
 import tempfile
@@ -91,8 +92,9 @@ def _command(target: str, root: Path, work: Path) -> list[str]:
             "--pred-dir", str(work / "pred"), "--out-dir", out]
 
 
-def _assert_exits_cleanly(argv: list[str]) -> None:
-    """main(argv) exits 0 with nothing on stderr, or 1 with one error line."""
+def _assert_exits_cleanly(argv: list[str]) -> tuple[int, list[str]]:
+    """main(argv) exits 0 with nothing on stderr, or 1 with one error line;
+    returns the exit code and the stderr lines."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
@@ -102,6 +104,7 @@ def _assert_exits_cleanly(argv: list[str]) -> None:
     else:
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("physgrd: error: "), lines
+    return code, lines
 
 
 @pytest.mark.parametrize("target", sorted(_TARGET_FILE))
@@ -154,6 +157,74 @@ def test_deeply_nested_json_exits_cleanly(valid_files, target, tmp_path):
     load = {"gains": load_gains, "manifest": load_manifest, "checkpoint": load_checkpoint}
     with pytest.raises(PhysgrdError, match=f"^{re.escape(str(deep))}: {target} is not valid JSON"):
         load[target](deep)
+
+
+def _nested(depth: int) -> list:
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# JSON values of the wrong type, out of range and deeply nested, and names of
+# the files and subjects the valid manifest has
+_MANIFEST_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(alphabet="Sab01._-/ '", max_size=12),
+    st.sampled_from([-5, 0, 5e-324, 1e308, 10**400, "70", "S1", "S2", "kgf", "newton",
+                     "bodyweight", "", "S1_hop_000_clip.csv", "S1_hop_000_plate.csv"]),
+)
+_MANIFEST_VALUES = st.one_of(
+    _MANIFEST_SCALARS,
+    st.recursive(_MANIFEST_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text("ab", max_size=2), inner, max_size=3), max_leaves=6),
+    st.integers(1, 500).map(_nested),
+)
+_SUBJECT_FIELDS = ("id", "mass_kg")
+_CLIP_FIELDS = ("motion_label", "clip_path", "plate_path", "force_unit")
+
+
+def _manifest_rejects(field: str, value) -> bool:
+    """Whether the manifest's own rules reject value in field of subject S2,
+    whose clip and plate files stay as they are."""
+    if field == "mass_kg":
+        return isinstance(value, bool) or not (isinstance(value, (int, float)) and value > 0)
+    if field in ("id", "motion_label"):
+        return not (isinstance(value, str) and re.fullmatch(r"[A-Za-z0-9._-]+", value)
+                    and (field, value) != ("id", "S1"))
+    if field == "force_unit":
+        return value not in ("bodyweight", "newton")
+    return not (value is None or isinstance(value, str))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(_SUBJECT_FIELDS + _CLIP_FIELDS), value=_MANIFEST_VALUES)
+# each of these loaded and exited 0, or exited 1 with a line that named no file
+@example(field="mass_kg", value=True)
+@example(field="mass_kg", value="70")
+@example(field="id", value="S1")  # a second subject S1
+@example(field="id", value="S 1")
+@example(field="motion_label", value="a b")
+@example(field="mass_kg", value=-5)
+@example(field="force_unit", value="kgf")
+def test_manifest_value_exits_cleanly(valid_files, field, value):
+    """One value of subject S2 or of its clip set; a value the manifest's
+    rules reject exits 1, and an error line names the manifest or a file it lists."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        argv = _command("manifest", valid_files, work)
+        manifest = work / _TARGET_FILE["manifest"]
+        doc = json.loads(manifest.read_text())
+        subject = doc["subjects"][1]
+        (subject if field in _SUBJECT_FIELDS else subject["clips"][0])[field] = value
+        manifest.write_text(json.dumps(doc))
+        code, lines = _assert_exits_cleanly(argv)
+        assert code == 1 or not _manifest_rejects(field, value), lines
+        if code:
+            listed = [manifest] + [manifest.parent / c[key] for s in doc["subjects"]
+                                   for c in s["clips"] for key in ("clip_path", "plate_path")
+                                   if isinstance(c[key], str)]
+            assert any(str(p) in lines[0] or repr(str(p))[1:-1] in lines[0] for p in listed), lines
 
 
 _SUBCOMMANDS = next(

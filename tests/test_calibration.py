@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import euler_reference
-from physgrd import calibration, metrics
+from physgrd import calibration, dynamics, metrics
 from physgrd.calibration import (
     DEFAULT_GAIN_CELLS,
     AllCellsDivergedError,
@@ -188,7 +188,7 @@ class TestCalibrate:
         clips = spring_clips(n=2) + [
             gen_synthetic("hop", {"subject_id": "S3", "duration": 2.0}, seed=4)[0]
         ]
-        assert list(calibration._buckets(clips)) == [[0, 1, 2]]
+        assert list(dynamics._buckets(clips)) == [[0, 1, 2]]
         gravity = GravitySpec(g_accel=np.array([0.4, -0.3, 9.7]))
         cells = [(10.0, 0.0), (70.0, 3.0), (90.0, 15.0)]
         self.assert_matches_reference(clips, cells, mode, gravity)
@@ -210,7 +210,7 @@ class TestCalibrate:
         ]
         grid = GainGrid(tuple(10.0 + 60.0 * i for i in range(15)), tuple(range(0, 32, 2)))
         assert len(grid.cells()) == 240 and {len(c) for c in clips} == {200}
-        assert list(calibration._buckets(clips)) == [[0, 1, 2]]
+        assert list(dynamics._buckets(clips)) == [[0, 1, 2]]
         for mode in MODES:
             self.assert_matches_reference(clips, grid.cells(), mode)
 
@@ -248,7 +248,7 @@ class TestCalibrate:
             first = 1 if spike < metrics.PAIRWISE_LEAF else metrics.PAIRWISE_LEAF
             assert exc.value.frame == spike
             assert (spike - first) % calibration._GATHER not in (0, calibration._GATHER - 1)
-        assert list(calibration._buckets(clips)) == [list(range(len(clips)))]
+        assert list(dynamics._buckets(clips)) == [list(range(len(clips)))]
         report = self.assert_matches_reference(clips, [(70.0, 3.0), stiff, (30.0, 9.0)], mode)
         assert report.diverged == ((stiff,) if spike < T else ())
 
@@ -272,7 +272,7 @@ class TestCalibrate:
                                      "frame_rate": 200.0}, seed=5)[0]
         clips = [coarse, fine, spring_clips(n=1)[0]]
         assert len(coarse) == len(fine) == 150
-        assert list(calibration._buckets(clips)) == [[0], [1], [2]]
+        assert list(dynamics._buckets(clips)) == [[0], [1], [2]]
         for mode in MODES:
             self.assert_matches_reference(clips, list(DEFAULT_GAIN_CELLS), mode)
 
@@ -286,7 +286,7 @@ class TestCalibrate:
         with pytest.raises(SimulationDivergedError):
             euler_reference.simulate(hop, PDGains(*edge))
         euler_reference.simulate(still, PDGains(*edge))
-        assert list(calibration._buckets(clips)) == [[0, 1]]
+        assert list(dynamics._buckets(clips)) == [[0, 1]]
 
         cells = [(70.0, 3.0), edge, (50.0, 6.0)]
         report = self.assert_matches_reference(clips, cells)
@@ -306,7 +306,7 @@ class TestCalibrate:
         with pytest.raises(SimulationDivergedError):
             euler_reference.simulate(hop, PDGains(*edge), mode="open_loop")
         euler_reference.simulate(still, PDGains(*edge), mode="open_loop")
-        assert list(calibration._buckets(clips)) == [[0, 1]]
+        assert list(dynamics._buckets(clips)) == [[0, 1]]
 
         cells = [(70.0, 3.0), edge, (50.0, 6.0)]
         report = self.assert_matches_reference(clips, cells, "open_loop")

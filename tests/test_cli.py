@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import euler_reference
 from physgrd import metrics, svgplot
 from physgrd.cli import main
-from physgrd.dynamics import PDGains, physics_force_series, simulate, to_bodyweight
+from physgrd.dynamics import PDGains, physics_force_series, simulate, to_bodyweight, write_sim_csv
+from physgrd.errors import SimulationDivergedError
 from physgrd.grf_model import (
     Prediction,
     TemporalConvNet,
@@ -17,7 +19,16 @@ from physgrd.grf_model import (
     save_checkpoint,
     write_prediction_csv,
 )
-from physgrd.motion_data import entry_stems, load_clip_csv, load_manifest
+from physgrd.motion_data import (
+    Dataset,
+    DatasetEntry,
+    MotionClip,
+    entry_stems,
+    load_clip_csv,
+    load_manifest,
+    write_manifest,
+)
+from physgrd.synthetic import gen_synthetic
 
 
 def run(*argv):
@@ -264,7 +275,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("text", [
         '{"kp": 70}', "[70, 3]", "not json", '{"kp": "x", "kd": 3}', '{"kp": NaN, "kd": 3}',
-        '{"kp": true, "kd": "3"}',
+        '{"kp": true, "kd": "3"}', '{"kp": -1, "kd": 3}',
     ])
     def test_malformed_gains_file_is_runtime_error(self, tmp_path, capsys, text):
         manifest = gen_small(tmp_path / "data", subjects=1)
@@ -277,6 +288,7 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("physgrd: error: ")
         assert "Traceback" not in err[0]
+        assert err[0].split(": ", 3)[3].startswith(f"{gains}: ")  # after the error's class
 
     @pytest.mark.parametrize("value", ["1e308", "-1e308"])
     def test_open_loop_overflowing_clip_is_one_line(self, tmp_path, capsys, value):
@@ -310,11 +322,19 @@ class TestSimulate:
 
 
     @pytest.mark.parametrize("edit, error", [
-        (lambda doc: doc["subjects"][0].update(id="../x"), "ValidationError: subject_id"),
+        (lambda doc: doc["subjects"][0].update(id="../x"), "ValidationError: {}: subject_id"),
         (lambda doc: doc["subjects"][0]["clips"][0].update(motion_label="a,b"),
-         "ValidationError: motion_label"),
-        (lambda doc: doc["subjects"][0].update(mass_kg=float("inf")), "UnitError: mass"),
-    ], ids=["id-parent-dir", "label-comma", "mass-inf"])
+         "ValidationError: {}: motion_label"),
+        (lambda doc: doc["subjects"][0].update(mass_kg=float("inf")), "UnitError: {}: mass_kg"),
+        (lambda doc: doc["subjects"][0].update(mass_kg=-5), "UnitError: {}: mass_kg"),
+        (lambda doc: doc["subjects"][0].update(mass_kg=True), "ParseError: {}: subject 0"),
+        (lambda doc: doc["subjects"][0].update(mass_kg="70"), "ParseError: {}: subject 0"),
+        (lambda doc: doc["subjects"].append({**doc["subjects"][0], "mass_kg": 99}),
+         "ParseError: {}: subject id 'S1' is repeated"),
+        (lambda doc: doc["subjects"][0]["clips"][0].update(force_unit="kgf"),
+         "UnitError: {}: force_unit"),
+    ], ids=["id-parent-dir", "label-comma", "mass-inf", "mass-negative", "mass-bool",
+            "mass-string", "repeated-id", "unit-unknown"])
     def test_unsafe_name_or_infinite_mass_is_runtime_error(self, tmp_path, capsys, edit, error):
         manifest = gen_small(tmp_path / "data" / "in", subjects=1)
         doc = json.loads(manifest.read_text())
@@ -324,9 +344,44 @@ class TestSimulate:
         capsys.readouterr()
         assert run("simulate", "--manifest", manifest, "--out-dir", tmp_path / "data" / "sim") == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"physgrd: error: {error}")
+        assert len(err) == 1 and err[0].startswith(f"physgrd: error: {error.format(manifest)}")
         written = set(tree_bytes(tmp_path)) - set(before)
         assert written == set()
+
+    @pytest.mark.parametrize("command", ["simulate", "plot"])
+    def test_mass_flag_is_gone(self, tmp_path, capsys, command):
+        # a bare clip's mass reached no output of either command
+        manifest = gen_small(tmp_path / "data", subjects=1)
+        clip = manifest.parent / "S1_hop_000_clip.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--clip", clip, "--mass", "70", "--out-dir", tmp_path / "out")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mass 70" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, kp", [("closed_loop", 50000.0), ("open_loop", 1e12)])
+    def test_diverging_clip_stops_after_the_clips_before_it(self, tmp_path, capsys, mode, kp):
+        # only the middle clip diverges, in a bucket of its own: closed loop,
+        # kp = 50000 without damping is stable at 200 Hz and not at 100 Hz;
+        # open loop, kp = 1e12 pushes only a moving clip away
+        still = np.tile([0.0, 0.0, 1.0], (100, 1))
+        hop = gen_synthetic("hop", {"subject_id": "S2", "duration": 0.5}, seed=1)[0]
+        clips = [MotionClip("S1", "still", 200.0, 70.0, still, still), hop,
+                 MotionClip("S3", "still", 200.0, 70.0, still, still)]
+        manifest = write_manifest(Dataset(tuple(map(DatasetEntry, clips))), tmp_path / "data")
+        ds = load_manifest(manifest)
+        gains = PDGains(kp, 0.0)
+        with pytest.raises(SimulationDivergedError) as ref:
+            euler_reference.simulate(ds.clips()[1], gains, mode=mode)
+        euler_reference.simulate(ds.clips()[2], gains, mode=mode)
+        expected = tmp_path / "expected.csv"
+        write_sim_csv(simulate(ds.clips()[0], gains, mode=mode), expected)
+        capsys.readouterr()
+        out = tmp_path / "sim"
+        assert run("simulate", "--manifest", manifest, "--kp", kp, "--kd", "0",
+                   "--mode", mode, "--out-dir", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"physgrd: error: SimulationDivergedError: {ref.value}"]
+        assert tree_bytes(out) == {"S1_still_000_sim.csv": expected.read_bytes()}
 
     def test_summary_vrpe_reads_back_bit_for_bit(self, tmp_path):
         manifest = gen_small(tmp_path / "data", subjects=2)
@@ -536,22 +591,29 @@ class TestTrainPredictMetrics:
         lambda doc: {**doc, "train_config": {**doc["train_config"], "seed": float("nan")}},
         lambda doc: {**doc, "train_config": {**doc["train_config"],
                                               "conv_channels": [6.5, 6, 6, 6]}},
+        lambda doc: {"format_version": 7},
+        lambda doc: {**doc, "conv_layers": doc["conv_layers"][:3]},
+        lambda doc: None,  # no file
     ], ids=["json-list", "no-keys", "empty-train-config", "bad-base64", "non-integer-counts",
-            "seed-nan", "fractional-width"])
+            "seed-nan", "fractional-width", "version-7", "three-conv", "missing"])
     def test_malformed_checkpoint_is_runtime_error(self, tmp_path, capsys, edit):
         manifest = gen_small(tmp_path / "data", kind="walk", subjects=1, duration=1.0)
         width = load_manifest(manifest).entries[0].clip.feature_width
         cfg = TrainConfig(conv_channels=(6, 6, 6, 6), fc_widths=(8, 6))
         ckpt = tmp_path / "ckpt.json"
         save_checkpoint(TemporalConvNet(width, cfg.conv_channels, cfg.fc_widths), cfg, ckpt)
-        ckpt.write_text(json.dumps(edit(json.loads(ckpt.read_text()))))
+        doc = edit(json.loads(ckpt.read_text()))
+        if doc is None:
+            ckpt.unlink()
+        else:
+            ckpt.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(
             "predict", "--manifest", manifest, "--checkpoint", ckpt,
             "--out-dir", tmp_path / "pred",
         ) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("physgrd: error: CheckpointError: ")
+        assert len(err) == 1 and err[0].startswith(f"physgrd: error: CheckpointError: {ckpt}: ")
 
     def test_physics_weight_improves_held_out_vrpe(self, tmp_path):
         # plates go missing during the walk's ramp-up, so the physics term is

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import euler_reference
+from physgrd import dynamics
 from physgrd.dynamics import (
     GravitySpec,
     _pd_steps,
+    _simulations,
     PDGains,
     SimResult,
     euler_step,
@@ -105,16 +107,16 @@ class TestPDSteps:
     def test_open_loop_matches_pd_force(self):
         clip, _ = gen_synthetic("hop", {"duration": 1.0}, seed=3)
         gains, ref, mocap_vel = PDGains(70.0, 3.0), clip.root_positions, finite_diff_velocity(clip)
-        steps = _copied(_pd_steps(ref, gains.kp, gains.kd, GravitySpec(), clip.dt, mocap_vel))
-        forces = np.array([f for f, _ in steps])
+        steps = _copied(_pd_steps([clip], gains.kp, gains.kd, GravitySpec(), "open_loop"))
+        forces = np.array([f[:, 0, 0] for f, _ in steps])
         np.testing.assert_array_equal(forces, pd_force(ref[1:], ref[:-1], mocap_vel[:-1], gains))
         # simulate's running sums of those forces are the stepped states
         sim = simulate(clip, gains, mode="open_loop")
-        np.testing.assert_array_equal(np.array([p for _, p in steps]), sim.positions[1:])
+        np.testing.assert_array_equal(np.array([p[:, 0, 0] for _, p in steps]), sim.positions[1:])
 
     def test_yielded_arrays_are_overwritten_by_the_next_step(self):
         clip, _ = gen_synthetic("hop", {"duration": 0.2}, seed=3)
-        steps = _pd_steps(clip.root_positions, 70.0, 3.0, GravitySpec(), clip.dt)
+        steps = _pd_steps([clip], 70.0, 3.0, GravitySpec(), "closed_loop")
         f0, pos0 = next(steps)
         kept = pos0.copy()
         f1, pos1 = next(steps)
@@ -124,21 +126,16 @@ class TestPDSteps:
     @pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])
     def test_gain_columns_match_scalar_runs(self, mode):
         clips = make_dataset(["hop"], n_subjects=2, seed=5, base_params={"duration": 0.5}).clips()
-        g, dt = GravitySpec(), clips[0].dt
+        g = GravitySpec()
         kp, kd = np.array([10.0, 70.0, 90.0]), np.array([0.0, 3.0, 15.0])
-        ref = np.stack([c.root_positions for c in clips], axis=2)[..., None]  # (T, 3, n, 1)
-        vel = None
-        if mode == "open_loop":
-            vel = np.stack([finite_diff_velocity(c) for c in clips], axis=2)  # (T, 3, n)
-        batched = _copied(_pd_steps(ref, kp, kd, g, dt, None if vel is None else vel[..., None]))
+        batched = _copied(_pd_steps(clips, kp, kd, g, mode))
         assert batched[0][1].shape == (3, len(clips), len(kp))
         for j, clip in enumerate(clips):
             for b in range(len(kp)):
-                alone = _pd_steps(clip.root_positions, kp[b], kd[b], g, dt,
-                                  None if vel is None else vel[:, :, j])
+                alone = _pd_steps([clip], kp[b], kd[b], g, mode)
                 for (f, pos), (f1, pos1) in zip(batched, alone, strict=True):
-                    np.testing.assert_array_equal(f[:, j, b], f1)
-                    np.testing.assert_array_equal(pos[:, j, b], pos1)
+                    np.testing.assert_array_equal(f[:, j, b], f1[:, 0, 0])
+                    np.testing.assert_array_equal(pos[:, j, b], pos1[:, 0, 0])
 
     @pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])
     def test_strided_gain_columns_match_scalar_reference(self, mode):
@@ -149,12 +146,8 @@ class TestPDSteps:
         cells = [(10.0, 0.0), (70.0, 3.0), (90.0, 15.0), (2000.0, 80.0)]
         kp, kd = np.array(cells).T
         assert not kp.flags.c_contiguous
-        g, dt = GravitySpec(g_accel=np.array([0.4, -0.3, 9.7])), clips[0].dt
-        ref = np.stack([c.root_positions for c in clips], axis=2)[..., None]  # (T, 3, n, 1)
-        vel = None
-        if mode == "open_loop":
-            vel = np.stack([finite_diff_velocity(c) for c in clips], axis=2)[..., None]
-        steps = _pd_steps(ref, kp, kd, g, dt, vel)
+        g = GravitySpec(g_accel=np.array([0.4, -0.3, 9.7]))
+        steps = _pd_steps(clips, kp, kd, g, mode)
         f, pos = next(steps)
         assert f.flags.c_contiguous and pos.flags.c_contiguous
         batched = [(f.copy(), pos.copy())] + _copied(steps)
@@ -163,6 +156,29 @@ class TestPDSteps:
                 sim = euler_reference.simulate(clip, PDGains(*cell), g, mode)
                 np.testing.assert_array_equal([f[:, j, b] for f, _ in batched], sim.total_force)
                 np.testing.assert_array_equal([p[:, j, b] for _, p in batched], sim.positions[1:])
+
+
+class TestSimulations:
+    @pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])
+    def test_interleaved_buckets_match_reference_in_input_order(self, mode, monkeypatch):
+        def hop(seed, duration, rate):
+            return gen_synthetic("hop", {"duration": duration, "frame_rate": rate}, seed=seed)[0]
+
+        # 50 and 100 frames at 100 Hz, 100 frames at 200 Hz, and one frame
+        clips = [hop(1, 0.5, 100.0), hop(2, 1.0, 100.0), hop(3, 0.5, 200.0), hop(4, 0.5, 100.0),
+                 const_clip(T=1), hop(5, 1.0, 100.0), hop(6, 0.5, 200.0)]
+        assert dynamics._buckets(clips) == [[0, 3], [1, 5], [2, 6], [4]]
+        stepped = []
+        monkeypatch.setattr(dynamics, "_pd_steps",
+                            lambda bucket, *args: stepped.append(bucket) or _pd_steps(bucket, *args))
+        gains, g = PDGains(70.0, 3.0), GravitySpec(g_accel=np.array([0.4, -0.3, 9.7]))
+        results = list(_simulations(clips, gains, g, mode))
+        assert [len(b) for b in stepped] == [2, 2, 2, 1]  # each bucket stepped once
+        for clip, res in zip(clips, results, strict=True):
+            ref = euler_reference.simulate(clip, gains, g, mode)
+            np.testing.assert_array_equal(res.positions, ref.positions)
+            np.testing.assert_array_equal(res.velocities, ref.velocities)
+            np.testing.assert_array_equal(res.total_force, ref.total_force)
 
 
 class TestSimulate:

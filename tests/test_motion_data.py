@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,12 @@ class TestClipCsv:
         path = tmp_path / "c.csv"
         path.write_text("t,px,py,pz\n0.01,0,0,1\n0.0,0,0,1\n")
         with pytest.raises(UnitError):
+            load_clip_csv(path)
+
+    def test_subnormal_time_step_names_the_file(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("t,px,py,pz\n0.0,0,0,1\n1e-320,0,0,1\n")
+        with pytest.raises(UnitError, match=f"^{re.escape(str(path))}: frame rate .* got inf"):
             load_clip_csv(path)
 
     def test_single_row_needs_rate(self, tmp_path):
