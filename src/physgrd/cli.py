@@ -288,10 +288,9 @@ def cmd_plot(args, parser) -> int:
     if args.plate:
         plate = _aligned(Path(args.plate), "plate",
                          *_load_plate(args.plate, "bodyweight", None), clip_t)
-        total = plate.per_foot_force[:, 0, 2] + plate.per_foot_force[:, 1, 2]
-        force_series.append(
-            svgplot.LineSeries("plate vGRF", t, total, mask=plate.valid_mask)
-        )
+        force_series.append(svgplot.LineSeries(
+            "plate vGRF", t, plate.total_force()[:, 2], mask=plate.valid_mask
+        ))
     pred = (_aligned(Path(args.pred), "prediction", *grf_model._load_prediction(args.pred), t)
             if args.pred else None)
     sim = simulate(clip, gains, gravity, args.mode)
@@ -300,7 +299,7 @@ def cmd_plot(args, parser) -> int:
     force_series.append(svgplot.LineSeries("physics vGRF", t, phys_bw[:, 2]))
     if pred is not None:
         force_series.append(
-            svgplot.LineSeries("predicted vGRF", t, pred.total()[:, 2])
+            svgplot.LineSeries("predicted vGRF", t, pred.total_force()[:, 2])
         )
 
     out = _out_dir(args)

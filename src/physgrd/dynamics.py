@@ -36,6 +36,7 @@ from .errors import check_range
 from .motion_data import (  # the body-weight conversions are re-exported here
     GravitySpec,
     MotionClip,
+    _readonly,
     _write_rows,
     finite_diff_velocity,
     from_bodyweight,
@@ -77,22 +78,9 @@ class SimResult:
 
     def __post_init__(self):
         check_range("dt", self.dt, POSITIVE, UnitError)
-        pos = np.asarray(self.positions, dtype=float)
-        vel = np.asarray(self.velocities, dtype=float)
-        force = np.asarray(self.total_force, dtype=float).reshape(-1, 3)
-        if pos.shape != vel.shape or pos.ndim != 2 or pos.shape[1] != 3:
-            raise ValidationError("positions and velocities must both be (T, 3)")
-        if len(force) != max(len(pos) - 1, 0):
-            raise ValidationError(
-                f"expected {max(len(pos) - 1, 0)} force rows, got {len(force)}"
-            )
-        for name, arr in (("positions", pos), ("velocities", vel), ("total_force", force)):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"non-finite value in {name}")
-        for n, a in (("positions", pos), ("velocities", vel), ("total_force", force)):
-            a = np.ascontiguousarray(a)
-            a.flags.writeable = False
-            object.__setattr__(self, n, a)
+        pos = _readonly(self, "positions", (None, 3), finite=True)
+        _readonly(self, "velocities", pos.shape, finite=True)
+        _readonly(self, "total_force", (max(len(pos) - 1, 0), 3), finite=True)
 
     def __len__(self) -> int:
         return len(self.positions)

@@ -73,7 +73,7 @@ from .errors import NON_NEGATIVE, POSITIVE, CheckpointError, ValidationError, ch
 from .errors import check_range
 from .metrics import evaluate_prediction
 from .motion_data import Dataset, ForcePlateRecord, _check_cells, _read_json, _read_table
-from .motion_data import _write_rows, _write_table
+from .motion_data import _readonly, _write_rows, _write_table
 
 KERNEL = 7
 PAD = KERNEL // 2
@@ -194,19 +194,13 @@ class Prediction:
     forces: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.forces, dtype=float)
-        if f.ndim != 3 or f.shape[1:] != (2, 3):
-            raise ValidationError(f"prediction must be (T, 2, 3), got {f.shape}")
-        if not np.all(np.isfinite(f)):
-            raise ValidationError("non-finite value in prediction")
-        f = np.ascontiguousarray(f)
-        f.flags.writeable = False
-        object.__setattr__(self, "forces", f)
+        _readonly(self, "forces", (None, 2, 3), finite=True)
 
     def __len__(self) -> int:
         return len(self.forces)
 
-    def total(self) -> np.ndarray:
+    def total_force(self) -> np.ndarray:
+        """Summed two-foot force, (T, 3), body weights."""
         return self.forces.sum(axis=1)
 
 
@@ -481,7 +475,7 @@ def _loss_terms(
 
 
 def composite_loss(
-    pred: Prediction | np.ndarray,
+    pred: np.ndarray,
     plate: ForcePlateRecord,
     phys_force_bw: np.ndarray,
     cfg: TrainConfig,
@@ -492,7 +486,7 @@ def composite_loss(
     (acceleration units) and must go through to_bodyweight before it gets
     here; train() does that conversion.
     """
-    pred = np.asarray(getattr(pred, "forces", pred), dtype=float)
+    pred = np.asarray(pred, dtype=float)
     phys = np.asarray(phys_force_bw, dtype=float)
     if not (len(pred) == len(plate) == len(phys)):
         raise ValidationError(

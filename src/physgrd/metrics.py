@@ -31,7 +31,7 @@ def vgrf_mse(pred: np.ndarray, plate: ForcePlateRecord) -> tuple[float, float]:
 
     pred is (T, 2, 3); only frames with valid_mask True are counted.
     """
-    pred = np.asarray(getattr(pred, "forces", pred), dtype=float)
+    pred = np.asarray(pred, dtype=float)
     if pred.shape != plate.per_foot_force.shape:
         raise LengthMismatchError(
             f"prediction {pred.shape} vs plate {plate.per_foot_force.shape}"
@@ -198,7 +198,7 @@ def evaluate_prediction(
     and a rollout that diverges scores an infinite position error.
     """
     gravity = gravity or GravitySpec()
-    pred_bw = np.asarray(getattr(pred_bw, "forces", pred_bw), dtype=float)
+    pred_bw = np.asarray(pred_bw, dtype=float)
     if plate is not None:
         left, right = vgrf_mse(pred_bw, plate)
     else:

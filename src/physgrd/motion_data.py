@@ -21,7 +21,7 @@ Manifest        JSON ``{"subjects": [{"id", "mass_kg", "clips": [...]}]}``;
                 ``id``; each clip entry carries ``motion_label``, ``clip_path``,
                 ``plate_path`` and ``force_unit`` ("newton" or "bodyweight").
                 Ids and labels name output files, so they must match
-                ``[A-Za-z0-9._-]+``.
+                ``[A-Za-z0-9._-]{1,100}``.
 
 The three numeric CSVs are read by ``_read_table``, which rejects a file
 whose header is not its format's (the one its writer writes), and checked by
@@ -39,6 +39,14 @@ which takes what ``float`` takes and names the bad row or cell. Every text
 table (reports, logs, run summaries, plot sidecars) goes through
 ``_write_table``, which writes floats the same way, so a missing value is
 ``NaN`` there too.
+
+Records own their arrays. Every array field of MotionClip, ForcePlateRecord,
+GravitySpec, dynamics.SimResult and grf_model.Prediction goes through one
+rule, ``_readonly``: it stores a read-only, C-ordered copy in the field's
+dtype, checks its shape and, for the fields that must be finite, names the
+first non-finite element by frame and column. The caller's arrays stay
+writeable, and changing them later changes no record. Checks across fields
+(lengths, feature width, the valid-mask rule) stay in each record.
 """
 
 from __future__ import annotations
@@ -57,8 +65,10 @@ from .errors import check_range
 
 STANDARD_GRAVITY = 9.81  # m/s^2, used for body-weight normalization
 
-# Subject ids and motion labels become parts of file names (entry_stems).
-_SAFE_NAME = re.compile(r"[A-Za-z0-9._-]+")
+# Subject ids and motion labels become parts of file names (entry_stems); at
+# 100 characters each, the longest stem plus "_plate.csv" stays well under the
+# 255-byte file-name limit.
+_SAFE_NAME = re.compile(r"[A-Za-z0-9._-]{1,100}")
 
 # Frame times may drift this far (s) from a uniform grid, and plate times
 # this far from the clip's.
@@ -74,7 +84,7 @@ _PLATE_HEADER = ("t",) + tuple(f"{foot}_{col}" for foot in _PLATE_FEET
 def _check_name(name: str, value) -> None:
     """A subject id or motion label must be a string matching _SAFE_NAME."""
     if not (isinstance(value, str) and _SAFE_NAME.fullmatch(value)):
-        raise ValidationError(f"{name} must match [A-Za-z0-9._-]+, got {value!r}")
+        raise ValidationError(f"{name} must match {_SAFE_NAME.pattern}, got {value!r}")
 
 
 def _check_unit(name: str, value) -> None:
@@ -236,9 +246,28 @@ def from_bodyweight(force_bw: np.ndarray) -> np.ndarray:
     return np.asarray(force_bw, dtype=float) * STANDARD_GRAVITY
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=float)
+def _readonly(record, name: str, shape: tuple, dtype: type = float,
+              finite: bool = False) -> np.ndarray:
+    """Set array field ``name`` of the frozen ``record`` to a read-only,
+    C-ordered ``dtype`` copy of its value, and return the copy.
+
+    The copy must have ``shape``, where None is an axis of any length; with
+    ``finite``, its first non-finite element is a ValidationError naming its
+    frame (the first axis) and its column (its index in the frame's
+    flattened row).
+    """
+    out = np.array(getattr(record, name), dtype=dtype, order="C")
+    if out.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, out.shape)):
+        want = ", ".join(("T" if i == 0 else "D") if n is None else str(n)
+                         for i, n in enumerate(shape))
+        raise ValidationError(f"{name} must be ({want}{',' * (len(shape) == 1)}), got {out.shape}")
+    if finite:
+        bad = ~np.isfinite(out)
+        if bad.any():
+            t, c = divmod(int(bad.argmax()), math.prod(out.shape[1:]))
+            raise ValidationError(f"non-finite value in {name} at frame {t}, column {c}")
     out.flags.writeable = False
+    object.__setattr__(record, name, out)
     return out
 
 
@@ -255,8 +284,7 @@ class GravitySpec:
     )
 
     def __post_init__(self):
-        g = _readonly(np.asarray(self.g_accel, dtype=float).reshape(3))
-        object.__setattr__(self, "g_accel", g)
+        _readonly(self, "g_accel", (3,))
         bounds = (math.ulp(0.0), 20.0, "in (0, 20) m/s^2")
         check_range("gravity magnitude", self.magnitude, bounds, UnitError)
 
@@ -286,12 +314,8 @@ class MotionClip:
             _check_name(name, getattr(self, name))
         check_range("frame_rate", self.frame_rate, POSITIVE, UnitError)
         check_range("mass", self.mass, POSITIVE, UnitError)
-        pos = np.asarray(self.root_positions, dtype=float)
-        feat = np.asarray(self.features, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise ValidationError(f"root_positions must be (T, 3), got {pos.shape}")
-        if feat.ndim != 2:
-            raise ValidationError(f"features must be (T, D), got {feat.shape}")
+        pos = _readonly(self, "root_positions", (None, 3), finite=True)
+        feat = _readonly(self, "features", (None, None), finite=True)
         if feat.shape[1] < 3:
             raise ValidationError(f"feature width must be >= 3, got {feat.shape[1]}")
         if len(pos) != len(feat):
@@ -300,16 +324,6 @@ class MotionClip:
             )
         if len(pos) < 1:
             raise ValidationError("clip must have at least one frame")
-        if not np.all(np.isfinite(pos)):
-            t, c = np.argwhere(~np.isfinite(pos))[0]
-            raise ValidationError(
-                f"non-finite root position at frame {t}, component {'xyz'[c]}"
-            )
-        if not np.all(np.isfinite(feat)):
-            t, c = np.argwhere(~np.isfinite(feat))[0]
-            raise ValidationError(f"non-finite feature at frame {t}, column {c}")
-        object.__setattr__(self, "root_positions", _readonly(pos))
-        object.__setattr__(self, "features", _readonly(feat))
 
     def __len__(self) -> int:
         return len(self.root_positions)
@@ -346,34 +360,16 @@ class ForcePlateRecord:
     valid_mask: np.ndarray | None = None
 
     def __post_init__(self):
-        force = np.asarray(self.per_foot_force, dtype=float)
-        cop = np.asarray(self.per_foot_cop, dtype=float)
-        contact = np.asarray(self.contact_flags, dtype=bool)
-        if force.ndim != 3 or force.shape[1:] != (2, 3):
-            raise ValidationError(f"per_foot_force must be (T, 2, 3), got {force.shape}")
+        force = _readonly(self, "per_foot_force", (None, 2, 3))
         T = len(force)
-        if cop.shape != (T, 2, 2):
-            raise ValidationError(f"per_foot_cop must be ({T}, 2, 2), got {cop.shape}")
-        if contact.shape != (T, 2):
-            raise ValidationError(f"contact_flags must be ({T}, 2), got {contact.shape}")
+        _readonly(self, "per_foot_cop", (T, 2, 2))
+        _readonly(self, "contact_flags", (T, 2), bool)
         finite = np.all(np.isfinite(force), axis=(1, 2))
         if self.valid_mask is None:
-            mask = finite
-        else:
-            mask = np.asarray(self.valid_mask, dtype=bool)
-            if mask.shape != (T,):
-                raise ValidationError(f"valid_mask must be ({T},), got {mask.shape}")
-            if np.any(mask & ~finite):
-                bad = int(np.argwhere(mask & ~finite)[0, 0])
-                raise ValidationError(f"row {bad} has non-finite force but valid_mask=True")
-        object.__setattr__(self, "per_foot_force", _readonly(force))
-        object.__setattr__(self, "per_foot_cop", _readonly(cop))
-        contact = contact.copy()
-        contact.flags.writeable = False
-        object.__setattr__(self, "contact_flags", contact)
-        mask = mask.copy()
-        mask.flags.writeable = False
-        object.__setattr__(self, "valid_mask", mask)
+            object.__setattr__(self, "valid_mask", finite)
+        bad = np.flatnonzero(_readonly(self, "valid_mask", (T,), bool) & ~finite)
+        if bad.size:
+            raise ValidationError(f"row {bad[0]} has non-finite force but valid_mask=True")
 
     def __len__(self) -> int:
         return len(self.per_foot_force)
@@ -479,7 +475,17 @@ def _load_clip(
 
 
 def write_clip_csv(clip: MotionClip, path: str | Path) -> None:
-    """Write a clip in the format load_clip_csv reads, exactly round-tripping."""
+    """Write a clip in the format load_clip_csv reads, exactly round-tripping.
+
+    The file stores the root positions only as the first three features, so
+    a clip whose root_positions are not, bit for bit, features[:, :3] is a
+    ValidationError, raised before the file is opened.
+    """
+    if clip.root_positions.tobytes() != clip.features[:, :3].tobytes():
+        raise ValidationError(
+            f"clip '{clip.subject_id}/{clip.motion_label}': root_positions differ from "
+            f"features[:, :3], and the clip CSV stores only the features"
+        )
     _write_rows(path, _clip_header(clip.feature_width),
                 np.column_stack([clip.times, clip.features]))
 

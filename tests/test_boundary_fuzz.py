@@ -190,7 +190,7 @@ def _manifest_rejects(field: str, value) -> bool:
     if field == "mass_kg":
         return isinstance(value, bool) or not (isinstance(value, (int, float)) and value > 0)
     if field in ("id", "motion_label"):
-        return not (isinstance(value, str) and re.fullmatch(r"[A-Za-z0-9._-]+", value)
+        return not (isinstance(value, str) and re.fullmatch(r"[A-Za-z0-9._-]{1,100}", value)
                     and (field, value) != ("id", "S1"))
     if field == "force_unit":
         return value not in ("bodyweight", "newton")

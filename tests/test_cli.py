@@ -323,6 +323,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("edit, error", [
         (lambda doc: doc["subjects"][0].update(id="../x"), "ValidationError: {}: subject_id"),
+        (lambda doc: doc["subjects"][0].update(id="S" * 250), "ValidationError: {}: subject_id"),
         (lambda doc: doc["subjects"][0]["clips"][0].update(motion_label="a,b"),
          "ValidationError: {}: motion_label"),
         (lambda doc: doc["subjects"][0].update(mass_kg=float("inf")), "UnitError: {}: mass_kg"),
@@ -333,7 +334,7 @@ class TestSimulate:
          "ParseError: {}: subject id 'S1' is repeated"),
         (lambda doc: doc["subjects"][0]["clips"][0].update(force_unit="kgf"),
          "UnitError: {}: force_unit"),
-    ], ids=["id-parent-dir", "label-comma", "mass-inf", "mass-negative", "mass-bool",
+    ], ids=["id-parent-dir", "id-too-long", "label-comma", "mass-inf", "mass-negative", "mass-bool",
             "mass-string", "repeated-id", "unit-unknown"])
     def test_unsafe_name_or_infinite_mass_is_runtime_error(self, tmp_path, capsys, edit, error):
         manifest = gen_small(tmp_path / "data" / "in", subjects=1)

@@ -10,7 +10,8 @@ from physgrd.errors import (
     UnitError,
     ValidationError,
 )
-from physgrd.grf_model import load_prediction_csv
+from physgrd.dynamics import SimResult
+from physgrd.grf_model import Prediction, load_prediction_csv
 from physgrd.motion_data import (
     Dataset,
     DatasetEntry,
@@ -64,14 +65,16 @@ class TestMotionClip:
             make_clip([[0, 0, 1]], mass=np.inf)
 
     @pytest.mark.parametrize("field", ["subject_id", "motion_label"])
-    @pytest.mark.parametrize("name", ["../x", "a/b", "a,b", "", "a b", "x\n", 5])
+    @pytest.mark.parametrize("name", ["../x", "a/b", "a,b", "", "a b", "x\n", 5,
+                                      pytest.param("a" * 101, id="101-chars")])
     def test_rejects_unsafe_names(self, field, name):
         with pytest.raises(ValidationError, match=field):
             make_clip([[0, 0, 1]], **{field: name})
 
     def test_accepts_safe_names(self):
-        clip = make_clip([[0, 0, 1]], subject_id="S-1.a", motion_label="spring_tracked")
-        assert (clip.subject_id, clip.motion_label) == ("S-1.a", "spring_tracked")
+        for names in [("S-1.a", "spring_tracked"), ("S" * 100, "m" * 100)]:
+            clip = make_clip([[0, 0, 1]], subject_id=names[0], motion_label=names[1])
+            assert (clip.subject_id, clip.motion_label) == names
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_features(self, value):
@@ -182,6 +185,21 @@ class TestClipCsv:
         np.testing.assert_array_equal(back.root_positions, clip.root_positions)
         np.testing.assert_array_equal(back.features, clip.features)
         assert back.frame_rate == pytest.approx(clip.frame_rate, rel=1e-12)
+
+    def test_root_positions_other_than_features_are_not_written(self, tmp_path):
+        # the file stores positions only as the first three features, so this
+        # clip would read back with its features as root positions
+        pos = np.tile([0.0, 0.0, 1.0], (3, 1))
+        clip = make_clip(pos, features=pos + 0.5, subject_id="S7", motion_label="lift")
+        path = tmp_path / "c.csv"
+        with pytest.raises(ValidationError, match="'S7/lift': root_positions"):
+            write_clip_csv(clip, path)
+        assert not path.exists()
+        # -0.0 == 0.0, but the root position would read back as -0.0
+        feat = pos.copy()
+        feat[1, 0] = -0.0
+        with pytest.raises(ValidationError):
+            write_clip_csv(make_clip(pos, features=feat), path)
 
 
 class TestForcePlate:
@@ -431,6 +449,46 @@ class TestGravitySpec:
             GravitySpec(g_accel=np.array([0.0, 0.0, 25.0]))
         with pytest.raises(UnitError):
             GravitySpec(g_accel=np.zeros(3))
+
+
+def build_record(kind):
+    """A record of kind, and the caller's arrays it was built from, by field."""
+    T = 4
+    if kind == "MotionClip":
+        pos = np.ones((T, 3))  # one array given as both fields
+        arrays = {"root_positions": pos, "features": pos}
+        return MotionClip("S1", "clip", 100.0, 70.0, **arrays), arrays
+    if kind == "ForcePlateRecord":
+        arrays = {"per_foot_force": np.ones((T, 2, 3)), "per_foot_cop": np.zeros((T, 2, 2)),
+                  "contact_flags": np.ones((T, 2), bool), "valid_mask": np.ones(T, bool)}
+        return ForcePlateRecord(**arrays), arrays
+    if kind == "GravitySpec":
+        arrays = {"g_accel": np.array([0.0, 0.0, 9.81])}
+        return GravitySpec(**arrays), arrays
+    if kind == "SimResult":
+        arrays = {"positions": np.ones((T, 3)), "velocities": np.zeros((T, 3)),
+                  "total_force": np.ones((T - 1, 3))}
+        return SimResult(**arrays, dt=0.01), arrays
+    arrays = {"forces": np.ones((T, 2, 3))}
+    return Prediction(**arrays), arrays
+
+
+@pytest.mark.parametrize("kind", ["MotionClip", "ForcePlateRecord", "GravitySpec",
+                                  "SimResult", "Prediction"])
+def test_record_holds_read_only_copies_of_the_callers_arrays(kind):
+    record, arrays = build_record(kind)
+    fields = {name: getattr(record, name) for name in arrays}
+    held = {name: f.tobytes() for name, f in fields.items()}
+    assert all(a.flags.writeable for a in arrays.values())
+    assert not any(f.flags.writeable for f in fields.values())
+    for name, f in fields.items():
+        others = [*arrays.values(), *(g for g in fields.values() if g is not f)]
+        assert not any(np.shares_memory(f, o) for o in others), name
+    for a in arrays.values():
+        a[...] = ~a if a.dtype == bool else 25.0  # 25 m/s^2 is outside gravity's range
+    assert {name: f.tobytes() for name, f in fields.items()} == held
+    if kind == "GravitySpec":
+        assert record.magnitude == 9.81
 
 
 class TestFiniteDiffVelocity:
