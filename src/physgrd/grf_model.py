@@ -39,10 +39,14 @@ layer's padded input, which the backward writes that layer's input
 gradient over once its weight gradient is done (the (C, B, T+K-1) shape is
 the same); "pre0".."pre3", each layer's pre-activation, which the backward
 overwrites with its ELU gradient and then with the gradient at the layer's
-output; and "grad", the conv stack's output and then the backward's padded
-output gradient. ELU writes straight into the next layer's padded buffer.
-forward() passes one padded buffer and one pre-activation buffer through
-every layer.
+output; and "grad", the conv stack's output (fc0's input), then fc0's
+input gradient and then the backward's padded output gradient. ELU writes
+straight into the next layer's padded buffer. forward() passes one padded
+buffer and one pre-activation buffer through every layer. Outside the
+workspace, a step frees each transient at its last use: the backward drops
+each FC layer's cached input and pre-activation once that layer's
+gradients are taken, and train() drops a batch's gradients after its Adam
+step.
 
 So only one cache per net is live: any later call on the net invalidates
 the cache of an earlier _forward, and a net must not be used from two
@@ -249,11 +253,10 @@ class TemporalConvNet:
         dropped first, only when shape needs more values than it holds.
         """
         size = math.prod(shape)
-        flat = self._ws.get(name)
-        if flat is None or flat.size < size:
+        if name not in self._ws or self._ws[name].size < size:
             self._ws.pop(name, None)
-            flat = self._ws[name] = np.empty(size)
-        return flat[:size].reshape(shape)
+            self._ws[name] = np.empty(size)
+        return self._ws[name][:size].reshape(shape)
 
     def _padded(self, name: str, C: int, B: int, T: int, pad: int) -> np.ndarray:
         """Channels-first (C, B, T + 2*pad) buffer with zeroed pad frames;
@@ -349,24 +352,29 @@ class TemporalConvNet:
         """Gradients w.r.t. every parameter, aligned with parameters().
 
         dout is dLoss/d(final pre-activation), (B, T, 6); all loss
-        normalization is already folded into it. The cache is used up: each
-        hidden layer's pre-activation is overwritten by its ELU gradient
-        and, in the conv stack, then by the gradient at that layer's output.
+        normalization is already folded into it. The cache is used up: its
+        FC entries are dropped layer by layer, each hidden layer's
+        pre-activation is overwritten by its ELU gradient and, in the conv
+        stack, then by the gradient at that layer's output.
         """
         B, T = dout.shape[:2]
         fc_grads: list[list[np.ndarray]] = [None] * len(self.fc)
+        fc = cache["fc"]
         g = dout
         for i in reversed(range(len(self.fc))):
             w, _ = self.fc[i]
-            h_in, _ = cache["fc"][i]
             fc_grads[i] = [
-                np.einsum("bto,bti->oi", g, h_in, optimize=True),
+                # layer i's cache entry, its input with it, dies here
+                np.einsum("bto,bti->oi", g, fc.pop()[0], optimize=True),
                 g.sum(axis=(0, 1)),
             ]
-            g = g @ w  # gradient at this layer's input
             if i > 0:
-                pre = cache["fc"][i - 1][1]
-                g *= _elu_grad(pre, out=pre)
+                g = g @ w  # gradient at this layer's input
+                g *= _elu_grad(fc[i - 1][1], out=fc[i - 1][1])
+            else:
+                # fc0's input, the conv output, is dead: its "grad" buffer
+                # takes the gradient
+                g = np.matmul(g, w, out=self._buf("grad", B, T, w.shape[1]))
 
         conv = cache["conv"]
         conv_grads: list[list[np.ndarray]] = [None] * len(conv)
@@ -520,10 +528,13 @@ class Adam:
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            p -= self.lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            # m = beta1 * m + (1 - beta1) * g, and likewise v, in place
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 @dataclass(frozen=True)
@@ -618,6 +629,7 @@ def train(
                             f"non-finite training loss ({loss}) at epoch {epoch}, batch {batch}"
                         )
                     adam.step(net.parameters(), grads)
+                    del grads  # not held through the next batch's step
                     sums += np.array([loss, t1, t2]) * len(chunk)
                     n_seen += len(chunk)
             train_loss, term1, term2 = (sums / max(n_seen, 1)).tolist()

@@ -247,14 +247,14 @@ def from_bodyweight(force_bw: np.ndarray) -> np.ndarray:
 
 
 def _readonly(record, name: str, shape: tuple, dtype: type = float,
-              finite: bool = False) -> np.ndarray:
+              finite: bool = False, nan_ok: bool = False) -> np.ndarray:
     """Set array field ``name`` of the frozen ``record`` to a read-only,
     C-ordered ``dtype`` copy of its value, and return the copy.
 
     The copy must have ``shape``, where None is an axis of any length; with
-    ``finite``, its first non-finite element is a ValidationError naming its
-    frame (the first axis) and its column (its index in the frame's
-    flattened row).
+    ``finite``, its first non-finite element (with ``nan_ok`` too, its first
+    infinite one) is a ValidationError naming its frame (the first axis) and
+    its column (its index in the frame's flattened row).
     """
     out = np.array(getattr(record, name), dtype=dtype, order="C")
     if out.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, out.shape)):
@@ -262,10 +262,11 @@ def _readonly(record, name: str, shape: tuple, dtype: type = float,
                          for i, n in enumerate(shape))
         raise ValidationError(f"{name} must be ({want}{',' * (len(shape) == 1)}), got {out.shape}")
     if finite:
-        bad = ~np.isfinite(out)
+        bad = np.isinf(out) if nan_ok else ~np.isfinite(out)
         if bad.any():
             t, c = divmod(int(bad.argmax()), math.prod(out.shape[1:]))
-            raise ValidationError(f"non-finite value in {name} at frame {t}, column {c}")
+            kind = "infinite" if nan_ok else "non-finite"
+            raise ValidationError(f"{kind} value in {name} at frame {t}, column {c}")
     out.flags.writeable = False
     object.__setattr__(record, name, out)
     return out
@@ -345,8 +346,10 @@ class MotionClip:
 class ForcePlateRecord:
     """Per-foot plate measurements aligned with a clip.
 
-    per_foot_force : (T, 2, 3) in body weights (dimensionless).
+    per_foot_force : (T, 2, 3) in body weights (dimensionless), T >= 1.
     per_foot_cop   : (T, 2, 2) center of pressure, meters.
+                     NaN marks a missing force or CoP value; an infinite
+                     one is rejected, as the plate file format rejects it.
     contact_flags  : (T, 2) booleans.
     valid_mask     : (T,) booleans; False rows are excluded from every metric
                      and loss term. When omitted it is derived as "all force
@@ -360,9 +363,11 @@ class ForcePlateRecord:
     valid_mask: np.ndarray | None = None
 
     def __post_init__(self):
-        force = _readonly(self, "per_foot_force", (None, 2, 3))
+        force = _readonly(self, "per_foot_force", (None, 2, 3), finite=True, nan_ok=True)
         T = len(force)
-        _readonly(self, "per_foot_cop", (T, 2, 2))
+        if T < 1:
+            raise ValidationError("plate must have at least one frame")
+        _readonly(self, "per_foot_cop", (T, 2, 2), finite=True, nan_ok=True)
         _readonly(self, "contact_flags", (T, 2), bool)
         finite = np.all(np.isfinite(force), axis=(1, 2))
         if self.valid_mask is None:

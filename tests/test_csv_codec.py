@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 import csv_reference as ref
 from physgrd import calibration, motion_data
 from physgrd.dynamics import PDGains, SimResult, simulate, write_sim_csv
-from physgrd.errors import ParseError
+from physgrd.errors import ParseError, ValidationError
 from physgrd.grf_model import (
     Prediction,
     TemporalConvNet,
@@ -273,6 +273,33 @@ def test_round_trip_random_matrix(data):
         expected = "".join(",".join(ref.fmt(v) for v in row) + "\n" for row in data)
         assert text == ",".join(header) + "\n" + expected
         assert same_bits(_read_rows(path, text.splitlines(), header), data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda T: st.tuples(
+    hnp.arrays(np.float64, (T, 2, 3), elements=st.floats()),
+    hnp.arrays(np.float64, (T, 2, 2), elements=st.floats()),
+    hnp.arrays(np.bool_, (T, 2)),
+)))
+def test_every_plate_record_round_trips(arrays):
+    """A plate the record accepts, NaN rows included, reads back with the
+    same bits (NaN as the one NaN the file spells); it rejects only what the
+    file cannot hold. The file holds no mask, so the record's mask is the
+    derived one."""
+    try:
+        plate = ForcePlateRecord(*arrays)
+    except ValidationError:
+        assert len(arrays[0]) == 0 or any(np.isinf(a).any() for a in arrays[:2])
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        write_force_plate(plate, path, 100.0)
+        back = load_force_plate(path)
+    for name in ("per_foot_force", "per_foot_cop"):
+        value = getattr(plate, name)
+        assert same_bits(getattr(back, name), np.where(np.isnan(value), np.nan, value))
+    np.testing.assert_array_equal(back.contact_flags, plate.contact_flags)
+    np.testing.assert_array_equal(back.valid_mask, plate.valid_mask)
 
 
 # cells float() takes that the bulk parse may not, junk neither takes, and

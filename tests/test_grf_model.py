@@ -328,9 +328,10 @@ class TestWorkspace:
         assert not net._ws
 
     def test_canonical_step_peak_memory(self):
-        # one canonical step traced at 204.2 MB with the column matrix built
-        # in spans (315.9 MB with it whole); the bound is that plus 10%. The
-        # second call counts what the workspace retained from the first
+        # one canonical step traced at 173.5 MB, with the column matrix
+        # built in spans and each transient freed at its last use; the bound
+        # is that plus 10%. The second call counts what the workspace
+        # retained from the first
         net = TemporalConvNet(9, seed=0)
         args = (*toy_batch(0, 64, 240, 9), 0.002, 0.005)
         tracemalloc.start()
@@ -339,7 +340,21 @@ class TestWorkspace:
             for _ in range(2):
                 tracemalloc.reset_peak()
                 net.loss_and_grads(*args)
-                assert tracemalloc.get_traced_memory()[1] - start <= 224.6e6
+                assert tracemalloc.get_traced_memory()[1] - start <= 190.9e6
+        finally:
+            tracemalloc.stop()
+
+    def test_regrow_drops_old_storage_before_allocating(self):
+        net = TemporalConvNet(9, **self.ARCH, seed=0)
+        n = 2**20
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            net._buf("cols", n)
+            tracemalloc.reset_peak()
+            net._buf("cols", 2 * n)
+            # the new 2n values alone; old and new together would be 3n
+            assert tracemalloc.get_traced_memory()[1] - start <= 2 * n * 8 + 64 * 1024
         finally:
             tracemalloc.stop()
 
@@ -355,6 +370,29 @@ class TestAdam:
         opt = Adam([p], lr=0.1)
         opt.step([p], [np.ones(3)])
         assert (p < 1.0).all()
+
+    def test_in_place_step_matches_textbook_expression(self):
+        # one shape large enough (917 KB) for numpy to reuse temporaries
+        rng = np.random.default_rng(0)
+        shapes = [(128, 128, 7), (128,), (6, 32)]
+        params = [rng.normal(size=s) for s in shapes]
+        ref = [p.copy() for p in params]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        opt = Adam(params, lr=1e-3)
+        m, v = list(opt.m), list(opt.v)
+        b1, b2, lr, eps = opt.beta1, opt.beta2, opt.lr, opt.eps
+        for t in range(1, 6):
+            grads = [rng.normal(size=s) for s in shapes]
+            opt.step(params, grads)
+            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+            for i, (p, g) in enumerate(zip(ref, grads)):
+                ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
+                ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * g * g
+                p -= lr * (ref_m[i] / c1) / (np.sqrt(ref_v[i] / c2) + eps)
+            for got, want in zip(params + opt.m + opt.v, ref + ref_m + ref_v):
+                assert np.array_equal(got, want)
+        assert all(a is b for a, b in zip(opt.m + opt.v, m + v))
 
 
 class TestTrain:

@@ -232,6 +232,23 @@ class TestForcePlate:
                 valid_mask=np.array([True, True, True]),
             )
 
+    @pytest.mark.parametrize("field, index, message", [
+        ("per_foot_force", (1, 0, 2), "per_foot_force at frame 1, column 2"),
+        ("per_foot_force", (3, 1, 0), "per_foot_force at frame 3, column 3"),
+        ("per_foot_cop", (2, 1, 1), "per_foot_cop at frame 2, column 3"),
+    ])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_value_names_field_frame_and_column(self, field, index, message, value):
+        arrays = {"per_foot_force": np.ones((4, 2, 3)), "per_foot_cop": np.zeros((4, 2, 2))}
+        arrays[field][index] = value
+        arrays[field][0, 0, 0] = np.nan  # NaN, the missing marker, is accepted before it
+        with pytest.raises(ValidationError, match=f"^infinite value in {message}$"):
+            ForcePlateRecord(**arrays, contact_flags=np.ones((4, 2), dtype=bool))
+
+    def test_empty_plate_rejected(self):
+        with pytest.raises(ValidationError, match="at least one frame"):
+            ForcePlateRecord(np.zeros((0, 2, 3)), np.zeros((0, 2, 2)), np.zeros((0, 2), bool))
+
     def test_length_mismatch_on_attach(self):
         clip = make_clip([[0, 0, 1.0]] * 5)
         rec = ForcePlateRecord(
