@@ -23,7 +23,6 @@ for bit those of np.mean over the whole clip.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -34,7 +33,7 @@ from . import metrics
 from .dynamics import DIVERGENCE_LIMIT, GravitySpec, PDGains, SimMode, _buckets, _pd_steps
 from .dynamics import simulate  # noqa: F401  perfbench/tracing.py wraps calibration.simulate
 from .errors import NON_NEGATIVE, PhysgrdError, UnitError, ValidationError, check_range
-from .motion_data import MotionClip, _json_number, _read_json, _write_table
+from .motion_data import MotionClip, _json_number, _read_json, _write_json, _write_table
 
 # kp swept at kd=0, then kd swept at the best kp
 DEFAULT_GAIN_CELLS: tuple[tuple[float, float], ...] = (
@@ -235,7 +234,7 @@ def write_best_gains(report: CalibrationReport, path: str | Path) -> None:
         "score": report.best_score,
         "mode": report.mode,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(path, doc)
 
 
 def load_gains(path: str | Path) -> PDGains:

@@ -10,8 +10,9 @@ to stderr.
 from __future__ import annotations
 
 import argparse
-import json
+import inspect
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,15 @@ def _gains_from(args) -> PDGains:
     if args.gains:
         return calibration.load_gains(args.gains)
     return PDGains(kp=args.kp, kd=args.kd)
+
+
+def _of_subject(dataset: Dataset, subject: str | None) -> list[tuple[DatasetEntry, str]]:
+    """(entry, stem) of each entry of --subject, or of every entry without
+    one; a subject the dataset does not hold is an error."""
+    if subject and subject not in dataset.subjects():
+        raise PhysgrdError(f"subject {subject!r} not in dataset {dataset.subjects()}")
+    return [(entry, stem) for entry, stem in zip(dataset, entry_stems(dataset))
+            if not subject or entry.clip.subject_id == subject]
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +199,8 @@ def cmd_train(args, parser) -> int:
     if not train_subjects:
         raise PhysgrdError("need at least two subjects to hold one out")
 
-    cfg = grf_model.TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-        lambda1=args.lambda1,
-        lambda2=args.lambda2,
-        window_len=args.window_len,
-        conv_channels=args.conv_channels,
-        fc_widths=args.fc_widths,
-    )
+    cfg = grf_model.TrainConfig(**{f.name: getattr(args, f.name)
+                                   for f in fields(grf_model.TrainConfig)})
     gains = _gains_from(args)
     net, log = grf_model.train(
         dataset, cfg, (train_subjects, test_subject), gains, _gravity(args), args.mode
@@ -219,14 +220,10 @@ def cmd_train(args, parser) -> int:
 
 
 def cmd_predict(args, parser) -> int:
-    dataset = load_manifest(args.manifest)
-    if args.subject and args.subject not in dataset.subjects():
-        raise PhysgrdError(f"subject {args.subject!r} not in dataset {dataset.subjects()}")
+    entries = _of_subject(load_manifest(args.manifest), args.subject)
     net, _ = grf_model.load_checkpoint(args.checkpoint)
     out = _out_dir(args)
-    for entry, stem in zip(dataset, entry_stems(dataset)):
-        if args.subject and entry.clip.subject_id != args.subject:
-            continue
+    for entry, stem in entries:
         pred = net.forward(entry.clip.features)
         name = f"{stem}_pred.csv"
         grf_model.write_prediction_csv(pred, out / name, entry.clip.frame_rate)
@@ -235,16 +232,14 @@ def cmd_predict(args, parser) -> int:
 
 
 def cmd_metrics(args, parser) -> int:
-    dataset = load_manifest(args.manifest)
+    entries = _of_subject(load_manifest(args.manifest), args.subject)
     pred_dir = Path(args.pred_dir)
     gravity = _gravity(args)
 
     rows = []
     per_vgrf: dict[tuple, tuple[float, float]] = {}
     per_vrpe: dict[tuple, float] = {}
-    for entry, stem in zip(dataset, entry_stems(dataset)):
-        if args.subject and entry.clip.subject_id != args.subject:
-            continue
+    for entry, stem in entries:
         pred_path = pred_dir / f"{stem}_pred.csv"
         if not pred_path.exists():
             raise PhysgrdError(f"missing prediction file {pred_path}")
@@ -295,7 +290,7 @@ def cmd_plot(args, parser) -> int:
             if args.pred else None)
     sim = simulate(clip, gains, gravity, args.mode)
     traj_series.append(svgplot.LineSeries("simulated z", t, sim.positions[:, 2]))
-    phys_bw = to_bodyweight(_frame_forces(sim))
+    phys_bw = to_bodyweight(_frame_forces(sim.total_force))
     force_series.append(svgplot.LineSeries("physics vGRF", t, phys_bw[:, 2]))
     if pred is not None:
         force_series.append(
@@ -321,18 +316,21 @@ def cmd_plot(args, parser) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="physgrd", description=__doc__.strip().splitlines()[0])
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=42, help="master random seed")
+    # each default is read from the library value it stands for
+    train_cfg = grf_model.TrainConfig()
+    common.add_argument("--seed", type=int, default=train_cfg.seed, help="master random seed")
     common.add_argument("--out-dir", default=".", help="output directory")
     gravity = _Parser(add_help=False)  # every command but gen and predict
-    gravity.add_argument("--gravity-z", type=float, default=9.81,
+    gravity.add_argument("--gravity-z", type=float, default=float(GravitySpec().g_accel[2]),
                          help="gravity magnitude along -z [m/s^2]")
     mode = _Parser(add_help=False)  # the commands that simulate
     mode.add_argument("--mode", choices=("closed_loop", "open_loop"),
                       default="closed_loop", help="simulation feedback mode")
+    train_gains = inspect.signature(grf_model.train).parameters["gains"].default
     gains = _Parser(add_help=False)
-    gains.add_argument("--kp", type=float, default=70.0,
+    gains.add_argument("--kp", type=float, default=train_gains.kp,
                        help="PD gain kp for simulation and physics supervision")
-    gains.add_argument("--kd", type=float, default=3.0, help="PD gain kd")
+    gains.add_argument("--kd", type=float, default=train_gains.kd, help="PD gain kd")
     gains.add_argument("--gains", default=None, help="best_gains.json from calibrate")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -342,8 +340,9 @@ def build_parser() -> _Parser:
                    help="hop | walk | ballistic | spring_tracked (comma list allowed)")
     p.add_argument("--subjects", type=int, default=1)
     p.add_argument("--clips", type=int, default=1, help="clips per subject per kind")
-    p.add_argument("--duration", type=float, default=4.0, help="seconds")
-    p.add_argument("--frame-rate", type=float, default=100.0)
+    p.add_argument("--duration", type=float, default=synthetic._COMMON_DEFAULTS["duration"],
+                   help="seconds")
+    p.add_argument("--frame-rate", type=float, default=synthetic._COMMON_DEFAULTS["frame_rate"])
     p.add_argument("--mass", type=float, default=None, help="fix subject mass [kg]")
     p.add_argument("--freq", type=float, default=None, help="hop frequency [Hz]")
     p.add_argument("--amplitude", type=float, default=None, help="hop amplitude in [0,1]")
@@ -384,14 +383,10 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--test-subject", default=None,
                    help="held-out subject id (default: last by sort order)")
-    p.add_argument("--epochs", type=int, default=11)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--learning-rate", type=float, default=3e-5)
-    p.add_argument("--lambda1", type=float, default=0.002)
-    p.add_argument("--lambda2", type=float, default=0.005)
-    p.add_argument("--window-len", type=int, default=240)
-    p.add_argument("--conv-channels", type=_int_list, default=(128, 128, 128, 128))
-    p.add_argument("--fc-widths", type=_int_list, default=(64, 32))
+    for f in fields(train_cfg):  # one flag per TrainConfig field; --seed is common
+        if f.name != "seed":
+            kind = _int_list if isinstance(f.default, tuple) else type(f.default)
+            p.add_argument("--" + f.name.replace("_", "-"), type=kind, default=f.default)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", parents=[common], help="run a checkpoint over clips")

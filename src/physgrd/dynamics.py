@@ -66,9 +66,10 @@ class PDGains:
 class SimResult:
     """Simulated root states and the forces that produced them.
 
-    positions/velocities have one row per frame (T rows); total_force has
-    one row per integration step (T-1 rows), since no force acts after the
-    final frame. Use physics_force_series for a per-frame-aligned view.
+    positions/velocities have one row per frame (T rows, T >= 1);
+    total_force has one row per integration step (T-1 rows), since no force
+    acts after the final frame. Use physics_force_series for a
+    per-frame-aligned view.
     """
 
     positions: np.ndarray
@@ -79,8 +80,10 @@ class SimResult:
     def __post_init__(self):
         check_range("dt", self.dt, POSITIVE, UnitError)
         pos = _readonly(self, "positions", (None, 3), finite=True)
+        if len(pos) < 1:
+            raise ValidationError("simulation must have at least one frame")
         _readonly(self, "velocities", pos.shape, finite=True)
-        _readonly(self, "total_force", (max(len(pos) - 1, 0), 3), finite=True)
+        _readonly(self, "total_force", (len(pos) - 1, 3), finite=True)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -241,12 +244,13 @@ def _simulations(clips: Sequence[MotionClip], gains: PDGains, gravity, mode: Sim
         yield _rollout(clip, pending.pop(j), gravity)
 
 
-def _frame_forces(result: SimResult) -> np.ndarray:
-    """Step forces padded to one row per frame by repeating the last (zeros if none)."""
-    force = result.total_force
-    if len(force) == 0:
-        return np.zeros((len(result), 3))
-    return np.vstack([force, force[-1:]])
+def _frame_forces(step_forces: np.ndarray) -> np.ndarray:
+    """The T-1 step forces of a T-frame clip, (T-1, 3), padded to one row per
+    frame by repeating the last; a one-frame clip, with no step, gets one
+    zero row."""
+    if len(step_forces) == 0:
+        return np.zeros((1, 3))
+    return np.vstack([step_forces, step_forces[-1:]])
 
 
 def simulate(
@@ -278,7 +282,7 @@ def physics_force_series(
     one so downstream losses can align force to every frame. A single-frame
     clip gets a zero force row.
     """
-    return _frame_forces(simulate(clip, gains, gravity, mode))
+    return _frame_forces(simulate(clip, gains, gravity, mode).total_force)
 
 
 def rollout_forces(
@@ -288,16 +292,16 @@ def rollout_forces(
 ) -> SimResult:
     """Integrate a given normalized force series from the clip's start state.
 
-    Used to turn a model's force prediction back into a trajectory. Accepts
-    T or T-1 force rows; the row for the final frame, if present, is unused
-    (mirroring the physics_force_series padding).
+    Used to turn a model's force prediction back into a trajectory. Takes
+    an (N, 3) series with N = T or T-1; the row for the final frame, if
+    present, is unused (mirroring the physics_force_series padding).
     """
     gravity = gravity or GravitySpec()
-    forces = np.array(forces, dtype=float).reshape(-1, 3)
+    forces = np.asarray(forces, dtype=float)
     T = len(clip)
-    if len(forces) not in (T, max(T - 1, 0)):
-        raise ValidationError(f"force series must have {T} or {T - 1} rows, got {len(forces)}")
-    return _rollout(clip, forces[: max(T - 1, 0)], gravity)
+    if forces.ndim != 2 or forces.shape[1] != 3 or len(forces) not in (T, T - 1):
+        raise ValidationError(f"force series must be ({T}, 3) or ({T - 1}, 3), got {forces.shape}")
+    return _rollout(clip, forces[:T - 1], gravity)
 
 
 def write_sim_csv(result: SimResult, path: str | Path) -> None:
@@ -307,5 +311,6 @@ def write_sim_csv(result: SimResult, path: str | Path) -> None:
     for a single-frame result).
     """
     times = np.arange(len(result)) * result.dt
-    data = np.column_stack([times, result.positions, result.velocities, _frame_forces(result)])
+    forces = _frame_forces(result.total_force)
+    data = np.column_stack([times, result.positions, result.velocities, forces])
     _write_rows(path, ("t", "px", "py", "pz", "vx", "vy", "vz", "fx", "fy", "fz"), data)

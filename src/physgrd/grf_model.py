@@ -63,7 +63,6 @@ in the test suite.
 from __future__ import annotations
 
 import base64
-import json
 import math
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
@@ -77,7 +76,7 @@ from .errors import NON_NEGATIVE, POSITIVE, CheckpointError, ValidationError, ch
 from .errors import check_range
 from .metrics import evaluate_prediction
 from .motion_data import Dataset, ForcePlateRecord, _check_cells, _read_json, _read_table
-from .motion_data import _readonly, _write_rows, _write_table
+from .motion_data import _readonly, _write_json, _write_rows, _write_table
 
 KERNEL = 7
 PAD = KERNEL // 2
@@ -193,12 +192,13 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class Prediction:
-    """Per-frame per-foot force prediction, (T, 2, 3), body weights."""
+    """Per-frame per-foot force prediction, (T, 2, 3), body weights, T >= 1."""
 
     forces: np.ndarray
 
     def __post_init__(self):
-        _readonly(self, "forces", (None, 2, 3), finite=True)
+        if len(_readonly(self, "forces", (None, 2, 3), finite=True)) < 1:
+            raise ValidationError("prediction must have at least one frame")
 
     def __len__(self) -> int:
         return len(self.forces)
@@ -218,8 +218,8 @@ class TemporalConvNet:
     def __init__(
         self,
         input_width: int,
-        conv_channels: Sequence[int] = (128, 128, 128, 128),
-        fc_widths: Sequence[int] = (64, 32),
+        conv_channels: Sequence[int] = TrainConfig.conv_channels,
+        fc_widths: Sequence[int] = TrainConfig.fc_widths,
         seed: int = 0,
     ):
         if len(conv_channels) != 4 or len(fc_widths) != 2:
@@ -684,7 +684,7 @@ def save_checkpoint(net: TemporalConvNet, cfg: TrainConfig, path: str | Path) ->
             "activation": "elu after every conv and the first two fc layers",
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(path, doc)
 
 
 def load_checkpoint(path: str | Path) -> tuple[TemporalConvNet, TrainConfig]:

@@ -195,10 +195,13 @@ def evaluate_prediction(
     Returns (vgrf_left, vgrf_right, vrpe). The position error comes from
     rolling the summed predicted force through the integrator from the
     clip's start state; force metrics are NaN when no plate is attached,
-    and a rollout that diverges scores an infinite position error.
+    and a rollout that diverges scores an infinite position error. pred_bw
+    must be (T, 2, 3).
     """
     gravity = gravity or GravitySpec()
     pred_bw = np.asarray(pred_bw, dtype=float)
+    if pred_bw.ndim != 3 or pred_bw.shape[1:] != (2, 3):
+        raise ValidationError(f"prediction must be (T, 2, 3), got {pred_bw.shape}")
     if plate is not None:
         left, right = vgrf_mse(pred_bw, plate)
     else:

@@ -140,6 +140,12 @@ def _read_lines(path: Path) -> list[str]:
         raise ParseError(f"{path}: not a text file ({exc})") from None
 
 
+def _write_json(path: str | Path, doc) -> None:
+    """Write doc as the project's JSON artifacts are written: indented, keys
+    sorted, one trailing newline. The mirror of _read_json."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _read_json(path: Path, what: str, error: type = ParseError):
     """The JSON document in path. Bytes that do not decode, text that does not
     parse and nesting too deep for the parser are one error naming the path."""
@@ -691,7 +697,7 @@ def write_manifest(dataset: Dataset, out_dir: str | Path) -> Path:
         )
     manifest = {"subjects": [subjects[k] for k in sorted(subjects)]}
     out_path = out_dir / "manifest.json"
-    out_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out_path, manifest)
     return out_path
 
 
@@ -699,14 +705,18 @@ def write_manifest(dataset: Dataset, out_dir: str | Path) -> Path:
 # Kinematics helpers
 # ---------------------------------------------------------------------------
 
+def _backward_diff(x: np.ndarray, rate: float) -> np.ndarray:
+    """Causal rate of change of x along its first (frame) axis, sampled at
+    rate: row t is (x[t] - x[t-1]) * rate, and row 0 is zero."""
+    out = np.zeros_like(x)
+    out[1:] = (x[1:] - x[:-1]) * rate
+    return out
+
+
 def finite_diff_velocity(clip: MotionClip) -> np.ndarray:
     """Backward-difference root velocity, (T, 3) m/s, with v[0] = 0.
 
     Causal on purpose: frame t uses only frames <= t, matching how the
     online simulation consumes velocities.
     """
-    pos = clip.root_positions
-    vel = np.zeros_like(pos)
-    if len(pos) > 1:
-        vel[1:] = (pos[1:] - pos[:-1]) * clip.frame_rate
-    return vel
+    return _backward_diff(clip.root_positions, clip.frame_rate)

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import _integrate, _pd_law, _raise_if_diverged, euler_step
+from .dynamics import _frame_forces, _integrate, _pd_law, _raise_if_diverged, euler_step
 from .errors import FINITE, NON_NEGATIVE, POSITIVE, ValidationError, check_int, check_range
 from .motion_data import (
     Dataset,
@@ -37,6 +37,7 @@ from .motion_data import (
     ForcePlateRecord,
     GravitySpec,
     MotionClip,
+    _backward_diff,
     to_bodyweight,
 )
 
@@ -120,12 +121,8 @@ def build_features(positions: np.ndarray, frame_rate: float) -> np.ndarray:
     magnitudes.
     """
     pos = np.asarray(positions, dtype=float)
-    vel = np.zeros_like(pos)
-    acc = np.zeros_like(pos)
-    if len(pos) > 1:
-        vel[1:] = (pos[1:] - pos[:-1]) * frame_rate
-        acc[1:] = (vel[1:] - vel[:-1]) * frame_rate
-    return np.hstack([pos, vel, to_bodyweight(acc)])
+    vel = _backward_diff(pos, frame_rate)
+    return np.hstack([pos, vel, to_bodyweight(_backward_diff(vel, frame_rate))])
 
 
 def _plate_from_split(
@@ -135,13 +132,14 @@ def _plate_from_split(
     p: Mapping,
     rng: np.random.Generator,
 ) -> ForcePlateRecord:
-    """Assemble a plate record from a total BW force and a left-foot share.
+    """Assemble a plate record from a total BW force and a left-foot share,
+    one per frame or one for every frame.
 
     Adds optional seeded noise, clamps vertical force at zero (plates cannot
     pull), then applies the configured missing windows by NaN-ing forces.
     """
     T = len(total_bw)
-    share = np.clip(np.asarray(left_share, dtype=float), 0.0, 1.0)
+    share = np.clip(np.broadcast_to(np.asarray(left_share, dtype=float), (T,)), 0.0, 1.0)
     force = np.empty((T, 2, 3))
     force[:, 0, :] = total_bw * share[:, None]
     force[:, 1, :] = total_bw * (1.0 - share)[:, None]
@@ -178,17 +176,6 @@ def _frames(p: Mapping, endpoint: bool = False) -> int:
     return T
 
 
-def _finish(positions: np.ndarray, p: Mapping) -> MotionClip:
-    return MotionClip(
-        subject_id=p["subject_id"],
-        motion_label=p["motion_label"],
-        frame_rate=float(p["frame_rate"]),
-        mass=float(p["mass"]),
-        root_positions=positions,
-        features=build_features(positions, float(p["frame_rate"])),
-    )
-
-
 def _gen_hop(p: dict, rng: np.random.Generator, g: float):
     freq = float(p["freq"])
     amp = float(p["amplitude"])
@@ -220,17 +207,12 @@ def _gen_hop(p: dict, rng: np.random.Generator, g: float):
     base = float(p["base_height"])
     if jit:
         base += 0.1 * jit * (rng.random() - 0.5)
-    forces = np.zeros((T - 1, 3))
-    forces[:, 2] = fz[:-1]
+    total = np.zeros((T, 3))
+    total[:, 2] = fz
     gravity = GravitySpec(g_accel=np.array([0.0, 0.0, g]))
-    positions, _ = _integrate(np.array([0.0, 0.0, base]), forces, gravity, 1.0 / rate)
+    positions, _ = _integrate(np.array([0.0, 0.0, base]), total[:-1], gravity, 1.0 / rate)
     _raise_if_diverged(positions)
-
-    total_bw = np.zeros((T, 3))
-    total_bw[:, 2] = to_bodyweight(fz)
-    share = np.full(T, 0.5)
-    plate = _plate_from_split(total_bw, share, positions[:, :2], p, rng)
-    return _finish(positions, p), plate
+    return positions, total, 0.5
 
 
 def _gen_walk(p: dict, rng: np.random.Generator, g: float):
@@ -257,18 +239,12 @@ def _gen_walk(p: dict, rng: np.random.Generator, g: float):
     positions = np.column_stack([px, py, pz])
 
     # discrete inverse dynamics: the stored force series rolls out to the
-    # exact stored trajectory under semi-implicit Euler from rest
-    vel = np.zeros_like(positions)
-    vel[1:] = (positions[1:] - positions[:-1]) * rate
-    total = np.zeros((T, 3))
-    total[:-1] = (vel[1:] - vel[:-1]) * rate
-    total[-1] = total[-2] if T > 1 else 0.0
+    # exact stored trajectory under semi-implicit Euler from rest; step t's
+    # force is the rate of velocity change into frame t+1
+    vel = _backward_diff(positions, rate)
+    total = _frame_forces(_backward_diff(vel, rate)[1:])
     total[:, 2] += g
-
-    share = 0.5 * (1.0 + np.sin(omega * t))
-    total_bw = to_bodyweight(total)
-    plate = _plate_from_split(total_bw, share, positions[:, :2], p, rng)
-    return _finish(positions, p), plate
+    return positions, total, 0.5 * (1.0 + np.sin(omega * t))
 
 
 def _gen_ballistic(p: dict, rng: np.random.Generator, g: float):
@@ -279,11 +255,7 @@ def _gen_ballistic(p: dict, rng: np.random.Generator, g: float):
     t = (np.arange(T) / rate)[:, None]
     g_vec = np.array([0.0, 0.0, g])
     positions = x0 + v0 * t - 0.5 * g_vec * t**2
-
-    total_bw = np.zeros((T, 3))
-    share = np.full(T, 0.5)
-    plate = _plate_from_split(total_bw, share, positions[:, :2], p, rng)
-    return _finish(positions, p), plate
+    return positions, np.zeros((T, 3)), 0.5
 
 
 def _gen_spring_tracked(p: dict, rng: np.random.Generator, g: float):
@@ -302,7 +274,7 @@ def _gen_spring_tracked(p: dict, rng: np.random.Generator, g: float):
     gravity = GravitySpec(g_accel=np.array([0.0, 0.0, g]))
     denom = 1.0 - kp * dt * dt
     positions = np.zeros((T, 3))
-    forces = np.zeros((max(T - 1, 0), 3))
+    forces = np.zeros((T - 1, 3))
     positions[0, 2] = base
     x = positions[0].copy()
     v = np.zeros(3)
@@ -313,12 +285,7 @@ def _gen_spring_tracked(p: dict, rng: np.random.Generator, g: float):
         x, v = euler_step(x, v, f, gravity, dt)
         forces[t] = f
         positions[t + 1] = x
-
-    total = np.vstack([forces, forces[-1:]]) if T > 1 else np.zeros((1, 3))
-    total_bw = to_bodyweight(total)
-    share = np.full(T, 0.5)
-    plate = _plate_from_split(total_bw, share, positions[:, :2], p, rng)
-    return _finish(positions, p), plate
+    return positions, _frame_forces(forces), 0.5
 
 
 def gen_synthetic(
@@ -330,7 +297,9 @@ def gen_synthetic(
 
     The seed drives parameter jitter (when a kind's ``jitter`` is nonzero)
     and plate noise; identical (kind, params, seed) give bit-identical
-    output.
+    output. Each kind's builder returns the root positions, (T, 3), the
+    mass-normalized total force, (T, 3), and the left foot's share of it,
+    per frame or one for all; the plate, then the clip, is built from them.
     """
     p = _merge_params(kind, params)
     check_int("seed", seed, lo=0)
@@ -342,8 +311,13 @@ def gen_synthetic(
         "ballistic": _gen_ballistic,
         "spring_tracked": _gen_spring_tracked,
     }[kind]
+    rate = float(p["frame_rate"])
     with np.errstate(over="ignore", invalid="ignore"):  # MotionClip rejects a non-finite clip
-        return builder(p, rng, g)
+        positions, total, share = builder(p, rng, g)
+        plate = _plate_from_split(to_bodyweight(total), share, positions[:, :2], p, rng)
+        clip = MotionClip(p["subject_id"], p["motion_label"], rate, float(p["mass"]),
+                          positions, build_features(positions, rate))
+    return clip, plate
 
 
 def make_dataset(

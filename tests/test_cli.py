@@ -531,6 +531,18 @@ class TestTrainPredictMetrics:
         ]
         assert not (tmp_path / "pred").exists()
 
+    def test_metrics_unknown_subject_is_named(self, tmp_path, capsys):
+        manifest = gen_small(tmp_path / "data", kind="walk", subjects=2, duration=1.0)
+        capsys.readouterr()
+        assert run(
+            "metrics", "--manifest", manifest, "--pred-dir", tmp_path / "pred",
+            "--subject", "S9", "--out-dir", tmp_path / "metrics",
+        ) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "physgrd: error: PhysgrdError: subject 'S9' not in dataset ['S1', 'S2']"
+        ]
+        assert not (tmp_path / "metrics").exists()
+
     def test_plateless_metrics_write_nan(self, tmp_path):
         manifest = gen_small(tmp_path / "data", kind="walk", subjects=1, duration=1.0)
         doc = json.loads(manifest.read_text())

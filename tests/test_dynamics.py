@@ -300,6 +300,15 @@ class TestRollout:
         with pytest.raises(ValidationError):
             rollout_forces(const_clip(T=10), np.zeros((5, 3)))
 
+    def test_only_n_by_3_series_accepted(self):
+        clip, _ = gen_synthetic("hop", {"duration": 1.0}, seed=0)
+        series = physics_force_series(clip, PDGains(70, 3))
+        assert series.shape == (100, 3)
+        # the transposed series has 300 values, which reshape(-1, 3) would take as 100 rows
+        for bad in (series.T, series.ravel(), series[:, None, :]):
+            with pytest.raises(ValidationError, match=r"must be \(100, 3\) or \(99, 3\)"):
+                rollout_forces(clip, bad)
+
 
 class TestDampingTrend:
     def test_damped_tracks_hops_better(self):
@@ -321,6 +330,8 @@ class TestSimResult:
         for bad in (0.0, np.nan, np.inf):
             with pytest.raises(UnitError):
                 SimResult(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((2, 3)), dt=bad)
+        with pytest.raises(ValidationError, match="at least one frame"):
+            SimResult(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)), dt=0.01)
 
     def test_csv_export(self, tmp_path):
         clip, _ = gen_synthetic("hop", {"duration": 0.5}, seed=0)

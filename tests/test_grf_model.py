@@ -541,6 +541,11 @@ class TestPredictionIO:
         with pytest.raises(ValidationError):
             Prediction(forces=bad)
 
+    def test_empty_rejected(self):
+        # a header-only prediction file is one load_prediction_csv refuses
+        with pytest.raises(ValidationError, match="at least one frame"):
+            Prediction(forces=np.zeros((0, 2, 3)))
+
 
 class TestTrainConfig:
     def test_default_hyperparameters(self):

@@ -307,6 +307,14 @@ class TestEvaluatePrediction:
         left, right, _ = evaluate_prediction(clip, plate, pred)
         assert left == 0.0 and right == 0.0
 
+    @pytest.mark.parametrize("plate", [None, "plate"])
+    def test_prediction_must_be_per_foot(self, plate):
+        clip, plate_record = gen_synthetic("walk", {"duration": 1.0}, seed=3)
+        plate = plate_record if plate else None
+        for bad in (plate_record.total_force(), plate_record.per_foot_force.reshape(100, 6)):
+            with pytest.raises(ValidationError, match=r"must be \(T, 2, 3\), got \(100, "):
+                evaluate_prediction(clip, plate, bad)
+
     def test_divergent_rollout_scores_inf(self):
         clip = const_clip(T=5000)
         pred = np.full((5000, 2, 3), 1e4)

@@ -29,3 +29,11 @@ def test_package_imports_only_numpy_and_the_standard_library():
         if name.partition(".")[0] not in {"numpy", *sys.stdlib_module_names}
     ]
     assert foreign == []
+
+
+def test_only_motion_data_imports_json():
+    """JSON artifacts are read and written by motion_data's _read_json and
+    _write_json, so one module owns their format."""
+    importers = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+                 if "json" in absolute_imports(path)]
+    assert importers == ["motion_data"]
