@@ -170,7 +170,7 @@ def _pd_steps(bucket: Sequence[MotionClip], kp, kd, gravity: GravitySpec, mode: 
     outlive the next step. Each element follows the scalar arithmetic.
     """
     if mode not in ("closed_loop", "open_loop"):
-        raise ValueError(f"unknown simulation mode {mode!r}")
+        raise ValidationError(f"unknown simulation mode {mode!r}")
     dt = bucket[0].dt
     check_range("dt", dt, POSITIVE, UnitError)
     ref = np.stack([c.root_positions for c in bucket], axis=2)[..., None]

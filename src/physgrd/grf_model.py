@@ -10,7 +10,7 @@ Each convolution is a GEMM on an im2col column matrix: the layer input,
 zero-padded and laid out channels first, gives a (C_in*K, B*T) matrix
 whose row c*K + k, column b*T + t holds padded frame t + k of channel c,
 and the (C_out, C_in*K) weights multiply it. The backward pass multiplies
-the matrix, rebuilt from the cached padded input, by the output gradient
+the matrix, rebuilt from the layer's padded input, by the output gradient
 for the weight gradient, and correlates the doubly padded output
 gradient's column matrix with the flipped kernel over all T+K-1 positions
 for the input gradient. Operand order and memory layout match what numpy's
@@ -33,20 +33,22 @@ exceeds the budget (a weight gradient with B*T > 32768).
 
 The conv stack runs in a workspace held by the net: named, flat,
 grow-only float64 buffers, each viewed at the shape a use needs, so
-repeated calls do not allocate (and page-fault) its large arrays again. A
-training step uses "cols", one column-matrix span; "pad0".."pad3", each
-layer's padded input, which the backward writes that layer's input
-gradient over once its weight gradient is done (the (C, B, T+K-1) shape is
-the same); "pre0".."pre3", each layer's pre-activation, which the backward
-overwrites with its ELU gradient and then with the gradient at the layer's
-output; and "grad", the conv stack's output (fc0's input), then fc0's
-input gradient and then the backward's padded output gradient. ELU writes
-straight into the next layer's padded buffer. forward() passes one padded
-buffer and one pre-activation buffer through every layer. Outside the
-workspace, a step frees each transient at its last use: the backward drops
-each FC layer's cached input and pre-activation once that layer's
-gradients are taken, and train() drops a batch's gradients after its Adam
-step.
+repeated calls do not allocate (and page-fault) its large arrays again.
+One padded buffer, "pad", takes each conv layer's input in turn: the
+features, then the ELU of the previous layer's pre-activation. A training
+step also uses "cols", one column-matrix span; "pre0".."pre3", each
+layer's pre-activation, which the backward overwrites with its ELU
+gradient and then with the gradient at the layer's output; and "grad", the
+conv stack's output (fc0's input), then fc0's input gradient and then the
+backward's padded output gradient. The backward writes each layer's input
+gradient over "pad" (the (C, B, T+K-1) shape is the same) once that
+layer's weight gradient is done, then refills it with the layer below's
+input as the forward wrote it, from the features or a pre-activation not
+yet overwritten: the same bits for two more ELU passes. forward() reuses
+"pre0" for every layer. Outside the workspace, a step frees each transient
+at its last use: the backward drops each FC layer's cached input and
+pre-activation once that layer's gradients are taken, and train() drops a
+batch's gradients after its Adam step.
 
 So only one cache per net is live: any later call on the net invalidates
 the cache of an earlier _forward, and a net must not be used from two
@@ -301,44 +303,50 @@ class TemporalConvNet:
             out += [w, b]
         return out
 
+    def _conv_input(self, i: int, src: np.ndarray) -> np.ndarray:
+        """Conv layer i's padded (C, B, T + K - 1) input, written into the
+        workspace's one "pad" buffer: the (B, T, D) features for layer 0,
+        the ELU of layer i - 1's (B, T, C) pre-activation for the others."""
+        B, T, C = src.shape
+        hp = self._padded("pad", C, B, T, PAD)
+        if i == 0:
+            hp[:, :, PAD:PAD + T] = src.transpose(2, 0, 1)
+        else:
+            elu(src, out=hp[:, :, PAD:PAD + T].transpose(1, 2, 0))
+        return hp
+
     def _forward(self, x: np.ndarray, want_cache: bool = False):
         if x.ndim != 3 or x.shape[2] != self.input_width:
             raise ValidationError(
                 f"expected input (B, T, {self.input_width}), got {x.shape}"
             )
+        if 0 in x.shape[:2]:
+            raise ValidationError(f"input needs a window and a frame, got {x.shape}")
         B, T = x.shape[:2]
         n_conv = len(self.conv)
-        # layer i reads pads[i] and writes its output to pads[i + 1]. A
-        # padded input is dead once its GEMM is done, so without a cache one
-        # buffer serves every layer; a training step keeps each for the
-        # backward, which rebuilds the layer's columns from it, and puts the
+        # a padded input is dead once its GEMM is done, so "pad" takes each
+        # layer's input in turn. A training step keeps the features and each
+        # pre-activation, from which the backward refills "pad", and puts the
         # stack's output in the front of the backward's padded-gradient buffer
-        if want_cache:
-            cache = {"conv": [], "fc": []}
-            pads = [f"pad{i}" for i in range(n_conv)] + ["grad"]
-            pres = [f"pre{i}" for i in range(n_conv)]
-        else:
-            cache = None
-            pads, pres = ["pad0"] * (n_conv + 1), ["pre0"] * n_conv
-        hp = self._padded(pads[0], self.input_width, B, T, PAD)
-        hp[:, :, PAD:PAD + T] = x.transpose(2, 0, 1)
+        cache = {"x": x, "pre": [], "fc": []} if want_cache else None
+        hp = self._conv_input(0, x)
         for i, (w, b) in enumerate(self.conv):
             O = len(w)
             # keep the (C_out, B, T) memory order: the gradient sums that
             # derive from pre add in that order
-            pre = self._times_cols(w.reshape(O, -1), hp, T, out=self._buf(pres[i], O, B * T))
+            out = self._buf(f"pre{i}" if want_cache else "pre0", O, B * T)
+            pre = self._times_cols(w.reshape(O, -1), hp, T, out=out)
             pre = pre.reshape(O, B, T).transpose(1, 2, 0)
             pre += b
             if want_cache:
-                cache["conv"].append((hp, pre))
+                cache["pre"].append(pre)
             if i < n_conv - 1:
-                hp = self._padded(pads[i + 1], O, B, T, PAD)
-                elu(pre, out=hp[:, :, PAD:PAD + T].transpose(1, 2, 0))
+                hp = self._conv_input(i + 1, pre)
             else:
                 # sized for the padded gradient, so the backward does not
                 # regrow the buffer while the FC cache still holds h
-                h = self._buf(pads[i + 1], O * B * (T + 2 * (KERNEL - 1)))[:O * B * T]
-                h = elu(pre, out=h.reshape(O, B, T).transpose(1, 2, 0))
+                h = self._buf("grad" if want_cache else "pad", O * B * (T + 2 * (KERNEL - 1)))
+                h = elu(pre, out=h[:O * B * T].reshape(O, B, T).transpose(1, 2, 0))
         n_fc = len(self.fc)
         for i, (w, b) in enumerate(self.fc):
             pre = h @ w.T
@@ -376,17 +384,23 @@ class TemporalConvNet:
                 # takes the gradient
                 g = np.matmul(g, w, out=self._buf("grad", B, T, w.shape[1]))
 
-        conv = cache["conv"]
-        conv_grads: list[list[np.ndarray]] = [None] * len(conv)
+        pres = cache["pre"]
+        n_conv = len(pres)
+        conv_grads: list[list[np.ndarray]] = [None] * n_conv
         # through the last conv's ELU, as a product of two temporaries: numpy
         # may store it in either (a large one goes into the ELU gradient's
         # (C_out, B, T) order), and the bias-gradient sum adds in that order
-        g = g * _elu_grad(conv[-1][1])
+        g = g * _elu_grad(pres[-1])
         n = T + KERNEL - 1
-        for i in reversed(range(len(conv))):
+        for i in reversed(range(n_conv)):
             w, _ = self.conv[i]
             O, C = w.shape[:2]
-            hp, _ = conv[i]
+            if i == n_conv - 1:
+                hp = self._buf("pad", C, B, n)  # the forward left layer i's input here
+            else:
+                # layer i + 1's input gradient is over it: rebuild layer i's
+                # input from the features or a pre-activation not yet overwritten
+                hp = self._conv_input(i, pres[i - 1] if i else cache["x"])
             g2 = g.reshape(B * T, O)
             dw = np.empty((C * KERNEL, O))
             win = _windows(hp, T)
@@ -403,7 +417,7 @@ class TemporalConvNet:
                 w_flip = w[:, :, ::-1].transpose(1, 0, 2).reshape(C, O * KERNEL)
                 self._times_cols(w_flip, gp, n, out=hp.reshape(C, B * n))
                 dx = hp[:, :, PAD:PAD + T].transpose(1, 2, 0)
-                pre = conv[i - 1][1]
+                pre = pres[i - 1]
                 g = np.multiply(dx, _elu_grad(pre, out=pre), out=pre)
 
         flat: list[np.ndarray] = []

@@ -196,12 +196,14 @@ def evaluate_prediction(
     rolling the summed predicted force through the integrator from the
     clip's start state; force metrics are NaN when no plate is attached,
     and a rollout that diverges scores an infinite position error. pred_bw
-    must be (T, 2, 3).
+    must be (T, 2, 3), with the clip's T.
     """
     gravity = gravity or GravitySpec()
     pred_bw = np.asarray(pred_bw, dtype=float)
     if pred_bw.ndim != 3 or pred_bw.shape[1:] != (2, 3):
         raise ValidationError(f"prediction must be (T, 2, 3), got {pred_bw.shape}")
+    if len(pred_bw) != len(clip):
+        raise LengthMismatchError(f"prediction has {len(pred_bw)} frames, clip {len(clip)}")
     if plate is not None:
         left, right = vgrf_mse(pred_bw, plate)
     else:

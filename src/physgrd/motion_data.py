@@ -242,8 +242,10 @@ def to_bodyweight(force: np.ndarray, mass: float = 1.0) -> np.ndarray:
 
     The default mass of 1 takes a mass-normalized force (m/s^2). A body
     weight is always mass * 9.81 N, whatever gravity a simulation runs
-    under, so plate data and physics supervision share one unit.
+    under, so plate data and physics supervision share one unit. The mass
+    must be finite and positive (UnitError).
     """
+    check_range("mass", mass, POSITIVE, UnitError)
     return np.asarray(force, dtype=float) / (mass * STANDARD_GRAVITY)
 
 

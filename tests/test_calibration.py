@@ -129,7 +129,7 @@ class TestCalibrate:
             calibrate([], [(70.0, 3.0)])
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="sideways"):
+        with pytest.raises(ValidationError, match="sideways"):
             calibrate(spring_clips(n=1), [(70.0, 3.0)], mode="sideways")
 
     @pytest.mark.parametrize("cell", [(-5.0, 0.0), (70.0, -1.0), (np.nan, 0.0), (np.inf, 3.0)],

@@ -236,7 +236,7 @@ class TestSimulate:
         assert closed <= open_ + 1e-15
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="sideways"):
             simulate(const_clip(), PDGains(1, 1), mode="sideways")
 
 
@@ -349,6 +349,11 @@ class TestUnits:
     def test_bodyweight_round_trip(self):
         f = np.array([[0.0, 0.0, 9.81]])
         np.testing.assert_allclose(to_bodyweight(f), [[0, 0, 1.0]], rtol=1e-12)
+
+    @pytest.mark.parametrize("mass", [0.0, -70.0, np.nan, np.inf, None])
+    def test_bodyweight_rejects_a_bad_mass(self, mass):
+        with pytest.raises(UnitError, match="mass must be finite and positive"):
+            to_bodyweight(np.ones((3, 3)), mass)
 
     def test_bodyweight_is_standard_gravity_at_any_gravity(self, tmp_path):
         # default outputs keep their bits: |(0, 0, 9.81)| is exactly 9.81

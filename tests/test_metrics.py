@@ -315,6 +315,15 @@ class TestEvaluatePrediction:
             with pytest.raises(ValidationError, match=r"must be \(T, 2, 3\), got \(100, "):
                 evaluate_prediction(clip, plate, bad)
 
+    @pytest.mark.parametrize("plate", [None, "plate"])
+    @pytest.mark.parametrize("T", [99, 101])
+    def test_prediction_must_have_the_clips_length(self, plate, T):
+        # rollout_forces alone would take a 99-frame prediction as T-1 step forces
+        clip, plate_record = gen_synthetic("walk", {"duration": 1.0}, seed=3)
+        pred = np.zeros((T, 2, 3))
+        with pytest.raises(LengthMismatchError, match=f"{T} frames, clip 100"):
+            evaluate_prediction(clip, plate_record if plate else None, pred)
+
     def test_divergent_rollout_scores_inf(self):
         clip = const_clip(T=5000)
         pred = np.full((5000, 2, 3), 1e4)
