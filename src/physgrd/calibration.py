@@ -15,10 +15,10 @@ state is (3, clips, cells), component axis first, so each step's operations
 run over the cells in contiguous inner loops, in place. Every array a step
 touches but the clips' targets, gains included, is a C-ordered array of the
 state's shape, so nearly every operation runs as one inner loop over the
-whole batch. A bucket is scored while it is simulated, one leaf of numpy's
-pairwise sum (at most 128 frames) at a time, so the memory it needs is
-(clips, cells, 128) floats whatever the clip length, and its scores are bit
-for bit those of np.mean over the whole clip.
+whole batch. A bucket is scored while it is simulated, by the one vRPE
+that metrics.vrpe uses too, metrics.vrpe_leaves: it asks for the heights a
+short range of frames at a time, so the memory a bucket needs does not grow
+with the clip length, and its scores are bit for bit metrics.vrpe's.
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ DEFAULT_GAIN_CELLS: tuple[tuple[float, float], ...] = (
 )
 
 # frames of simulated heights gathered contiguously before one transposed
-# copy into the leaf buffer: (8, clips, cells) floats, 69 KB at 20 x 54. A
-# row of 8 floats is one 64-byte cache line; 32 frames ran about 4% faster
-# on calib_grid but raised its peak RSS by 1.2 MB, through heap placement.
+# copy into the range of frames vrpe_leaves asks for: (8, clips, cells)
+# floats, 69 KB at 20 x 54. A row of 8 floats is one 64-byte cache line; 32
+# frames ran about 4% faster on calib_grid but raised its peak RSS by 1.2 MB,
+# through heap placement.
 _GATHER = 8
 
 
@@ -94,58 +95,43 @@ class CalibrationReport:
     diverged: tuple[tuple[float, float], ...]
 
 
-def _leaf_heights(
-    bucket: Sequence[MotionClip], z_ref: np.ndarray, kp: np.ndarray, kd: np.ndarray,
-    gravity: GravitySpec, mode: SimMode, peak: np.ndarray,
-):
-    """Yield simulated root heights, (clips, cells, stop - start), for each
-    range of metrics.pairwise_leaves(T) in turn, in one reused buffer.
-
-    z_ref holds the clips' root heights, (clips, 1, T). Frame 0 is the start,
-    z_ref's first frame; each later frame is one _pd_steps step of the
-    (3, clips, cells) state. peak keeps the elementwise max of its |pos|.
-
-    Nothing is allocated per frame, and every per-frame operation runs over
-    whole C-ordered arrays: |pos| goes into one buffer, and each step's
-    heights are copied contiguously into a block of _GATHER frames, which
-    is written into the leaf buffer, time axis last, once per block instead
-    of one strided column per frame.
-    """
-    T = z_ref.shape[-1]
-    buf = np.empty(peak.shape[1:] + (min(T, metrics.PAIRWISE_LEAF),))
-    block = np.empty((min(T, _GATHER),) + peak.shape[1:])
-    absolute = np.empty_like(peak)
-    steps = _pd_steps(bucket, kp, kd, gravity, mode)
-    for start, stop in metrics.pairwise_leaves(T):
-        heights = buf[..., :stop - start]
-        first = max(start, 1)  # the first frame that is simulated
-        if start == 0:
-            heights[..., 0] = z_ref[..., 0]
-        for lo in range(first - start, stop - start, len(block)):
-            hi = min(lo + len(block), stop - start)
-            for z, (_, pos) in zip(block[:hi - lo], steps):  # block first: no step is lost
-                z[...] = pos[2]
-                np.maximum(peak, np.abs(pos, out=absolute), out=peak)
-            heights[..., lo:hi] = np.moveaxis(block[:hi - lo], 0, -1)
-        yield heights
-
-
 def _bucket_scores(
     bucket: Sequence[MotionClip], kp: np.ndarray, kd: np.ndarray, gravity: GravitySpec,
     mode: SimMode,
 ) -> tuple[np.ndarray, np.ndarray]:
     """vRPE and divergence, (cells, clips) each, of equal-length clips simulated together.
 
-    The heights are scored as _leaf_heights simulates them (metrics.vrpe_leaves),
-    so nothing of size clips x cells x T is allocated. Divergence is the
+    metrics.vrpe_leaves asks for the heights, (clips, cells, stop - start),
+    of one range of frames at a time, left to right, and heights steps the
+    (3, clips, cells) state of _pd_steps through them: frame 0 is the start,
+    z_ref's first frame, and each later frame is one step. So nothing of size
+    clips x cells x T is allocated, and nothing per frame: |pos| goes into
+    one buffer, and each step's heights are copied contiguously into a block
+    of _GATHER frames, which is written into the range, time axis last, once
+    per block instead of one strided column per frame. Divergence is the
     running max of |pos| reduced over the components at the end; a diverged
     pair scores NaN.
     """
     z_ref = np.stack([c.root_positions[:, 2] for c in bucket])[:, None]  # (n, 1, T)
     peak = np.zeros((3, len(bucket), len(kp)))
-    leaves = _leaf_heights(bucket, z_ref, kp, kd, gravity, mode, peak)
+    absolute = np.empty_like(peak)
+    block = np.empty((min(z_ref.shape[-1], _GATHER),) + peak.shape[1:])
+    steps = _pd_steps(bucket, kp, kd, gravity, mode)
+
+    def heights(start: int, stop: int) -> np.ndarray:
+        out = np.empty(peak.shape[1:] + (stop - start,))
+        if start == 0:
+            out[..., 0] = z_ref[..., 0]
+        for lo in range(max(start, 1) - start, stop - start, len(block)):
+            hi = min(lo + len(block), stop - start)
+            for z, (_, pos) in zip(block[:hi - lo], steps):  # block first: no step is lost
+                z[...] = pos[2]
+                np.maximum(peak, np.abs(pos, out=absolute), out=peak)
+            out[..., lo:hi] = np.moveaxis(block[:hi - lo], 0, -1)
+        return out
+
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = metrics.vrpe_leaves(z_ref, leaves)
+        scores = metrics.vrpe_leaves(z_ref, heights)
     diverged = ~(peak.max(axis=0) <= DIVERGENCE_LIMIT)
     scores[diverged] = np.nan
     return scores.T, diverged.T

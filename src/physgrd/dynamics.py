@@ -102,6 +102,12 @@ def pd_force(
     target_next = np.asarray(target_next, dtype=float)
     current_pos = np.asarray(current_pos, dtype=float)
     current_vel = np.asarray(current_vel, dtype=float)
+    shapes = (target_next.shape, current_pos.shape, current_vel.shape)
+    try:
+        np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise ValidationError("pd_force operands do not broadcast: target, position and "
+                              f"velocity are {', '.join(map(str, shapes))}") from None
     return _pd_law(gains.kp, gains.kd, target_next, current_pos, current_vel)
 
 
@@ -198,31 +204,27 @@ def _pd_steps(bucket: Sequence[MotionClip], kp, kd, gravity: GravitySpec, mode: 
 
 
 def _integrate(start: np.ndarray, forces: np.ndarray, gravity: GravitySpec, dt: float):
-    """Positions and velocities, (T, ..., 3) each, under (T-1, ..., 3) step forces.
+    """Positions and velocities, (T, 3) each, under (T-1, 3) step forces.
 
     The semi-implicit Euler step from start at rest, written as two running
     sums over the time axis. np.add.accumulate adds in order, so every
-    element matches the step loop bit for bit. Diverged values are returned.
+    element matches the step loop bit for bit. Raises at the first frame
+    after the start with a non-finite or too large position.
     """
     frame = (1,) + forces.shape[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         vel = np.add.accumulate(np.concatenate([np.zeros(frame), (forces - gravity.g_accel) * dt]))
         pos = np.add.accumulate(np.concatenate([np.broadcast_to(start, frame), vel[1:] * dt]))
-    return pos, vel
-
-
-def _raise_if_diverged(positions: np.ndarray) -> None:
-    """Raise at the first frame after the start with a non-finite or too large position."""
-    worst = np.abs(positions[1:]).max(axis=1)
+    worst = np.abs(pos[1:]).max(axis=1)
     bad = np.flatnonzero(~(worst <= DIVERGENCE_LIMIT))
     if bad.size:
         raise SimulationDivergedError(frame=int(bad[0]) + 1, value=float(worst[bad[0]]))
+    return pos, vel
 
 
 def _rollout(clip: MotionClip, forces: np.ndarray, gravity: GravitySpec) -> SimResult:
     """SimResult of (T-1, 3) step forces from the clip's start at rest; raises if it diverges."""
     positions, velocities = _integrate(clip.root_positions[0], forces, gravity, clip.dt)
-    _raise_if_diverged(positions)
     return SimResult(positions=positions, velocities=velocities, total_force=forces, dt=clip.dt)
 
 

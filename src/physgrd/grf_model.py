@@ -77,8 +77,8 @@ from .dynamics import GravitySpec, PDGains, SimMode, physics_force_series, to_bo
 from .errors import NON_NEGATIVE, POSITIVE, CheckpointError, ValidationError, check_int
 from .errors import check_range
 from .metrics import evaluate_prediction
-from .motion_data import Dataset, ForcePlateRecord, _check_cells, _read_json, _read_table
-from .motion_data import _readonly, _write_json, _write_rows, _write_table
+from .motion_data import Dataset, ForcePlateRecord, _check_cells, _check_finite, _read_json
+from .motion_data import _read_table, _readonly, _write_json, _write_rows, _write_table
 
 KERNEL = 7
 PAD = KERNEL // 2
@@ -323,6 +323,10 @@ class TemporalConvNet:
         if 0 in x.shape[:2]:
             raise ValidationError(f"input needs a window and a frame, got {x.shape}")
         B, T = x.shape[:2]
+        finite = np.isfinite(x).all(axis=(1, 2))
+        if not finite.all():
+            b = int(finite.argmin())
+            _check_finite("features" if B == 1 else f"features[{b}]", x[b])
         n_conv = len(self.conv)
         # a padded input is dead once its GEMM is done, so "pad" takes each
         # layer's input in turn. A training step keeps the features and each
@@ -510,9 +514,11 @@ def composite_loss(
     """
     pred = np.asarray(pred, dtype=float)
     phys = np.asarray(phys_force_bw, dtype=float)
-    if not (len(pred) == len(plate) == len(phys)):
+    T = len(plate)
+    if pred.shape != (T, 2, 3) or phys.shape != (T, 3):
         raise ValidationError(
-            f"misaligned lengths: pred {len(pred)}, plate {len(plate)}, phys {len(phys)}"
+            f"a {T}-frame plate needs pred ({T}, 2, 3) and phys ({T}, 3), "
+            f"got {pred.shape} and {phys.shape}"
         )
     t1, t2, _ = _loss_terms(
         pred[None],

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -51,15 +51,8 @@ def vrpe(sim: SimResult, clip: MotionClip) -> float:
     """Mean squared vertical position error of a simulation, scaled by 10^3."""
     if len(sim) != len(clip):
         raise LengthMismatchError(f"simulation has {len(sim)} frames, clip {len(clip)}")
-    return float(vrpe_heights(sim.positions[:, 2], clip.root_positions[:, 2]))
-
-
-def vrpe_heights(z: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
-    """vRPE of simulated root heights z, (..., T), against z_ref, (T,)."""
-    with np.errstate(over="ignore"):  # a huge finite error scores inf
-        d = z - z_ref
-        d *= d
-        return np.mean(d, axis=-1) * VRPE_SCALE
+    z = sim.positions[:, 2]  # read-only: each range is copied for vrpe_leaves to square
+    return float(vrpe_leaves(clip.root_positions[:, 2], lambda a, b: z[a:b].copy()))
 
 
 # np.mean over a contiguous float64 axis is numpy's pairwise sum over T: a
@@ -67,49 +60,41 @@ def vrpe_heights(z: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
 PAIRWISE_LEAF = 128
 
 
-def _pairwise_split(n: int) -> int:
-    half = n // 2
-    return half - half % 8
+def pairwise_sum(n: int, leaf_sum: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """numpy's pairwise sum of n values, from the sums of its leaves.
 
-
-def pairwise_leaves(n: int, start: int = 0) -> list[tuple[int, int]]:
-    """(start, stop) of the leaves numpy's pairwise sum of n values adds, in order."""
-    if n <= PAIRWISE_LEAF:
-        return [(start, start + n)]
-    half = _pairwise_split(n)
-    return pairwise_leaves(half, start) + pairwise_leaves(n - half, start + half)
-
-
-def pairwise_total(n: int, leaf_sums: Iterator[np.ndarray]) -> np.ndarray:
-    """Add the sums of pairwise_leaves(n) in the order of numpy's tree.
-
-    leaf_sums is drawn lazily, left to right, so at most one partial sum per
-    tree level is alive at a time.
+    leaf_sum(start, stop) is called for each leaf of at most PAIRWISE_LEAF
+    values, left to right, and the results are added in numpy's tree order,
+    so at most one partial sum per tree level is alive at a time. The right
+    half is summed by the same function over a shifted leaf_sum: a nested
+    function that called itself would be a reference cycle, keeping the
+    caller's arrays alive until the garbage collector runs.
     """
     if n <= PAIRWISE_LEAF:
-        return next(leaf_sums)
-    half = _pairwise_split(n)
-    return pairwise_total(half, leaf_sums) + pairwise_total(n - half, leaf_sums)
+        return leaf_sum(0, n)
+    half = n // 2 - n // 2 % 8
+    return pairwise_sum(half, leaf_sum) + pairwise_sum(
+        n - half, lambda start, stop: leaf_sum(half + start, half + stop))
 
 
-def vrpe_leaves(z_ref: np.ndarray, leaves: Iterable[np.ndarray]) -> np.ndarray:
-    """vrpe_heights, bit for bit, of heights that arrive one pairwise leaf at a time.
+def vrpe_leaves(z_ref: np.ndarray, heights: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """vRPE of simulated heights against z_ref, (..., T), bit for bit np.mean's.
 
-    z_ref is (..., T); leaves yields the simulated heights (..., stop - start)
-    of each range of pairwise_leaves(T) in turn. Each leaf is squared in
-    place and summed with np.sum, numpy's own leaf code, so no buffer of
-    length T is needed. tests/test_metrics.py pins it to np.mean, so a numpy
-    that sums otherwise fails there instead of moving report bytes.
+    heights(start, stop) returns the simulated heights (..., stop - start) of
+    one pairwise leaf, as a writeable array that is squared in place and
+    summed with np.sum, numpy's own leaf code, so no buffer of length T is
+    needed. tests/test_metrics.py pins it to np.mean, so a numpy that sums
+    otherwise fails there instead of moving report bytes.
     """
+    def leaf_sum(start: int, stop: int) -> np.ndarray:
+        d = heights(start, stop)
+        d -= z_ref[..., start:stop]
+        d *= d
+        return np.sum(d, axis=-1)
+
     T = z_ref.shape[-1]
-
-    def leaf_sums():
-        for (start, stop), d in zip(pairwise_leaves(T), leaves):
-            d -= z_ref[..., start:stop]
-            d *= d
-            yield np.sum(d, axis=-1)
-
-    return pairwise_total(T, leaf_sums()) / T * VRPE_SCALE
+    with np.errstate(over="ignore"):  # a huge finite error scores inf
+        return pairwise_sum(T, leaf_sum) / T * VRPE_SCALE
 
 
 @dataclass(frozen=True)

@@ -254,15 +254,24 @@ def from_bodyweight(force_bw: np.ndarray) -> np.ndarray:
     return np.asarray(force_bw, dtype=float) * STANDARD_GRAVITY
 
 
+def _check_finite(name: str, a: np.ndarray, nan_ok: bool = False) -> None:
+    """Raise a ValidationError naming the first non-finite element of ``a``
+    (with ``nan_ok``, its first infinite one) by its frame (the first axis)
+    and its column (its index in the frame's flattened row)."""
+    bad = np.isinf(a) if nan_ok else ~np.isfinite(a)
+    if bad.any():
+        t, c = divmod(int(bad.argmax()), math.prod(a.shape[1:]))
+        kind = "infinite" if nan_ok else "non-finite"
+        raise ValidationError(f"{kind} value in {name} at frame {t}, column {c}")
+
+
 def _readonly(record, name: str, shape: tuple, dtype: type = float,
               finite: bool = False, nan_ok: bool = False) -> np.ndarray:
     """Set array field ``name`` of the frozen ``record`` to a read-only,
     C-ordered ``dtype`` copy of its value, and return the copy.
 
     The copy must have ``shape``, where None is an axis of any length; with
-    ``finite``, its first non-finite element (with ``nan_ok`` too, its first
-    infinite one) is a ValidationError naming its frame (the first axis) and
-    its column (its index in the frame's flattened row).
+    ``finite``, it must pass _check_finite.
     """
     out = np.array(getattr(record, name), dtype=dtype, order="C")
     if out.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, out.shape)):
@@ -270,11 +279,7 @@ def _readonly(record, name: str, shape: tuple, dtype: type = float,
                          for i, n in enumerate(shape))
         raise ValidationError(f"{name} must be ({want}{',' * (len(shape) == 1)}), got {out.shape}")
     if finite:
-        bad = np.isinf(out) if nan_ok else ~np.isfinite(out)
-        if bad.any():
-            t, c = divmod(int(bad.argmax()), math.prod(out.shape[1:]))
-            kind = "infinite" if nan_ok else "non-finite"
-            raise ValidationError(f"{kind} value in {name} at frame {t}, column {c}")
+        _check_finite(name, out, nan_ok)
     out.flags.writeable = False
     object.__setattr__(record, name, out)
     return out

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LengthMismatchError, ValidationError
-from .motion_data import _write_table
+from .motion_data import _readonly, _write_table
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
@@ -32,21 +32,18 @@ class LineSeries:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float).reshape(-1)
-        v = np.asarray(self.values, dtype=float).reshape(-1)
+        t = _readonly(self, "t", (None,))
+        v = _readonly(self, "values", (None,))
         if len(t) != len(v):
             raise LengthMismatchError(
                 f"series {self.label!r}: {len(t)} times vs {len(v)} values"
             )
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "values", v)
         if self.mask is not None:
-            m = np.asarray(self.mask, dtype=bool).reshape(-1)
+            m = _readonly(self, "mask", (None,), dtype=bool)
             if len(m) != len(t):
                 raise LengthMismatchError(
                     f"series {self.label!r}: mask length {len(m)} vs {len(t)} points"
                 )
-            object.__setattr__(self, "mask", m)
 
     def visible(self) -> np.ndarray:
         shown = np.isfinite(self.values)

@@ -1,3 +1,4 @@
+import gc
 import re
 import tracemalloc
 
@@ -230,7 +231,7 @@ class TestCalibrate:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("T", [1, 2, 31, 32, 33, 128, 129, 257])
     def test_gather_block_and_leaf_edges_match_reference(self, mode, T):
-        # _leaf_heights gathers heights in blocks of _GATHER frames from frame 1
+        # _bucket_scores gathers heights in blocks of _GATHER frames from frame 1
         # and from each later leaf start (128, 192 for T = 257); the spike clip
         # makes its stiff cell diverge at frame T // 2 + 3, inside a block
         hop = gen_synthetic("hop", {"subject_id": "S1", "duration": 2.6}, seed=4)[0]
@@ -265,6 +266,20 @@ class TestCalibrate:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 100 * 8000 * 8 / 2
+
+    def test_scoring_leaves_no_reference_cycle(self):
+        # a cycle would keep each call's state arrays until the garbage
+        # collector runs: 1001 frames take leaves of several tree levels
+        clip = gen_synthetic("hop", {"subject_id": "S1", "duration": 10.01}, seed=4)[0]
+        gc.collect()
+        gc.disable()
+        try:
+            for mode in MODES:
+                calibrate([clip], mode=mode)
+                metrics.vrpe(simulate(clip, PDGains(70.0, 3.0), mode=mode), clip)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_equal_length_other_frame_rate_steps_apart(self):
         coarse = gen_synthetic("hop", {"subject_id": "S1", "duration": 1.5}, seed=4)[0]

@@ -114,6 +114,20 @@ class TestForward:
                 net.loss_and_grads(*toy_batch(0, *shape), 1.0, 1.0)
         assert not net._ws
 
+    def test_non_finite_features_named_at_entry(self):
+        net = TemporalConvNet(9, **TOY, seed=0)
+        x = np.zeros((10, 9))
+        x[3, 2] = np.nan
+        with pytest.raises(ValidationError,
+                           match=r"^non-finite value in features at frame 3, column 2$"):
+            net.forward(x)
+        features, *rest = toy_batch(0, 3, 10, 9)
+        features[2, 5, 1] = np.inf
+        with pytest.raises(ValidationError,
+                           match=r"^non-finite value in features\[2\] at frame 5, column 1$"):
+            net.loss_and_grads(features, *rest, 1.0, 1.0)
+        assert not net._ws
+
     def test_translation_equivariance_in_the_interior(self):
         net = TemporalConvNet(3, **TOY, seed=2)
         r = np.random.default_rng(3)
@@ -183,6 +197,11 @@ class TestCompositeLoss:
         plate = plate_of(np.zeros((3, 2, 3)))
         with pytest.raises(ValidationError):
             composite_loss(np.zeros((4, 2, 3)), plate, np.zeros((4, 3)), TrainConfig())
+
+    def test_prediction_without_feet_rejected(self):
+        plate = plate_of(np.zeros((4, 2, 3)))
+        with pytest.raises(ValidationError, match=r"got \(4, 3\) and \(4, 3\)"):
+            composite_loss(np.zeros((4, 3)), plate, np.zeros((4, 3)), TrainConfig())
 
 
 class TestBackward:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from physgrd.dynamics import PDGains, simulate
+from physgrd.dynamics import PDGains, SimResult, simulate
 from physgrd.errors import (
     LengthMismatchError,
     NoValidFramesError,
@@ -12,11 +12,9 @@ from physgrd.metrics import (
     aggregate,
     evaluate_prediction,
     loso_splits,
-    pairwise_leaves,
-    pairwise_total,
+    pairwise_sum,
     vgrf_mse,
     vrpe,
-    vrpe_heights,
     vrpe_leaves,
     write_metric_table,
 )
@@ -165,13 +163,11 @@ def edge_rows(T, seed=0):
     return rows.reshape(3, 3, T)
 
 
-def leaf_copies(x):
-    """x's pairwise leaves copied one at a time into one reused buffer."""
-    buf = np.empty(x.shape[:-1] + (PAIRWISE_LEAF,))
-    for start, stop in pairwise_leaves(x.shape[-1]):
-        leaf = buf[..., :stop - start]
-        leaf[...] = x[..., start:stop]
-        yield leaf
+def leaf_calls(T):
+    """The (start, stop) of each call pairwise_sum(T, ...) makes, in order."""
+    calls = []
+    pairwise_sum(T, lambda start, stop: calls.append((start, stop)) or 0.0)
+    return calls
 
 
 class TestStreamingSum:
@@ -180,7 +176,7 @@ class TestStreamingSum:
 
     def test_leaves_tile_the_range(self):
         for T in STREAM_LENGTHS:
-            leaves = pairwise_leaves(T)
+            leaves = leaf_calls(T)
             assert [a for a, _ in leaves] == [0] + [b for _, b in leaves[:-1]]
             assert leaves[-1][1] == T
             assert all(0 < b - a <= PAIRWISE_LEAF for a, b in leaves)
@@ -189,22 +185,38 @@ class TestStreamingSum:
         bad = []
         for T in STREAM_LENGTHS:
             x = edge_rows(T)
-            sums = (np.sum(leaf, axis=-1) for leaf in leaf_copies(x))
-            if not np.array_equal(pairwise_total(T, sums) / T, np.mean(x, axis=-1),
-                                  equal_nan=True):
+            got = pairwise_sum(T, lambda start, stop: np.sum(x[..., start:stop].copy(), axis=-1))
+            if not np.array_equal(got / T, np.mean(x, axis=-1), equal_nan=True):
                 bad.append(T)
         assert bad == []
 
-    def test_vrpe_leaves_equal_vrpe_heights(self):
+    def test_vrpe_leaves_equal_np_mean(self):
         bad = []
         for T in STREAM_LENGTHS:
             z = edge_rows(T, seed=1)
             z_ref = edge_rows(T, seed=2)[:, :1]
             z_ref[2] = np.random.default_rng(3).random(T)
             with np.errstate(over="ignore", invalid="ignore"):
-                want = vrpe_heights(z, z_ref)
-                got = vrpe_leaves(z_ref, leaf_copies(z))
+                want = np.mean((z - z_ref) ** 2, axis=-1) * 1e3
+                got = vrpe_leaves(z_ref, lambda start, stop: z[..., start:stop].copy())
             if not np.array_equal(got, want, equal_nan=True):
+                bad.append(T)
+        assert bad == []
+
+    def test_vrpe_equals_np_mean(self):
+        # a strided column of a read-only SimResult, past numpy's 8192-value
+        # reduction buffer too, and errors whose squares overflow to inf
+        rng = np.random.default_rng(5)
+        bad = []
+        for T in [1, 2, 127, 128, 129, 1000, 1001, 8193, 20000]:
+            ref = rng.random((T, 3)) * 10.0 ** rng.integers(-3, 4)
+            pos = ref + rng.normal(0.0, 1.0, (T, 3)) * 10.0 ** rng.integers(-6, 200)
+            sim = SimResult(positions=pos, velocities=np.zeros((T, 3)),
+                            total_force=np.zeros((T - 1, 3)), dt=0.01)
+            clip = MotionClip("S1", "hop", 100.0, 70.0, ref, ref)
+            with np.errstate(over="ignore"):
+                want = np.mean((pos[:, 2] - ref[:, 2]) ** 2) * 1e3
+            if vrpe(sim, clip) != want:
                 bad.append(T)
         assert bad == []
 

@@ -26,6 +26,7 @@ from physgrd.motion_data import (
     write_force_plate,
     write_manifest,
 )
+from physgrd.svgplot import LineSeries
 from physgrd.synthetic import gen_synthetic
 
 
@@ -486,12 +487,15 @@ def build_record(kind):
         arrays = {"positions": np.ones((T, 3)), "velocities": np.zeros((T, 3)),
                   "total_force": np.ones((T - 1, 3))}
         return SimResult(**arrays, dt=0.01), arrays
+    if kind == "LineSeries":
+        arrays = {"t": np.arange(T, dtype=float), "values": np.ones(T), "mask": np.ones(T, bool)}
+        return LineSeries("z", **arrays), arrays
     arrays = {"forces": np.ones((T, 2, 3))}
     return Prediction(**arrays), arrays
 
 
 @pytest.mark.parametrize("kind", ["MotionClip", "ForcePlateRecord", "GravitySpec",
-                                  "SimResult", "Prediction"])
+                                  "SimResult", "Prediction", "LineSeries"])
 def test_record_holds_read_only_copies_of_the_callers_arrays(kind):
     record, arrays = build_record(kind)
     fields = {name: getattr(record, name) for name in arrays}
@@ -506,6 +510,14 @@ def test_record_holds_read_only_copies_of_the_callers_arrays(kind):
     assert {name: f.tobytes() for name, f in fields.items()} == held
     if kind == "GravitySpec":
         assert record.magnitude == 9.81
+
+
+def test_line_series_lengths_must_agree():
+    t = np.arange(4.0)
+    with pytest.raises(LengthMismatchError, match=r"series 'z': 4 times vs 3 values"):
+        LineSeries("z", t, np.ones(3))
+    with pytest.raises(LengthMismatchError, match=r"series 'z': mask length 5 vs 4 points"):
+        LineSeries("z", t, np.ones(4), np.ones(5, bool))
 
 
 class TestFiniteDiffVelocity:
