@@ -137,6 +137,15 @@ def _bucket_scores(
     return scores.T, diverged.T
 
 
+def _cell(cell) -> tuple[float, float]:
+    """A listed grid cell as a (kp, kd) pair of floats."""
+    try:
+        kp, kd = cell
+        return float(kp), float(kd)
+    except (TypeError, ValueError):
+        raise ValidationError(f"gain cell must be a (kp, kd) pair, got {cell!r}") from None
+
+
 def calibrate(
     clips: Sequence[MotionClip],
     grid: GainGrid | Sequence[tuple[float, float]] | None = None,
@@ -158,7 +167,7 @@ def calibrate(
     elif isinstance(grid, GainGrid):
         cells = grid.cells()
     else:
-        cells = [(float(kp), float(kd)) for kp, kd in grid]
+        cells = [_cell(cell) for cell in grid]
         if not cells:
             raise ValidationError("cell list must be non-empty")
 

@@ -89,6 +89,16 @@ class SimResult:
         return len(self.positions)
 
 
+def _broadcast(func: str, names: str, *shapes: tuple[int, ...]) -> tuple[int, ...]:
+    """The shape that operand shapes broadcast to; a ValidationError naming
+    func, the operands and their shapes if they do not broadcast."""
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise ValidationError(f"{func} operands do not broadcast: {names} are "
+                              f"{', '.join(map(str, shapes))}") from None
+
+
 def pd_force(
     target_next: np.ndarray,
     current_pos: np.ndarray,
@@ -102,12 +112,8 @@ def pd_force(
     target_next = np.asarray(target_next, dtype=float)
     current_pos = np.asarray(current_pos, dtype=float)
     current_vel = np.asarray(current_vel, dtype=float)
-    shapes = (target_next.shape, current_pos.shape, current_vel.shape)
-    try:
-        np.broadcast_shapes(*shapes)
-    except ValueError:
-        raise ValidationError("pd_force operands do not broadcast: target, position and "
-                              f"velocity are {', '.join(map(str, shapes))}") from None
+    _broadcast("pd_force", "target, position and velocity",
+               target_next.shape, current_pos.shape, current_vel.shape)
     return _pd_law(gains.kp, gains.kd, target_next, current_pos, current_vel)
 
 
@@ -147,7 +153,8 @@ def euler_step(
     """
     check_range("dt", dt, POSITIVE, UnitError)
     f = np.asarray(normalized_force, dtype=float)
-    shape = np.broadcast_shapes(np.shape(pos), np.shape(vel), f.shape, gravity.g_accel.shape)
+    shape = _broadcast("euler_step", "position, velocity, force and gravity",
+                       np.shape(pos), np.shape(vel), f.shape, gravity.g_accel.shape)
     pos = np.array(np.broadcast_to(pos, shape), dtype=float)
     vel = np.array(np.broadcast_to(vel, shape), dtype=float)
     _euler(pos, vel, f, gravity.g_accel, dt, np.empty(shape))

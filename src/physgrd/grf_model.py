@@ -35,20 +35,22 @@ The conv stack runs in a workspace held by the net: named, flat,
 grow-only float64 buffers, each viewed at the shape a use needs, so
 repeated calls do not allocate (and page-fault) its large arrays again.
 One padded buffer, "pad", takes each conv layer's input in turn: the
-features, then the ELU of the previous layer's pre-activation. A training
-step also uses "cols", one column-matrix span; "pre0".."pre3", each
-layer's pre-activation, which the backward overwrites with its ELU
-gradient and then with the gradient at the layer's output; and "grad", the
-conv stack's output (fc0's input), then fc0's input gradient and then the
-backward's padded output gradient. The backward writes each layer's input
-gradient over "pad" (the (C, B, T+K-1) shape is the same) once that
-layer's weight gradient is done, then refills it with the layer below's
-input as the forward wrote it, from the features or a pre-activation not
-yet overwritten: the same bits for two more ELU passes. forward() reuses
-"pre0" for every layer. Outside the workspace, a step frees each transient
-at its last use: the backward drops each FC layer's cached input and
-pre-activation once that layer's gradients are taken, and train() drops a
-batch's gradients after its Adam step.
+features, then the ELU of the previous layer's pre-activation; in a
+training step it then holds the hidden FC layers' pre-activations. A
+training step also uses "cols", one column-matrix span; "pre0".."pre3",
+each conv layer's pre-activation, which the backward overwrites with its
+ELU gradient and then with the gradient at the layer's output, all in the
+(C_out, B, T) memory order; and "grad", the conv stack's output (fc0's
+input), then fc0's input gradient and then the backward's padded output
+gradient. So a step keeps only the conv output and the pre-activations,
+and the backward recomputes every ELU output it needs: each FC layer's
+input just before that layer's weight gradient, and each conv layer's
+input, refilled into "pad" from the features or a pre-activation not yet
+overwritten, with the same bits. The backward writes each conv layer's
+input gradient over "pad" (the (C, B, T+K-1) shape is the same) once that
+layer's weight gradient is done. forward() reuses "pre0" for every layer.
+Outside the workspace, a step frees each transient at its last use, and
+train() drops a batch's gradients after its Adam step.
 
 So only one cache per net is live: any later call on the net invalidates
 the cache of an earlier _forward, and a net must not be used from two
@@ -351,12 +353,20 @@ class TemporalConvNet:
                 # regrow the buffer while the FC cache still holds h
                 h = self._buf("grad" if want_cache else "pad", O * B * (T + 2 * (KERNEL - 1)))
                 h = elu(pre, out=h[:O * B * T].reshape(O, B, T).transpose(1, 2, 0))
+        if want_cache:
+            cache["h"] = h
+            # "pad" is idle until the backward refills it: it keeps the hidden
+            # FC pre-activations, from which the backward recomputes their ELU
+            fc_pre = self._buf("pad", B * T * sum(self.fc_widths))
         n_fc = len(self.fc)
         for i, (w, b) in enumerate(self.fc):
-            pre = h @ w.T
+            if want_cache and i < n_fc - 1:
+                pre = np.matmul(h, w.T, out=fc_pre[:B * T * len(w)].reshape(B, T, -1))
+                fc_pre = fc_pre[pre.size:]
+                cache["fc"].append(pre)
+            else:
+                pre = h @ w.T
             pre += b
-            if want_cache:
-                cache["fc"].append((h, pre))
             h = pre if i == n_fc - 1 else elu(pre)
         return h, cache
 
@@ -364,25 +374,24 @@ class TemporalConvNet:
         """Gradients w.r.t. every parameter, aligned with parameters().
 
         dout is dLoss/d(final pre-activation), (B, T, 6); all loss
-        normalization is already folded into it. The cache is used up: its
-        FC entries are dropped layer by layer, each hidden layer's
-        pre-activation is overwritten by its ELU gradient and, in the conv
-        stack, then by the gradient at that layer's output.
+        normalization is already folded into it. The cache is used up: each
+        hidden layer's pre-activation is overwritten by its ELU gradient and,
+        in the conv stack, then by the gradient at that layer's output.
         """
         B, T = dout.shape[:2]
         fc_grads: list[list[np.ndarray]] = [None] * len(self.fc)
-        fc = cache["fc"]
+        fc_pres = cache["fc"]
         g = dout
         for i in reversed(range(len(self.fc))):
             w, _ = self.fc[i]
-            fc_grads[i] = [
-                # layer i's cache entry, its input with it, dies here
-                np.einsum("bto,bti->oi", g, fc.pop()[0], optimize=True),
-                g.sum(axis=(0, 1)),
-            ]
+            # layer i's input: the conv output, or the ELU of the layer below's
+            # pre-activation, recomputed for this product only
+            h = elu(fc_pres[i - 1]) if i else cache.pop("h")
+            fc_grads[i] = [np.einsum("bto,bti->oi", g, h, optimize=True), g.sum(axis=(0, 1))]
+            del h
             if i > 0:
                 g = g @ w  # gradient at this layer's input
-                g *= _elu_grad(fc[i - 1][1], out=fc[i - 1][1])
+                g *= _elu_grad(fc_pres[i - 1], out=fc_pres[i - 1])
             else:
                 # fc0's input, the conv output, is dead: its "grad" buffer
                 # takes the gradient
@@ -391,20 +400,18 @@ class TemporalConvNet:
         pres = cache["pre"]
         n_conv = len(pres)
         conv_grads: list[list[np.ndarray]] = [None] * n_conv
-        # through the last conv's ELU, as a product of two temporaries: numpy
-        # may store it in either (a large one goes into the ELU gradient's
-        # (C_out, B, T) order), and the bias-gradient sum adds in that order
-        g = g * _elu_grad(pres[-1])
+        # through the last conv's ELU in place, like the layers below: the
+        # gradient takes the pre-activation's (C_out, B, T) order
+        pre = pres[-1]
+        g = np.multiply(g, _elu_grad(pre, out=pre), out=pre)
         n = T + KERNEL - 1
         for i in reversed(range(n_conv)):
             w, _ = self.conv[i]
             O, C = w.shape[:2]
-            if i == n_conv - 1:
-                hp = self._buf("pad", C, B, n)  # the forward left layer i's input here
-            else:
-                # layer i + 1's input gradient is over it: rebuild layer i's
-                # input from the features or a pre-activation not yet overwritten
-                hp = self._conv_input(i, pres[i - 1] if i else cache["x"])
+            # the FC pre-activations or layer i + 1's input gradient are over "pad":
+            # rebuild layer i's input from the features or a pre-activation
+            # not yet overwritten
+            hp = self._conv_input(i, pres[i - 1] if i else cache["x"])
             g2 = g.reshape(B * T, O)
             dw = np.empty((C * KERNEL, O))
             win = _windows(hp, T)

@@ -92,9 +92,13 @@ _PARAM_RANGES = {
 }
 
 
-def _merge_params(kind: str, params: Mapping | None) -> dict:
+def _check_kind(kind) -> None:
     if kind not in KINDS:
         raise ValidationError(f"unknown generator kind {kind!r}")
+
+
+def _merge_params(kind: str, params: Mapping | None) -> dict:
+    _check_kind(kind)
     merged = dict(_COMMON_DEFAULTS)
     merged.update(_KIND_DEFAULTS[kind])
     for key, value in (params or {}).items():
@@ -336,6 +340,9 @@ def make_dataset(
     check_int("n_subjects", n_subjects)
     check_int("clips_per_subject", clips_per_subject)
     check_int("seed", seed, lo=0)
+    kinds = list(kinds)
+    for kind in kinds:
+        _check_kind(kind)
     entries: list[DatasetEntry] = []
     base_params = dict(base_params or {})
     for si in range(n_subjects):

@@ -55,7 +55,11 @@ def backward(net, dout, cache):
             g = g * _elu_grad(cache["fc"][i - 1][1])
 
     conv_grads = [None] * len(net.conv)
-    g = g * _elu_grad(cache["conv"][-1][1])
+    # stored in the network's (C_out, B, T) memory order, in which the bias
+    # gradient's sum adds
+    B, O = g.shape[0], len(net.conv[-1][0])
+    g = np.multiply(g, _elu_grad(cache["conv"][-1][1]),
+                    out=np.empty((O, B, T)).transpose(1, 2, 0))
     for i in reversed(range(len(net.conv))):
         w, _ = net.conv[i]
         win, _ = cache["conv"][i]

@@ -133,15 +133,18 @@ class TestCalibrate:
         with pytest.raises(ValidationError, match="sideways"):
             calibrate(spring_clips(n=1), [(70.0, 3.0)], mode="sideways")
 
-    @pytest.mark.parametrize("cell", [(-5.0, 0.0), (70.0, -1.0), (np.nan, 0.0), (np.inf, 3.0)],
-                             ids=["kp-negative", "kd-negative", "kp-nan", "kp-inf"])
-    def test_invalid_cell_rejected_before_simulating(self, monkeypatch, cell):
+    @pytest.mark.parametrize("cell, error", [
+        ((-5.0, 0.0), UnitError), ((70.0, -1.0), UnitError), ((np.nan, 0.0), UnitError),
+        ((np.inf, 3.0), UnitError), ((70.0, 3.0, 1.0), ValidationError),
+        (70.0, ValidationError), ((None, 3.0), ValidationError),
+    ], ids=["kp-negative", "kd-negative", "kp-nan", "kp-inf", "triple", "scalar", "kp-none"])
+    def test_invalid_cell_rejected_before_simulating(self, monkeypatch, cell, error):
         def never(*args):
             raise AssertionError("simulated before the cells were checked")
 
         monkeypatch.setattr(calibration, "_bucket_scores", never)
         for mode in MODES:
-            with pytest.raises(UnitError):
+            with pytest.raises(error, match=re.escape(repr(cell))):
                 calibrate(spring_clips(n=1), [(70.0, 3.0), cell], mode=mode)
 
     def test_batched_matches_reference(self):

@@ -51,8 +51,10 @@ class TestPDForce:
         np.testing.assert_allclose(f, [0, 0, 0.4], atol=1e-12)
 
     def test_unbroadcastable_operands_rejected(self):
-        with pytest.raises(ValidationError, match=r"\(3,\), \(2,\), \(3,\)"):
+        with pytest.raises(ValidationError, match=r"pd_force .* \(3,\), \(2,\), \(3,\)"):
             pd_force(np.zeros(3), np.zeros(2), np.zeros(3), PDGains(70, 3))
+        with pytest.raises(ValidationError, match=r"euler_step .* \(3,\), \(2,\), \(3,\), \(3,\)"):
+            euler_step(np.zeros(3), np.zeros(2), np.zeros(3), GravitySpec(), 0.01)
 
     def test_zero_gains_zero_force(self):
         f = pd_force(np.array([9.0, 2, 3]), np.zeros(3), np.array([4.0, 5, 6]), PDGains(0, 0))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from physgrd import synthetic
 from physgrd.dynamics import PDGains, rollout_forces, simulate
 from physgrd.errors import ValidationError
 from physgrd.synthetic import (
@@ -171,6 +172,16 @@ class TestMakeDataset:
     def test_bad_counts_and_seeds_rejected(self, counts, seed):
         with pytest.raises(ValidationError):
             make_dataset(["hop"], *counts, seed=seed, base_params={"duration": 0.5})
+
+    @pytest.mark.parametrize("kinds, named", [(["hop", "jump"], "'jump'"), ("hop", "'h'")],
+                             ids=["unknown", "bare-string"])
+    def test_unknown_kind_rejected_before_any_clip(self, monkeypatch, kinds, named):
+        def never(*args, **kwargs):
+            raise AssertionError("generated a clip before the kinds were checked")
+
+        monkeypatch.setattr(synthetic, "gen_synthetic", never)
+        with pytest.raises(ValidationError, match=f"unknown generator kind {named}"):
+            make_dataset(kinds, 1)
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ValidationError):
