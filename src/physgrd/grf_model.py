@@ -158,11 +158,11 @@ def elu(x, out=None):
     return float(out) if out.ndim == 0 else out
 
 
-def _elu_grad(pre: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """ELU derivative exp(min(pre, 0)), exactly 1.0 where pre > 0; out=pre
-    computes it in place."""
-    out = np.minimum(pre, 0.0, out=out)
-    return np.exp(out, out=out)
+def _elu_grad(pre: np.ndarray) -> np.ndarray:
+    """ELU derivative exp(min(pre, 0)), exactly 1.0 where pre > 0, computed
+    in place: pre is overwritten and returned."""
+    np.minimum(pre, 0.0, out=pre)
+    return np.exp(pre, out=pre)
 
 
 @dataclass(frozen=True)
@@ -391,7 +391,7 @@ class TemporalConvNet:
             del h
             if i > 0:
                 g = g @ w  # gradient at this layer's input
-                g *= _elu_grad(fc_pres[i - 1], out=fc_pres[i - 1])
+                g *= _elu_grad(fc_pres[i - 1])
             else:
                 # fc0's input, the conv output, is dead: its "grad" buffer
                 # takes the gradient
@@ -403,7 +403,7 @@ class TemporalConvNet:
         # through the last conv's ELU in place, like the layers below: the
         # gradient takes the pre-activation's (C_out, B, T) order
         pre = pres[-1]
-        g = np.multiply(g, _elu_grad(pre, out=pre), out=pre)
+        g = np.multiply(g, _elu_grad(pre), out=pre)
         n = T + KERNEL - 1
         for i in reversed(range(n_conv)):
             w, _ = self.conv[i]
@@ -429,7 +429,7 @@ class TemporalConvNet:
                 self._times_cols(w_flip, gp, n, out=hp.reshape(C, B * n))
                 dx = hp[:, :, PAD:PAD + T].transpose(1, 2, 0)
                 pre = pres[i - 1]
-                g = np.multiply(dx, _elu_grad(pre, out=pre), out=pre)
+                g = np.multiply(dx, _elu_grad(pre), out=pre)
 
         flat: list[np.ndarray] = []
         for dw, db in conv_grads + fc_grads:
@@ -541,12 +541,12 @@ def composite_loss(
 class Adam:
     """Adam with bias correction; updates parameters in place."""
 
-    def __init__(self, params: Sequence[np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: Sequence[np.ndarray], lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]

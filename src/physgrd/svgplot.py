@@ -52,12 +52,12 @@ class LineSeries:
         return shown
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
+def _ticks(lo: float, hi: float) -> np.ndarray:
     if not np.isfinite(lo) or not np.isfinite(hi):
         return np.array([0.0])
     if hi <= lo:
         hi = lo + 1.0
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, 5)
 
 
 def _num(x: float) -> str:
@@ -74,8 +74,8 @@ def write_series_csv(series: Sequence[LineSeries], path: str | Path) -> None:
 def write_svg(
     series: Sequence[LineSeries],
     path: str | Path,
-    title: str = "",
-    ylabel: str = "",
+    title: str,
+    ylabel: str,
 ) -> None:
     """Render overlaid polylines with axes, ticks and a legend."""
     if not series:
@@ -109,12 +109,9 @@ def write_svg(
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" '
         'stroke="#444" stroke-width="1"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
     for tv in _ticks(t_lo, t_hi):
         x = sx(tv)
         parts.append(
@@ -133,16 +130,13 @@ def write_svg(
             f'<text x="{_ML - 8}" y="{y + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{_num(vv)}</text>'
         )
-    parts.append(
+    parts += [
         f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle" '
-        'font-family="sans-serif" font-size="12">time [s]</text>'
-    )
-    if ylabel:
-        parts.append(
-            f'<text x="16" y="{_MT + ph / 2:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {_MT + ph / 2:.1f})">{ylabel}</text>'
-        )
+        'font-family="sans-serif" font-size="12">time [s]</text>',
+        f'<text x="16" y="{_MT + ph / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 16 {_MT + ph / 2:.1f})">{ylabel}</text>',
+    ]
 
     for k, s in enumerate(series):
         color = PALETTE[k % len(PALETTE)]

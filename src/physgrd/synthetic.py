@@ -32,6 +32,7 @@ import numpy as np
 from .dynamics import _frame_forces, _integrate, _pd_law, euler_step
 from .errors import FINITE, NON_NEGATIVE, POSITIVE, ValidationError, check_int, check_range
 from .motion_data import (
+    STANDARD_GRAVITY,
     Dataset,
     DatasetEntry,
     ForcePlateRecord,
@@ -45,7 +46,6 @@ KINDS = ("hop", "walk", "ballistic", "spring_tracked")
 
 _COMMON_DEFAULTS = {
     "subject_id": "S1",
-    "motion_label": None,  # defaults to the kind
     "mass": 70.0,
     "frame_rate": 100.0,
     "duration": 4.0,
@@ -55,13 +55,10 @@ _COMMON_DEFAULTS = {
 }
 
 _KIND_DEFAULTS = {
-    "hop": {"freq": 2.0, "amplitude": 1.0, "contact_fraction": 0.6,
-            "base_height": 1.0, "jitter": 0.0},
-    "walk": {"speed": 1.2, "step_freq": 1.8, "bob_amplitude": 0.04,
-             "sway_amplitude": 0.03, "ramp_time": 0.5, "base_height": 0.95,
-             "jitter": 0.0},
+    "hop": {"freq": 2.0, "amplitude": 1.0, "contact_fraction": 0.6, "jitter": 0.0},
+    "walk": {"speed": 1.2, "step_freq": 1.8, "bob_amplitude": 0.04, "jitter": 0.0},
     "ballistic": {"x0": (0.0, 0.0, 2.0), "v0": (0.0, 0.0, 0.0)},
-    "spring_tracked": {"kp": 50.0, "kd": 6.0, "base_height": 1.0, "jitter": 0.0},
+    "spring_tracked": {"kp": 50.0, "kd": 6.0, "jitter": 0.0},
 }
 PARAMS = frozenset(_COMMON_DEFAULTS).union(*_KIND_DEFAULTS.values())  # every parameter name
 
@@ -77,14 +74,11 @@ _PARAM_RANGES = {
     "freq": POSITIVE,
     "amplitude": (0.0, math.nextafter(1.0, 2.0), "in [0, 1]"),
     "contact_fraction": (math.ulp(0.0), 1.0, "in (0, 1)"),
-    "base_height": FINITE,
     # keeps every jittered factor 1 + jitter * (u - 0.5), u in [0, 1), positive
     "jitter": (0.0, 2.0, "in [0, 2)"),
     "speed": NON_NEGATIVE,
     "step_freq": POSITIVE,
     "bob_amplitude": FINITE,
-    "sway_amplitude": FINITE,
-    "ramp_time": FINITE,
     "x0": FINITE,
     "v0": FINITE,
     "kp": NON_NEGATIVE,
@@ -105,8 +99,6 @@ def _merge_params(kind: str, params: Mapping | None) -> dict:
         if key not in merged:
             raise ValidationError(f"unknown {kind} parameter {key!r}")
         merged[key] = value
-    if merged["motion_label"] is None:
-        merged["motion_label"] = kind
     for key, value in merged.items():
         if key in _PARAM_RANGES:
             check_range(key, value, _PARAM_RANGES[key])
@@ -180,7 +172,7 @@ def _frames(p: Mapping, endpoint: bool = False) -> int:
     return T
 
 
-def _gen_hop(p: dict, rng: np.random.Generator, g: float):
+def _gen_hop(p: dict, rng: np.random.Generator):
     freq = float(p["freq"])
     amp = float(p["amplitude"])
     jit = float(p["jitter"])
@@ -199,26 +191,25 @@ def _gen_hop(p: dict, rng: np.random.Generator, g: float):
     n_contact = min(max(int(round(p["contact_fraction"] * period)), 2), period - 2)
     n_flight = period - n_contact
     half_flight = n_flight // 2
-    peak = 2.0 * g * period / n_contact
+    peak = 2.0 * STANDARD_GRAVITY * period / n_contact
 
     phase = np.arange(T) % period
     fz_hop = np.zeros(T)
     in_bump = (phase >= half_flight) & (phase < half_flight + n_contact)
     j = phase[in_bump] - half_flight
     fz_hop[in_bump] = peak * 0.5 * (1.0 - np.cos(2.0 * np.pi * j / n_contact))
-    fz = (1.0 - amp) * g + amp * fz_hop
+    fz = (1.0 - amp) * STANDARD_GRAVITY + amp * fz_hop
 
-    base = float(p["base_height"])
+    base = 1.0  # root height at rest, m
     if jit:
         base += 0.1 * jit * (rng.random() - 0.5)
     total = np.zeros((T, 3))
     total[:, 2] = fz
-    gravity = GravitySpec(g_accel=np.array([0.0, 0.0, g]))
-    positions, _ = _integrate(np.array([0.0, 0.0, base]), total[:-1], gravity, 1.0 / rate)
+    positions, _ = _integrate(np.array([0.0, 0.0, base]), total[:-1], GravitySpec(), 1.0 / rate)
     return positions, total, 0.5
 
 
-def _gen_walk(p: dict, rng: np.random.Generator, g: float):
+def _gen_walk(p: dict, rng: np.random.Generator):
     speed = float(p["speed"])
     step_freq = float(p["step_freq"])
     jit = float(p["jitter"])
@@ -230,15 +221,15 @@ def _gen_walk(p: dict, rng: np.random.Generator, g: float):
     T = _frames(p)
     t = np.arange(T) * dt
 
-    ramp = max(float(p["ramp_time"]), dt)
+    ramp = max(0.5, dt)  # seconds from rest to full speed
     tau = np.clip(t / ramp, 0.0, 1.0)
     # integral of the smoothstep 3u^2-2u^3 speed profile, then constant speed
     px = speed * np.where(
         t < ramp, ramp * (tau**3 - 0.5 * tau**4), (t - ramp) + 0.5 * ramp
     )
     omega = 2.0 * np.pi * step_freq
-    py = float(p["sway_amplitude"]) * np.sin(omega * t)
-    pz = float(p["base_height"]) - float(p["bob_amplitude"]) * 0.5 * (1.0 - np.cos(omega * t))
+    py = 0.03 * np.sin(omega * t)  # lateral sway, m
+    pz = 0.95 - float(p["bob_amplitude"]) * 0.5 * (1.0 - np.cos(omega * t))
     positions = np.column_stack([px, py, pz])
 
     # discrete inverse dynamics: the stored force series rolls out to the
@@ -246,22 +237,21 @@ def _gen_walk(p: dict, rng: np.random.Generator, g: float):
     # force is the rate of velocity change into frame t+1
     vel = _backward_diff(positions, rate)
     total = _frame_forces(_backward_diff(vel, rate)[1:])
-    total[:, 2] += g
+    total[:, 2] += STANDARD_GRAVITY
     return positions, total, 0.5 * (1.0 + np.sin(omega * t))
 
 
-def _gen_ballistic(p: dict, rng: np.random.Generator, g: float):
+def _gen_ballistic(p: dict, rng: np.random.Generator):
     x0 = np.asarray(p["x0"], dtype=float).reshape(3)
     v0 = np.asarray(p["v0"], dtype=float).reshape(3)
     rate = float(p["frame_rate"])
     T = _frames(p, endpoint=True)
     t = (np.arange(T) / rate)[:, None]
-    g_vec = np.array([0.0, 0.0, g])
-    positions = x0 + v0 * t - 0.5 * g_vec * t**2
+    positions = x0 + v0 * t - 0.5 * GravitySpec().g_accel * t**2
     return positions, np.zeros((T, 3)), 0.5
 
 
-def _gen_spring_tracked(p: dict, rng: np.random.Generator, g: float):
+def _gen_spring_tracked(p: dict, rng: np.random.Generator):
     kp = float(p["kp"])
     kd = float(p["kd"])
     rate = float(p["frame_rate"])
@@ -269,12 +259,12 @@ def _gen_spring_tracked(p: dict, rng: np.random.Generator, g: float):
     if kp * dt * dt >= 1.0:
         raise ValidationError(f"kp {kp} too stiff for dt {dt}: kp*dt^2 must be < 1")
     T = _frames(p)
-    base = float(p["base_height"])
+    base = 1.0  # start height, m
     jit = float(p["jitter"])
     if jit:
         base += 0.2 * jit * (rng.random() - 0.5)
 
-    gravity = GravitySpec(g_accel=np.array([0.0, 0.0, g]))
+    gravity = GravitySpec()
     denom = 1.0 - kp * dt * dt
     positions = np.zeros((T, 3))
     forces = np.zeros((T - 1, 3))
@@ -300,14 +290,13 @@ def gen_synthetic(
 
     The seed drives parameter jitter (when a kind's ``jitter`` is nonzero)
     and plate noise; identical (kind, params, seed) give bit-identical
-    output. Each kind's builder returns the root positions, (T, 3), the
+    output. The clip's motion label is its kind. Each kind's builder returns the root positions, (T, 3), the
     mass-normalized total force, (T, 3), and the left foot's share of it,
     per frame or one for all; the plate, then the clip, is built from them.
     """
     p = _merge_params(kind, params)
     check_int("seed", seed, lo=0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    g = GravitySpec().magnitude
     builder = {
         "hop": _gen_hop,
         "walk": _gen_walk,
@@ -316,9 +305,9 @@ def gen_synthetic(
     }[kind]
     rate = float(p["frame_rate"])
     with np.errstate(over="ignore", invalid="ignore"):  # MotionClip rejects a non-finite clip
-        positions, total, share = builder(p, rng, g)
+        positions, total, share = builder(p, rng)
         plate = _plate_from_split(to_bodyweight(total), share, positions[:, :2], p, rng)
-        clip = MotionClip(p["subject_id"], p["motion_label"], rate, float(p["mass"]),
+        clip = MotionClip(p["subject_id"], kind, rate, float(p["mass"]),
                           positions, build_features(positions, rate))
     return clip, plate
 

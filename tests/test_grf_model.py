@@ -78,7 +78,7 @@ class TestElu:
         padded = np.empty(x.shape[:2] + (x.shape[2] + 6,))
         for out in (elu(x), elu(x, out=padded[:, :, 3:-3])):
             assert np.ascontiguousarray(out).tobytes() == ref.tobytes()
-        assert _elu_grad(x.copy(), out=None).tobytes() == conv_reference._elu_grad(x).tobytes()
+        assert _elu_grad(x.copy()).tobytes() == conv_reference._elu_grad(x).tobytes()
 
 
 class TestForward:

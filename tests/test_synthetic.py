@@ -184,15 +184,19 @@ class TestMakeDataset:
             make_dataset(kinds, 1)
 
     def test_unknown_param_rejected(self):
-        with pytest.raises(ValidationError):
-            gen_synthetic("hop", {"wavelength": 3}, seed=0)
+        # the last five were settable before they became constants of their generators
+        for kind, key in (("hop", "wavelength"), ("hop", "motion_label"), ("hop", "base_height"),
+                          ("walk", "base_height"), ("walk", "sway_amplitude"),
+                          ("walk", "ramp_time"), ("spring_tracked", "base_height")):
+            with pytest.raises(ValidationError, match=f"unknown {kind} parameter '{key}'"):
+                gen_synthetic(kind, {key: 1.0}, seed=0)
 
 
 NUMERIC_PARAMS = sorted(
     (kind, key)
     for kind in KINDS
     for key in {**_COMMON_DEFAULTS, **_KIND_DEFAULTS[kind]}
-    if key not in ("subject_id", "motion_label", "missing_spans")
+    if key not in ("subject_id", "missing_spans")
 )
 
 
