@@ -33,7 +33,7 @@ from . import metrics
 from .dynamics import DIVERGENCE_LIMIT, GravitySpec, PDGains, SimMode, _buckets, _pd_steps
 from .dynamics import simulate  # noqa: F401  perfbench/tracing.py wraps calibration.simulate
 from .errors import NON_NEGATIVE, PhysgrdError, UnitError, ValidationError, check_range
-from .motion_data import MotionClip, _json_number, _read_json, _write_json, _write_table
+from .motion_data import MotionClip, _gravity, _json_number, _read_json, _write_json, _write_table
 
 # kp swept at kd=0, then kd swept at the best kp
 DEFAULT_GAIN_CELLS: tuple[tuple[float, float], ...] = (
@@ -161,7 +161,7 @@ def calibrate(
     clips = list(clips)
     if not clips:
         raise ValidationError("calibration needs at least one clip")
-    gravity = gravity or GravitySpec()
+    gravity = _gravity(gravity)
     if grid is None:
         cells = list(DEFAULT_GAIN_CELLS)
     elif isinstance(grid, GainGrid):

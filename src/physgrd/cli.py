@@ -10,7 +10,6 @@ to stderr.
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -326,11 +325,10 @@ def build_parser() -> _Parser:
     mode = _Parser(add_help=False)  # the commands that simulate
     mode.add_argument("--mode", choices=("closed_loop", "open_loop"),
                       default="closed_loop", help="simulation feedback mode")
-    train_gains = inspect.signature(grf_model.train).parameters["gains"].default
     gains = _Parser(add_help=False)
-    gains.add_argument("--kp", type=float, default=train_gains.kp,
+    gains.add_argument("--kp", type=float, default=grf_model.DEFAULT_GAINS.kp,
                        help="PD gain kp for simulation and physics supervision")
-    gains.add_argument("--kd", type=float, default=train_gains.kd, help="PD gain kd")
+    gains.add_argument("--kd", type=float, default=grf_model.DEFAULT_GAINS.kd, help="PD gain kd")
     gains.add_argument("--gains", default=None, help="best_gains.json from calibrate")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -36,6 +36,7 @@ from .errors import check_range
 from .motion_data import (  # the body-weight conversions are re-exported here
     GravitySpec,
     MotionClip,
+    _gravity,
     _readonly,
     _write_rows,
     finite_diff_velocity,
@@ -239,7 +240,7 @@ def _simulations(clips: Sequence[MotionClip], gains: PDGains, gravity, mode: Sim
     """Yield simulate's SimResult of each clip in input order, stepping each (length, dt)
     bucket once, at its first clip. A clip is integrated and checked (_rollout) as it is
     yielded, so every earlier clip is yielded before a diverged one raises."""
-    gravity = gravity or GravitySpec()
+    gravity = _gravity(gravity)
     buckets, pending = iter(_buckets(clips)), {}
     for j, clip in enumerate(clips):
         if j not in pending:  # the first clip of the next bucket
@@ -305,7 +306,7 @@ def rollout_forces(
     an (N, 3) series with N = T or T-1; the row for the final frame, if
     present, is unused (mirroring the physics_force_series padding).
     """
-    gravity = gravity or GravitySpec()
+    gravity = _gravity(gravity)
     forces = np.asarray(forces, dtype=float)
     T = len(clip)
     if forces.ndim != 2 or forces.shape[1] != 3 or len(forces) not in (T, T - 1):

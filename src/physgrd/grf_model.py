@@ -79,8 +79,8 @@ from .dynamics import GravitySpec, PDGains, SimMode, physics_force_series, to_bo
 from .errors import NON_NEGATIVE, POSITIVE, CheckpointError, ValidationError, check_int
 from .errors import check_range
 from .metrics import evaluate_prediction
-from .motion_data import Dataset, ForcePlateRecord, _check_cells, _check_finite, _read_json
-from .motion_data import _read_table, _readonly, _write_json, _write_rows, _write_table
+from .motion_data import Dataset, ForcePlateRecord, _check_cells, _check_finite, _gravity
+from .motion_data import _read_json, _read_table, _readonly, _write_json, _write_rows, _write_table
 
 KERNEL = 7
 PAD = KERNEL // 2
@@ -89,6 +89,7 @@ MAX_WIDTH = 1024  # widest layer, input included: one 1024x1024 conv weight is 5
 _SPAN_VALUES = 2**21  # column-matrix values (16 MB) one GEMM span builds at most
 _ALIGN = 64  # GEMM spans are cut at multiples of this many rows or columns
 CHECKPOINT_VERSION = 1
+DEFAULT_GAINS = PDGains(70.0, 3.0)  # train's physics-series gains, and the CLI's --kp/--kd
 
 
 def _windows(hp: np.ndarray, n: int) -> np.ndarray:
@@ -583,7 +584,7 @@ def train(
     dataset: Dataset,
     cfg: TrainConfig,
     split: tuple[Sequence[str], str],
-    gains: PDGains = PDGains(70.0, 3.0),
+    gains: PDGains = DEFAULT_GAINS,
     gravity: GravitySpec | None = None,
     mode: SimMode = "closed_loop",
 ) -> tuple[TemporalConvNet, list[TrainLogRow]]:
@@ -595,7 +596,7 @@ def train(
     clip with the given gains and converted to body weights. The whole run
     is a pure function of (dataset, cfg, split, gains, gravity, mode).
     """
-    gravity = gravity or GravitySpec()
+    gravity = _gravity(gravity)
     train_subjects, test_subject = split
     train_keep = set(train_subjects)
     train_set = [e for e in dataset if e.clip.subject_id in train_keep and e.plate is not None]

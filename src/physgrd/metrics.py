@@ -21,7 +21,7 @@ from .errors import (
     SimulationDivergedError,
     ValidationError,
 )
-from .motion_data import ForcePlateRecord, MotionClip, _write_table
+from .motion_data import ForcePlateRecord, MotionClip, _gravity, _write_table
 
 VRPE_SCALE = 1e3  # reported position errors are m^2 scaled up by 10^3
 
@@ -183,7 +183,7 @@ def evaluate_prediction(
     and a rollout that diverges scores an infinite position error. pred_bw
     must be (T, 2, 3), with the clip's T.
     """
-    gravity = gravity or GravitySpec()
+    gravity = _gravity(gravity)
     pred_bw = np.asarray(pred_bw, dtype=float)
     if pred_bw.ndim != 3 or pred_bw.shape[1:] != (2, 3):
         raise ValidationError(f"prediction must be (T, 2, 3), got {pred_bw.shape}")

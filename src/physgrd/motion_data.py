@@ -41,10 +41,11 @@ table (reports, logs, run summaries, plot sidecars) goes through
 ``NaN`` there too.
 
 Records own their arrays. Every array field of MotionClip, ForcePlateRecord,
-GravitySpec, dynamics.SimResult and grf_model.Prediction goes through one
-rule, ``_readonly``: it stores a read-only, C-ordered copy in the field's
-dtype, checks its shape and, for the fields that must be finite, names the
-first non-finite element by frame and column. The caller's arrays stay
+GravitySpec, dynamics.SimResult, grf_model.Prediction and svgplot.LineSeries
+goes through one rule, ``_readonly``: it rejects a value that is not numbers
+or booleans, stores a read-only, C-ordered copy in the field's dtype, checks
+its shape and, for the fields that must be finite, names the first
+non-finite element by frame and column. The caller's arrays stay
 writeable, and changing them later changes no record. Checks across fields
 (lengths, feature width, the valid-mask rule) stay in each record.
 """
@@ -270,10 +271,17 @@ def _readonly(record, name: str, shape: tuple, dtype: type = float,
     """Set array field ``name`` of the frozen ``record`` to a read-only,
     C-ordered ``dtype`` copy of its value, and return the copy.
 
-    The copy must have ``shape``, where None is an axis of any length; with
-    ``finite``, it must pass _check_finite.
+    The value must be numbers or booleans (a string is not cast to a
+    number or truth value). The copy must have ``shape``, where None is an
+    axis of any length; with ``finite``, it must pass _check_finite.
     """
-    out = np.array(getattr(record, name), dtype=dtype, order="C")
+    try:
+        value = np.asarray(getattr(record, name))
+    except ValueError as exc:  # a ragged nesting
+        raise ValidationError(f"{name} must be a numeric array: {exc}") from None
+    if value.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be a numeric array, got dtype {value.dtype}")
+    out = np.array(value, dtype=dtype, order="C")
     if out.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, out.shape)):
         want = ", ".join(("T" if i == 0 else "D") if n is None else str(n)
                          for i, n in enumerate(shape))
@@ -305,6 +313,18 @@ class GravitySpec:
     @property
     def magnitude(self) -> float:
         return math.hypot(*self.g_accel)  # no overflow, so no warning, for huge components
+
+
+def _gravity(gravity: GravitySpec | None) -> GravitySpec:
+    """The standard GravitySpec for None, gravity itself for a GravitySpec;
+    a ValidationError naming the type of anything else."""
+    if gravity is None:
+        return GravitySpec()
+    if not isinstance(gravity, GravitySpec):
+        raise ValidationError(
+            f"gravity must be a GravitySpec or None, got {type(gravity).__name__}"
+        )
+    return gravity
 
 
 @dataclass(frozen=True)

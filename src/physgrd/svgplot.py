@@ -24,7 +24,8 @@ _ML, _MR, _MT, _MB = 64, 16, 34, 44  # margins: left right top bottom
 
 @dataclass(frozen=True)
 class LineSeries:
-    """One plottable series; mask=False points break the line into gaps."""
+    """One plottable series of at least one point, at finite times;
+    non-finite values and mask=False points break the line into gaps."""
 
     label: str
     t: np.ndarray
@@ -32,8 +33,10 @@ class LineSeries:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        t = _readonly(self, "t", (None,))
+        t = _readonly(self, "t", (None,), finite=True)
         v = _readonly(self, "values", (None,))
+        if len(t) < 1:
+            raise ValidationError(f"series {self.label!r} must have at least one point")
         if len(t) != len(v):
             raise LengthMismatchError(
                 f"series {self.label!r}: {len(t)} times vs {len(v)} values"

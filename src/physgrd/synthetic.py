@@ -93,6 +93,8 @@ def _check_kind(kind) -> None:
 
 def _merge_params(kind: str, params: Mapping | None) -> dict:
     _check_kind(kind)
+    if not isinstance(params, (Mapping, type(None))):
+        raise ValidationError(f"{kind} parameters must be a mapping, got {type(params).__name__}")
     merged = dict(_COMMON_DEFAULTS)
     merged.update(_KIND_DEFAULTS[kind])
     for key, value in (params or {}).items():
@@ -102,9 +104,18 @@ def _merge_params(kind: str, params: Mapping | None) -> dict:
     for key, value in merged.items():
         if key in _PARAM_RANGES:
             check_range(key, value, _PARAM_RANGES[key])
-    for start, end in merged["missing_spans"]:
-        if not (0.0 <= start <= end <= 1.0):
-            raise ValidationError(f"bad missing span ({start}, {end})")
+    for key in ("x0", "v0"):
+        if key in merged and np.shape(merged[key]) != (3,):
+            raise ValidationError(f"{key} must be 3 numbers, got {merged[key]!r}")
+    spans = merged["missing_spans"]
+    try:
+        ok = all(0.0 <= start <= end <= 1.0 for start, end in spans)
+    except (TypeError, ValueError):  # not a sequence of number pairs
+        ok = False
+    if not ok:
+        raise ValidationError(
+            f"missing_spans must be (start, end) pairs with 0 <= start <= end <= 1, got {spans!r}"
+        )
     return merged
 
 
@@ -242,8 +253,8 @@ def _gen_walk(p: dict, rng: np.random.Generator):
 
 
 def _gen_ballistic(p: dict, rng: np.random.Generator):
-    x0 = np.asarray(p["x0"], dtype=float).reshape(3)
-    v0 = np.asarray(p["v0"], dtype=float).reshape(3)
+    x0 = np.asarray(p["x0"], dtype=float)
+    v0 = np.asarray(p["v0"], dtype=float)
     rate = float(p["frame_rate"])
     T = _frames(p, endpoint=True)
     t = (np.arange(T) / rate)[:, None]

@@ -17,10 +17,13 @@ from physgrd.dynamics import (
     to_bodyweight,
     write_sim_csv,
 )
+from physgrd.calibration import calibrate
 from physgrd.errors import SimulationDivergedError, UnitError, ValidationError
+from physgrd.grf_model import TrainConfig, train
 from physgrd.metrics import evaluate_prediction, vrpe
 from physgrd.motion_data import (
     STANDARD_GRAVITY,
+    Dataset,
     ForcePlateRecord,
     MotionClip,
     finite_diff_velocity,
@@ -244,6 +247,19 @@ class TestSimulate:
     def test_unknown_mode(self):
         with pytest.raises(ValidationError, match="sideways"):
             simulate(const_clip(), PDGains(1, 1), mode="sideways")
+
+    def test_gravity_must_be_a_spec_or_none(self):
+        clip = const_clip()
+        g = np.array([0.0, 0.0, 9.81])
+        for call in (
+            lambda: simulate(clip, PDGains(70, 3), g),
+            lambda: rollout_forces(clip, np.zeros((len(clip), 3)), g),
+            lambda: calibrate([clip], [(70.0, 3.0)], g),
+            lambda: evaluate_prediction(clip, None, np.zeros((len(clip), 2, 3)), g),
+            lambda: train(Dataset(()), TrainConfig(), ([], "S1"), gravity=g),
+        ):
+            with pytest.raises(ValidationError, match="GravitySpec or None, got ndarray"):
+                call()
 
 
 class TestEquilibrium:

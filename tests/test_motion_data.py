@@ -1,12 +1,16 @@
 import json
 import re
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from physgrd.errors import (
     LengthMismatchError,
     ParseError,
+    PhysgrdError,
     UnitError,
     ValidationError,
 )
@@ -469,33 +473,40 @@ class TestGravitySpec:
             GravitySpec(g_accel=np.zeros(3))
 
 
-def build_record(kind):
-    """A record of kind, and the caller's arrays it was built from, by field."""
+RECORD_KINDS = ["MotionClip", "ForcePlateRecord", "GravitySpec", "SimResult", "Prediction",
+                "LineSeries"]
+
+
+def record_arrays(kind):
+    """The constructor of a record of kind, and the arrays of a valid one by field."""
     T = 4
     if kind == "MotionClip":
         pos = np.ones((T, 3))  # one array given as both fields
-        arrays = {"root_positions": pos, "features": pos}
-        return MotionClip("S1", "clip", 100.0, 70.0, **arrays), arrays
+        return partial(MotionClip, "S1", "clip", 100.0, 70.0), {"root_positions": pos,
+                                                                 "features": pos}
     if kind == "ForcePlateRecord":
-        arrays = {"per_foot_force": np.ones((T, 2, 3)), "per_foot_cop": np.zeros((T, 2, 2)),
-                  "contact_flags": np.ones((T, 2), bool), "valid_mask": np.ones(T, bool)}
-        return ForcePlateRecord(**arrays), arrays
+        return ForcePlateRecord, {
+            "per_foot_force": np.ones((T, 2, 3)), "per_foot_cop": np.zeros((T, 2, 2)),
+            "contact_flags": np.ones((T, 2), bool), "valid_mask": np.ones(T, bool)}
     if kind == "GravitySpec":
-        arrays = {"g_accel": np.array([0.0, 0.0, 9.81])}
-        return GravitySpec(**arrays), arrays
+        return GravitySpec, {"g_accel": np.array([0.0, 0.0, 9.81])}
     if kind == "SimResult":
-        arrays = {"positions": np.ones((T, 3)), "velocities": np.zeros((T, 3)),
-                  "total_force": np.ones((T - 1, 3))}
-        return SimResult(**arrays, dt=0.01), arrays
+        return partial(SimResult, dt=0.01), {
+            "positions": np.ones((T, 3)), "velocities": np.zeros((T, 3)),
+            "total_force": np.ones((T - 1, 3))}
     if kind == "LineSeries":
-        arrays = {"t": np.arange(T, dtype=float), "values": np.ones(T), "mask": np.ones(T, bool)}
-        return LineSeries("z", **arrays), arrays
-    arrays = {"forces": np.ones((T, 2, 3))}
-    return Prediction(**arrays), arrays
+        return partial(LineSeries, "z"), {
+            "t": np.arange(T, dtype=float), "values": np.ones(T), "mask": np.ones(T, bool)}
+    return Prediction, {"forces": np.ones((T, 2, 3))}
 
 
-@pytest.mark.parametrize("kind", ["MotionClip", "ForcePlateRecord", "GravitySpec",
-                                  "SimResult", "Prediction", "LineSeries"])
+def build_record(kind):
+    """A record of kind, and the caller's arrays it was built from, by field."""
+    make, arrays = record_arrays(kind)
+    return make(**arrays), arrays
+
+
+@pytest.mark.parametrize("kind", RECORD_KINDS)
 def test_record_holds_read_only_copies_of_the_callers_arrays(kind):
     record, arrays = build_record(kind)
     fields = {name: getattr(record, name) for name in arrays}
@@ -510,6 +521,67 @@ def test_record_holds_read_only_copies_of_the_callers_arrays(kind):
     assert {name: f.tobytes() for name, f in fields.items()} == held
     if kind == "GravitySpec":
         assert record.magnitude == 9.81
+
+
+# the non-finite values each field rejects, where it is not all of them: a
+# plate marks a missing value with NaN, a NaN series value is a gap, and
+# any float is a truth value
+_NON_FINITE = {"per_foot_force": (np.inf, -np.inf), "per_foot_cop": (np.inf, -np.inf),
+               "contact_flags": (), "valid_mask": (), "values": (), "mask": ()}
+
+
+def _bad_values(kind, name):
+    """A wrong shape, zero frames, non-finite values or a non-numeric value
+    for array field name of a record of kind, each drawn from the valid one."""
+    valid = record_arrays(kind)[1][name]
+    shape = valid.shape
+    wrong_shapes = [st.just(shape[:-1]), st.integers(1, 3).map(lambda n: shape + (n,))]
+    wrong_shapes += [st.integers(0, n - 1).map(lambda m, i=i: shape[:i] + (m,) + shape[i + 1:])
+                     for i, n in enumerate(shape) if i > 0]  # the frame axis may differ alone
+
+    def poke(at_value):
+        out = valid.copy()
+        out.flat[at_value[0]] = at_value[1]
+        return out
+
+    bad = [st.one_of(wrong_shapes).map(lambda s: np.ones(s, valid.dtype)),
+           st.just(np.ones((0,) + shape[1:], valid.dtype)),
+           st.text(max_size=3),
+           st.sampled_from([valid.astype(str), valid + 0j, [[1.0], [1.0, 1.0]], object()])]
+    non_finite = _NON_FINITE.get(name, (np.nan, np.inf, -np.inf))
+    if non_finite:
+        bad.append(st.tuples(st.integers(0, valid.size - 1), st.sampled_from(non_finite))
+                   .map(poke))
+    return st.one_of(bad)
+
+
+_ARRAY_FIELDS = [(kind, name) for kind in RECORD_KINDS for name in record_arrays(kind)[1]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(_ARRAY_FIELDS).flatmap(
+    lambda field: st.tuples(st.just(field), _bad_values(*field))))
+@example(case=(("ForcePlateRecord", "contact_flags"), [["a", "b"]] * 4))
+@example(case=(("LineSeries", "t"), [0.0, np.nan, 2.0, 3.0]))
+def test_bad_array_field_raises_physgrd_error(case):
+    """Whatever one array field holds, a bad value raises a PhysgrdError:
+    never another exception, nor a warning, which pytest makes an error."""
+    (kind, name), value = case
+    make, arrays = record_arrays(kind)
+    with pytest.raises(PhysgrdError):
+        make(**{**arrays, name: value})
+
+
+@pytest.mark.parametrize("kind, name", _ARRAY_FIELDS)
+def test_non_numeric_field_is_named(kind, name):
+    make, arrays = record_arrays(kind)
+    with pytest.raises(ValidationError, match=f"{name} must be a numeric array, got dtype <U3"):
+        make(**{**arrays, name: "abc"})
+
+
+def test_line_series_needs_a_point():
+    with pytest.raises(ValidationError, match="series 'z' must have at least one point"):
+        LineSeries("z", [], [])
 
 
 def test_line_series_lengths_must_agree():

@@ -191,6 +191,19 @@ class TestMakeDataset:
             with pytest.raises(ValidationError, match=f"unknown {kind} parameter '{key}'"):
                 gen_synthetic(kind, {key: 1.0}, seed=0)
 
+    @pytest.mark.parametrize("kind, params, named", [
+        ("ballistic", {"x0": (0.0, 1.0)}, "x0 must be 3 numbers"),
+        ("walk", {"missing_spans": (0.1, 0.2)}, "missing_spans must be"),
+        ("walk", {"missing_spans": ((0.1, 0.2, 0.3),)}, "missing_spans must be"),
+        ("walk", {"missing_spans": (("a", "b"),)}, "missing_spans must be"),
+        ("walk", {"missing_spans": ((0.6, 0.5),)}, "missing_spans must be"),
+        ("hop", [("duration", 1.0)], "hop parameters must be a mapping, got list"),
+    ], ids=["short-vector", "flat-span", "triple-span", "text-span",
+            "reversed-span", "params-list"])
+    def test_malformed_structured_param_rejected(self, kind, params, named):
+        with pytest.raises(ValidationError, match=named):
+            gen_synthetic(kind, params, seed=0)
+
 
 NUMERIC_PARAMS = sorted(
     (kind, key)
