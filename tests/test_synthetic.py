@@ -184,7 +184,7 @@ class TestMakeDataset:
             make_dataset(kinds, 1)
 
     def test_unknown_param_rejected(self):
-        # the last five were settable before they became constants of their generators
+        # a clip's label is its kind, and its heights, sway and ramp are fixed
         for kind, key in (("hop", "wavelength"), ("hop", "motion_label"), ("hop", "base_height"),
                           ("walk", "base_height"), ("walk", "sway_amplitude"),
                           ("walk", "ramp_time"), ("spring_tracked", "base_height")):
