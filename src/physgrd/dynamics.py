@@ -143,15 +143,17 @@ def euler_step(
     pos: np.ndarray,
     vel: np.ndarray,
     normalized_force: np.ndarray,
-    gravity: GravitySpec,
+    gravity: GravitySpec | None,
     dt: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One semi-implicit Euler step: velocity first, then position.
 
     acc = f - g;  vel' = vel + acc*dt;  pos' = pos + vel'*dt
 
-    The inputs are left as they are; new arrays are returned.
+    gravity None is standard gravity. The inputs are left as they are; new
+    arrays are returned.
     """
+    gravity = _gravity(gravity)
     check_range("dt", dt, POSITIVE, UnitError)
     f = np.asarray(normalized_force, dtype=float)
     shape = _broadcast("euler_step", "position, velocity, force and gravity",

@@ -35,20 +35,26 @@ The conv stack runs in a workspace held by the net: named, flat,
 grow-only float64 buffers, each viewed at the shape a use needs, so
 repeated calls do not allocate (and page-fault) its large arrays again.
 One padded buffer, "pad", takes each conv layer's input in turn: the
-features, then the ELU of the previous layer's pre-activation; in a
-training step it then holds the hidden FC layers' pre-activations. A
-training step also uses "cols", one column-matrix span; "pre0".."pre3",
-each conv layer's pre-activation, which the backward overwrites with its
-ELU gradient and then with the gradient at the layer's output, all in the
-(C_out, B, T) memory order; and "grad", the conv stack's output (fc0's
-input), then fc0's input gradient and then the backward's padded output
-gradient. So a step keeps only the conv output and the pre-activations,
-and the backward recomputes every ELU output it needs: each FC layer's
-input just before that layer's weight gradient, and each conv layer's
-input, refilled into "pad" from the features or a pre-activation not yet
-overwritten, with the same bits. The backward writes each conv layer's
-input gradient over "pad" (the (C, B, T+K-1) shape is the same) once that
-layer's weight gradient is done. forward() reuses "pre0" for every layer.
+features, then the ELU of the previous layer's pre-activation, and after
+the last conv GEMM the stack's output (fc0's input). A training step also
+uses "cols", one column-matrix span; three slots, "pre1".."pre3", with
+conv layers 1..3's pre-activations, which the backward overwrites with
+their ELU gradient and then with the gradient at the layer's output, all
+in the (C_out, B, T) memory order; and "grad", the hidden FC layers'
+pre-activations and then the padded output gradient of one column span's
+windows. Layer 0's pre-activation is dead once layer 1's input is built:
+the forward writes it into "pre3" before layer 3 does, and the backward
+recomputes it there, with the same bits, once layer 3's gradient is used.
+So a step keeps only the conv output and three pre-activations, and the
+backward recomputes every ELU output it needs: each FC layer's input just
+before that layer's weight gradient, and each conv layer's input, refilled
+into "pad" from the features or a pre-activation not yet overwritten, with
+the same bits. The backward writes fc0's input gradient over the conv
+output, and each conv layer's input gradient over "pad" (the (C, B, T+K-1)
+shape is the same) once that layer's weight gradient is done. forward()
+uses "pre3" for every layer. A training step holds no workspace view in a
+local across a call that may regrow that buffer, so a regrow frees the old
+storage first.
 Outside the workspace, a step frees each transient at its last use, and
 train() drops a batch's gradients after its Adam step.
 
@@ -290,15 +296,6 @@ class TemporalConvNet:
             i += nc * nk
         return out
 
-    def _times_cols(self, a: np.ndarray, hp: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
-        """out = a @ (column matrix of padded buffer hp, (C*K, B*n)), one
-        span of output columns at a time."""
-        win = _windows(hp, n)
-        rows = (0, a.shape[1])
-        for s, e in _column_spans(out.shape[1], a.shape[1]):
-            np.matmul(a, self._cols(win, rows, (s, e)), out=out[:, s:e])
-        return out
-
     def parameters(self) -> list[np.ndarray]:
         """All trainable arrays in a fixed order (conv then FC, W then b)."""
         out: list[np.ndarray] = []
@@ -318,6 +315,43 @@ class TemporalConvNet:
             elu(src, out=hp[:, :, PAD:PAD + T].transpose(1, 2, 0))
         return hp
 
+    def _conv_pre(self, i: int, src: np.ndarray, name: str) -> np.ndarray:
+        """Conv layer i's (B, T, C_out) pre-activation from its source (see
+        _conv_input), in workspace buffer name. It keeps the (C_out, B, T)
+        memory order: the gradient sums that derive from it add in that order."""
+        w, b = self.conv[i]
+        O = len(w)
+        B, T = src.shape[:2]
+        a = w.reshape(O, -1)
+        win = _windows(self._conv_input(i, src), T)
+        out = self._buf(name, O, B * T)
+        # one span of output columns at a time
+        for s, e in _column_spans(B * T, a.shape[1]):
+            np.matmul(a, self._cols(win, (0, a.shape[1]), (s, e)), out=out[:, s:e])
+        pre = out.reshape(O, B, T).transpose(1, 2, 0)
+        pre += b
+        return pre
+
+    def _input_grad(self, w: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
+        """Write into out, a (C, B, T + K - 1) buffer, the full correlation
+        of the (B, T, C_out) output gradient g with the flipped kernel of
+        conv weights w over all T+K-1 positions. Each span of output
+        columns pads only its own windows b0..b1 of g, in "grad"."""
+        O, C = w.shape[:2]
+        B, T = g.shape[:2]
+        n = T + KERNEL - 1
+        w_flip = w[:, :, ::-1].transpose(1, 0, 2).reshape(C, O * KERNEL)
+        spans = _column_spans(B * n, O * KERNEL)
+        gp = self._padded("grad", O, max(-(-e // n) - s // n for s, e in spans), T, KERNEL - 1)
+        win = _windows(gp, n)
+        out = out.reshape(C, B * n)
+        for s, e in spans:
+            b0, b1 = s // n, -(-e // n)
+            gp[:, :b1 - b0, KERNEL - 1:KERNEL - 1 + T] = g[b0:b1].transpose(2, 0, 1)
+            # no local holds the span: the next _cols call may regrow "cols"
+            np.matmul(w_flip, self._cols(win, (0, O * KERNEL), (s - b0 * n, e - b0 * n)),
+                      out=out[:, s:e])
+
     def _forward(self, x: np.ndarray, want_cache: bool = False):
         if x.ndim != 3 or x.shape[2] != self.input_width:
             raise ValidationError(
@@ -332,33 +366,25 @@ class TemporalConvNet:
             _check_finite("features" if B == 1 else f"features[{b}]", x[b])
         n_conv = len(self.conv)
         # a padded input is dead once its GEMM is done, so "pad" takes each
-        # layer's input in turn. A training step keeps the features and each
-        # pre-activation, from which the backward refills "pad", and puts the
-        # stack's output in the front of the backward's padded-gradient buffer
-        cache = {"x": x, "pre": [], "fc": []} if want_cache else None
-        hp = self._conv_input(0, x)
-        for i, (w, b) in enumerate(self.conv):
-            O = len(w)
-            # keep the (C_out, B, T) memory order: the gradient sums that
-            # derive from pre add in that order
-            out = self._buf(f"pre{i}" if want_cache else "pre0", O, B * T)
-            pre = self._times_cols(w.reshape(O, -1), hp, T, out=out)
-            pre = pre.reshape(O, B, T).transpose(1, 2, 0)
-            pre += b
-            if want_cache:
+        # layer's input in turn. A training step keeps the features and the
+        # pre-activations of layers 1.., from which the backward refills
+        # "pad". Layer 0's pre-activation is dead once layer 1's input is
+        # built: it shares the last layer's slot, as does every layer of
+        # inference, and the backward recomputes it
+        cache = {"x": x, "pre": [None], "fc": []} if want_cache else None
+        pre = x
+        for i in range(n_conv):
+            pre = self._conv_pre(i, pre, f"pre{i if want_cache and i else n_conv - 1}")
+            if want_cache and i:
                 cache["pre"].append(pre)
-            if i < n_conv - 1:
-                hp = self._conv_input(i + 1, pre)
-            else:
-                # sized for the padded gradient, so the backward does not
-                # regrow the buffer while the FC cache still holds h
-                h = self._buf("grad" if want_cache else "pad", O * B * (T + 2 * (KERNEL - 1)))
-                h = elu(pre, out=h[:O * B * T].reshape(O, B, T).transpose(1, 2, 0))
+        # "pad" is idle after the last conv GEMM: it takes the stack's output
+        h = elu(pre, out=self._buf("pad", pre.shape[2], B, T).transpose(1, 2, 0))
         if want_cache:
             cache["h"] = h
-            # "pad" is idle until the backward refills it: it keeps the hidden
-            # FC pre-activations, from which the backward recomputes their ELU
-            fc_pre = self._buf("pad", B * T * sum(self.fc_widths))
+            # "grad" is idle until the backward's padded output gradient: it
+            # keeps the hidden FC pre-activations, from which the backward
+            # recomputes their ELU
+            fc_pre = self._buf("grad", B * T * sum(self.fc_widths))
         n_fc = len(self.fc)
         for i, (w, b) in enumerate(self.fc):
             if want_cache and i < n_fc - 1:
@@ -378,10 +404,12 @@ class TemporalConvNet:
         normalization is already folded into it. The cache is used up: each
         hidden layer's pre-activation is overwritten by its ELU gradient and,
         in the conv stack, then by the gradient at that layer's output.
+        Conv layer 0's pre-activation, which the cache does not hold, is
+        recomputed.
         """
         B, T = dout.shape[:2]
         fc_grads: list[list[np.ndarray]] = [None] * len(self.fc)
-        fc_pres = cache["fc"]
+        fc_pres = cache.pop("fc")
         g = dout
         for i in reversed(range(len(self.fc))):
             w, _ = self.fc[i]
@@ -394,9 +422,10 @@ class TemporalConvNet:
                 g = g @ w  # gradient at this layer's input
                 g *= _elu_grad(fc_pres[i - 1])
             else:
-                # fc0's input, the conv output, is dead: its "grad" buffer
+                # fc0's input, the conv output, is dead: its "pad" buffer
                 # takes the gradient
-                g = np.matmul(g, w, out=self._buf("grad", B, T, w.shape[1]))
+                g = np.matmul(g, w, out=self._buf("pad", B, T, w.shape[1]))
+        del fc_pres  # "grad" is idle now
 
         pres = cache["pre"]
         n_conv = len(pres)
@@ -405,11 +434,15 @@ class TemporalConvNet:
         # gradient takes the pre-activation's (C_out, B, T) order
         pre = pres[-1]
         g = np.multiply(g, _elu_grad(pre), out=pre)
-        n = T + KERNEL - 1
         for i in reversed(range(n_conv)):
             w, _ = self.conv[i]
             O, C = w.shape[:2]
-            # the FC pre-activations or layer i + 1's input gradient are over "pad":
+            if i == 1:
+                # layer 0's pre-activation, recomputed with the forward's bits
+                # into the slot the forward wrote it to, dead since the last
+                # layer's input gradient
+                pres[0] = self._conv_pre(0, cache["x"], f"pre{n_conv - 1}")
+            # fc0's or layer i + 1's input gradient is over "pad":
             # rebuild layer i's input from the features or a pre-activation
             # not yet overwritten
             hp = self._conv_input(i, pres[i - 1] if i else cache["x"])
@@ -420,14 +453,10 @@ class TemporalConvNet:
                 np.matmul(self._cols(win, (r0, r1), (0, B * T)), g2, out=dw[r0:r1])
             conv_grads[i] = [dw.reshape(C, KERNEL, O).transpose(2, 0, 1), g.sum(axis=(0, 1))]
             if i > 0:
-                # full correlation with the flipped kernel over all T+K-1
-                # positions, written over the padded input (dead now, and of
-                # the same (C, B, T+K-1) shape); keep the T that line up with
-                # the input
-                gp = self._padded("grad", O, B, T, KERNEL - 1)
-                gp[:, :, KERNEL - 1:KERNEL - 1 + T] = g.transpose(2, 0, 1)
-                w_flip = w[:, :, ::-1].transpose(1, 0, 2).reshape(C, O * KERNEL)
-                self._times_cols(w_flip, gp, n, out=hp.reshape(C, B * n))
+                # layer i's input gradient, written over its padded input
+                # (dead now, and of the same shape); keep the T frames that
+                # line up with the input
+                self._input_grad(w, g, hp)
                 dx = hp[:, :, PAD:PAD + T].transpose(1, 2, 0)
                 pre = pres[i - 1]
                 g = np.multiply(dx, _elu_grad(pre), out=pre)

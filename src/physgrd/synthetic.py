@@ -343,8 +343,12 @@ def make_dataset(
     kinds = list(kinds)
     for kind in kinds:
         _check_kind(kind)
-    entries: list[DatasetEntry] = []
+    if not isinstance(base_params, (Mapping, type(None))):
+        raise ValidationError(f"base_params must be a mapping, got {type(base_params).__name__}")
     base_params = dict(base_params or {})
+    if "mass" in base_params:
+        check_range("mass", base_params["mass"], _PARAM_RANGES["mass"])
+    entries: list[DatasetEntry] = []
     for si in range(n_subjects):
         sid = f"S{si + 1}"
         srng = np.random.default_rng(np.random.SeedSequence((seed, si)))

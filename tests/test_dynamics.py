@@ -99,6 +99,11 @@ class TestEulerStep:
         np.testing.assert_allclose(vel, [0, 0, 0.981], atol=1e-12)
         np.testing.assert_allclose(pos, [0, 0, 0.0981], atol=1e-12)
 
+    def test_none_is_standard_gravity(self):
+        args = (np.array([0, 0, 1.0]), np.array([0.5, 0, 0]), np.array([0, 0, 3.0]))
+        for got, want in zip(euler_step(*args, None, 0.01), euler_step(*args, GravitySpec(), 0.01)):
+            assert np.array_equal(got, want)
+
     def test_bad_dt(self):
         with pytest.raises(UnitError):
             euler_step(np.zeros(3), np.zeros(3), np.zeros(3), GravitySpec(), 0.0)
@@ -257,6 +262,7 @@ class TestSimulate:
             lambda: calibrate([clip], [(70.0, 3.0)], g),
             lambda: evaluate_prediction(clip, None, np.zeros((len(clip), 2, 3)), g),
             lambda: train(Dataset(()), TrainConfig(), ([], "S1"), gravity=g),
+            lambda: euler_step(np.zeros(3), np.zeros(3), np.zeros(3), g, 0.01),
         ):
             with pytest.raises(ValidationError, match="GravitySpec or None, got ndarray"):
                 call()

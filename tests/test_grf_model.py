@@ -364,12 +364,13 @@ class TestWorkspace:
         assert not net._ws
 
     def test_canonical_step_peak_memory(self):
-        # one canonical step traced at 125.4 MB: the column matrix built in
+        # one canonical step traced at 104.9 MB: the column matrix built in
         # spans, one padded buffer for each conv input in turn and then the
-        # hidden FC pre-activations, every ELU output the backward needs
-        # recomputed, and each transient freed at its last use; the bound is
-        # that plus 10%. The second call counts what the workspace retained
-        # from the first
+        # conv output, three pre-activation slots with layer 0's recomputed,
+        # the padded output gradient built one span's windows at a time,
+        # every ELU output the backward needs recomputed, and each transient
+        # freed at its last use; the bound is that plus 10%. The second call
+        # counts what the workspace retained from the first
         net = TemporalConvNet(9, seed=0)
         args = (*toy_batch(0, 64, 240, 9), 0.002, 0.005)
         tracemalloc.start()
@@ -378,9 +379,18 @@ class TestWorkspace:
             for _ in range(2):
                 tracemalloc.reset_peak()
                 net.loss_and_grads(*args)
-                assert tracemalloc.get_traced_memory()[1] - start <= 137.9e6
+                assert tracemalloc.get_traced_memory()[1] - start <= 115.4e6
         finally:
             tracemalloc.stop()
+
+    def test_canonical_step_workspace_bytes(self):
+        # three 15.7 MB pre-activation slots, "pad" (16.1 MB), one column
+        # span (16.5 MB) and "grad" sized for the hidden FC pre-activations
+        # (11.8 MB): 91.6 MB in all
+        net = TemporalConvNet(9, seed=0)
+        net.loss_and_grads(*toy_batch(0, 64, 240, 9), 0.002, 0.005)
+        assert sum(buf.nbytes for buf in net._ws.values()) <= 95e6
+        assert net._ws["cols"].size <= grf_model._SPAN_VALUES
 
     def test_regrow_drops_old_storage_before_allocating(self):
         net = TemporalConvNet(9, **self.ARCH, seed=0)

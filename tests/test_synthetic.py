@@ -173,6 +173,17 @@ class TestMakeDataset:
         with pytest.raises(ValidationError):
             make_dataset(["hop"], *counts, seed=seed, base_params={"duration": 0.5})
 
+    @pytest.mark.parametrize("base_params, named", [
+        (5, "base_params must be a mapping, got int"),
+        ([("duration", 0.5)], "base_params must be a mapping, got list"),
+        ({"mass": "x"}, "mass must be finite and positive, got 'x'"),
+        ({"mass": None}, "mass must be finite and positive, got None"),
+        ({"mass": -70.0}, "mass must be finite and positive, got -70.0"),
+    ], ids=["int", "list", "text-mass", "none-mass", "negative-mass"])
+    def test_malformed_base_params_rejected(self, base_params, named):
+        with pytest.raises(ValidationError, match=named):
+            make_dataset(["hop"], 1, base_params=base_params)
+
     @pytest.mark.parametrize("kinds, named", [(["hop", "jump"], "'jump'"), ("hop", "'h'")],
                              ids=["unknown", "bare-string"])
     def test_unknown_kind_rejected_before_any_clip(self, monkeypatch, kinds, named):
