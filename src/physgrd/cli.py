@@ -31,6 +31,7 @@ from .motion_data import (
     Dataset,
     DatasetEntry,
     _aligned,
+    _check_subjects,
     _load_clip,
     _load_plate,
     _write_table,
@@ -90,8 +91,7 @@ def _gains_from(args) -> PDGains:
 def _of_subject(dataset: Dataset, subject: str | None) -> list[tuple[DatasetEntry, str]]:
     """(entry, stem) of each entry of --subject, or of every entry without
     one; a subject the dataset does not hold is an error."""
-    if subject and subject not in dataset.subjects():
-        raise PhysgrdError(f"subject {subject!r} not in dataset {dataset.subjects()}")
+    _check_subjects(dataset, [subject] if subject else [])
     return [(entry, stem) for entry, stem in zip(dataset, entry_stems(dataset))
             if not subject or entry.clip.subject_id == subject]
 
@@ -105,16 +105,6 @@ def cmd_gen(args, parser) -> int:
     for k in kinds:
         if k not in synthetic.KINDS:
             parser.error(f"unknown kind {k!r} (choose from {', '.join(synthetic.KINDS)})")
-    # written "not > 0" so that NaN is rejected too
-    if not (args.duration > 0):
-        parser.error("--duration must be > 0")
-    if not (args.frame_rate > 0):
-        parser.error("--frame-rate must be > 0")
-    if args.freq is not None and not (args.freq > 0):
-        parser.error("--freq must be > 0")
-    if args.subjects < 1 or args.clips < 1:
-        parser.error("--subjects and --clips must be >= 1")
-
     # every generator flag's dest is the name of the parameter it sets
     base = {k: v for k, v in vars(args).items() if k in synthetic.PARAMS and v is not None}
 
@@ -192,8 +182,6 @@ def cmd_train(args, parser) -> int:
     if not subjects:
         raise PhysgrdError("empty dataset: manifest lists no clips")
     test_subject = args.test_subject or subjects[-1]
-    if test_subject not in subjects:
-        raise PhysgrdError(f"test subject {test_subject!r} not in dataset {subjects}")
     train_subjects = [s for s in subjects if s != test_subject]
     if not train_subjects:
         raise PhysgrdError("need at least two subjects to hold one out")

@@ -37,6 +37,7 @@ from .motion_data import (  # the body-weight conversions are re-exported here
     GravitySpec,
     MotionClip,
     _gravity,
+    _numeric,
     _readonly,
     _write_rows,
     finite_diff_velocity,
@@ -110,12 +111,12 @@ def pd_force(
 
     f = kp * (target_next - current_pos) - kd * current_vel
     """
-    target_next = np.asarray(target_next, dtype=float)
-    current_pos = np.asarray(current_pos, dtype=float)
-    current_vel = np.asarray(current_vel, dtype=float)
+    target_next, current_pos, current_vel = (_numeric(name, a, None) for name, a in (
+        ("target_next", target_next), ("current_pos", current_pos), ("current_vel", current_vel)))
     _broadcast("pd_force", "target, position and velocity",
                target_next.shape, current_pos.shape, current_vel.shape)
-    return _pd_law(gains.kp, gains.kd, target_next, current_pos, current_vel)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite in, non-finite out
+        return _pd_law(gains.kp, gains.kd, target_next, current_pos, current_vel)
 
 
 def _pd_law(kp, kd, target, pos, vel, out=None, scratch=None):
@@ -155,12 +156,13 @@ def euler_step(
     """
     gravity = _gravity(gravity)
     check_range("dt", dt, POSITIVE, UnitError)
-    f = np.asarray(normalized_force, dtype=float)
+    pos, vel, f = (_numeric(name, a, None) for name, a in
+                   (("pos", pos), ("vel", vel), ("normalized_force", normalized_force)))
     shape = _broadcast("euler_step", "position, velocity, force and gravity",
-                       np.shape(pos), np.shape(vel), f.shape, gravity.g_accel.shape)
-    pos = np.array(np.broadcast_to(pos, shape), dtype=float)
-    vel = np.array(np.broadcast_to(vel, shape), dtype=float)
-    _euler(pos, vel, f, gravity.g_accel, dt, np.empty(shape))
+                       pos.shape, vel.shape, f.shape, gravity.g_accel.shape)
+    pos, vel = np.array(np.broadcast_to(pos, shape)), np.array(np.broadcast_to(vel, shape))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite in, non-finite out
+        _euler(pos, vel, f, gravity.g_accel, dt, np.empty(shape))
     return pos, vel
 
 
@@ -309,7 +311,7 @@ def rollout_forces(
     present, is unused (mirroring the physics_force_series padding).
     """
     gravity = _gravity(gravity)
-    forces = np.asarray(forces, dtype=float)
+    forces = _numeric("force series", forces, None)
     T = len(clip)
     if forces.ndim != 2 or forces.shape[1] != 3 or len(forces) not in (T, T - 1):
         raise ValidationError(f"force series must be ({T}, 3) or ({T - 1}, 3), got {forces.shape}")

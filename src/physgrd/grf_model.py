@@ -85,8 +85,9 @@ from .dynamics import GravitySpec, PDGains, SimMode, physics_force_series, to_bo
 from .errors import NON_NEGATIVE, POSITIVE, CheckpointError, ValidationError, check_int
 from .errors import check_range
 from .metrics import evaluate_prediction
-from .motion_data import Dataset, ForcePlateRecord, _check_cells, _check_finite, _gravity
-from .motion_data import _read_json, _read_table, _readonly, _write_json, _write_rows, _write_table
+from .motion_data import Dataset, ForcePlateRecord, _check_cells, _check_finite, _check_subjects
+from .motion_data import _gravity, _numeric, _read_json, _read_table, _readonly, _write_json
+from .motion_data import _write_rows, _write_table
 
 KERNEL = 7
 PAD = KERNEL // 2
@@ -157,7 +158,7 @@ def elu(x, out=None):
     expm1(x) >= x. With out (which must not overlap x) the result is
     written there.
     """
-    arr = np.asarray(x, dtype=float)
+    arr = _numeric("x", x, None)
     if out is None:
         out = np.empty_like(arr)
     np.expm1(np.minimum(arr, 0.0, out=out), out=out)
@@ -353,10 +354,7 @@ class TemporalConvNet:
                       out=out[:, s:e])
 
     def _forward(self, x: np.ndarray, want_cache: bool = False):
-        if x.ndim != 3 or x.shape[2] != self.input_width:
-            raise ValidationError(
-                f"expected input (B, T, {self.input_width}), got {x.shape}"
-            )
+        # forward and loss_and_grads have checked that x is (B, T, input_width)
         if 0 in x.shape[:2]:
             raise ValidationError(f"input needs a window and a frame, got {x.shape}")
         B, T = x.shape[:2]
@@ -468,9 +466,7 @@ class TemporalConvNet:
 
     def forward(self, features: np.ndarray) -> Prediction:
         """Predict per-foot forces for one clip's (T, D) feature matrix."""
-        features = np.asarray(features, dtype=float)
-        if features.ndim != 2:
-            raise ValidationError(f"features must be (T, D), got {features.shape}")
+        features = _numeric("features", features, (None, self.input_width))
         out, _ = self._forward(features[None])
         T = len(features)
         return Prediction(forces=out[0].reshape(T, 2, 3))
@@ -486,12 +482,17 @@ class TemporalConvNet:
     ):
         """Composite loss over a batch of windows plus analytic gradients.
 
-        features (B, T, D); plate_force (B, T, 2, 3) with NaN allowed at
-        invalid frames; valid (B, T) bool; phys_bw (B, T, 3). Returns
+        features (B, T, D); plate_force (B, T, 2, 3), not infinite, NaN allowed
+        at invalid frames; valid (B, T) bool; phys_bw (B, T, 3), finite. Returns
         (loss, term1, term2, grads) with terms averaged over the batch.
         """
+        features = _numeric("features", features, (None, None, self.input_width))
+        B, T = features.shape[:2]
+        plate_force = _numeric("plate_force", plate_force, (B, T, 2, 3), finite=True, nan_ok=True)
+        valid = _numeric("valid", valid, (B, T), bool)
+        phys_bw = _numeric("phys_bw", phys_bw, (B, T, 3), finite=True)
+        check_range("lambda1 and lambda2", (lambda1, lambda2), NON_NEGATIVE)
         out, cache = self._forward(features, want_cache=True)
-        B, T = out.shape[:2]
         pred = out.reshape(B, T, 2, 3)
         term1, term2, dpred = _loss_terms(
             pred, plate_force, valid, phys_bw, lambda1, lambda2, want_grad=True
@@ -517,7 +518,6 @@ def _loss_terms(
     term uses every frame.
     """
     B, T = pred.shape[:2]
-    valid = np.asarray(valid, dtype=bool)
     mask = valid[:, :, None, None]
     plate_safe = np.where(mask, plate_force, 0.0)
     diff1 = (pred - plate_safe) * mask
@@ -549,14 +549,9 @@ def composite_loss(
     (acceleration units) and must go through to_bodyweight before it gets
     here; train() does that conversion.
     """
-    pred = np.asarray(pred, dtype=float)
-    phys = np.asarray(phys_force_bw, dtype=float)
     T = len(plate)
-    if pred.shape != (T, 2, 3) or phys.shape != (T, 3):
-        raise ValidationError(
-            f"a {T}-frame plate needs pred ({T}, 2, 3) and phys ({T}, 3), "
-            f"got {pred.shape} and {phys.shape}"
-        )
+    pred = _numeric("pred", pred, (T, 2, 3))
+    phys = _numeric("phys_force_bw", phys_force_bw, (T, 3))
     t1, t2, _ = _loss_terms(
         pred[None],
         plate.per_foot_force[None],
@@ -617,7 +612,7 @@ def train(
     gravity: GravitySpec | None = None,
     mode: SimMode = "closed_loop",
 ) -> tuple[TemporalConvNet, list[TrainLogRow]]:
-    """Train on the given subjects and evaluate each epoch on the held-out one.
+    """Train on the split's subjects, all in the dataset, and test each epoch on the held-out one.
 
     Windows of cfg.window_len frames are drawn at seeded random offsets each
     epoch (clips shorter than the window contribute themselves whole) and
@@ -627,6 +622,7 @@ def train(
     """
     gravity = _gravity(gravity)
     train_subjects, test_subject = split
+    _check_subjects(dataset, [*train_subjects, test_subject])
     train_keep = set(train_subjects)
     train_set = [e for e in dataset if e.clip.subject_id in train_keep and e.plate is not None]
     if not train_set:

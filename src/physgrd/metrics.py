@@ -21,7 +21,7 @@ from .errors import (
     SimulationDivergedError,
     ValidationError,
 )
-from .motion_data import ForcePlateRecord, MotionClip, _gravity, _write_table
+from .motion_data import ForcePlateRecord, MotionClip, _gravity, _numeric, _write_table
 
 VRPE_SCALE = 1e3  # reported position errors are m^2 scaled up by 10^3
 
@@ -31,7 +31,7 @@ def vgrf_mse(pred: np.ndarray, plate: ForcePlateRecord) -> tuple[float, float]:
 
     pred is (T, 2, 3); only frames with valid_mask True are counted.
     """
-    pred = np.asarray(pred, dtype=float)
+    pred = _numeric("pred", pred, (None, 2, 3))
     if pred.shape != plate.per_foot_force.shape:
         raise LengthMismatchError(
             f"prediction {pred.shape} vs plate {plate.per_foot_force.shape}"
@@ -132,24 +132,18 @@ def aggregate(per_clip: Mapping[tuple, object], kind: str = "vrpe") -> MetricTab
     for key in sorted(per_clip):
         if len(key) < 2:
             raise ValidationError(f"metric key {key!r} must be (subject, motion, ...)")
-        groups.setdefault(str(key[1]), []).append(per_clip[key])
+        value = _numeric(f"{kind} value of {key!r}", per_clip[key], (2,) if kind == "vgrf" else ())
+        groups.setdefault(str(key[1]), []).append(value.tolist())
 
     rows: dict[str, tuple[float, float]] = {}
     # an inf score gives its rows inf or NaN, as the tables report them
     with np.errstate(over="ignore", invalid="ignore"):
         for motion in sorted(groups):
-            vals = sorted(
-                np.atleast_1d(np.asarray(v, dtype=float)).tolist() for v in groups[motion]
-            )
-            arr = np.array(vals, dtype=float)
+            arr = np.array(sorted(groups[motion]))
             if kind == "vgrf":
-                if arr.shape[1] != 2:
-                    raise ValidationError("vgrf values must be (left, right) pairs")
                 rows[motion] = (float(arr[:, 0].mean()), float(arr[:, 1].mean()))
             else:
-                if arr.shape[1] != 1:
-                    raise ValidationError("vrpe values must be scalars")
-                rows[motion] = (float(arr[:, 0].mean()), float(arr[:, 0].std()))
+                rows[motion] = (float(arr.mean()), float(arr.std()))
 
         body = np.array([rows[m] for m in sorted(rows)], dtype=float)
         average = (float(body[:, 0].mean()), float(body[:, 1].mean()))
@@ -184,9 +178,7 @@ def evaluate_prediction(
     must be (T, 2, 3), with the clip's T.
     """
     gravity = _gravity(gravity)
-    pred_bw = np.asarray(pred_bw, dtype=float)
-    if pred_bw.ndim != 3 or pred_bw.shape[1:] != (2, 3):
-        raise ValidationError(f"prediction must be (T, 2, 3), got {pred_bw.shape}")
+    pred_bw = _numeric("prediction", pred_bw, (None, 2, 3))
     if len(pred_bw) != len(clip):
         raise LengthMismatchError(f"prediction has {len(pred_bw)} frames, clip {len(clip)}")
     if plate is not None:

@@ -40,14 +40,14 @@ table (reports, logs, run summaries, plot sidecars) goes through
 ``_write_table``, which writes floats the same way, so a missing value is
 ``NaN`` there too.
 
-Records own their arrays. Every array field of MotionClip, ForcePlateRecord,
-GravitySpec, dynamics.SimResult, grf_model.Prediction and svgplot.LineSeries
-goes through one rule, ``_readonly``: it rejects a value that is not numbers
-or booleans, stores a read-only, C-ordered copy in the field's dtype, checks
-its shape and, for the fields that must be finite, names the first
-non-finite element by frame and column. The caller's arrays stay
-writeable, and changing them later changes no record. Checks across fields
-(lengths, feature width, the valid-mask rule) stay in each record.
+Every array argument goes through one rule, ``_numeric``: numbers or
+booleans only, in the dtype asked for, its shape checked and, where asked,
+its first non-finite element named by frame and column. Records own their
+arrays: every array field of MotionClip, ForcePlateRecord, GravitySpec,
+dynamics.SimResult, grf_model.Prediction and svgplot.LineSeries goes through
+``_readonly``, the rule plus a read-only, C-ordered copy, so changing the
+caller's arrays later changes no record. Checks across arguments or fields
+(lengths, feature width, the valid-mask rule) stay where they are made.
 """
 
 from __future__ import annotations
@@ -247,12 +247,12 @@ def to_bodyweight(force: np.ndarray, mass: float = 1.0) -> np.ndarray:
     must be finite and positive (UnitError).
     """
     check_range("mass", mass, POSITIVE, UnitError)
-    return np.asarray(force, dtype=float) / (mass * STANDARD_GRAVITY)
+    return _numeric("force", force, None) / (mass * STANDARD_GRAVITY)
 
 
 def from_bodyweight(force_bw: np.ndarray) -> np.ndarray:
     """Mass-normalized force (m/s^2) of a body-weight force; inverts to_bodyweight."""
-    return np.asarray(force_bw, dtype=float) * STANDARD_GRAVITY
+    return _numeric("force_bw", force_bw, None) * STANDARD_GRAVITY
 
 
 def _check_finite(name: str, a: np.ndarray, nan_ok: bool = False) -> None:
@@ -266,28 +266,38 @@ def _check_finite(name: str, a: np.ndarray, nan_ok: bool = False) -> None:
         raise ValidationError(f"{kind} value in {name} at frame {t}, column {c}")
 
 
-def _readonly(record, name: str, shape: tuple, dtype: type = float,
-              finite: bool = False, nan_ok: bool = False) -> np.ndarray:
-    """Set array field ``name`` of the frozen ``record`` to a read-only,
-    C-ordered ``dtype`` copy of its value, and return the copy.
+def _numeric(name: str, value, shape: tuple | None, dtype: type = float,
+             finite: bool = False, nan_ok: bool = False) -> np.ndarray:
+    """``value`` as a ``dtype`` array: an array of ``dtype`` itself, not a copy.
 
-    The value must be numbers or booleans (a string is not cast to a
-    number or truth value). The copy must have ``shape``, where None is an
-    axis of any length; with ``finite``, it must pass _check_finite.
+    The value must be numbers or booleans (a string is not cast to a number or
+    truth value). A ``shape`` other than None must match, None being an axis of
+    any length (named T before the first fixed axis, B before T, D after); with
+    ``finite``, the array must pass _check_finite, and without, it is not scanned.
     """
     try:
-        value = np.asarray(getattr(record, name))
+        arr = np.asarray(value)
     except ValueError as exc:  # a ragged nesting
         raise ValidationError(f"{name} must be a numeric array: {exc}") from None
-    if value.dtype.kind not in "biuf":
-        raise ValidationError(f"{name} must be a numeric array, got dtype {value.dtype}")
-    out = np.array(value, dtype=dtype, order="C")
-    if out.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, out.shape)):
-        want = ", ".join(("T" if i == 0 else "D") if n is None else str(n)
+    if arr.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be a numeric array, got dtype {arr.dtype}")
+    arr = arr.astype(dtype, copy=False)
+    if shape is not None and (arr.ndim != len(shape) or any(
+            n not in (None, m) for n, m in zip(shape, arr.shape))):
+        fixed = next((i for i, n in enumerate(shape) if n is not None), 1)
+        want = ", ".join("BTD"[(i >= fixed - 1) + (i >= fixed)] if n is None else str(n)
                          for i, n in enumerate(shape))
-        raise ValidationError(f"{name} must be ({want}{',' * (len(shape) == 1)}), got {out.shape}")
+        raise ValidationError(f"{name} must be ({want}{',' * (len(shape) == 1)}), got {arr.shape}")
     if finite:
-        _check_finite(name, out, nan_ok)
+        _check_finite(name, arr, nan_ok)
+    return arr
+
+
+def _readonly(record, name: str, shape: tuple, **rule) -> np.ndarray:
+    """Set array field ``name`` of the frozen ``record`` to a read-only,
+    C-ordered copy of its value taken through ``_numeric(name, value, shape,
+    **rule)``, and return the copy."""
+    out = np.array(_numeric(name, getattr(record, name), shape, **rule), order="C")
     out.flags.writeable = False
     object.__setattr__(record, name, out)
     return out
@@ -401,11 +411,11 @@ class ForcePlateRecord:
         if T < 1:
             raise ValidationError("plate must have at least one frame")
         _readonly(self, "per_foot_cop", (T, 2, 2), finite=True, nan_ok=True)
-        _readonly(self, "contact_flags", (T, 2), bool)
+        _readonly(self, "contact_flags", (T, 2), dtype=bool)
         finite = np.all(np.isfinite(force), axis=(1, 2))
         if self.valid_mask is None:
             object.__setattr__(self, "valid_mask", finite)
-        bad = np.flatnonzero(_readonly(self, "valid_mask", (T,), bool) & ~finite)
+        bad = np.flatnonzero(_readonly(self, "valid_mask", (T,), dtype=bool) & ~finite)
         if bad.size:
             raise ValidationError(f"row {bad[0]} has non-finite force but valid_mask=True")
 
@@ -450,6 +460,14 @@ class Dataset:
 
     def clips(self) -> list[MotionClip]:
         return [e.clip for e in self.entries]
+
+
+def _check_subjects(dataset: Dataset, subjects: Iterable[str]) -> None:
+    """Raise a ValidationError naming the first of subjects that no clip of dataset has."""
+    held = dataset.subjects()
+    for subject in subjects:
+        if subject not in held:
+            raise ValidationError(f"subject {subject!r} not in dataset {held}")
 
 
 # ---------------------------------------------------------------------------

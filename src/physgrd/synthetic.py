@@ -30,7 +30,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dynamics import _frame_forces, _integrate, _pd_law, euler_step
-from .errors import FINITE, NON_NEGATIVE, POSITIVE, ValidationError, check_int, check_range
+from .errors import FINITE, NON_NEGATIVE, POSITIVE, UnitError, ValidationError, check_int
+from .errors import check_range
 from .motion_data import (
     STANDARD_GRAVITY,
     Dataset,
@@ -39,6 +40,7 @@ from .motion_data import (
     GravitySpec,
     MotionClip,
     _backward_diff,
+    _numeric,
     to_bodyweight,
 )
 
@@ -125,9 +127,10 @@ def build_features(positions: np.ndarray, frame_rate: float) -> np.ndarray:
     Velocity and acceleration are causal backward differences with zero
     boundary rows, matching finite_diff_velocity. Acceleration is expressed
     in standard gravities (to_bodyweight) so all channels sit at comparable
-    magnitudes.
+    magnitudes. Positions must be finite, the frame rate positive (UnitError).
     """
-    pos = np.asarray(positions, dtype=float)
+    pos = _numeric("positions", positions, (None, 3), finite=True)
+    check_range("frame_rate", frame_rate, POSITIVE, UnitError)
     vel = _backward_diff(pos, frame_rate)
     return np.hstack([pos, vel, to_bodyweight(_backward_diff(vel, frame_rate))])
 
@@ -334,8 +337,8 @@ def make_dataset(
 
     Subjects S1..Sn get seeded per-subject mass and motion-parameter
     variation; each subject contributes clips_per_subject clips per kind.
-    base_params apply to every clip (per-kind keys are filtered to the kinds
-    that accept them).
+    base_params apply to every clip: each is checked, whatever the kinds, and
+    then filtered to the kinds that accept it.
     """
     check_int("n_subjects", n_subjects)
     check_int("clips_per_subject", clips_per_subject)
@@ -346,16 +349,16 @@ def make_dataset(
     if not isinstance(base_params, (Mapping, type(None))):
         raise ValidationError(f"base_params must be a mapping, got {type(base_params).__name__}")
     base_params = dict(base_params or {})
-    if "mass" in base_params:
-        check_range("mass", base_params["mass"], _PARAM_RANGES["mass"])
+    for key, value in base_params.items():
+        if key not in PARAMS:
+            raise ValidationError(f"unknown generator parameter {key!r}")
+        if key in _PARAM_RANGES:
+            check_range(key, value, _PARAM_RANGES[key])
     entries: list[DatasetEntry] = []
     for si in range(n_subjects):
         sid = f"S{si + 1}"
         srng = np.random.default_rng(np.random.SeedSequence((seed, si)))
-        if "mass" in base_params:
-            mass = float(base_params["mass"])
-        else:
-            mass = 55.0 + 30.0 * srng.random()
+        mass = float(base_params["mass"]) if "mass" in base_params else 55.0 + 30.0 * srng.random()
         for kind in kinds:
             for ci in range(clips_per_subject):
                 allowed = set(_COMMON_DEFAULTS) | set(_KIND_DEFAULTS[kind])

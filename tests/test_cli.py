@@ -74,11 +74,6 @@ class TestGen:
         z_end = ds.entries[0].clip.root_positions[-1, 2]
         assert z_end == pytest.approx(2.0 - 4.905, abs=1e-12)
 
-    def test_negative_frequency_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run("gen", "--kind", "hop", "--freq", "-1", "--out-dir", tmp_path)
-        assert exc.value.code == 2
-
     def test_unknown_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("gen", "--kind", "hop", "--frobnicate", "--out-dir", tmp_path)
@@ -89,15 +84,7 @@ class TestGen:
             run("gen", "--kind", "sprint", "--out-dir", tmp_path)
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag", ["--duration", "--frame-rate", "--freq"])
-    def test_nan_is_usage_error(self, tmp_path, capsys, flag):
-        with pytest.raises(SystemExit) as exc:
-            run("gen", "--kind", "hop", flag, "nan", "--out-dir", tmp_path)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0] == f"physgrd: usage-error: {flag} must be > 0"
-
-
+    # make_dataset checks every generator parameter; gen keeps no copy of those checks
     @pytest.mark.parametrize("flags", [
         ("--kind", "hop", "--jitter", "nan"),
         ("--kind", "walk", "--jitter", "2"),
@@ -108,8 +95,13 @@ class TestGen:
         ("--kind", "hop", "--duration", "1e12"),
         ("--kind", "ballistic", "--duration", "1e12"),
         ("--kind", "hop", "--freq", "1e-300"),
+        ("--kind", "hop", "--freq", "-1"),
+        ("--kind", "hop", "--duration", "nan"),
+        ("--kind", "hop", "--frame-rate", "nan"),
+        ("--kind", "hop", "--freq", "nan"),
     ], ids=["jitter-nan", "jitter-2", "plate-noise-nan", "amplitude-nan", "kd-inf", "x0-nan",
-            "duration-1e12", "ballistic-duration-1e12", "hop-freq-1e-300"])
+            "duration-1e12", "ballistic-duration-1e12", "hop-freq-1e-300", "freq-negative",
+            "duration-nan", "frame-rate-nan", "freq-nan"])
     def test_bad_generator_parameter_is_runtime_error(self, tmp_path, capsys, flags):
         assert run("gen", *flags, "--out-dir", tmp_path) == 1
         err = capsys.readouterr().err.splitlines()
@@ -527,7 +519,7 @@ class TestTrainPredictMetrics:
             "--out-dir", tmp_path / "pred",
         ) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "physgrd: error: PhysgrdError: subject 'S9' not in dataset ['S1', 'S2']"
+            "physgrd: error: ValidationError: subject 'S9' not in dataset ['S1', 'S2']"
         ]
         assert not (tmp_path / "pred").exists()
 
@@ -539,7 +531,7 @@ class TestTrainPredictMetrics:
             "--subject", "S9", "--out-dir", tmp_path / "metrics",
         ) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "physgrd: error: PhysgrdError: subject 'S9' not in dataset ['S1', 'S2']"
+            "physgrd: error: ValidationError: subject 'S9' not in dataset ['S1', 'S2']"
         ]
         assert not (tmp_path / "metrics").exists()
 

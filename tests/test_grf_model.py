@@ -200,7 +200,7 @@ class TestCompositeLoss:
 
     def test_prediction_without_feet_rejected(self):
         plate = plate_of(np.zeros((4, 2, 3)))
-        with pytest.raises(ValidationError, match=r"got \(4, 3\) and \(4, 3\)"):
+        with pytest.raises(ValidationError, match=r"^pred must be \(4, 2, 3\), got \(4, 3\)$"):
             composite_loss(np.zeros((4, 3)), plate, np.zeros((4, 3)), TrainConfig())
 
 
@@ -475,6 +475,15 @@ class TestTrain:
         ds = self.make_ds()
         with pytest.raises(ValidationError):
             train(ds, self.cfg(), (["S9"], "S2"))
+
+    @pytest.mark.parametrize("split, named", [((["S1"], "S9"), "S9"), ((["nope"], "S9"), "nope")],
+                             ids=["test-subject", "train-subject"])
+    def test_split_subject_outside_the_dataset_is_named(self, monkeypatch, split, named):
+        # a held-out subject without clips once logged NaN test metrics without a word
+        monkeypatch.setattr(grf_model, "physics_force_series", None)  # nothing is prepared
+        with pytest.raises(ValidationError,
+                           match=rf"^subject '{named}' not in dataset \['S1', 'S2'\]$"):
+            train(self.make_ds(), self.cfg(), split)
 
     def test_log_has_one_row_per_epoch(self, tmp_path):
         ds = self.make_ds()

@@ -179,7 +179,12 @@ class TestMakeDataset:
         ({"mass": "x"}, "mass must be finite and positive, got 'x'"),
         ({"mass": None}, "mass must be finite and positive, got None"),
         ({"mass": -70.0}, "mass must be finite and positive, got -70.0"),
-    ], ids=["int", "list", "text-mass", "none-mass", "negative-mass"])
+        # neither a misspelt key nor a walk value was checked when no kind took it
+        ({"durration": 1.0}, "unknown generator parameter 'durration'"),
+        ({"speed": -1.0}, "speed must be finite and non-negative, got -1.0"),
+        ({"step_freq": float("nan")}, "step_freq must be finite and positive, got nan"),
+    ], ids=["int", "list", "text-mass", "none-mass", "negative-mass", "misspelt-key",
+            "walk-speed", "walk-step-freq"])
     def test_malformed_base_params_rejected(self, base_params, named):
         with pytest.raises(ValidationError, match=named):
             make_dataset(["hop"], 1, base_params=base_params)
