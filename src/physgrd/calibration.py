@@ -170,6 +170,8 @@ def calibrate(
         cells = [_cell(cell) for cell in grid]
         if not cells:
             raise ValidationError("cell list must be non-empty")
+        if len(set(cells)) != len(cells):  # each would be scored and reported twice
+            raise ValidationError("cell list contains duplicates")
 
     for kp, kd in cells:
         PDGains(kp, kd)  # reject an invalid cell before anything is simulated

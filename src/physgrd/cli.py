@@ -167,7 +167,7 @@ def cmd_simulate(args, parser) -> int:
     results = _simulations(dataset.clips(), gains, gravity, args.mode)
     for entry, stem, res in zip(dataset, entry_stems(dataset), results):
         name = f"{stem}_sim.csv"
-        write_sim_csv(res, out / name)
+        write_sim_csv(res, out / name, entry.clip.frame_rate)
         rows.append((entry.clip.subject_id, entry.clip.motion_label, name,
                      metrics.vrpe(res, entry.clip)))
         print(out / name)

@@ -36,6 +36,7 @@ from .errors import check_range
 from .motion_data import (  # the body-weight conversions are re-exported here
     GravitySpec,
     MotionClip,
+    _frame_times,
     _gravity,
     _numeric,
     _readonly,
@@ -318,13 +319,14 @@ def rollout_forces(
     return _rollout(clip, forces[:T - 1], gravity)
 
 
-def write_sim_csv(result: SimResult, path: str | Path) -> None:
+def write_sim_csv(result: SimResult, path: str | Path, frame_rate: float) -> None:
     """Export a simulation as t,px,py,pz,vx,vy,vz,fx,fy,fz rows.
 
-    The force column of the final frame repeats the last applied force (zero
-    for a single-frame result).
+    The t column holds the frame times at frame_rate, the clip's, as its
+    clip, plate and prediction CSVs do. The force column of the final frame
+    repeats the last applied force (zero for a single-frame result).
     """
-    times = np.arange(len(result)) * result.dt
     forces = _frame_forces(result.total_force)
-    data = np.column_stack([times, result.positions, result.velocities, forces])
+    data = np.column_stack([_frame_times(len(result), frame_rate), result.positions,
+                            result.velocities, forces])
     _write_rows(path, ("t", "px", "py", "pz", "vx", "vy", "vz", "fx", "fy", "fz"), data)

@@ -86,8 +86,8 @@ from .errors import NON_NEGATIVE, POSITIVE, CheckpointError, ValidationError, ch
 from .errors import check_range
 from .metrics import evaluate_prediction
 from .motion_data import Dataset, ForcePlateRecord, _check_cells, _check_finite, _check_subjects
-from .motion_data import _gravity, _numeric, _read_json, _read_table, _readonly, _write_json
-from .motion_data import _write_rows, _write_table
+from .motion_data import _frame_times, _gravity, _numeric, _read_json, _read_table, _readonly
+from .motion_data import _write_json, _write_rows, _write_table
 
 KERNEL = 7
 PAD = KERNEL // 2
@@ -151,7 +151,7 @@ def _column_spans(columns: int, rows: int) -> list[tuple[int, int]]:
     return _spans(columns, rows) if columns % 8 == 0 else [(0, columns)]
 
 
-def elu(x, out=None):
+def elu(x: np.ndarray | float, out: np.ndarray | None = None):
     """ELU with alpha = 1: x for x > 0, exp(x) - 1 otherwise.
 
     Computed as max(x, expm1(min(x, 0))), which is exact because
@@ -547,11 +547,11 @@ def composite_loss(
 
     The physics series from the dynamics module is mass-normalized
     (acceleration units) and must go through to_bodyweight before it gets
-    here; train() does that conversion.
+    here; train() does that conversion. Both force inputs must be finite.
     """
     T = len(plate)
-    pred = _numeric("pred", pred, (T, 2, 3))
-    phys = _numeric("phys_force_bw", phys_force_bw, (T, 3))
+    pred = _numeric("pred", pred, (T, 2, 3), finite=True)
+    phys = _numeric("phys_force_bw", phys_force_bw, (T, 3), finite=True)
     t1, t2, _ = _loss_terms(
         pred[None],
         plate.per_foot_force[None],
@@ -783,8 +783,8 @@ _PREDICTION_HEADER = ("t", "L_fx", "L_fy", "L_fz", "R_fx", "R_fy", "R_fz")
 def write_prediction_csv(pred: Prediction, path: str | Path, frame_rate: float) -> None:
     """Per-frame per-foot body-weight forces: t,L_fx..L_fz,R_fx..R_fz."""
     T = len(pred)
-    times = np.arange(T) / frame_rate
-    _write_rows(path, _PREDICTION_HEADER, np.column_stack([times, pred.forces.reshape(T, 6)]))
+    _write_rows(path, _PREDICTION_HEADER,
+                np.column_stack([_frame_times(T, frame_rate), pred.forces.reshape(T, 6)]))
 
 
 def load_prediction_csv(path: str | Path) -> Prediction:

@@ -157,6 +157,8 @@ def write_metric_table(table: MetricTable, path: str | Path) -> None:
 
 def loso_splits(subjects: Iterable[str]) -> list[tuple[tuple[str, ...], str]]:
     """One (train, test) split per subject, ordered by subject id."""
+    if isinstance(subjects, str):  # not its characters
+        raise ValidationError(f"subjects must be a collection of ids, got the string {subjects!r}")
     ids = sorted(set(subjects))
     if len(ids) < 2:
         raise ValidationError(f"leave-one-out needs >= 2 subjects, got {len(ids)}")

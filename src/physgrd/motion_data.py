@@ -255,6 +255,13 @@ def from_bodyweight(force_bw: np.ndarray) -> np.ndarray:
     return _numeric("force_bw", force_bw, None) * STANDARD_GRAVITY
 
 
+def _frame_times(n: int, frame_rate: float) -> np.ndarray:
+    """The times of n frames at frame_rate, which must be finite and positive
+    (UnitError): the t column of every per-frame CSV."""
+    check_range("frame_rate", frame_rate, POSITIVE, UnitError)
+    return np.arange(n) / frame_rate
+
+
 def _check_finite(name: str, a: np.ndarray, nan_ok: bool = False) -> None:
     """Raise a ValidationError naming the first non-finite element of ``a``
     (with ``nan_ok``, its first infinite one) by its frame (the first axis)
@@ -382,7 +389,7 @@ class MotionClip:
 
     @property
     def times(self) -> np.ndarray:
-        return np.arange(len(self)) / self.frame_rate
+        return _frame_times(len(self), self.frame_rate)
 
 
 @dataclass(frozen=True)
@@ -605,7 +612,7 @@ def write_force_plate(
     path: str | Path,
     frame_rate: float,
 ) -> None:
-    cols = [np.arange(len(record)) / frame_rate]
+    cols = [_frame_times(len(record), frame_rate)]
     for f in range(2):
         cols += [record.per_foot_force[:, f], record.per_foot_cop[:, f], record.contact_flags[:, f]]
     data = np.column_stack(cols).astype(object)

@@ -64,12 +64,12 @@ def write_prediction_csv(pred, path, frame_rate):
     _write(path, lines)
 
 
-def write_sim_csv(result, path):
+def write_sim_csv(result, path, frame_rate):
     force = result.total_force
     force = np.zeros((len(result), 3)) if len(force) == 0 else np.vstack([force, force[-1:]])
     lines = ["t,px,py,pz,vx,vy,vz,fx,fy,fz"]
     for i in range(len(result)):
-        cells = [fmt(i * result.dt)]
+        cells = [fmt(i / frame_rate)]
         cells += [fmt(v) for v in result.positions[i]]
         cells += [fmt(v) for v in result.velocities[i]]
         cells += [fmt(v) for v in force[i]]

@@ -99,9 +99,13 @@ class TestGen:
         ("--kind", "hop", "--duration", "nan"),
         ("--kind", "hop", "--frame-rate", "nan"),
         ("--kind", "hop", "--freq", "nan"),
+        # walk parameters, which no hop takes, once went unchecked
+        ("--kind", "hop", "--speed", "-1"),
+        ("--kind", "hop", "--step-freq", "nan"),
     ], ids=["jitter-nan", "jitter-2", "plate-noise-nan", "amplitude-nan", "kd-inf", "x0-nan",
             "duration-1e12", "ballistic-duration-1e12", "hop-freq-1e-300", "freq-negative",
-            "duration-nan", "frame-rate-nan", "freq-nan"])
+            "duration-nan", "frame-rate-nan", "freq-nan", "hop-speed-negative",
+            "hop-step-freq-nan"])
     def test_bad_generator_parameter_is_runtime_error(self, tmp_path, capsys, flags):
         assert run("gen", *flags, "--out-dir", tmp_path) == 1
         err = capsys.readouterr().err.splitlines()
@@ -265,6 +269,18 @@ class TestSimulate:
         header = (tmp_path / "sim" / "S1_hop_000_sim.csv").read_text().splitlines()[0]
         assert header == "t,px,py,pz,vx,vy,vz,fx,fy,fz"
 
+    def test_sim_times_are_the_clip_times(self, tmp_path):
+        # the sim CSV once wrote t as frame * dt: 0.35000000000000003 where the clip has 0.35
+        manifest = gen_small(tmp_path / "data", subjects=1, duration=10.0)
+        assert run("simulate", "--manifest", manifest, "--out-dir", tmp_path / "sim") == 0
+
+        def times(path):
+            return [line.split(",", 1)[0] for line in path.read_text().splitlines()]
+
+        clip_t = times(tmp_path / "data" / "S1_hop_000_clip.csv")
+        assert len(clip_t) == 1001
+        assert times(tmp_path / "sim" / "S1_hop_000_sim.csv") == clip_t
+
     @pytest.mark.parametrize("text", [
         '{"kp": 70}', "[70, 3]", "not json", '{"kp": "x", "kd": 3}', '{"kp": NaN, "kd": 3}',
         '{"kp": true, "kd": "3"}', '{"kp": -1, "kd": 3}',
@@ -367,7 +383,7 @@ class TestSimulate:
             euler_reference.simulate(ds.clips()[1], gains, mode=mode)
         euler_reference.simulate(ds.clips()[2], gains, mode=mode)
         expected = tmp_path / "expected.csv"
-        write_sim_csv(simulate(ds.clips()[0], gains, mode=mode), expected)
+        write_sim_csv(simulate(ds.clips()[0], gains, mode=mode), expected, 200.0)
         capsys.readouterr()
         out = tmp_path / "sim"
         assert run("simulate", "--manifest", manifest, "--kp", kp, "--kd", "0",

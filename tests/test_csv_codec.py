@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 import csv_reference as ref
 from physgrd import calibration, motion_data
 from physgrd.dynamics import PDGains, SimResult, simulate, write_sim_csv
-from physgrd.errors import ParseError, ValidationError
+from physgrd.errors import ParseError, UnitError, ValidationError
 from physgrd.grf_model import (
     Prediction,
     TemporalConvNet,
@@ -100,10 +100,10 @@ def check_prediction(pred, rate, tmp_path):
     assert same_bits(load_prediction_csv(new).forces, data[:, 1:].reshape(-1, 2, 3))
 
 
-def check_sim(result, tmp_path):
+def check_sim(result, rate, tmp_path):
     new, old = tmp_path / "new_sim.csv", tmp_path / "old_sim.csv"
-    write_sim_csv(result, new)
-    ref.write_sim_csv(result, old)
+    write_sim_csv(result, new, rate)
+    ref.write_sim_csv(result, old, rate)
     assert new.read_bytes() == old.read_bytes()
     lines = new.read_text().splitlines()
     assert same_bits(_read_rows(new, lines, lines[0].split(",")), ref.read_rows(old))
@@ -125,7 +125,8 @@ class TestBenchmarkDataset:
         net = TemporalConvNet(bench_dataset.clips()[0].feature_width, (6, 6, 6, 6), (8, 6))
         for entry in bench_dataset:
             check_prediction(net.forward(entry.clip.features), entry.clip.frame_rate, tmp_path)
-            check_sim(simulate(entry.clip, PDGains(kp=70.0, kd=3.0)), tmp_path)
+            check_sim(simulate(entry.clip, PDGains(kp=70.0, kd=3.0)), entry.clip.frame_rate,
+                      tmp_path)
 
 
 class TestEdgeValues:
@@ -149,16 +150,34 @@ class TestEdgeValues:
 
     def test_sim(self, tmp_path):
         check_sim(SimResult(edge_matrix(9, 3), edge_matrix(9, 3, 1), edge_matrix(8, 3, 2), 0.01),
-                  tmp_path)
+                  100.0, tmp_path)
 
     def test_sim_single_frame(self, tmp_path):
         check_sim(SimResult(edge_matrix(1, 3), edge_matrix(1, 3), np.zeros((0, 3)), 1 / 120),
-                  tmp_path)
+                  120.0, tmp_path)
 
     def test_sim_nonfinite_forces(self, tmp_path):
         forces = edge_matrix(4, 3)
         forces[1, 2], forces[2, 0], forces[3, 1] = np.inf, -np.inf, np.nan
-        check_sim(unchecked_sim(edge_matrix(5, 3), edge_matrix(5, 3, 1), forces, 0.001), tmp_path)
+        check_sim(unchecked_sim(edge_matrix(5, 3), edge_matrix(5, 3, 1), forces, 0.001), 1000.0,
+                  tmp_path)
+
+
+@pytest.mark.parametrize("rate", [0.0, -100.0, np.nan, np.inf, "100"])
+@pytest.mark.parametrize("writer", ["plate", "prediction", "sim"])
+def test_frame_rate_of_a_per_frame_csv_is_checked_before_writing(tmp_path, writer, rate):
+    # a zero rate let numpy's divide-by-zero warning out, NaN wrote NaN times and
+    # -100 negative ones
+    write, record = {
+        "plate": (write_force_plate, ForcePlateRecord(np.ones((3, 2, 3)), np.zeros((3, 2, 2)),
+                                                      np.ones((3, 2), bool))),
+        "prediction": (write_prediction_csv, Prediction(np.ones((3, 2, 3)))),
+        "sim": (write_sim_csv, SimResult(np.ones((3, 3)), np.zeros((3, 3)), np.ones((2, 3)), 0.01)),
+    }[writer]
+    path = tmp_path / "out.csv"
+    with pytest.raises(UnitError, match=r"^frame_rate must be finite and positive, got "):
+        write(record, path, rate)
+    assert not path.exists()
 
 
 TABLE_EDGE = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, 1 / 3, -1e-300, 0.0]

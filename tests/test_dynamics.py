@@ -365,7 +365,7 @@ class TestSimResult:
         clip, _ = gen_synthetic("hop", {"duration": 0.5}, seed=0)
         res = simulate(clip, PDGains(70, 3))
         path = tmp_path / "sim.csv"
-        write_sim_csv(res, path)
+        write_sim_csv(res, path, clip.frame_rate)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,px,py,pz,vx,vy,vz,fx,fy,fz"
         assert len(lines) == len(clip) + 1

@@ -304,6 +304,12 @@ class TestLosoSplits:
         with pytest.raises(ValidationError):
             loso_splits(["A"])
 
+    def test_string_rejected(self):
+        # a string once split into one subject per character
+        with pytest.raises(ValidationError,
+                           match="^subjects must be a collection of ids, got the string 'ab'$"):
+            loso_splits("ab")
+
 
 class TestEvaluatePrediction:
     def test_true_forces_reproduce_clip(self):

@@ -22,6 +22,7 @@ from physgrd.motion_data import (
     ForcePlateRecord,
     GravitySpec,
     MotionClip,
+    _numeric,
     finite_diff_velocity,
     load_clip_csv,
     load_force_plate,
@@ -577,6 +578,30 @@ def test_non_numeric_field_is_named(kind, name):
     make, arrays = record_arrays(kind)
     with pytest.raises(ValidationError, match=f"{name} must be a numeric array, got dtype <U3"):
         make(**{**arrays, name: "abc"})
+
+
+def test_rule_returns_an_array_of_its_dtype_itself():
+    # elu takes the conv stack's non-contiguous pre-activation views through the
+    # rule, so it must neither copy nor scan them
+    view = np.ones((4, 6))[:, ::2]
+    assert _numeric("x", view, None) is view
+    assert _numeric("x", view, (4, 3), finite=True) is view
+    mask = np.ones(3, bool)
+    assert _numeric("m", mask, (None,), bool) is mask
+    ints = np.arange(3)
+    assert _numeric("x", ints, None).dtype == float and ints.dtype != float
+
+
+@pytest.mark.parametrize("shape, value, message", [
+    ((None, 3), np.ones((2, 4)), r"^x must be \(T, 3\), got \(2, 4\)$"),
+    ((None, None), np.ones(3), r"^x must be \(T, D\), got \(3,\)$"),
+    ((None, None, 4), np.ones((2, 3)), r"^x must be \(B, T, 4\), got \(2, 3\)$"),
+    ((None,), np.ones((2, 1)), r"^x must be \(T,\), got \(2, 1\)$"),
+    ((), np.ones(1), r"^x must be \(\), got \(1,\)$"),
+], ids=["frames", "features", "batch", "series", "scalar"])
+def test_rule_names_the_shape_it_wants(shape, value, message):
+    with pytest.raises(ValidationError, match=message):
+        _numeric("x", value, shape)
 
 
 def test_line_series_needs_a_point():
