@@ -33,7 +33,8 @@ from . import metrics
 from .dynamics import DIVERGENCE_LIMIT, GravitySpec, PDGains, SimMode, _buckets, _pd_steps
 from .dynamics import simulate  # noqa: F401  perfbench/tracing.py wraps calibration.simulate
 from .errors import NON_NEGATIVE, PhysgrdError, UnitError, ValidationError, check_range
-from .motion_data import MotionClip, _gravity, _json_number, _read_json, _write_json, _write_table
+from .motion_data import MotionClip, _gravity, _json_number, _numeric, _read_json, _write_json
+from .motion_data import _write_table
 
 # kp swept at kd=0, then kd swept at the best kp
 DEFAULT_GAIN_CELLS: tuple[tuple[float, float], ...] = (
@@ -140,9 +141,8 @@ def _bucket_scores(
 def _cell(cell) -> tuple[float, float]:
     """A listed grid cell as a (kp, kd) pair of floats."""
     try:
-        kp, kd = cell
-        return float(kp), float(kd)
-    except (TypeError, ValueError):
+        return tuple(_numeric("gain cell", cell, (2,)).tolist())
+    except ValidationError:  # named by the cell itself, as the caller listed it
         raise ValidationError(f"gain cell must be a (kp, kd) pair, got {cell!r}") from None
 
 

@@ -256,8 +256,7 @@ def _gen_walk(p: dict, rng: np.random.Generator):
 
 
 def _gen_ballistic(p: dict, rng: np.random.Generator):
-    x0 = np.asarray(p["x0"], dtype=float)
-    v0 = np.asarray(p["v0"], dtype=float)
+    x0, v0 = _numeric("x0", p["x0"], (3,)), _numeric("v0", p["v0"], (3,))
     rate = float(p["frame_rate"])
     T = _frames(p, endpoint=True)
     t = (np.arange(T) / rate)[:, None]

@@ -145,8 +145,9 @@ class TestCalibrate:
     @pytest.mark.parametrize("cell, error", [
         ((-5.0, 0.0), UnitError), ((70.0, -1.0), UnitError), ((np.nan, 0.0), UnitError),
         ((np.inf, 3.0), UnitError), ((70.0, 3.0, 1.0), ValidationError),
-        (70.0, ValidationError), ((None, 3.0), ValidationError),
-    ], ids=["kp-negative", "kd-negative", "kp-nan", "kp-inf", "triple", "scalar", "kp-none"])
+        (70.0, ValidationError), ((None, 3.0), ValidationError), ("12", ValidationError),
+    ], ids=["kp-negative", "kd-negative", "kp-nan", "kp-inf", "triple", "scalar", "kp-none",
+            "string"])
     def test_invalid_cell_rejected_before_simulating(self, monkeypatch, cell, error):
         def never(*args):
             raise AssertionError("simulated before the cells were checked")
