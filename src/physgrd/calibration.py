@@ -171,7 +171,8 @@ def calibrate(
         if not cells:
             raise ValidationError("cell list must be non-empty")
         if len(set(cells)) != len(cells):  # each would be scored and reported twice
-            raise ValidationError("cell list contains duplicates")
+            repeated = next(cell for i, cell in enumerate(cells) if cell in cells[:i])
+            raise ValidationError(f"cell list contains duplicates, such as {repeated!r}")
 
     for kp, kd in cells:
         PDGains(kp, kd)  # reject an invalid cell before anything is simulated
