@@ -23,6 +23,7 @@ with the clip length, and its scores are bit for bit metrics.vrpe's.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -33,8 +34,8 @@ from . import metrics
 from .dynamics import DIVERGENCE_LIMIT, GravitySpec, PDGains, SimMode, _buckets, _pd_steps
 from .dynamics import simulate  # noqa: F401  perfbench/tracing.py wraps calibration.simulate
 from .errors import NON_NEGATIVE, PhysgrdError, UnitError, ValidationError, check_range
-from .motion_data import MotionClip, _gravity, _json_number, _numeric, _read_json, _write_json
-from .motion_data import _write_table
+from .motion_data import MotionClip, _gravity, _instance, _json_number, _numeric, _read_json
+from .motion_data import _write_json, _write_table
 
 # kp swept at kd=0, then kd swept at the best kp
 DEFAULT_GAIN_CELLS: tuple[tuple[float, float], ...] = (
@@ -158,7 +159,7 @@ def calibrate(
     A cell that diverges on any clip scores +inf. Ties break toward the
     smaller kp, then the smaller kd.
     """
-    clips = list(clips)
+    clips = [_instance("clip", clip, MotionClip) for clip in _instance("clips", clips, Iterable)]
     if not clips:
         raise ValidationError("calibration needs at least one clip")
     gravity = _gravity(gravity)

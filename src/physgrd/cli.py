@@ -323,28 +323,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", parents=[common], help="generate synthetic data")
     p.add_argument("--kind", required=True,
-                   help="hop | walk | ballistic | spring_tracked (comma list allowed)")
+                   help=" | ".join(synthetic.KINDS) + " (comma list allowed)")
     p.add_argument("--subjects", type=int, default=1)
     p.add_argument("--clips", type=int, default=1, help="clips per subject per kind")
-    p.add_argument("--duration", type=float, default=synthetic._COMMON_DEFAULTS["duration"],
-                   help="seconds")
-    p.add_argument("--frame-rate", type=float, default=synthetic._COMMON_DEFAULTS["frame_rate"])
-    p.add_argument("--mass", type=float, default=None, help="fix subject mass [kg]")
-    p.add_argument("--freq", type=float, default=None, help="hop frequency [Hz]")
-    p.add_argument("--amplitude", type=float, default=None, help="hop amplitude in [0,1]")
-    p.add_argument("--contact-fraction", type=float, default=None)
-    p.add_argument("--speed", type=float, default=None, help="walk speed [m/s]")
-    p.add_argument("--step-freq", type=float, default=None, help="walk step rate [Hz]")
-    p.add_argument("--bob-amplitude", type=float, default=None)
-    p.add_argument("--kp", type=float, default=None, help="spring_tracked kp")
-    p.add_argument("--kd", type=float, default=None, help="spring_tracked kd")
-    p.add_argument("--x0", type=_vec3, default=None, help="ballistic start, e.g. 0,0,2")
-    p.add_argument("--v0", type=_vec3, default=None, help="ballistic velocity")
-    p.add_argument("--missing-lead", type=float, default=None,
-                   help="fraction of leading plate frames marked missing")
-    p.add_argument("--plate-noise", type=float, default=None, help="plate noise std [BW]")
-    p.add_argument("--jitter", type=float, default=None,
-                   help="per-subject parameter jitter fraction")
+    for name, spec in synthetic.PARAMS.items():  # one flag per generator parameter
+        if spec.help is not None:
+            kind = _vec3 if isinstance(spec.default, tuple) else type(spec.default)
+            p.add_argument("--" + name.replace("_", "-"), type=kind, default=None, help=spec.help)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("calibrate", parents=[common, gravity, mode], help="grid-search PD gains")

@@ -36,8 +36,10 @@ from .errors import check_range
 from .motion_data import (  # the body-weight conversions are re-exported here
     GravitySpec,
     MotionClip,
+    _TIME_TOLERANCE,
     _frame_times,
     _gravity,
+    _instance,
     _numeric,
     _readonly,
     _write_rows,
@@ -282,7 +284,8 @@ def simulate(
     the mocap state (position t and backward-difference velocity) and then
     integrated without feedback. This is _simulations' bucket of one.
     """
-    return next(_simulations([clip], gains, gravity, mode))
+    return next(_simulations([_instance("clip", clip, MotionClip)],
+                             _instance("gains", gains, PDGains), gravity, mode))
 
 
 def physics_force_series(
@@ -312,6 +315,7 @@ def rollout_forces(
     present, is unused (mirroring the physics_force_series padding).
     """
     gravity = _gravity(gravity)
+    _instance("clip", clip, MotionClip)
     forces = _numeric("force series", forces, None)
     T = len(clip)
     if forces.ndim != 2 or forces.shape[1] != 3 or len(forces) not in (T, T - 1):
@@ -323,10 +327,14 @@ def write_sim_csv(result: SimResult, path: str | Path, frame_rate: float) -> Non
     """Export a simulation as t,px,py,pz,vx,vy,vz,fx,fy,fz rows.
 
     The t column holds the frame times at frame_rate, the clip's, as its
-    clip, plate and prediction CSVs do. The force column of the final frame
-    repeats the last applied force (zero for a single-frame result).
+    clip, plate and prediction CSVs do, and must put the last frame where
+    the simulation's dt does (ValidationError). The force column of the
+    final frame repeats the last applied force (zero for a single-frame result).
     """
+    times = _frame_times(len(result), frame_rate)
+    if not abs(times[-1] - (len(result) - 1) * result.dt) <= _TIME_TOLERANCE:
+        raise ValidationError(f"frame_rate {frame_rate!r} is not 1 / dt of the simulation, "
+                              f"dt = {result.dt!r}")
     forces = _frame_forces(result.total_force)
-    data = np.column_stack([_frame_times(len(result), frame_rate), result.positions,
-                            result.velocities, forces])
+    data = np.column_stack([times, result.positions, result.velocities, forces])
     _write_rows(path, ("t", "px", "py", "pz", "vx", "vy", "vz", "fx", "fy", "fz"), data)

@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import base64
 import math
+from collections.abc import Collection
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -621,7 +622,14 @@ def train(
     is a pure function of (dataset, cfg, split, gains, gravity, mode).
     """
     gravity = _gravity(gravity)
+    if not (isinstance(split, (tuple, list)) and len(split) == 2
+            and isinstance(split[0], Collection) and isinstance(split[1], str)):
+        raise ValidationError(
+            f"split must be a (training subjects, test subject) pair, got {split!r}")
     train_subjects, test_subject = split
+    if isinstance(train_subjects, str):  # not its characters
+        raise ValidationError(f"training subjects must be a collection of ids, got the string "
+                              f"{train_subjects!r}")
     _check_subjects(dataset, [*train_subjects, test_subject])
     train_keep = set(train_subjects)
     train_set = [e for e in dataset if e.clip.subject_id in train_keep and e.plate is not None]

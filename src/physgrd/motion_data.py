@@ -332,16 +332,16 @@ class GravitySpec:
         return math.hypot(*self.g_accel)  # no overflow, so no warning, for huge components
 
 
+def _instance(name: str, value, cls: type):
+    """value itself if it is a cls; a ValidationError naming the type of anything else."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _gravity(gravity: GravitySpec | None) -> GravitySpec:
-    """The standard GravitySpec for None, gravity itself for a GravitySpec;
-    a ValidationError naming the type of anything else."""
-    if gravity is None:
-        return GravitySpec()
-    if not isinstance(gravity, GravitySpec):
-        raise ValidationError(
-            f"gravity must be a GravitySpec or None, got {type(gravity).__name__}"
-        )
-    return gravity
+    """The standard GravitySpec for None, else gravity, which must be a GravitySpec."""
+    return GravitySpec() if gravity is None else _instance("gravity", gravity, GravitySpec)
 
 
 @dataclass(frozen=True)

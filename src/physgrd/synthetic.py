@@ -16,15 +16,17 @@ spring_tracked the unique trajectory that is a fixed point of the
                clip with those gains reproduces it to machine precision,
                which lets the calibration grid recover the gains exactly.
 
-All generators are pure functions of (kind, params, seed). Every numeric
-parameter is checked against its range in _PARAM_RANGES before anything is
-generated, and neither a clip nor a hop period may span more than
-MAX_FRAMES frames.
+All generators are pure functions of (kind, params, seed). Every parameter
+is declared once, in the read-only table PARAMS (its default, range, kinds
+and gen flag help), and checked against it before anything is generated;
+neither a clip nor a hop period may span more than MAX_FRAMES frames.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,46 +48,35 @@ from .motion_data import (
 
 KINDS = ("hop", "walk", "ballistic", "spring_tracked")
 
-_COMMON_DEFAULTS = {
-    "subject_id": "S1",
-    "mass": 70.0,
-    "frame_rate": 100.0,
-    "duration": 4.0,
-    "missing_lead": 0.0,     # fraction of leading plate frames marked missing
-    "missing_spans": (),     # extra (start_frac, end_frac) missing windows
-    "plate_noise": 0.0,      # std of seeded Gaussian noise on plate forces, BW
-}
+# one generator parameter: its default, the errors.check_range bounds of its value
+# (None for a structured one), the kinds that take it and its gen flag's help (None: no flag)
+Param = namedtuple("Param", "default bounds kinds help")
 
-_KIND_DEFAULTS = {
-    "hop": {"freq": 2.0, "amplitude": 1.0, "contact_fraction": 0.6, "jitter": 0.0},
-    "walk": {"speed": 1.2, "step_freq": 1.8, "bob_amplitude": 0.04, "jitter": 0.0},
-    "ballistic": {"x0": (0.0, 0.0, 2.0), "v0": (0.0, 0.0, 0.0)},
-    "spring_tracked": {"kp": 50.0, "kd": 6.0, "jitter": 0.0},
-}
-PARAMS = frozenset(_COMMON_DEFAULTS).union(*_KIND_DEFAULTS.values())  # every parameter name
+# every generator parameter, read-only; each kind checks its own in this order
+PARAMS = MappingProxyType({
+    "subject_id": Param("S1", None, KINDS, None),
+    "mass": Param(70.0, POSITIVE, KINDS, "fix subject mass [kg]"),
+    "frame_rate": Param(100.0, POSITIVE, KINDS, "frames per second [Hz]"),
+    "duration": Param(4.0, POSITIVE, KINDS, "seconds"),
+    "missing_lead": Param(0.0, (0.0, 1.0, "in [0, 1)"), KINDS, "leading plate-frame share missing"),
+    "missing_spans": Param((), None, KINDS, None),  # extra (start_frac, end_frac) missing windows
+    "plate_noise": Param(0.0, NON_NEGATIVE, KINDS, "plate noise std [BW]"),
+    "freq": Param(2.0, POSITIVE, ("hop",), "hop frequency [Hz]"),
+    "amplitude": Param(1.0, (0.0, math.nextafter(1, 2), "in [0, 1]"), ("hop",), "hop amplitude"),
+    "contact_fraction": Param(0.6, (math.ulp(0), 1.0, "in (0, 1)"), ("hop",), "hop contact share"),
+    "speed": Param(1.2, NON_NEGATIVE, ("walk",), "walk speed [m/s]"),
+    "step_freq": Param(1.8, POSITIVE, ("walk",), "walk step rate [Hz]"),
+    "bob_amplitude": Param(0.04, FINITE, ("walk",), "walk vertical bob [m]"),
+    "x0": Param((0.0, 0.0, 2.0), FINITE, ("ballistic",), "ballistic start, e.g. 0,0,2"),
+    "v0": Param((0.0, 0.0, 0.0), FINITE, ("ballistic",), "ballistic velocity"),
+    "kp": Param(50.0, NON_NEGATIVE, ("spring_tracked",), "spring_tracked kp"),
+    "kd": Param(6.0, NON_NEGATIVE, ("spring_tracked",), "spring_tracked kd"),
+    # keeps every jittered factor 1 + jitter * (u - 0.5), u in [0, 1), positive
+    "jitter": Param(0.0, (0.0, 2.0, "in [0, 2)"), ("hop", "walk", "spring_tracked"),
+                    "per-subject parameter jitter fraction"),
+})
 
 MAX_FRAMES = 1_000_000  # duration x frame rate of one clip: under 3 h at 100 Hz
-
-# the bounds of errors.check_range for each numeric parameter
-_PARAM_RANGES = {
-    "mass": POSITIVE,
-    "frame_rate": POSITIVE,
-    "duration": POSITIVE,
-    "missing_lead": (0.0, 1.0, "in [0, 1)"),
-    "plate_noise": NON_NEGATIVE,
-    "freq": POSITIVE,
-    "amplitude": (0.0, math.nextafter(1.0, 2.0), "in [0, 1]"),
-    "contact_fraction": (math.ulp(0.0), 1.0, "in (0, 1)"),
-    # keeps every jittered factor 1 + jitter * (u - 0.5), u in [0, 1), positive
-    "jitter": (0.0, 2.0, "in [0, 2)"),
-    "speed": NON_NEGATIVE,
-    "step_freq": POSITIVE,
-    "bob_amplitude": FINITE,
-    "x0": FINITE,
-    "v0": FINITE,
-    "kp": NON_NEGATIVE,
-    "kd": NON_NEGATIVE,
-}
 
 
 def _check_kind(kind) -> None:
@@ -93,31 +84,36 @@ def _check_kind(kind) -> None:
         raise ValidationError(f"unknown generator kind {kind!r}")
 
 
+def _check_param(key: str, value) -> None:
+    """Raise a ValidationError unless value is one the table allows for key."""
+    spec = PARAMS[key]
+    if spec.bounds is not None:
+        check_range(key, value, spec.bounds)
+        shape = np.shape(spec.default)  # a number, or the 3 of x0 and v0
+        if np.shape(value) != shape:
+            wanted = f"{shape[0]} numbers" if shape else "a number"
+            raise ValidationError(f"{key} must be {wanted}, got {value!r}")
+    elif key == "missing_spans":
+        try:
+            ok = all(0.0 <= start <= end <= 1.0 for start, end in value)
+        except (TypeError, ValueError):  # not a sequence of number pairs
+            ok = False
+        if not ok:
+            raise ValidationError(f"missing_spans must be (start, end) pairs with "
+                                  f"0 <= start <= end <= 1, got {value!r}")
+
+
 def _merge_params(kind: str, params: Mapping | None) -> dict:
     _check_kind(kind)
     if not isinstance(params, (Mapping, type(None))):
         raise ValidationError(f"{kind} parameters must be a mapping, got {type(params).__name__}")
-    merged = dict(_COMMON_DEFAULTS)
-    merged.update(_KIND_DEFAULTS[kind])
+    merged = {key: spec.default for key, spec in PARAMS.items() if kind in spec.kinds}
     for key, value in (params or {}).items():
         if key not in merged:
             raise ValidationError(f"unknown {kind} parameter {key!r}")
         merged[key] = value
     for key, value in merged.items():
-        if key in _PARAM_RANGES:
-            check_range(key, value, _PARAM_RANGES[key])
-    for key in ("x0", "v0"):
-        if key in merged and np.shape(merged[key]) != (3,):
-            raise ValidationError(f"{key} must be 3 numbers, got {merged[key]!r}")
-    spans = merged["missing_spans"]
-    try:
-        ok = all(0.0 <= start <= end <= 1.0 for start, end in spans)
-    except (TypeError, ValueError):  # not a sequence of number pairs
-        ok = False
-    if not ok:
-        raise ValidationError(
-            f"missing_spans must be (start, end) pairs with 0 <= start <= end <= 1, got {spans!r}"
-        )
+        _check_param(key, value)
     return merged
 
 
@@ -351,8 +347,7 @@ def make_dataset(
     for key, value in base_params.items():
         if key not in PARAMS:
             raise ValidationError(f"unknown generator parameter {key!r}")
-        if key in _PARAM_RANGES:
-            check_range(key, value, _PARAM_RANGES[key])
+        _check_param(key, value)
     entries: list[DatasetEntry] = []
     for si in range(n_subjects):
         sid = f"S{si + 1}"
@@ -360,12 +355,10 @@ def make_dataset(
         mass = float(base_params["mass"]) if "mass" in base_params else 55.0 + 30.0 * srng.random()
         for kind in kinds:
             for ci in range(clips_per_subject):
-                allowed = set(_COMMON_DEFAULTS) | set(_KIND_DEFAULTS[kind])
-                params = {k: v for k, v in base_params.items() if k in allowed}
+                params = {k: v for k, v in base_params.items() if kind in PARAMS[k].kinds}
                 params.update(subject_id=sid, mass=mass)
-                params.setdefault("jitter", 0.3)
-                if kind == "ballistic":
-                    params.pop("jitter", None)
+                if kind in PARAMS["jitter"].kinds:
+                    params.setdefault("jitter", 0.3)
                 clip_seed = int(
                     np.random.SeedSequence((seed, si, KINDS.index(kind), ci))
                     .generate_state(1)[0]

@@ -339,6 +339,8 @@ def test_extreme_cell_exits_cleanly(valid_files, command_argv, case, row, column
 
 def test_every_gen_option_sets_a_generator_parameter():
     # cmd_gen forwards the flags whose dest names a generator parameter, so a
-    # flag with any other dest would be dropped without a word
+    # flag with any other dest would be dropped without a word; every
+    # parameter the table gives a help has its flag
     dests = {a.dest for a in _SUBCOMMANDS["gen"]._actions if a.option_strings}
-    assert dests - {"help", "kind", "subjects", "clips", "seed", "out_dir"} <= synthetic.PARAMS
+    flagged = {name for name, spec in synthetic.PARAMS.items() if spec.help is not None}
+    assert dests - {"help", "kind", "subjects", "clips", "seed", "out_dir"} == flagged

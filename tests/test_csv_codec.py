@@ -38,7 +38,7 @@ from physgrd.motion_data import (
     write_force_plate,
 )
 from physgrd.svgplot import LineSeries, write_series_csv
-from physgrd.synthetic import make_dataset
+from physgrd.synthetic import gen_synthetic, make_dataset
 
 EDGE = [-0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5, 1.0, 0.0, 1 / 3, -1e-300]
 
@@ -178,6 +178,18 @@ def test_frame_rate_of_a_per_frame_csv_is_checked_before_writing(tmp_path, write
     with pytest.raises(UnitError, match=r"^frame_rate must be finite and positive, got "):
         write(record, path, rate)
     assert not path.exists()
+
+
+def test_sim_frame_rate_must_be_the_simulations(tmp_path):
+    # a 100 Hz simulation written at 50 Hz got the times of a 50 Hz clip
+    clip, _ = gen_synthetic("hop", {"duration": 0.5}, seed=0)
+    result = simulate(clip, PDGains(kp=70.0, kd=3.0))
+    path = tmp_path / "sim.csv"
+    with pytest.raises(ValidationError,
+                       match=r"^frame_rate 50.0 is not 1 / dt of the simulation, dt = 0.01$"):
+        write_sim_csv(result, path, 50.0)
+    assert not path.exists()
+    write_sim_csv(result, path, 100.0)
 
 
 TABLE_EDGE = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, 1 / 3, -1e-300, 0.0]

@@ -264,7 +264,8 @@ class TestSimulate:
             lambda: train(Dataset(()), TrainConfig(), ([], "S1"), gravity=g),
             lambda: euler_step(np.zeros(3), np.zeros(3), np.zeros(3), g, 0.01),
         ):
-            with pytest.raises(ValidationError, match="GravitySpec or None, got ndarray"):
+            with pytest.raises(ValidationError,
+                               match="^gravity must be of type GravitySpec, got ndarray$"):
                 call()
 
 

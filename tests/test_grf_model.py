@@ -476,13 +476,21 @@ class TestTrain:
         with pytest.raises(ValidationError):
             train(ds, self.cfg(), (["S9"], "S2"))
 
-    @pytest.mark.parametrize("split, named", [((["S1"], "S9"), "S9"), ((["nope"], "S9"), "nope")],
-                             ids=["test-subject", "train-subject"])
-    def test_split_subject_outside_the_dataset_is_named(self, monkeypatch, split, named):
+    @pytest.mark.parametrize("split, message", [
+        ((["S1"], "S9"), r"subject 'S9' not in dataset \['S1', 'S2'\]"),
+        ((["nope"], "S9"), r"subject 'nope' not in dataset \['S1', 'S2'\]"),
+        # a string's characters were taken for subjects, and the others raised
+        # TypeError or ValueError
+        (("S1", "S2"), "training subjects must be a collection of ids, got the string 'S1'"),
+        (5, r"split must be a \(training subjects, test subject\) pair, got 5"),
+        ((["S1"], "S2", "S2"), r"split must be a .* pair, got \(\['S1'\], 'S2', 'S2'\)"),
+        ((["S1"], ["S2"]), r"split must be a .* pair, got \(\['S1'\], \['S2'\]\)"),
+    ], ids=["test-subject", "train-subject", "string-train-subjects", "not-a-pair",
+            "three-items", "listed-test-subject"])
+    def test_split_subject_outside_the_dataset_is_named(self, monkeypatch, split, message):
         # a held-out subject without clips once logged NaN test metrics without a word
         monkeypatch.setattr(grf_model, "physics_force_series", None)  # nothing is prepared
-        with pytest.raises(ValidationError,
-                           match=rf"^subject '{named}' not in dataset \['S1', 'S2'\]$"):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             train(self.make_ds(), self.cfg(), split)
 
     def test_log_has_one_row_per_epoch(self, tmp_path):

@@ -5,7 +5,8 @@ Every array argument of an exported callable goes through one rule,
 frames, non-finite values, a string, a complex value or a ragged nesting),
 the call must return a value or raise a PhysgrdError: never another
 exception, nor a warning, which pytest makes an error. The records' array
-fields are fuzzed the same way in test_motion_data.py.
+fields are fuzzed the same way in test_motion_data.py. The record arguments
+of the PD entry points are checked for their type.
 """
 
 import inspect
@@ -16,8 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import physgrd
-from physgrd.dynamics import PDGains, euler_step, pd_force, rollout_forces
-from physgrd.errors import PhysgrdError
+from physgrd.calibration import calibrate
+from physgrd.dynamics import PDGains, euler_step, pd_force, physics_force_series, rollout_forces
+from physgrd.dynamics import simulate
+from physgrd.errors import PhysgrdError, ValidationError
 from physgrd.grf_model import TemporalConvNet, TrainConfig, composite_loss, elu
 from physgrd.metrics import aggregate, evaluate_prediction, vgrf_mse
 from physgrd.motion_data import from_bodyweight, to_bodyweight
@@ -131,3 +134,20 @@ def test_every_exported_array_parameter_is_fuzzed():
               if "ndarray" in str(p.annotation) and p.name != "out"}
     assert ("pd_force", "target_next") in wanted and ("GravitySpec", "g_accel") in wanted
     assert wanted - set(ARRAY_ARGS) - set(_ARRAY_FIELDS) == set()
+
+
+# each raised AttributeError or TypeError, or named the wrong length
+@pytest.mark.parametrize("call, message", [
+    (lambda: simulate(CLIP, (1.0, 2.0)), "gains must be of type PDGains, got tuple"),
+    (lambda: simulate("c", PDGains(70.0, 3.0)), "clip must be of type MotionClip, got str"),
+    (lambda: physics_force_series(None, PDGains(70.0, 3.0)),
+     "clip must be of type MotionClip, got NoneType"),
+    (lambda: physics_force_series(CLIP, {"kp": 70.0}), "gains must be of type PDGains, got dict"),
+    (lambda: rollout_forces("c", np.zeros((99, 3))), "clip must be of type MotionClip, got str"),
+    (lambda: calibrate(CLIP), "clips must be of type Iterable, got MotionClip"),
+    (lambda: calibrate([CLIP, PLATE]), "clip must be of type MotionClip, got ForcePlateRecord"),
+], ids=["simulate-gains", "simulate-clip", "physics-clip", "physics-gains", "rollout-clip",
+        "calibrate-one-clip", "calibrate-plate"])
+def test_record_argument_of_wrong_type_is_named(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()

@@ -5,10 +5,9 @@ from physgrd import synthetic
 from physgrd.dynamics import PDGains, rollout_forces, simulate
 from physgrd.errors import ValidationError
 from physgrd.synthetic import (
-    _COMMON_DEFAULTS,
-    _KIND_DEFAULTS,
     KINDS,
     MAX_FRAMES,
+    PARAMS,
     build_features,
     gen_synthetic,
     make_dataset,
@@ -183,8 +182,10 @@ class TestMakeDataset:
         ({"durration": 1.0}, "unknown generator parameter 'durration'"),
         ({"speed": -1.0}, "speed must be finite and non-negative, got -1.0"),
         ({"step_freq": float("nan")}, "step_freq must be finite and positive, got nan"),
+        # nor was a ballistic start's length
+        ({"x0": (0.0, 1.0)}, r"x0 must be 3 numbers, got \(0.0, 1.0\)"),
     ], ids=["int", "list", "text-mass", "none-mass", "negative-mass", "misspelt-key",
-            "walk-speed", "walk-step-freq"])
+            "walk-speed", "walk-step-freq", "ballistic-x0"])
     def test_malformed_base_params_rejected(self, base_params, named):
         with pytest.raises(ValidationError, match=named):
             make_dataset(["hop"], 1, base_params=base_params)
@@ -214,18 +215,18 @@ class TestMakeDataset:
         ("walk", {"missing_spans": (("a", "b"),)}, "missing_spans must be"),
         ("walk", {"missing_spans": ((0.6, 0.5),)}, "missing_spans must be"),
         ("hop", [("duration", 1.0)], "hop parameters must be a mapping, got list"),
+        # each passed the range check item by item, then float() raised TypeError
+        ("hop", {"freq": (1.0, 2.0)}, r"freq must be a number, got \(1.0, 2.0\)"),
+        ("walk", {"mass": [70.0]}, r"mass must be a number, got \[70.0\]"),
     ], ids=["short-vector", "flat-span", "triple-span", "text-span",
-            "reversed-span", "params-list"])
+            "reversed-span", "params-list", "vector-freq", "list-mass"])
     def test_malformed_structured_param_rejected(self, kind, params, named):
         with pytest.raises(ValidationError, match=named):
             gen_synthetic(kind, params, seed=0)
 
 
 NUMERIC_PARAMS = sorted(
-    (kind, key)
-    for kind in KINDS
-    for key in {**_COMMON_DEFAULTS, **_KIND_DEFAULTS[kind]}
-    if key not in ("subject_id", "missing_spans")
+    (kind, key) for key, spec in PARAMS.items() if spec.bounds is not None for kind in spec.kinds
 )
 
 
@@ -233,7 +234,7 @@ class TestParameterRanges:
     @pytest.mark.parametrize("kind,key", NUMERIC_PARAMS,
                              ids=[f"{kind}-{key}" for kind, key in NUMERIC_PARAMS])
     def test_non_finite_rejected(self, kind, key):
-        default = {**_COMMON_DEFAULTS, **_KIND_DEFAULTS[kind]}[key]
+        default = PARAMS[key].default
         for bad in (float("nan"), float("inf"), float("-inf")):
             value = tuple(bad for _ in default) if isinstance(default, tuple) else bad
             with pytest.raises(ValidationError, match=key):
