@@ -217,6 +217,7 @@ def calibrate(
 
 def write_report_csv(report: CalibrationReport, path: str | Path) -> None:
     """Table-shaped CSV: one row per gain cell, per-subject columns + avg/std."""
+    _instance("report", report, CalibrationReport)
     subjects = sorted(report.per_subject)
     rows = [
         [*cell, *(report.per_subject[s].get(cell, float("inf")) for s in subjects),
@@ -227,6 +228,7 @@ def write_report_csv(report: CalibrationReport, path: str | Path) -> None:
 
 
 def write_best_gains(report: CalibrationReport, path: str | Path) -> None:
+    _instance("report", report, CalibrationReport)
     doc = {
         "kp": report.best.kp,
         "kd": report.best.kd,

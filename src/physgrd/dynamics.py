@@ -114,6 +114,7 @@ def pd_force(
 
     f = kp * (target_next - current_pos) - kd * current_vel
     """
+    _instance("gains", gains, PDGains)
     target_next, current_pos, current_vel = (_numeric(name, a, None) for name, a in (
         ("target_next", target_next), ("current_pos", current_pos), ("current_vel", current_vel)))
     _broadcast("pd_force", "target, position and velocity",
@@ -331,7 +332,7 @@ def write_sim_csv(result: SimResult, path: str | Path, frame_rate: float) -> Non
     the simulation's dt does (ValidationError). The force column of the
     final frame repeats the last applied force (zero for a single-frame result).
     """
-    times = _frame_times(len(result), frame_rate)
+    times = _frame_times(len(_instance("result", result, SimResult)), frame_rate)
     if not abs(times[-1] - (len(result) - 1) * result.dt) <= _TIME_TOLERANCE:
         raise ValidationError(f"frame_rate {frame_rate!r} is not 1 / dt of the simulation, "
                               f"dt = {result.dt!r}")

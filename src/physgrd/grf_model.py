@@ -18,18 +18,26 @@ einsum hands BLAS for the same contractions, so the results are
 bit-identical to the direct einsum form (tests/conv_reference.py).
 
 No column matrix is held whole. Each GEMM builds and multiplies it one
-span of at most _SPAN_VALUES values (16 MB) at a time, writing into its
-slice of the preallocated result: the forward and input-gradient GEMMs
-split along their output columns, the flattened b*T + t axis (so a span
-may start or end inside a window), and the weight-gradient GEMM along the
-matrix's rows. Two rules, measured on OpenBLAS, keep the bits of the whole
-GEMM. An element's bits depend on the micro-kernel tile that computes it,
-so every cut falls on a multiple of 64 lines, and the spans are nearly
-equal with the ragged lines in the last, which is never the short one.
-Output columns past the last multiple of 8 come from edge kernels whose
-bits depend on the span that holds them, so a matrix with such columns is
-not split along them. A span holds at least 64 lines even where that
-exceeds the budget (a weight gradient with B*T > 32768).
+span at a time, writing into its slice of the preallocated result: the
+forward and input-gradient GEMMs split along their output columns, the
+flattened b*T + t axis (so a span may start or end inside a window), and
+the weight-gradient GEMM along the matrix's rows. A training step's spans
+hold at most _SPAN_VALUES values (16 MB), forward()'s at most
+_INFERENCE_SPAN_VALUES (4 MB). The budgets differ because the costs do.
+Every weight-gradient span repacks the whole (B*T, C_out) output gradient
+inside BLAS, so narrower row spans cost time, and since "cols" holds a
+row span that wide anyway, a step's column spans take the same budget (at
+4 MB their extra GEMM calls made a canonical step 8% slower). Inference
+builds no row span, and a (128 x 896) @ (896 x N) GEMM runs at one rate
+for every N from 448 to 1000, so a wider inference span buys no speed,
+only memory. Two rules, measured on OpenBLAS, keep the bits of the whole
+GEMM, whatever the budget. An element's bits depend on the micro-kernel
+tile that computes it, so every cut falls on a multiple of 64 lines, and
+the spans are nearly equal with the ragged lines in the last, which is
+never the short one. Output columns past the last multiple of 8 come from
+edge kernels whose bits depend on the span that holds them, so a matrix
+with such columns is not split along them. A span holds at least 64 lines
+even where that exceeds the budget (a weight gradient with B*T > 32768).
 
 The conv stack runs in a workspace held by the net: named, flat,
 grow-only float64 buffers, each viewed at the shape a use needs, so
@@ -74,10 +82,10 @@ from __future__ import annotations
 
 import base64
 import math
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -87,14 +95,16 @@ from .errors import NON_NEGATIVE, POSITIVE, CheckpointError, ValidationError, ch
 from .errors import check_range
 from .metrics import evaluate_prediction
 from .motion_data import Dataset, ForcePlateRecord, _check_cells, _check_finite, _check_subjects
-from .motion_data import _frame_times, _gravity, _numeric, _read_json, _read_table, _readonly
+from .motion_data import _frame_times, _gravity, _instance, _numeric, _read_json, _read_table
+from .motion_data import _readonly
 from .motion_data import _write_json, _write_rows, _write_table
 
 KERNEL = 7
 PAD = KERNEL // 2
 OUT_WIDTH = 6  # two feet x three force components
 MAX_WIDTH = 1024  # widest layer, input included: one 1024x1024 conv weight is 59 MB
-_SPAN_VALUES = 2**21  # column-matrix values (16 MB) one GEMM span builds at most
+_SPAN_VALUES = 2**21  # column-matrix values (16 MB) one span of a training step builds at most
+_INFERENCE_SPAN_VALUES = 2**19  # the same (4 MB) for a span of forward()
 _ALIGN = 64  # GEMM spans are cut at multiples of this many rows or columns
 CHECKPOINT_VERSION = 1
 DEFAULT_GAINS = PDGains(70.0, 3.0)  # train's physics-series gains, and the CLI's --kp/--kd
@@ -127,29 +137,29 @@ def _pieces(start: int, stop: int, length: int) -> list[tuple[int, int, int, int
     return out
 
 
-def _spans(lines: int, line_values: int) -> list[tuple[int, int]]:
+def _spans(lines: int, line_values: int, budget: int) -> list[tuple[int, int]]:
     """Cut `lines` lines of `line_values` values each into the fewest
-    nearly equal GEMM spans of at most _SPAN_VALUES values, or of one unit
-    of _ALIGN lines (the last with the ragged lines) where that holds more.
+    nearly equal GEMM spans of at most `budget` values, or of one unit of
+    _ALIGN lines (the last with the ragged lines) where that holds more.
 
     Every cut falls on a multiple of _ALIGN lines and the ragged lines past
     the last one join the last span, whose unit count is never below the
     others', so no short span ends the matrix.
     """
     units = max(1, lines // _ALIGN)
-    per = max(1, (_SPAN_VALUES // line_values - lines % _ALIGN) // _ALIGN)
+    per = max(1, (budget // line_values - lines % _ALIGN) // _ALIGN)
     n = -(-units // per)
     q, extra = divmod(units, n)
     cuts = [_ALIGN * (q * k + max(0, k - (n - extra))) for k in range(1, n)]
     return list(zip([0, *cuts], [*cuts, lines]))
 
 
-def _column_spans(columns: int, rows: int) -> list[tuple[int, int]]:
+def _column_spans(columns: int, rows: int, budget: int) -> list[tuple[int, int]]:
     """_spans of a (rows, columns) column matrix split along its columns,
     which are the GEMM's output columns. OpenBLAS computes the output
     columns past the last multiple of 8 with edge kernels whose bits
     depend on the span that holds them, so such a matrix stays whole."""
-    return _spans(columns, rows) if columns % 8 == 0 else [(0, columns)]
+    return _spans(columns, rows, budget) if columns % 8 == 0 else [(0, columns)]
 
 
 def elu(x: np.ndarray | float, out: np.ndarray | None = None):
@@ -235,10 +245,22 @@ class TemporalConvNet:
         fc_widths: Sequence[int] = TrainConfig.fc_widths,
         seed: int = 0,
     ):
-        if len(conv_channels) != 4 or len(fc_widths) != 2:
-            raise ValidationError("architecture is fixed at four conv and three FC layers")
         seed = check_int("seed", seed, lo=0)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6E7)))
+
+        def layer(shape: tuple[int, ...]) -> list[np.ndarray]:
+            limit = math.sqrt(1.0 / math.prod(shape[1:]))  # fan_in
+            return [rng.uniform(-limit, limit, size=shape), np.zeros(shape[0])]
+
+        self._build(input_width, conv_channels, fc_widths, layer)
+
+    def _build(self, input_width: int, conv_channels: Sequence[int], fc_widths: Sequence[int],
+               layer: Callable[[tuple[int, ...]], list[np.ndarray]]) -> None:
+        """Check the widths and make each layer's [W, b] with layer(W's
+        shape), in order: the conv weights (out, in, KERNEL), then the FC
+        weights (out, in). __init__ draws them; load_checkpoint decodes them."""
+        if len(conv_channels) != 4 or len(fc_widths) != 2:
+            raise ValidationError("architecture is fixed at four conv and three FC layers")
         self.input_width = check_int("input_width", input_width, 1, MAX_WIDTH)
         self.conv_channels = tuple(check_int("conv_channels", c, 1, MAX_WIDTH)
                                    for c in conv_channels)
@@ -247,15 +269,11 @@ class TemporalConvNet:
         self.conv: list[list[np.ndarray]] = []
         in_ch = self.input_width
         for out_ch in self.conv_channels:
-            limit = math.sqrt(1.0 / (in_ch * KERNEL))
-            w = rng.uniform(-limit, limit, size=(out_ch, in_ch, KERNEL))
-            self.conv.append([w, np.zeros(out_ch)])
+            self.conv.append(layer((out_ch, in_ch, KERNEL)))
             in_ch = out_ch
         self.fc: list[list[np.ndarray]] = []
         for out_w in (*self.fc_widths, OUT_WIDTH):
-            limit = math.sqrt(1.0 / in_ch)
-            w = rng.uniform(-limit, limit, size=(out_w, in_ch))
-            self.fc.append([w, np.zeros(out_w)])
+            self.fc.append(layer((out_w, in_ch)))
             in_ch = out_w
         self._ws: dict[str, np.ndarray] = {}  # the conv workspace, see _buf
 
@@ -317,10 +335,11 @@ class TemporalConvNet:
             elu(src, out=hp[:, :, PAD:PAD + T].transpose(1, 2, 0))
         return hp
 
-    def _conv_pre(self, i: int, src: np.ndarray, name: str) -> np.ndarray:
+    def _conv_pre(self, i: int, src: np.ndarray, name: str, budget: int) -> np.ndarray:
         """Conv layer i's (B, T, C_out) pre-activation from its source (see
-        _conv_input), in workspace buffer name. It keeps the (C_out, B, T)
-        memory order: the gradient sums that derive from it add in that order."""
+        _conv_input), in workspace buffer name, one column span of at most
+        budget values at a time. It keeps the (C_out, B, T) memory order: the
+        gradient sums that derive from it add in that order."""
         w, b = self.conv[i]
         O = len(w)
         B, T = src.shape[:2]
@@ -328,7 +347,7 @@ class TemporalConvNet:
         win = _windows(self._conv_input(i, src), T)
         out = self._buf(name, O, B * T)
         # one span of output columns at a time
-        for s, e in _column_spans(B * T, a.shape[1]):
+        for s, e in _column_spans(B * T, a.shape[1], budget):
             np.matmul(a, self._cols(win, (0, a.shape[1]), (s, e)), out=out[:, s:e])
         pre = out.reshape(O, B, T).transpose(1, 2, 0)
         pre += b
@@ -343,7 +362,7 @@ class TemporalConvNet:
         B, T = g.shape[:2]
         n = T + KERNEL - 1
         w_flip = w[:, :, ::-1].transpose(1, 0, 2).reshape(C, O * KERNEL)
-        spans = _column_spans(B * n, O * KERNEL)
+        spans = _column_spans(B * n, O * KERNEL, _SPAN_VALUES)
         gp = self._padded("grad", O, max(-(-e // n) - s // n for s, e in spans), T, KERNEL - 1)
         win = _windows(gp, n)
         out = out.reshape(C, B * n)
@@ -371,9 +390,10 @@ class TemporalConvNet:
         # built: it shares the last layer's slot, as does every layer of
         # inference, and the backward recomputes it
         cache = {"x": x, "pre": [None], "fc": []} if want_cache else None
+        budget = _SPAN_VALUES if want_cache else _INFERENCE_SPAN_VALUES
         pre = x
         for i in range(n_conv):
-            pre = self._conv_pre(i, pre, f"pre{i if want_cache and i else n_conv - 1}")
+            pre = self._conv_pre(i, pre, f"pre{i if want_cache and i else n_conv - 1}", budget)
             if want_cache and i:
                 cache["pre"].append(pre)
         # "pad" is idle after the last conv GEMM: it takes the stack's output
@@ -440,7 +460,7 @@ class TemporalConvNet:
                 # layer 0's pre-activation, recomputed with the forward's bits
                 # into the slot the forward wrote it to, dead since the last
                 # layer's input gradient
-                pres[0] = self._conv_pre(0, cache["x"], f"pre{n_conv - 1}")
+                pres[0] = self._conv_pre(0, cache["x"], f"pre{n_conv - 1}", _SPAN_VALUES)
             # fc0's or layer i + 1's input gradient is over "pad":
             # rebuild layer i's input from the features or a pre-activation
             # not yet overwritten
@@ -448,7 +468,7 @@ class TemporalConvNet:
             g2 = g.reshape(B * T, O)
             dw = np.empty((C * KERNEL, O))
             win = _windows(hp, T)
-            for r0, r1 in _spans(C * KERNEL, B * T):
+            for r0, r1 in _spans(C * KERNEL, B * T, _SPAN_VALUES):
                 np.matmul(self._cols(win, (r0, r1), (0, B * T)), g2, out=dw[r0:r1])
             conv_grads[i] = [dw.reshape(C, KERNEL, O).transpose(2, 0, 1), g.sum(axis=(0, 1))]
             if i > 0:
@@ -550,7 +570,8 @@ def composite_loss(
     (acceleration units) and must go through to_bodyweight before it gets
     here; train() does that conversion. Both force inputs must be finite.
     """
-    T = len(plate)
+    T = len(_instance("plate", plate, ForcePlateRecord))
+    _instance("cfg", cfg, TrainConfig)
     pred = _numeric("pred", pred, (T, 2, 3), finite=True)
     phys = _numeric("phys_force_bw", phys_force_bw, (T, 3), finite=True)
     t1, t2, _ = _loss_terms(
@@ -602,7 +623,8 @@ class TrainLogRow:
 
 
 def write_train_log(log: Sequence[TrainLogRow], path: str | Path) -> None:
-    _write_table(path, [f.name for f in fields(TrainLogRow)], map(astuple, log))
+    rows = [_instance("log row", row, TrainLogRow) for row in _instance("log", log, Iterable)]
+    _write_table(path, [f.name for f in fields(TrainLogRow)], map(astuple, rows))
 
 
 def train(
@@ -621,6 +643,8 @@ def train(
     clip with the given gains and converted to body weights. The whole run
     is a pure function of (dataset, cfg, split, gains, gravity, mode).
     """
+    _instance("dataset", dataset, Dataset)
+    _instance("cfg", cfg, TrainConfig)
     gravity = _gravity(gravity)
     if not (isinstance(split, (tuple, list)) and len(split) == 2
             and isinstance(split[0], Collection) and isinstance(split[1], str)):
@@ -729,6 +753,8 @@ def _decode(text: str, shape: tuple[int, ...]) -> np.ndarray:
 
 def save_checkpoint(net: TemporalConvNet, cfg: TrainConfig, path: str | Path) -> None:
     """Versioned JSON container; parameters as little-endian float64 blobs."""
+    _instance("net", net, TemporalConvNet)
+    _instance("cfg", cfg, TrainConfig)
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "input_width": net.input_width,
@@ -767,17 +793,23 @@ def load_checkpoint(path: str | Path) -> tuple[TemporalConvNet, TrainConfig]:
         widths = (tuple(doc["conv_channels"]), tuple(doc["fc_widths"]))
         if widths != (cfg.conv_channels, cfg.fc_widths):
             raise ValidationError(f"widths {widths} differ from the train_config's")
-        net = TemporalConvNet(doc["input_width"], *widths, seed=0)
-        blobs = (doc["conv_layers"], doc["fc_layers"])
-        if [len(b) for b in blobs] != [len(net.conv), len(net.fc)]:
+        conv, fc = doc["conv_layers"], doc["fc_layers"]
+        if [len(conv), len(fc)] != [len(widths[0]), len(widths[1]) + 1]:
             raise ValidationError(
-                f"{len(blobs[0])} conv and {len(blobs[1])} fc layers, "
-                f"expected {len(net.conv)} and {len(net.fc)}"
+                f"{len(conv)} conv and {len(fc)} fc layers, "
+                f"expected {len(widths[0])} and {len(widths[1]) + 1}"
             )
-        for layers, layer_blobs in zip((net.conv, net.fc), blobs):
-            for layer, blob in zip(layers, layer_blobs):
-                layer[0] = _decode(blob["weights"], layer[0].shape)
-                layer[1] = _decode(blob["bias"], layer[1].shape)
+        blobs = iter([*conv, *fc])
+
+        def layer(shape: tuple[int, ...]) -> list[np.ndarray]:
+            blob = next(blobs)
+            weights, bias = blob["weights"], blob["bias"]
+            del blob["weights"], blob["bias"]  # the document drops each blob as it is decoded
+            return [_decode(weights, shape), _decode(bias, shape[:1])]
+
+        # built from the blobs, without the random draw of __init__
+        net = TemporalConvNet.__new__(TemporalConvNet)
+        net._build(doc["input_width"], *widths, layer)
     except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise CheckpointError(
             f"{path}: malformed checkpoint: {type(exc).__name__}: {exc}"
@@ -790,7 +822,7 @@ _PREDICTION_HEADER = ("t", "L_fx", "L_fy", "L_fz", "R_fx", "R_fy", "R_fz")
 
 def write_prediction_csv(pred: Prediction, path: str | Path, frame_rate: float) -> None:
     """Per-frame per-foot body-weight forces: t,L_fx..L_fz,R_fx..R_fz."""
-    T = len(pred)
+    T = len(_instance("pred", pred, Prediction))
     _write_rows(path, _PREDICTION_HEADER,
                 np.column_stack([_frame_times(T, frame_rate), pred.forces.reshape(T, 6)]))
 

@@ -21,7 +21,8 @@ from .errors import (
     SimulationDivergedError,
     ValidationError,
 )
-from .motion_data import ForcePlateRecord, MotionClip, _gravity, _numeric, _write_table
+from .motion_data import ForcePlateRecord, MotionClip, _gravity, _instance, _numeric
+from .motion_data import _write_table
 
 VRPE_SCALE = 1e3  # reported position errors are m^2 scaled up by 10^3
 
@@ -31,6 +32,7 @@ def vgrf_mse(pred: np.ndarray, plate: ForcePlateRecord) -> tuple[float, float]:
 
     pred is (T, 2, 3); only frames with valid_mask True are counted.
     """
+    _instance("plate", plate, ForcePlateRecord)
     pred = _numeric("pred", pred, (None, 2, 3))
     if pred.shape != plate.per_foot_force.shape:
         raise LengthMismatchError(
@@ -49,6 +51,8 @@ def vgrf_mse(pred: np.ndarray, plate: ForcePlateRecord) -> tuple[float, float]:
 
 def vrpe(sim: SimResult, clip: MotionClip) -> float:
     """Mean squared vertical position error of a simulation, scaled by 10^3."""
+    _instance("sim", sim, SimResult)
+    _instance("clip", clip, MotionClip)
     if len(sim) != len(clip):
         raise LengthMismatchError(f"simulation has {len(sim)} frames, clip {len(clip)}")
     z = sim.positions[:, 2]  # read-only: each range is copied for vrpe_leaves to square
@@ -151,6 +155,7 @@ def aggregate(per_clip: Mapping[tuple, object], kind: str = "vrpe") -> MetricTab
 
 
 def write_metric_table(table: MetricTable, path: str | Path) -> None:
+    _instance("table", table, MetricTable)
     rows = [(motion, *table.rows[motion]) for motion in sorted(table.rows)]
     _write_table(path, ("motion", *table.columns), rows + [("Average", *table.average)])
 
@@ -159,7 +164,13 @@ def loso_splits(subjects: Iterable[str]) -> list[tuple[tuple[str, ...], str]]:
     """One (train, test) split per subject, ordered by subject id."""
     if isinstance(subjects, str):  # not its characters
         raise ValidationError(f"subjects must be a collection of ids, got the string {subjects!r}")
-    ids = sorted(set(subjects))
+    if not isinstance(subjects, Iterable):
+        raise ValidationError(f"subjects must be a collection of ids, got {subjects!r}")
+    ids = list(subjects)
+    for s in ids:
+        if not isinstance(s, str):
+            raise ValidationError(f"subject ids must be strings, got {s!r}")
+    ids = sorted(set(ids))
     if len(ids) < 2:
         raise ValidationError(f"leave-one-out needs >= 2 subjects, got {len(ids)}")
     return [(tuple(s for s in ids if s != test), test) for test in ids]
@@ -179,6 +190,7 @@ def evaluate_prediction(
     and a rollout that diverges scores an infinite position error. pred_bw
     must be (T, 2, 3), with the clip's T.
     """
+    _instance("clip", clip, MotionClip)  # vgrf_mse checks the plate
     gravity = _gravity(gravity)
     pred_bw = _numeric("prediction", pred_bw, (None, 2, 3))
     if len(pred_bw) != len(clip):

@@ -48,6 +48,9 @@ dynamics.SimResult, grf_model.Prediction and svgplot.LineSeries goes through
 ``_readonly``, the rule plus a read-only, C-ordered copy, so changing the
 caller's arrays later changes no record. Checks across arguments or fields
 (lengths, feature width, the valid-mask rule) stay where they are made.
+Every record argument, and each record of a collection argument, goes
+through ``_instance``: anything of another type is one ValidationError
+naming the argument, raised before a writer opens its file.
 """
 
 from __future__ import annotations
@@ -143,8 +146,16 @@ def _read_lines(path: Path) -> list[str]:
 
 def _write_json(path: str | Path, doc) -> None:
     """Write doc as the project's JSON artifacts are written: indented, keys
-    sorted, one trailing newline. The mirror of _read_json."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sorted, one trailing newline. The mirror of _read_json.
+
+    The text is streamed into the file as the encoder makes it, so no copy
+    of the whole document is built; the bytes are those of
+    json.dumps(doc, indent=2, sort_keys=True) + "\\n". A document that fails
+    to encode leaves a partial file, so callers check their arguments first.
+    """
+    with Path(path).open("w") as fp:
+        json.dump(doc, fp, indent=2, sort_keys=True)
+        fp.write("\n")
 
 
 def _read_json(path: Path, what: str, error: type = ParseError):
@@ -440,7 +451,10 @@ class DatasetEntry:
     plate: ForcePlateRecord | None = None
 
     def __post_init__(self):
-        if self.plate is not None and len(self.plate) != len(self.clip):
+        _instance("clip", self.clip, MotionClip)
+        if self.plate is None:
+            return
+        if len(_instance("plate", self.plate, ForcePlateRecord)) != len(self.clip):
             raise LengthMismatchError(
                 f"plate has {len(self.plate)} rows but clip "
                 f"'{self.clip.subject_id}/{self.clip.motion_label}' has {len(self.clip)}"
@@ -454,7 +468,10 @@ class Dataset:
     entries: tuple[DatasetEntry, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+        entries = tuple(_instance("entries", self.entries, Iterable))
+        for entry in entries:
+            _instance("entry", entry, DatasetEntry)
+        object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -544,6 +561,7 @@ def write_clip_csv(clip: MotionClip, path: str | Path) -> None:
     a clip whose root_positions are not, bit for bit, features[:, :3] is a
     ValidationError, raised before the file is opened.
     """
+    _instance("clip", clip, MotionClip)
     if clip.root_positions.tobytes() != clip.features[:, :3].tobytes():
         raise ValidationError(
             f"clip '{clip.subject_id}/{clip.motion_label}': root_positions differ from "
@@ -612,7 +630,7 @@ def write_force_plate(
     path: str | Path,
     frame_rate: float,
 ) -> None:
-    cols = [_frame_times(len(record), frame_rate)]
+    cols = [_frame_times(len(_instance("record", record, ForcePlateRecord)), frame_rate)]
     for f in range(2):
         cols += [record.per_foot_force[:, f], record.per_foot_cop[:, f], record.contact_flags[:, f]]
     data = np.column_stack(cols).astype(object)
@@ -709,6 +727,7 @@ def entry_stems(dataset: Dataset) -> list[str]:
     Every artifact writer (clips, plates, simulations, predictions) uses
     these stems so pipeline stages can find each other's files.
     """
+    _instance("dataset", dataset, Dataset)
     stems = []
     counters: dict[tuple[str, str], int] = {}
     for entry in dataset:
@@ -725,6 +744,7 @@ def write_manifest(dataset: Dataset, out_dir: str | Path) -> Path:
     Returns the manifest path. File names are derived deterministically from
     subject, motion label and position in the dataset.
     """
+    _instance("dataset", dataset, Dataset)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     subjects: dict[str, dict] = {}
@@ -771,4 +791,5 @@ def finite_diff_velocity(clip: MotionClip) -> np.ndarray:
     Causal on purpose: frame t uses only frames <= t, matching how the
     online simulation consumes velocities.
     """
+    _instance("clip", clip, MotionClip)
     return _backward_diff(clip.root_positions, clip.frame_rate)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import LengthMismatchError, ValidationError
-from .motion_data import _readonly, _write_table
+from .motion_data import _instance, _readonly, _write_table
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
@@ -67,9 +67,14 @@ def _num(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _series(series: Sequence[LineSeries]) -> list[LineSeries]:
+    """The series as a list; anything but a collection of LineSeries is a ValidationError."""
+    return [_instance("series", s, LineSeries) for s in _instance("series", series, Iterable)]
+
+
 def write_series_csv(series: Sequence[LineSeries], path: str | Path) -> None:
     """Long-format sidecar: series,t,value with NaN for hidden points."""
-    rows = [(s.label, t, v) for s in series
+    rows = [(s.label, t, v) for s in _series(series)
             for t, v in zip(s.t.tolist(), np.where(s.visible(), s.values, np.nan).tolist())]
     _write_table(path, ("series", "t", "value"), rows)
 
@@ -81,6 +86,7 @@ def write_svg(
     ylabel: str,
 ) -> None:
     """Render overlaid polylines with axes, ticks and a legend."""
+    series = _series(series)
     if not series:
         raise ValidationError("nothing to plot")
     all_t = np.concatenate([s.t for s in series])

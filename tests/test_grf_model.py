@@ -280,17 +280,19 @@ class TestConvReference:
     def test_spans_at_a_toy_budget_bit_identical(self, monkeypatch, B, T):
         monkeypatch.setattr(grf_model, "_SPAN_VALUES", 128 * B * T)
         # B*T and B*(T+K-1) are multiples of 8, so no GEMM stays whole
-        spans = grf_model._column_spans(B * T, 40 * KERNEL)
+        spans = grf_model._column_spans(B * T, 40 * KERNEL, 128 * B * T)
         assert len(spans) > 2 and any(s % T for s, _ in spans)  # cuts inside windows
-        assert len(grf_model._column_spans(B * (T + KERNEL - 1), 40 * KERNEL)) > 2
+        assert len(grf_model._column_spans(B * (T + KERNEL - 1), 40 * KERNEL, 128 * B * T)) > 2
         net = TemporalConvNet(5, (40,) * 4, (8, 6), seed=B + T)
         self.assert_matches_reference(net, B, T)
         assert net._ws["cols"].size <= 128 * B * T
 
     def test_long_clip_split_along_frames_bit_identical(self, monkeypatch):
         T = 3000
+        # forward() splits at the inference budget, a training step at the other
         monkeypatch.setattr(grf_model, "_SPAN_VALUES", 128 * T)
-        assert len(grf_model._column_spans(T, 40 * KERNEL)) > 2
+        monkeypatch.setattr(grf_model, "_INFERENCE_SPAN_VALUES", 128 * T)
+        assert len(grf_model._column_spans(T, 40 * KERNEL, 128 * T)) > 2
         net = TemporalConvNet(5, (40,) * 4, (8, 6), seed=T)
         x = np.random.default_rng(T).normal(size=(1, T, 5))
         pred = net.forward(x[0])
@@ -302,9 +304,21 @@ class TestConvReference:
         # a column count that is not a multiple of 8 is one span; split at
         # this budget, the last span's ragged columns change bits
         monkeypatch.setattr(grf_model, "_SPAN_VALUES", 2**18)
-        assert grf_model._column_spans(1003, 128 * KERNEL) == [(0, 1003)]
+        assert grf_model._column_spans(1003, 128 * KERNEL, 2**18) == [(0, 1003)]
         net = TemporalConvNet(9, (128,) * 4, (8, 6), seed=1003)
         self.assert_matches_reference(net, 1, 1003)
+
+    # T = 80,000 at canonical width would build a 573 MB column matrix in one
+    # span, so that clip runs a 16-channel net, still cut into many spans
+    @pytest.mark.parametrize("T, channels", [(1000, 128), (4096, 128), (80_000, 16)])
+    def test_inference_spans_bit_identical_to_one_span(self, monkeypatch, T, channels):
+        net = TemporalConvNet(9, (channels,) * 4, (64, 32), seed=T)
+        x = np.random.default_rng(T).normal(size=(T, 9))
+        budget = grf_model._INFERENCE_SPAN_VALUES
+        assert len(grf_model._column_spans(T, channels * KERNEL, budget)) > 1
+        pred = net.forward(x).forces
+        monkeypatch.setattr(grf_model, "_INFERENCE_SPAN_VALUES", channels * KERNEL * T)
+        assert np.array_equal(pred, net.forward(x).forces)
 
     @staticmethod
     def assert_matches_reference(net, B, T):
@@ -405,6 +419,14 @@ class TestWorkspace:
             assert tracemalloc.get_traced_memory()[1] - start <= 2 * n * 8 + 64 * 1024
         finally:
             tracemalloc.stop()
+
+    def test_long_clip_column_buffer_within_inference_budget(self):
+        # an inference span holds at most its budget, or one more
+        # 64-column unit where the ragged columns join the last span
+        net = TemporalConvNet(9, seed=0)
+        net.forward(np.random.default_rng(0).normal(size=(80_000, 9)))
+        rows = 128 * KERNEL
+        assert net._ws["cols"].size <= grf_model._INFERENCE_SPAN_VALUES + grf_model._ALIGN * rows
 
     def test_column_buffer_stays_within_budget_at_batch_128(self):
         net = TemporalConvNet(9, seed=0)
@@ -572,9 +594,12 @@ class TestCheckpoint:
         lambda doc: doc["train_config"].update(window_len=2.5),
         lambda doc: doc["train_config"].update(conv_channels=[7, 5, 6, 5]),
         lambda doc: doc["train_config"].update(fc_widths=[8, 7]),
+        lambda doc: doc["conv_layers"].__setitem__(2, "weights"),
+        lambda doc: doc["fc_layers"][2].pop("bias"),
     ], ids=["no-train-config", "no-seed", "no-fc", "three-conv", "bad-base64",
             "bias-not-text", "channels-not-list", "epochs-nan", "window-len-fraction",
-            "config-conv-widths-differ", "config-fc-widths-differ"])
+            "config-conv-widths-differ", "config-fc-widths-differ", "layer-not-object",
+            "no-bias"])
     def test_malformed_rejected(self, tmp_path, mutate):
         path = tmp_path / "ckpt.json"
         save_checkpoint(TemporalConvNet(7, **TOY, seed=9), TrainConfig(**TOY), path)
@@ -589,6 +614,29 @@ class TestCheckpoint:
         path.write_text("[1, 2]")
         with pytest.raises(CheckpointError, match="not a JSON object"):
             load_checkpoint(path)
+
+    def test_save_and_load_memory_follow_file_size(self, tmp_path):
+        # a 15.1 MB checkpoint: the save streams the document, holding it and
+        # one layer's encoding (1.65x the file); the load holds the text and
+        # the parsed document (2.0x) and builds the net from the blobs, each
+        # dropped as it is decoded
+        net = TemporalConvNet(9, (256,) * 4, (64, 32), seed=0)
+        cfg = TrainConfig(conv_channels=(256,) * 4)
+        path = tmp_path / "ckpt.json"
+        peaks = []
+        tracemalloc.start()
+        try:
+            for call in (lambda: save_checkpoint(net, cfg, path), lambda: load_checkpoint(path)):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = call()
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+                del out
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 15e6
+        assert peaks[0] <= 1.8 * size and peaks[1] <= 2.15 * size
 
 
 class TestPredictionIO:

@@ -310,6 +310,17 @@ class TestLosoSplits:
                            match="^subjects must be a collection of ids, got the string 'ab'$"):
             loso_splits("ab")
 
+    @pytest.mark.parametrize("subjects, message", [
+        (5, "subjects must be a collection of ids, got 5"),
+        (None, "subjects must be a collection of ids, got None"),
+        (["a", 3], "subject ids must be strings, got 3"),
+        ([["a"], ["b"]], r"subject ids must be strings, got \['a'\]"),
+    ], ids=["int", "none", "int-id", "list-ids"])
+    def test_non_collection_or_non_string_ids_rejected(self, subjects, message):
+        # each raised TypeError: not iterable, not sortable or not hashable
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            loso_splits(subjects)
+
 
 class TestEvaluatePrediction:
     def test_true_forces_reproduce_clip(self):

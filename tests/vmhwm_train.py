@@ -1,14 +1,18 @@
-"""Peak resident memory (VmHWM) of one canonical training run.
+"""Peak resident memory (VmHWM) of one canonical training run or predict path.
 
-Runs grf_model.train with the train_canonical benchmark's configuration
-(hop and walk clips, 5 subjects x 2 clips per kind, 10 s each, seed 1; 3
-epochs of 64 windows of 240 frames through the 128x4-channel network) in a
-fresh child interpreter, and prints the VmHWM that the child reads from
-/proc/self/status after training. A fresh process keeps the figure free of
-the heap layout that earlier work in the same process leaves behind.
+Each run is a fresh child interpreter that prints the VmHWM it reads from
+/proc/self/status at the end. A fresh process keeps the figure free of the
+heap layout that earlier work in the same process leaves behind. Both paths
+use the benchmark's dataset (hop and walk clips, 5 subjects x 2 clips per
+kind, 10 s each, seed 1) and the canonical 128x4-channel network.
+
+--path train (the default) runs grf_model.train for 3 epochs of 64 windows
+of 240 frames. --path predict saves a freshly initialised network's
+checkpoint, writes the manifest and loads it back, loads the checkpoint and
+predicts every clip, as the predict_eval benchmark does.
 Linux only; pytest does not collect this file.
 
-    PYTHONPATH=src python tests/vmhwm_train.py [--runs N]
+    PYTHONPATH=src python tests/vmhwm_train.py [--path train|predict] [--runs N]
 """
 
 from __future__ import annotations
@@ -17,15 +21,36 @@ import argparse
 import subprocess
 import sys
 
-CHILD = """
+SETUP = """
 from pathlib import Path
-from physgrd import grf_model, synthetic
+from physgrd import grf_model, motion_data, synthetic
 
 ds = synthetic.make_dataset(["hop", "walk"], 5, 2, seed=1, base_params={"duration": 10.0})
-subjects = ds.subjects()
 cfg = grf_model.TrainConfig(epochs=3, batch_size=64, window_len=240,
                             conv_channels=(128, 128, 128, 128), fc_widths=(64, 32))
+"""
+
+PATHS = {
+    "train": """
+subjects = ds.subjects()
 grf_model.train(ds, cfg, (subjects[:-1], subjects[-1]))
+""",
+    "predict": """
+import tempfile
+
+with tempfile.TemporaryDirectory() as work:
+    net = grf_model.TemporalConvNet(ds.clips()[0].feature_width, cfg.conv_channels,
+                                    cfg.fc_widths, seed=1)
+    grf_model.save_checkpoint(net, cfg, Path(work) / "checkpoint.json")
+    del net
+    loaded = motion_data.load_manifest(motion_data.write_manifest(ds, Path(work) / "data"))
+    net, _ = grf_model.load_checkpoint(Path(work) / "checkpoint.json")
+    for entry in loaded:
+        net.forward(entry.clip.features)
+""",
+}
+
+REPORT = """
 for line in Path("/proc/self/status").read_text().splitlines():
     if line.startswith("VmHWM:"):
         print(int(line.split()[1]) * 1024 / 1e6)  # kB -> MB
@@ -34,10 +59,12 @@ for line in Path("/proc/self/status").read_text().splitlines():
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--path", choices=sorted(PATHS), default="train", help="what the child runs")
     ap.add_argument("--runs", type=int, default=1, help="child processes to run, one at a time")
     args = ap.parse_args()
+    child = SETUP + PATHS[args.path] + REPORT
     for _ in range(args.runs):
-        out = subprocess.run([sys.executable, "-c", CHILD], check=True,
+        out = subprocess.run([sys.executable, "-c", child], check=True,
                              capture_output=True, text=True).stdout
         print(f"VmHWM {float(out):.1f} MB")
     return 0
