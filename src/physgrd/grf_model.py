@@ -45,12 +45,14 @@ repeated calls do not allocate (and page-fault) its large arrays again.
 One padded buffer, "pad", takes each conv layer's input in turn: the
 features, then the ELU of the previous layer's pre-activation, and after
 the last conv GEMM the stack's output (fc0's input). A training step also
-uses "cols", one column-matrix span; three slots, "pre1".."pre3", with
-conv layers 1..3's pre-activations, which the backward overwrites with
-their ELU gradient and then with the gradient at the layer's output, all
-in the (C_out, B, T) memory order; and "grad", the hidden FC layers'
-pre-activations and then the padded output gradient of one column span's
-windows. Layer 0's pre-activation is dead once layer 1's input is built:
+uses "cols", one column-matrix span, which from the last conv GEMM to the
+backward's first weight-gradient span holds the hidden FC layers'
+pre-activations instead (and grows where they need more than a span);
+three slots, "pre1".."pre3", with conv layers 1..3's pre-activations,
+which the backward overwrites with their ELU gradient and then with the
+gradient at the layer's output, all in the (C_out, B, T) memory order;
+and "grad", the padded output gradient of one column span's windows.
+Layer 0's pre-activation is dead once layer 1's input is built:
 the forward writes it into "pre3" before layer 3 does, and the backward
 recomputes it there, with the same bits, once layer 3's gradient is used.
 So a step keeps only the conv output and three pre-activations, and the
@@ -91,8 +93,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import GravitySpec, PDGains, SimMode, physics_force_series, to_bodyweight
-from .errors import NON_NEGATIVE, POSITIVE, CheckpointError, ValidationError, check_int
-from .errors import check_range
+from .errors import NON_NEGATIVE, POSITIVE, CheckpointError, NoValidFramesError, ValidationError
+from .errors import check_int, check_range
 from .metrics import evaluate_prediction
 from .motion_data import Dataset, ForcePlateRecord, _check_cells, _check_finite, _check_subjects
 from .motion_data import _frame_times, _gravity, _instance, _numeric, _read_json, _read_table
@@ -400,10 +402,10 @@ class TemporalConvNet:
         h = elu(pre, out=self._buf("pad", pre.shape[2], B, T).transpose(1, 2, 0))
         if want_cache:
             cache["h"] = h
-            # "grad" is idle until the backward's padded output gradient: it
-            # keeps the hidden FC pre-activations, from which the backward
-            # recomputes their ELU
-            fc_pre = self._buf("grad", B * T * sum(self.fc_widths))
+            # "cols" is idle from the last conv GEMM to the backward's first
+            # weight-gradient span: it keeps the hidden FC pre-activations,
+            # from which the backward recomputes their ELU
+            fc_pre = self._buf("cols", B * T * sum(self.fc_widths))
         n_fc = len(self.fc)
         for i, (w, b) in enumerate(self.fc):
             if want_cache and i < n_fc - 1:
@@ -444,7 +446,7 @@ class TemporalConvNet:
                 # fc0's input, the conv output, is dead: its "pad" buffer
                 # takes the gradient
                 g = np.matmul(g, w, out=self._buf("pad", B, T, w.shape[1]))
-        del fc_pres  # "grad" is idle now
+        del fc_pres  # "cols" is idle now
 
         pres = cache["pre"]
         n_conv = len(pres)
@@ -660,6 +662,10 @@ def train(
     if not train_set:
         raise ValidationError("empty training set (no clips with plate data)")
     test_set = [e for e in dataset if e.clip.subject_id == test_subject]
+    for e in test_set:  # each epoch scores every held-out plate
+        if e.plate is not None and not e.plate.valid_mask.any():
+            raise NoValidFramesError(f"held-out clip '{e.clip.subject_id}/{e.clip.motion_label}' "
+                                     "has no valid plate frames to score against")
 
     widths = {e.clip.feature_width for e in list(train_set) + list(test_set)}
     if len(widths) != 1:
@@ -720,13 +726,16 @@ def train(
             train_loss, term1, term2 = (sums / max(n_seen, 1)).tolist()
 
             if test_set:
-                scores = np.array(
-                    [
-                        evaluate_prediction(e.clip, e.plate, net.forward(e.clip.features).forces, gravity)
-                        for e in test_set
-                    ]
-                )
-                vgrf_l, vgrf_r, test_vrpe = scores.mean(axis=0).tolist()
+                scores = []
+                for e in test_set:
+                    try:  # the clip's features are finite, so only a diverged net fails here
+                        pred = net.forward(e.clip.features)
+                    except ValidationError as err:
+                        raise ValidationError(
+                            f"non-finite held-out prediction at epoch {epoch}, clip "
+                            f"'{e.clip.subject_id}/{e.clip.motion_label}' ({err})") from err
+                    scores.append(evaluate_prediction(e.clip, e.plate, pred.forces, gravity))
+                vgrf_l, vgrf_r, test_vrpe = np.array(scores).mean(axis=0).tolist()
             else:
                 vgrf_l = vgrf_r = test_vrpe = float("nan")
             log.append(
