@@ -43,13 +43,6 @@ DEFAULT_GAIN_CELLS: tuple[tuple[float, float], ...] = (
     (70.0, 3.0), (70.0, 6.0), (70.0, 9.0), (70.0, 12.0), (70.0, 15.0),
 )
 
-# frames of simulated heights gathered contiguously before one transposed
-# copy into the range of frames vrpe_leaves asks for: (8, clips, cells)
-# floats, 69 KB at 20 x 54. A row of 8 floats is one 64-byte cache line; 32
-# frames ran about 4% faster on calib_grid but raised its peak RSS by 1.2 MB,
-# through heap placement.
-_GATHER = 8
-
 
 class AllCellsDivergedError(PhysgrdError):
     """Every grid cell diverged; no gains can be selected."""
@@ -105,31 +98,25 @@ def _bucket_scores(
 
     metrics.vrpe_leaves asks for the heights, (clips, cells, stop - start),
     of one range of frames at a time, left to right, and heights steps the
-    (3, clips, cells) state of _pd_steps through them: frame 0 is the start,
-    z_ref's first frame, and each later frame is one step. So nothing of size
-    clips x cells x T is allocated, and nothing per frame: |pos| goes into
-    one buffer, and each step's heights are copied contiguously into a block
-    of _GATHER frames, which is written into the range, time axis last, once
-    per block instead of one strided column per frame. Divergence is the
-    running max of |pos| reduced over the components at the end; a diverged
-    pair scores NaN.
+    (3, clips, cells) state of _pd_steps through them, writing each step's
+    heights into the range: frame 0 is the start, z_ref's first frame, and
+    each later frame is one step. So nothing of size clips x cells x T is
+    allocated, and nothing per frame but |pos|, into one buffer. Divergence
+    is the running max of |pos| reduced over the components at the end; a
+    diverged pair scores NaN.
     """
     z_ref = np.stack([c.root_positions[:, 2] for c in bucket])[:, None]  # (n, 1, T)
     peak = np.zeros((3, len(bucket), len(kp)))
     absolute = np.empty_like(peak)
-    block = np.empty((min(z_ref.shape[-1], _GATHER),) + peak.shape[1:])
     steps = _pd_steps(bucket, kp, kd, gravity, mode)
 
     def heights(start: int, stop: int) -> np.ndarray:
         out = np.empty(peak.shape[1:] + (stop - start,))
         if start == 0:
             out[..., 0] = z_ref[..., 0]
-        for lo in range(max(start, 1) - start, stop - start, len(block)):
-            hi = min(lo + len(block), stop - start)
-            for z, (_, pos) in zip(block[:hi - lo], steps):  # block first: no step is lost
-                z[...] = pos[2]
-                np.maximum(peak, np.abs(pos, out=absolute), out=peak)
-            out[..., lo:hi] = np.moveaxis(block[:hi - lo], 0, -1)
+        for i, (_, pos) in zip(range(start == 0, stop - start), steps):  # range first: no step is lost
+            out[..., i] = pos[2]
+            np.maximum(peak, np.abs(pos, out=absolute), out=peak)
         return out
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -656,6 +656,8 @@ def train(
     if isinstance(train_subjects, str):  # not its characters
         raise ValidationError(f"training subjects must be a collection of ids, got the string "
                               f"{train_subjects!r}")
+    if test_subject in train_subjects:  # its held-out metrics would score training clips
+        raise ValidationError(f"test subject {test_subject!r} is also a training subject")
     _check_subjects(dataset, [*train_subjects, test_subject])
     train_keep = set(train_subjects)
     train_set = [e for e in dataset if e.clip.subject_id in train_keep and e.plate is not None]

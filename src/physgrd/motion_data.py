@@ -648,8 +648,9 @@ def load_manifest(path: str | Path) -> Dataset:
 
     The manifest's own values are checked before the files they name are
     read, and their errors start with its path: mass_kg must be a JSON
-    number, subject ids must be unique, and the rules of MotionClip and
-    load_force_plate hold. Errors of a clip or plate file name that file.
+    number, subject ids must be unique, paths must not be empty, and the
+    rules of MotionClip and load_force_plate hold. Errors of a clip or
+    plate file name that file.
     """
     path = Path(path)
     doc = _read_json(path, "manifest")
@@ -691,11 +692,14 @@ def load_manifest(path: str | Path) -> Dataset:
                     f"{path}: 'motion_label', 'clip_path' and 'plate_path' of subject {sid!r} "
                     f"must be strings without NUL, got {names!r}"
                 )
+            if "" in (clip_path, plate_path):  # it would name the manifest's directory
+                raise ParseError(f"{path}: 'clip_path' and 'plate_path' of subject {sid!r} must "
+                                 "not be empty (null or no 'plate_path' means no plate)")
             _check_name(f"{path}: motion_label of subject {sid!r}", label)
             _check_unit(f"{path}: force_unit of subject {sid!r}", unit)
             clip_t, clip = _load_clip(root / clip_path, sid, label, mass, None)
             plate = None
-            if plate_path:
+            if plate_path is not None:
                 plate = _aligned(root / plate_path, "plate",
                                  *_load_plate(root / plate_path, unit, mass), clip_t)
             entries.append(DatasetEntry(clip=clip, plate=plate))
@@ -742,9 +746,16 @@ def write_manifest(dataset: Dataset, out_dir: str | Path) -> Path:
     """Write every clip/plate file plus manifest.json under out_dir.
 
     Returns the manifest path. File names are derived deterministically from
-    subject, motion label and position in the dataset.
+    subject, motion label and position in the dataset. A subject whose clips
+    differ in mass is a ValidationError, raised before anything is written.
     """
     _instance("dataset", dataset, Dataset)
+    masses: dict[str, float] = {}
+    for clip in dataset.clips():  # the manifest holds one mass per subject
+        mass = masses.setdefault(clip.subject_id, clip.mass)
+        if clip.mass != mass:
+            raise ValidationError(f"subject {clip.subject_id!r} has clips of {mass!r} and "
+                                  f"{clip.mass!r} kg, but a manifest holds one mass_kg")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     subjects: dict[str, dict] = {}

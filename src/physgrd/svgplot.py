@@ -7,6 +7,7 @@ rendered as gaps by splitting the polyline, never as zeros.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -21,6 +22,17 @@ PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 _WIDTH, _HEIGHT = 840, 420
 _ML, _MR, _MT, _MB = 64, 16, 34, 44  # margins: left right top bottom
 
+# what a label or title cannot hold: a CSV cell delimiter or quote, an XML
+# markup character, or a line break or other control character (tab aside)
+_UNWRITABLE = re.compile(r'[,"<>&\x00-\x08\x0a-\x1f\x85\u2028\u2029]')
+
+
+def _check_text(name: str, value) -> None:
+    """A label or title must be a string that the CSV and SVG files can hold as it is."""
+    if not isinstance(value, str) or _UNWRITABLE.search(value):
+        raise ValidationError(f"{name} must be a string without a comma, a double quote, <, >, "
+                              f"& or a line break or other control character, got {value!r}")
+
 
 @dataclass(frozen=True)
 class LineSeries:
@@ -33,6 +45,7 @@ class LineSeries:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
+        _check_text("series label", self.label)
         t = _readonly(self, "t", (None,), finite=True)
         v = _readonly(self, "values", (None,))
         if len(t) < 1:
@@ -89,6 +102,8 @@ def write_svg(
     series = _series(series)
     if not series:
         raise ValidationError("nothing to plot")
+    _check_text("title", title)
+    _check_text("y label", ylabel)
     all_t = np.concatenate([s.t for s in series])
     vis_vals = np.concatenate(
         [s.values[s.visible()] for s in series if s.visible().any()] or [np.array([0.0])]

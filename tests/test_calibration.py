@@ -236,9 +236,10 @@ class TestCalibrate:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("T", [1, 2, 31, 32, 33, 128, 129, 257])
     def test_gather_block_and_leaf_edges_match_reference(self, mode, T):
-        # _bucket_scores gathers heights in blocks of _GATHER frames from frame 1
-        # and from each later leaf start (128, 192 for T = 257); the spike clip
-        # makes its stiff cell diverge at frame T // 2 + 3, inside a block
+        # _bucket_scores writes heights from frame 1 and from each later leaf
+        # start (128, 192 for T = 257); the spike clip makes its stiff cell
+        # diverge at frame T // 2 + 3. (The name is older than the direct
+        # writes: heights were once gathered in blocks of 8 frames.)
         hop = gen_synthetic("hop", {"subject_id": "S1", "duration": 2.6}, seed=4)[0]
         walk = gen_synthetic("walk", {"subject_id": "S2", "duration": 2.6}, seed=5)[0]
         clips = [MotionClip(c.subject_id, c.motion_label, c.frame_rate, c.mass,
@@ -251,9 +252,7 @@ class TestCalibrate:
             clips.append(MotionClip("S3", "spike", hop.frame_rate, 70.0, pos, pos))
             with pytest.raises(SimulationDivergedError) as exc:
                 euler_reference.simulate(clips[-1], PDGains(*stiff), mode=mode)
-            first = 1 if spike < metrics.PAIRWISE_LEAF else metrics.PAIRWISE_LEAF
             assert exc.value.frame == spike
-            assert (spike - first) % calibration._GATHER not in (0, calibration._GATHER - 1)
         assert list(dynamics._buckets(clips)) == [list(range(len(clips)))]
         report = self.assert_matches_reference(clips, [(70.0, 3.0), stiff, (30.0, 9.0)], mode)
         assert report.diverged == ((stiff,) if spike < T else ())

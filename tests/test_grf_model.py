@@ -516,8 +516,10 @@ class TestTrain:
         (5, r"split must be a \(training subjects, test subject\) pair, got 5"),
         ((["S1"], "S2", "S2"), r"split must be a .* pair, got \(\['S1'\], 'S2', 'S2'\)"),
         ((["S1"], ["S2"]), r"split must be a .* pair, got \(\['S1'\], \['S2'\]\)"),
+        # trained on S2 and logged S2's metrics as held-out ones
+        ((["S1", "S2"], "S2"), "test subject 'S2' is also a training subject"),
     ], ids=["test-subject", "train-subject", "string-train-subjects", "not-a-pair",
-            "three-items", "listed-test-subject"])
+            "three-items", "listed-test-subject", "test-subject-trained-on"])
     def test_split_subject_outside_the_dataset_is_named(self, monkeypatch, split, message):
         # a held-out subject without clips once logged NaN test metrics without a word
         monkeypatch.setattr(grf_model, "physics_force_series", None)  # nothing is prepared

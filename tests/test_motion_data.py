@@ -31,7 +31,7 @@ from physgrd.motion_data import (
     write_force_plate,
     write_manifest,
 )
-from physgrd.svgplot import LineSeries
+from physgrd.svgplot import LineSeries, write_svg
 from physgrd.synthetic import gen_synthetic
 
 
@@ -366,6 +366,16 @@ class TestManifest:
             )
             assert loaded.clip.mass == pytest.approx(orig.clip.mass, rel=1e-12)
 
+    def test_subject_of_two_masses_rejected_before_writing(self, tmp_path):
+        # the manifest held the first clip's mass, and the walk reloaded at 70 kg
+        hop, _ = gen_synthetic("hop", {"subject_id": "S1", "mass": 70.0, "duration": 0.5}, seed=1)
+        walk, _ = gen_synthetic("walk", {"subject_id": "S1", "mass": 80.0, "duration": 0.5},
+                                seed=2)
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match=r"^subject 'S1' has clips of 70\.0 and 80\.0 kg"):
+            write_manifest(Dataset((DatasetEntry(hop, None), DatasetEntry(walk, None))), out)
+        assert not out.exists()
+
     def test_loads_manifest_and_single_clip(self, tmp_path):
         clip, plate = gen_synthetic("hop", {"duration": 0.5}, seed=1)
         manifest = write_manifest(Dataset((DatasetEntry(clip, plate),)), tmp_path)
@@ -399,10 +409,15 @@ class TestManifest:
         (lambda doc: doc["subjects"][0]["clips"][0].update(motion_label="a,b"), ValidationError),
         (lambda doc: doc["subjects"][0]["clips"][0].update(motion_label="x/y"), ValidationError),
         (lambda doc: doc["subjects"][0].update(mass_kg=float("inf")), UnitError),
+        # an empty plate path loaded the clip without its plate, an empty clip
+        # path raised IsADirectoryError on the manifest's directory
+        (lambda doc: doc["subjects"][0]["clips"][0].update(plate_path=""), ParseError),
+        (lambda doc: doc["subjects"][0]["clips"][0].update(clip_path=""), ParseError),
     ], ids=["no-mass", "no-id", "no-clips", "mass-not-number", "clips-not-list",
             "no-clip-path", "subject-not-object", "subjects-not-list", "id-number",
             "label-list", "clip-path-number", "plate-path-bool", "nul-in-path", "id-parent-dir",
-            "id-empty", "label-comma", "label-slash", "mass-inf"])
+            "id-empty", "label-comma", "label-slash", "mass-inf", "plate-path-empty",
+            "clip-path-empty"])
     def test_malformed_subject_rejected(self, tmp_path, mutate, error):
         clip, plate = gen_synthetic("hop", {"duration": 0.5}, seed=1)
         path = write_manifest(Dataset((DatasetEntry(clip, plate),)), tmp_path)
@@ -607,6 +622,22 @@ def test_rule_names_the_shape_it_wants(shape, value, message):
 def test_line_series_needs_a_point():
     with pytest.raises(ValidationError, match="series 'z' must have at least one point"):
         LineSeries("z", [], [])
+
+
+@pytest.mark.parametrize("label", [5, None, "a,b", 'say "z"', "<&>", "z\nz", "z\rz", "z\x00"])
+def test_line_series_label_must_fit_its_files(label):
+    # a comma gave CSV rows of 4 cells under 3 columns; <&> an SVG no XML parser reads
+    with pytest.raises(ValidationError, match="^series label must be a string without"):
+        LineSeries(label, [0.0], [1.0])
+
+
+@pytest.mark.parametrize("title, ylabel", [("a & b", "z [m]"), ("z", "<m>"), ("z", 5),
+                                           ("z\nz", "z [m]")])
+def test_svg_title_and_y_label_must_fit_the_file(tmp_path, title, ylabel):
+    path = tmp_path / "p.svg"
+    with pytest.raises(ValidationError, match="^(title|y label) must be a string without"):
+        write_svg([LineSeries("z", [0.0], [1.0])], path, title, ylabel)
+    assert not path.exists()
 
 
 def test_line_series_lengths_must_agree():
