@@ -2,8 +2,8 @@
 
 The controller gains are chosen to minimize the vertical root position
 error (vRPE) of the simulated trajectory against the source clips. The
-default search walks kp at kd=0 first, then kd at the best kp, mirroring
-how one would explore by hand. Diverging cells score infinity and drop out
+default search walks kp at kd=0 first, then kd at kp=70, ten fixed cells
+that mirror how one would explore by hand. Diverging cells score infinity and drop out
 of the argmin instead of aborting the sweep.
 """
 

@@ -1,8 +1,9 @@
 """Grid search over PD gains, scored by vertical root position error.
 
-The default search set walks the proportional axis first (kd = 0) and then
-the derivative axis at the best proportional gain, ten cells total. A dense
-rectangular grid is available through GainGrid for broader sweeps.
+The default search set, DEFAULT_GAIN_CELLS, walks the proportional axis
+first (kd = 0) and then the derivative axis at kp = 70, ten fixed cells: the
+kd sweep's kp is not the best of the kp sweep. A dense rectangular grid is
+available through GainGrid for broader sweeps.
 
 Scores aggregate as: mean over a subject's clips, then mean +- std across
 subjects. Cells whose simulation diverges on any clip score +inf and are
@@ -26,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_args
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .errors import NON_NEGATIVE, PhysgrdError, UnitError, ValidationError, chec
 from .motion_data import MotionClip, _gravity, _instance, _json_number, _numeric, _read_json
 from .motion_data import _write_json, _write_table
 
-# kp swept at kd=0, then kd swept at the best kp
+# kp swept at kd = 0, then kd swept at kp = 70
 DEFAULT_GAIN_CELLS: tuple[tuple[float, float], ...] = (
     (10.0, 0.0), (30.0, 0.0), (50.0, 0.0), (70.0, 0.0), (90.0, 0.0),
     (70.0, 3.0), (70.0, 6.0), (70.0, 9.0), (70.0, 12.0), (70.0, 15.0),
@@ -225,12 +226,24 @@ def write_best_gains(report: CalibrationReport, path: str | Path) -> None:
     _write_json(path, doc)
 
 
-def load_gains(path: str | Path) -> PDGains:
-    """Read kp and kd, JSON numbers, from a best_gains.json-style object."""
+def load_gains(path: str | Path, mode: SimMode) -> PDGains:
+    """Read kp and kd, JSON numbers, from a best_gains.json-style object, for
+    a run in mode. A file that records a "mode", as write_best_gains does,
+    must record this one: gains calibrated in one mode are not the gains of
+    the other. A file with no "mode" is not checked for it.
+    """
     doc = _read_json(Path(path), "gains")
     try:
-        return PDGains(_json_number(doc["kp"]), _json_number(doc["kd"]))
+        gains = PDGains(_json_number(doc["kp"]), _json_number(doc["kd"]))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValidationError(f"{path}: gains need numeric 'kp' and 'kd' ({exc!r})") from None
     except UnitError as exc:
         raise UnitError(f"{path}: {exc}") from None
+    recorded = doc.get("mode", mode)  # doc is an object: it has kp and kd
+    if recorded not in get_args(SimMode):
+        raise ValidationError(f"{path}: gains 'mode' must be one of {get_args(SimMode)}, "
+                              f"got {recorded!r}")
+    if recorded != mode:
+        raise ValidationError(f"{path}: gains were calibrated in {recorded} mode; "
+                              f"this run is in {mode} mode")
+    return gains

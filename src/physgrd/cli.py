@@ -82,9 +82,9 @@ def _out_dir(args) -> Path:
 
 
 def _gains_from(args) -> PDGains:
-    """--gains file if given, else --kp/--kd (the shared gains options)."""
+    """--gains file if given, calibrated in --mode, else --kp/--kd (the shared gains options)."""
     if args.gains:
-        return calibration.load_gains(args.gains)
+        return calibration.load_gains(args.gains, args.mode)
     return PDGains(kp=args.kp, kd=args.kd)
 
 

@@ -117,17 +117,17 @@ def pd_force(
     _instance("gains", gains, PDGains)
     target_next, current_pos, current_vel = (_numeric(name, a, None) for name, a in (
         ("target_next", target_next), ("current_pos", current_pos), ("current_vel", current_vel)))
-    _broadcast("pd_force", "target, position and velocity",
-               target_next.shape, current_pos.shape, current_vel.shape)
+    shape = _broadcast("pd_force", "target, position and velocity",
+                       target_next.shape, current_pos.shape, current_vel.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite in, non-finite out
-        return _pd_law(gains.kp, gains.kd, target_next, current_pos, current_vel)
+        return _pd_law(gains.kp, gains.kd, target_next, current_pos, current_vel,
+                       np.empty(shape), np.empty(shape))
 
 
-def _pd_law(kp, kd, target, pos, vel, out=None, scratch=None):
-    """The PD law, for gains and states of any broadcastable shapes.
-
-    With out and scratch, both of the result's shape, the force is written
-    into out and nothing is allocated.
+def _pd_law(kp, kd, target, pos, vel, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The PD law, for gains and states of any broadcastable shapes, written
+    into out through scratch, both of the result's shape; returns out.
+    Nothing is allocated.
     """
     f = np.multiply(kp, np.subtract(target, pos, out=out), out=out)
     return np.subtract(f, np.multiply(kd, vel, out=scratch), out=out)

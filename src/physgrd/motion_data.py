@@ -57,10 +57,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -117,6 +119,30 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+@contextmanager
+def _replacing(path: str | Path) -> Iterator[TextIO]:
+    """A text file to write that replaces path when the block ends.
+
+    Every artifact is written through here. The text goes to a new temporary
+    file in path's directory, which os.replace then moves onto path, so path
+    holds its old bytes or all of the new ones, never part of them. On any
+    exception, an interrupt too, the temporary file is removed and the
+    exception goes on. There is no fsync: this guards against a failed
+    write, not against a power loss. The path ends up with a new file's
+    permissions, not the old file's.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fp = open(tmp, "x")  # outside the try: a file this did not make is not removed
+    try:
+        with fp:
+            yield fp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_rows(path: str | Path, header: Sequence[str], data: np.ndarray) -> None:
     """Write ``header`` and one comma-separated line per row of ``data``.
 
@@ -127,13 +153,15 @@ def _write_rows(path: str | Path, header: Sequence[str], data: np.ndarray) -> No
     """
     body = "".join([",".join(map(repr, row.tolist())) + "\n" for row in data])
     # float repr spells NaN "nan"; no other float or int repr holds those letters
-    Path(path).write_text(",".join(header) + "\n" + body.replace("nan", "NaN"))
+    with _replacing(path) as fp:
+        fp.write(",".join(header) + "\n" + body.replace("nan", "NaN"))
 
 
 def _write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write ``header`` and ``rows`` as CSV: floats as ``_fmt`` does, other cells with ``str``."""
     lines = [header] + [[_fmt(c) if isinstance(c, float) else str(c) for c in row] for row in rows]
-    Path(path).write_text("".join(",".join(line) + "\n" for line in lines))
+    with _replacing(path) as fp:
+        fp.write("".join(",".join(line) + "\n" for line in lines))
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -150,10 +178,9 @@ def _write_json(path: str | Path, doc) -> None:
 
     The text is streamed into the file as the encoder makes it, so no copy
     of the whole document is built; the bytes are those of
-    json.dumps(doc, indent=2, sort_keys=True) + "\\n". A document that fails
-    to encode leaves a partial file, so callers check their arguments first.
+    json.dumps(doc, indent=2, sort_keys=True) + "\\n".
     """
-    with Path(path).open("w") as fp:
+    with _replacing(path) as fp:
         json.dump(doc, fp, indent=2, sort_keys=True)
         fp.write("\n")
 

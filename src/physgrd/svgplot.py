@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import LengthMismatchError, ValidationError
-from .motion_data import _instance, _readonly, _write_table
+from .motion_data import _instance, _readonly, _replacing, _write_table
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
@@ -184,7 +184,8 @@ def write_svg(
             f'<text x="{_ML + 40}" y="{ly}" font-family="sans-serif" font-size="12">{s.label}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    with _replacing(path) as fp:
+        fp.write("\n".join(parts) + "\n")
 
 
 def _polyline(points: list[str], color: str) -> str:

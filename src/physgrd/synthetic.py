@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import _frame_forces, _integrate, _pd_law, euler_step
+from .dynamics import _euler, _frame_forces, _integrate, _pd_law
 from .errors import FINITE, NON_NEGATIVE, POSITIVE, UnitError, ValidationError, check_int
 from .errors import check_range
 from .motion_data import (
@@ -273,19 +273,23 @@ def _gen_spring_tracked(p: dict, rng: np.random.Generator):
     if jit:
         base += 0.2 * jit * (rng.random() - 0.5)
 
-    gravity = GravitySpec()
-    denom = 1.0 - kp * dt * dt
+    g = GravitySpec().g_accel
+    decay, drop, denom = 1.0 - kd * dt, g * dt * dt, 1.0 - kp * dt * dt
     positions = np.zeros((T, 3))
     forces = np.zeros((T - 1, 3))
     positions[0, 2] = base
-    x = positions[0].copy()
-    v = np.zeros(3)
-    for t in range(T - 1):
-        # target that makes the closed-loop tracking step land exactly on it
-        target = x + (v * dt * (1.0 - kd * dt) - gravity.g_accel * dt * dt) / denom
-        f = _pd_law(kp, kd, target, x, v)
-        x, v = euler_step(x, v, f, gravity, dt)
-        forces[t] = f
+    x, v = positions[0].copy(), np.zeros(3)
+    target, scratch = np.empty(3), np.empty(3)
+    for t in range(T - 1):  # in place on (3,) arrays, as dynamics._pd_steps steps its state
+        # the target that makes the closed-loop tracking step land exactly on it:
+        # x + (v * dt * decay - drop) / denom
+        np.multiply(v, dt, out=target)
+        target *= decay
+        target -= drop
+        target /= denom
+        target += x
+        _pd_law(kp, kd, target, x, v, forces[t], scratch)
+        _euler(x, v, forces[t], g, dt, scratch)
         positions[t + 1] = x
     return positions, _frame_forces(forces), 0.5
 

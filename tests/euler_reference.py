@@ -1,16 +1,19 @@
 """Per-step reference loops for the semi-implicit Euler integrators.
 
 Each loop advances one frame at a time with scalar gains, the semantics the
-batched and running-sum integrators in physgrd must match bit for bit.
+batched, running-sum and in-place integrators in physgrd must match bit for
+bit.
 """
 
 import math
 
 import numpy as np
 
-from physgrd.dynamics import DIVERGENCE_LIMIT, GravitySpec, PDGains, SimResult
+from physgrd.dynamics import DIVERGENCE_LIMIT, GravitySpec, PDGains, SimResult, euler_step
+from physgrd.dynamics import pd_force
 from physgrd.errors import SimulationDivergedError
 from physgrd.motion_data import finite_diff_velocity
+from physgrd.synthetic import _frames
 
 
 def _run(clip, force_at, gravity):
@@ -76,3 +79,26 @@ def calibrate_scores(clips, cells, gravity=None, mode="closed_loop"):
             per_subject[s][cell] = means[s]
     best = min((score, kp, kd) for (kp, kd), (score, _) in per_cell.items())
     return per_cell, per_subject, (best[1], best[2])
+
+
+def spring_tracked(p, rng):
+    """synthetic's spring_tracked builder, (positions, forces, left share),
+    with each frame stepped through the checked public pd_force and euler_step."""
+    kp, kd, dt = float(p["kp"]), float(p["kd"]), 1.0 / float(p["frame_rate"])
+    T = _frames(p)
+    base = 1.0
+    if float(p["jitter"]):
+        base += 0.2 * float(p["jitter"]) * (rng.random() - 0.5)
+    gravity = GravitySpec()
+    denom = 1.0 - kp * dt * dt
+    positions = np.zeros((T, 3))
+    forces = np.zeros((T - 1, 3))
+    positions[0, 2] = base
+    x, v = positions[0].copy(), np.zeros(3)
+    for t in range(T - 1):
+        target = x + (v * dt * (1.0 - kd * dt) - gravity.g_accel * dt * dt) / denom
+        f = pd_force(target, x, v, PDGains(kp, kd))
+        x, v = euler_step(x, v, f, gravity, dt)
+        forces[t], positions[t + 1] = f, x
+    # one row per frame: the last repeats the last step's force, or is zero with no step
+    return positions, np.vstack([forces, forces[-1:]]) if T > 1 else np.zeros((1, 3)), 0.5

@@ -154,7 +154,8 @@ def test_deeply_nested_json_exits_cleanly(valid_files, target, tmp_path):
         "checkpoint": ["predict", "--manifest", manifest, "--checkpoint", str(deep)],
     }[target]
     _assert_exits_cleanly(argv + ["--out-dir", str(tmp_path / "out")])
-    load = {"gains": load_gains, "manifest": load_manifest, "checkpoint": load_checkpoint}
+    load = {"gains": lambda path: load_gains(path, "closed_loop"), "manifest": load_manifest,
+            "checkpoint": load_checkpoint}
     with pytest.raises(PhysgrdError, match=f"^{re.escape(str(deep))}: {target} is not valid JSON"):
         load[target](deep)
 

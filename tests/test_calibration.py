@@ -389,7 +389,7 @@ class TestReportIO:
         report = calibrate(clips, [(50.0, 6.0)])
         path = tmp_path / "gains.json"
         write_best_gains(report, path)
-        gains = load_gains(path)
+        gains = load_gains(path, "closed_loop")
         assert (gains.kp, gains.kd) == (50.0, 6.0)
 
     @pytest.mark.parametrize("text", [
@@ -400,4 +400,27 @@ class TestReportIO:
         path = tmp_path / "gains.json"
         path.write_text(text)
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: gains need numeric"):
-            load_gains(path)
+            load_gains(path, "closed_loop")
+
+    @pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])
+    def test_gains_without_a_mode_load_in_either_mode(self, tmp_path, mode):
+        path = tmp_path / "gains.json"
+        path.write_text('{"kp": 70, "kd": 3}')
+        assert load_gains(path, mode) == PDGains(70.0, 3.0)
+
+    def test_gains_of_another_mode_are_rejected(self, tmp_path):
+        report = calibrate(spring_clips(n=1), [(50.0, 6.0)], mode="open_loop")
+        path = tmp_path / "gains.json"
+        write_best_gains(report, path)
+        assert load_gains(path, "open_loop") == PDGains(50.0, 6.0)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: gains were calibrated "
+                           "in open_loop mode; this run is in closed_loop mode$"):
+            load_gains(path, "closed_loop")
+
+    @pytest.mark.parametrize("mode", ['"closed"', "null", "1", '["closed_loop"]', '{"a": 1}'],
+                             ids=["unknown", "null", "number", "list", "object"])
+    def test_gains_mode_must_be_a_mode(self, tmp_path, mode):
+        path = tmp_path / "gains.json"
+        path.write_text(f'{{"kp": 70, "kd": 3, "mode": {mode}}}')
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: gains 'mode' must be"):
+            load_gains(path, "closed_loop")

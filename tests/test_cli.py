@@ -793,6 +793,35 @@ class TestPlot:
         assert not (tmp_path / "plots").exists()
 
 
+class TestGainsFileMode:
+    @pytest.fixture
+    def open_loop_gains(self, tmp_path):
+        manifest = gen_small(tmp_path / "data", subjects=2, duration=0.6)
+        assert run("calibrate", "--manifest", manifest, "--mode", "open_loop",
+                   "--out-dir", tmp_path / "calib") == 0
+        return manifest, tmp_path / "calib" / "best_gains.json"
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "plot"])
+    def test_gains_of_another_mode_are_rejected(self, tmp_path, capsys, open_loop_gains, command):
+        manifest, gains = open_loop_gains
+        inputs = {
+            "simulate": ["--manifest", manifest],
+            "train": ["--manifest", manifest, "--epochs", "1", "--batch-size", "4",
+                      "--window-len", "20", "--conv-channels", "2,2,2,2", "--fc-widths", "2,2"],
+            "plot": ["--clip", tmp_path / "data" / "S1_hop_000_clip.csv"],
+        }[command]
+        capsys.readouterr()
+        assert run(command, *inputs, "--gains", gains, "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"physgrd: error: ValidationError: {gains}: gains were calibrated in open_loop "
+            "mode; this run is in closed_loop mode"
+        ]
+        assert not (tmp_path / "out").exists()
+        if command == "simulate":  # the file's own mode runs
+            assert run(command, *inputs, "--gains", gains, "--mode", "open_loop",
+                       "--out-dir", tmp_path / "out") == 0
+
+
 class TestIdempotence:
     def test_simulate_twice_byte_identical(self, tmp_path):
         manifest = gen_small(tmp_path / "data")

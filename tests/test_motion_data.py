@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from physgrd.errors import (
     UnitError,
     ValidationError,
 )
+from physgrd.cli import main
 from physgrd.dynamics import SimResult
 from physgrd.grf_model import Prediction, load_prediction_csv
 from physgrd.motion_data import (
@@ -23,6 +28,9 @@ from physgrd.motion_data import (
     GravitySpec,
     MotionClip,
     _numeric,
+    _write_json,
+    _write_rows,
+    _write_table,
     finite_diff_velocity,
     load_clip_csv,
     load_force_plate,
@@ -661,3 +669,85 @@ class TestFiniteDiffVelocity:
     def test_single_frame(self):
         clip = make_clip([[0, 0, 1.0]])
         np.testing.assert_array_equal(finite_diff_velocity(clip), np.zeros((1, 3)))
+
+
+# runs its second argument as code in a process whose files may not grow past
+# its first argument in bytes; a write beyond it fails with EFBIG
+_UNDER_FILE_SIZE_LIMIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]),) * 2)
+exec(sys.argv[2])
+"""
+
+
+def _run_under_file_size_limit(limit: int, code: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", _UNDER_FILE_SIZE_LIMIT, str(limit), code],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+class TestReplacingWrites:
+    """Each artifact replaces its path whole: a write that fails leaves the
+    file it was to replace as it was, and no temporary file."""
+
+    @pytest.mark.parametrize("write", [
+        lambda path: _write_rows(path, ("a", "b"), np.ones((2, 2))),
+        lambda path: _write_table(path, ("a", "b"), [["x", 1.0]]),
+        lambda path: _write_json(path, {"a": 1.0}),
+        lambda path: write_svg([LineSeries("z", [0.0], [1.0])], path, "title", "z [m]"),
+    ], ids=["rows", "table", "json", "svg"])
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"old\n")
+
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            write(path)
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["artifact"]
+        monkeypatch.undo()
+        write(path)
+        assert path.read_bytes() != b"old\n" and os.listdir(tmp_path) == ["artifact"]
+
+    def test_document_that_fails_to_encode_keeps_the_old_file(self, tmp_path):
+        # the encoder has streamed '{\n  "a": 1.0,\n  "b": ' into the file when it fails
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"old\n")
+        with pytest.raises(TypeError):
+            _write_json(path, {"a": 1.0, "b": object()})
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+    def test_checkpoint_saved_past_the_file_size_limit_keeps_the_old_one(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        save = ("from physgrd.grf_model import TemporalConvNet, TrainConfig, save_checkpoint\n"
+                "save_checkpoint(TemporalConvNet(9, (16, 16, 16, 16), (8, 8), seed={seed}), "
+                f"TrainConfig(), {str(path)!r})")
+        exec(save.format(seed=0))
+        good = path.read_bytes()
+        child = _run_under_file_size_limit(len(good) // 2, save.format(seed=1))
+        assert child.returncode == 1
+        assert child.stderr.splitlines()[-1] == "OSError: [Errno 27] File too large"
+        assert path.read_bytes() == good
+        assert os.listdir(tmp_path) == ["checkpoint.json"]
+
+    def test_calibrate_past_the_file_size_limit_keeps_the_old_files(self, tmp_path):
+        argv = ["gen", "--kind", "hop", "--subjects", "2", "--duration", "0.5",
+                "--out-dir", str(tmp_path / "data")]
+        assert main(argv) == 0
+        calibrate = ["calibrate", "--manifest", str(tmp_path / "data" / "manifest.json"),
+                     "--out-dir", str(tmp_path / "calib")]
+        assert main(calibrate + ["--mode", "open_loop"]) == 0
+        old = {p.name: p.read_bytes() for p in (tmp_path / "calib").iterdir()}
+        assert sorted(old) == ["best_gains.json", "calibration_report.csv"]
+        assert len(old["calibration_report.csv"]) > 200
+        child = _run_under_file_size_limit(
+            200, f"from physgrd.cli import main\nsys.exit(main({calibrate!r}))")
+        assert child.returncode == 1
+        assert child.stderr.splitlines() == ["physgrd: error: OSError: [Errno 27] File too large"]
+        assert {p.name: p.read_bytes() for p in (tmp_path / "calib").iterdir()} == old

@@ -1,3 +1,4 @@
+import euler_reference
 import numpy as np
 import pytest
 
@@ -130,6 +131,29 @@ class TestSpringTracked:
     def test_too_stiff_for_dt_rejected(self):
         with pytest.raises(ValidationError):
             gen_synthetic("spring_tracked", {"kp": 20000.0}, seed=0)
+
+    @pytest.mark.parametrize("params", [
+        {}, {"jitter": 0.3, "plate_noise": 0.01}, {"frame_rate": 240.0}, {"kd": 0.0},
+        {"duration": 0.01},
+    ], ids=["defaults", "make-dataset-jitter", "240-hz", "kd-0", "one-frame"])
+    def test_in_place_steps_match_reference_loop(self, monkeypatch, params):
+        # the builder steps _pd_law and _euler in place; the reference steps
+        # each frame through the checked public pd_force and euler_step
+        p = synthetic._merge_params("spring_tracked", params)
+        got = synthetic._gen_spring_tracked(p, np.random.default_rng(7))
+        want = euler_reference.spring_tracked(p, np.random.default_rng(7))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        clip, plate = gen_synthetic("spring_tracked", params, seed=7)
+        monkeypatch.setattr(synthetic, "_gen_spring_tracked", euler_reference.spring_tracked)
+        ref_clip, ref_plate = gen_synthetic("spring_tracked", params, seed=7)
+        assert len(clip) == len(ref_clip) == round(p["duration"] * p["frame_rate"])
+        for a, b in [(clip.root_positions, ref_clip.root_positions),
+                     (clip.features, ref_clip.features),
+                     (plate.per_foot_force, ref_plate.per_foot_force),
+                     (plate.per_foot_cop, ref_plate.per_foot_cop),
+                     (plate.contact_flags, ref_plate.contact_flags)]:
+            np.testing.assert_array_equal(a, b)
 
 
 class TestFeatures:
