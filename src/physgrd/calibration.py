@@ -61,7 +61,8 @@ class GainGrid:
             vals = tuple(vals)
             if not vals:
                 raise ValidationError(f"{name} must be non-empty")
-            check_range(name, vals, NON_NEGATIVE)
+            for val in vals:
+                check_range(name, val, NON_NEGATIVE)
             vals = tuple(map(float, vals))
             object.__setattr__(self, name, vals)
             if len(set(vals)) != len(vals):
@@ -156,15 +157,18 @@ def calibrate(
     elif isinstance(grid, GainGrid):
         cells = grid.cells()
     else:
-        cells = [_cell(cell) for cell in grid]
+        cells = [_cell(cell) for cell in _instance("grid", grid, Iterable)]
         if not cells:
             raise ValidationError("cell list must be non-empty")
         if len(set(cells)) != len(cells):  # each would be scored and reported twice
             repeated = next(cell for i, cell in enumerate(cells) if cell in cells[:i])
             raise ValidationError(f"cell list contains duplicates, such as {repeated!r}")
 
-    for kp, kd in cells:
-        PDGains(kp, kd)  # reject an invalid cell before anything is simulated
+    for cell in cells:  # reject an invalid cell, by name, before anything is simulated
+        try:
+            PDGains(*cell)
+        except UnitError as exc:
+            raise UnitError(f"gain cell {cell!r}: {exc}") from None
     kp, kd = np.array(cells, dtype=float).T
     scores = np.empty((len(cells), len(clips)))
     diverged = np.zeros((len(cells), len(clips)), dtype=bool)

@@ -49,26 +49,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _vec3(text: str) -> tuple[float, float, float]:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected three comma-separated numbers, got {text!r}")
-    return tuple(parts)
-
-
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
-
-
-def _cell(text: str) -> tuple[float, float]:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected kp,kd, got {text!r}")
-    return parts[0], parts[1]
 
 
 def _gravity(args) -> GravitySpec:
@@ -328,7 +314,7 @@ def build_parser() -> _Parser:
     p.add_argument("--clips", type=int, default=1, help="clips per subject per kind")
     for name, spec in synthetic.PARAMS.items():  # one flag per generator parameter
         if spec.help is not None:
-            kind = _vec3 if isinstance(spec.default, tuple) else type(spec.default)
+            kind = _float_list if isinstance(spec.default, tuple) else type(spec.default)
             p.add_argument("--" + name.replace("_", "-"), type=kind, default=None, help=spec.help)
     p.set_defaults(func=cmd_gen)
 
@@ -340,7 +326,7 @@ def build_parser() -> _Parser:
                    help="dense grid kp values, comma separated")
     p.add_argument("--kd-values", type=_float_list, default=None,
                    help="dense grid kd values, comma separated")
-    p.add_argument("--extra-cell", type=_cell, action="append",
+    p.add_argument("--extra-cell", type=_float_list, action="append",
                    help="append a kp,kd cell to the search set")
     p.set_defaults(func=cmd_calibrate)
 

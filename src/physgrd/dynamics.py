@@ -64,7 +64,8 @@ class PDGains:
     kd: float
 
     def __post_init__(self):
-        check_range("gains", (self.kp, self.kd), NON_NEGATIVE, UnitError)
+        check_range("kp", self.kp, NON_NEGATIVE, UnitError)
+        check_range("kd", self.kd, NON_NEGATIVE, UnitError)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Everything raised on purpose derives from PhysgrdError so callers (and the
 CLI) can distinguish our failures from genuine bugs. Every numeric input is
-checked where it enters by check_range ("lo <= x < hi" on real numbers, so
-NaN, None and strings fail) or check_int; the error names the input first.
+checked where it enters by check_range ("lo <= x < hi" on one real number,
+so NaN, None, strings, booleans and sequences fail) or check_int; the error
+names the input first.
 """
 
 import math
@@ -58,19 +59,12 @@ _REAL = (float, int, numbers.Real)  # float and int first: the ABC check alone i
 
 
 def check_range(name: str, value, bounds: tuple, error: type = ValidationError) -> None:
-    """Raise error unless value, or every item of a sequence value, is a real
-    number x with lo <= x < hi for bounds (lo, hi, wording). A scalar is
-    checked without numpy, so a check made at every step stays cheap."""
+    """Raise error unless value is one real number x, not a bool, with lo <= x
+    < hi for bounds (lo, hi, wording). A sequence or an array is not a number:
+    a caller checks its items one at a time. The check uses no numpy, so a
+    check made at every step stays cheap."""
     lo, hi, wording = bounds
-    if isinstance(value, _REAL):
-        ok = lo <= value < hi
-    else:
-        try:
-            ok = not isinstance(value, str) and all(
-                isinstance(x, _REAL) and lo <= x < hi for x in value)
-        except TypeError:  # not iterable
-            ok = False
-    if not ok:
+    if isinstance(value, bool) or not (isinstance(value, _REAL) and lo <= value < hi):
         raise error(f"{name} must be {wording}, got {value!r}")
 
 

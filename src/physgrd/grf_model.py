@@ -84,7 +84,7 @@ from __future__ import annotations
 
 import base64
 import math
-from collections.abc import Collection, Iterable
+from collections.abc import Iterable
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
@@ -98,7 +98,7 @@ from .errors import check_int, check_range
 from .metrics import evaluate_prediction
 from .motion_data import Dataset, ForcePlateRecord, _check_cells, _check_finite, _check_subjects
 from .motion_data import _frame_times, _gravity, _instance, _numeric, _read_json, _read_table
-from .motion_data import _readonly
+from .motion_data import _ids, _readonly
 from .motion_data import _write_json, _write_rows, _write_table
 
 KERNEL = 7
@@ -168,12 +168,15 @@ def elu(x: np.ndarray | float, out: np.ndarray | None = None):
     """ELU with alpha = 1: x for x > 0, exp(x) - 1 otherwise.
 
     Computed as max(x, expm1(min(x, 0))), which is exact because
-    expm1(x) >= x. With out (which must not overlap x) the result is
-    written there.
+    expm1(x) >= x. With out, a float64 array of x's shape that must not
+    overlap x, the result is written there.
     """
     arr = _numeric("x", x, None)
     if out is None:
         out = np.empty_like(arr)
+    elif not (isinstance(out, np.ndarray) and out.dtype == float and out.shape == arr.shape):
+        raise ValidationError(f"out must be a float64 array of x's shape {arr.shape}, got "
+                              f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}")
     np.expm1(np.minimum(arr, 0.0, out=out), out=out)
     np.maximum(arr, out, out=out)
     return float(out) if out.ndim == 0 else out
@@ -184,6 +187,20 @@ def _elu_grad(pre: np.ndarray) -> np.ndarray:
     in place: pre is overwritten and returned."""
     np.minimum(pre, 0.0, out=pre)
     return np.exp(pre, out=pre)
+
+
+def _widths(conv_channels, fc_widths) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The four conv and two hidden FC layer widths as tuples of ints, each
+    an integer from 1 to MAX_WIDTH; a ValidationError otherwise."""
+    try:
+        ok = len(conv_channels) == 4 and len(fc_widths) == 2
+    except TypeError:  # not a collection
+        ok = False
+    if not ok:
+        raise ValidationError("architecture is fixed at four conv and three FC layers, got "
+                              f"conv_channels {conv_channels!r} and fc_widths {fc_widths!r}")
+    return (tuple(check_int("conv_channels", c, 1, MAX_WIDTH) for c in conv_channels),
+            tuple(check_int("fc_widths", w, 1, MAX_WIDTH) for w in fc_widths))
 
 
 @dataclass(frozen=True)
@@ -205,14 +222,12 @@ class TrainConfig:
         # integers are stored as ints, so that asdict(self) is JSON for numpy ints too
         for name, lo in (("epochs", 1), ("batch_size", 1), ("window_len", 1), ("seed", 0)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
-        for name in ("conv_channels", "fc_widths"):
-            widths = tuple(check_int(name, w, 1, MAX_WIDTH) for w in getattr(self, name))
-            object.__setattr__(self, name, widths)
+        conv_channels, fc_widths = _widths(self.conv_channels, self.fc_widths)
+        object.__setattr__(self, "conv_channels", conv_channels)
+        object.__setattr__(self, "fc_widths", fc_widths)
         check_range("learning_rate", self.learning_rate, POSITIVE)
         check_range("lambda1", self.lambda1, NON_NEGATIVE)
         check_range("lambda2", self.lambda2, NON_NEGATIVE)
-        if len(self.conv_channels) != 4 or len(self.fc_widths) != 2:
-            raise ValidationError("architecture is fixed at four conv and three FC layers")
 
 
 @dataclass(frozen=True)
@@ -261,12 +276,8 @@ class TemporalConvNet:
         """Check the widths and make each layer's [W, b] with layer(W's
         shape), in order: the conv weights (out, in, KERNEL), then the FC
         weights (out, in). __init__ draws them; load_checkpoint decodes them."""
-        if len(conv_channels) != 4 or len(fc_widths) != 2:
-            raise ValidationError("architecture is fixed at four conv and three FC layers")
+        self.conv_channels, self.fc_widths = _widths(conv_channels, fc_widths)
         self.input_width = check_int("input_width", input_width, 1, MAX_WIDTH)
-        self.conv_channels = tuple(check_int("conv_channels", c, 1, MAX_WIDTH)
-                                   for c in conv_channels)
-        self.fc_widths = tuple(check_int("fc_widths", w, 1, MAX_WIDTH) for w in fc_widths)
 
         self.conv: list[list[np.ndarray]] = []
         in_ch = self.input_width
@@ -514,12 +525,11 @@ class TemporalConvNet:
         plate_force = _numeric("plate_force", plate_force, (B, T, 2, 3), finite=True, nan_ok=True)
         valid = _numeric("valid", valid, (B, T), bool)
         phys_bw = _numeric("phys_bw", phys_bw, (B, T, 3), finite=True)
-        check_range("lambda1 and lambda2", (lambda1, lambda2), NON_NEGATIVE)
+        check_range("lambda1", lambda1, NON_NEGATIVE)
+        check_range("lambda2", lambda2, NON_NEGATIVE)
         out, cache = self._forward(features, want_cache=True)
         pred = out.reshape(B, T, 2, 3)
-        term1, term2, dpred = _loss_terms(
-            pred, plate_force, valid, phys_bw, lambda1, lambda2, want_grad=True
-        )
+        term1, term2, dpred = _loss_terms(pred, plate_force, valid, phys_bw, lambda1, lambda2)
         grads = self._backward(dpred.reshape(B, T, OUT_WIDTH), cache)
         return float(term1 + term2), float(term1), float(term2), grads
 
@@ -531,9 +541,9 @@ def _loss_terms(
     phys_bw: np.ndarray,
     lambda1: float,
     lambda2: float,
-    want_grad: bool = False,
 ):
-    """Both composite-loss terms, averaged over the leading batch axis.
+    """Both composite-loss terms, averaged over the leading batch axis, and
+    the gradient of their sum with respect to pred.
 
     Invalid frames are dropped from the plate term by boolean masking (their
     stored values are never touched, so NaN placeholders cannot leak) and
@@ -553,8 +563,6 @@ def _loss_terms(
     diff2 = pred.sum(axis=2) - phys_bw
     term2 = float(((diff2**2).sum(axis=(1, 2)) * (lambda2 / T)).mean())
 
-    if not want_grad:
-        return term1, term2, None
     dpred = diff1 * (2.0 * w1 / B)[:, None, None, None]
     dpred = dpred + (diff2 * (2.0 * lambda2 / (T * B)))[:, :, None, :]
     return term1, term2, dpred
@@ -648,14 +656,10 @@ def train(
     _instance("dataset", dataset, Dataset)
     _instance("cfg", cfg, TrainConfig)
     gravity = _gravity(gravity)
-    if not (isinstance(split, (tuple, list)) and len(split) == 2
-            and isinstance(split[0], Collection) and isinstance(split[1], str)):
+    if not (isinstance(split, (tuple, list)) and len(split) == 2 and isinstance(split[1], str)):
         raise ValidationError(
             f"split must be a (training subjects, test subject) pair, got {split!r}")
-    train_subjects, test_subject = split
-    if isinstance(train_subjects, str):  # not its characters
-        raise ValidationError(f"training subjects must be a collection of ids, got the string "
-                              f"{train_subjects!r}")
+    train_subjects, test_subject = _ids("training subject", split[0]), split[1]
     if test_subject in train_subjects:  # its held-out metrics would score training clips
         raise ValidationError(f"test subject {test_subject!r} is also a training subject")
     _check_subjects(dataset, [*train_subjects, test_subject])

@@ -21,7 +21,7 @@ from .errors import (
     SimulationDivergedError,
     ValidationError,
 )
-from .motion_data import ForcePlateRecord, MotionClip, _gravity, _instance, _numeric
+from .motion_data import ForcePlateRecord, MotionClip, _gravity, _ids, _instance, _numeric
 from .motion_data import _write_table
 
 VRPE_SCALE = 1e3  # reported position errors are m^2 scaled up by 10^3
@@ -121,8 +121,8 @@ class MetricTable:
 def aggregate(per_clip: Mapping[tuple, object], kind: str = "vrpe") -> MetricTable:
     """Group per-clip values by motion label and average across subjects.
 
-    Keys are tuples whose second element is the motion label, e.g.
-    (subject, motion) or (subject, motion, trial). Every clip gets equal
+    Keys are tuples of a subject and a motion label, both strings, and
+    anything after them, e.g. (subject, motion, trial). Every clip gets equal
     weight. For kind "vgrf" the values are (left, right) pairs averaged
     columnwise; for kind "vrpe" they are scalars reduced to (mean, std)
     across clips (population std). Input order does not affect the result.
@@ -133,11 +133,13 @@ def aggregate(per_clip: Mapping[tuple, object], kind: str = "vrpe") -> MetricTab
         raise ValidationError("cannot aggregate an empty metric map")
 
     groups: dict[str, list] = {}
-    for key in sorted(per_clip):
-        if len(key) < 2:
-            raise ValidationError(f"metric key {key!r} must be (subject, motion, ...)")
+    for key in per_clip:  # each group is sorted below, so key order cannot perturb it
+        if not (isinstance(key, tuple) and len(key) >= 2
+                and isinstance(key[0], str) and isinstance(key[1], str)):
+            raise ValidationError(f"metric key {key!r} must be a (subject, motion, ...) tuple "
+                                  "whose subject and motion are strings")
         value = _numeric(f"{kind} value of {key!r}", per_clip[key], (2,) if kind == "vgrf" else ())
-        groups.setdefault(str(key[1]), []).append(value.tolist())
+        groups.setdefault(key[1], []).append(value.tolist())
 
     rows: dict[str, tuple[float, float]] = {}
     # an inf score gives its rows inf or NaN, as the tables report them
@@ -162,15 +164,7 @@ def write_metric_table(table: MetricTable, path: str | Path) -> None:
 
 def loso_splits(subjects: Iterable[str]) -> list[tuple[tuple[str, ...], str]]:
     """One (train, test) split per subject, ordered by subject id."""
-    if isinstance(subjects, str):  # not its characters
-        raise ValidationError(f"subjects must be a collection of ids, got the string {subjects!r}")
-    if not isinstance(subjects, Iterable):
-        raise ValidationError(f"subjects must be a collection of ids, got {subjects!r}")
-    ids = list(subjects)
-    for s in ids:
-        if not isinstance(s, str):
-            raise ValidationError(f"subject ids must be strings, got {s!r}")
-    ids = sorted(set(ids))
+    ids = sorted(set(_ids("subject", subjects)))
     if len(ids) < 2:
         raise ValidationError(f"leave-one-out needs >= 2 subjects, got {len(ids)}")
     return [(tuple(s for s in ids if s != test), test) for test in ids]

@@ -50,7 +50,8 @@ caller's arrays later changes no record. Checks across arguments or fields
 (lengths, feature width, the valid-mask rule) stay where they are made.
 Every record argument, and each record of a collection argument, goes
 through ``_instance``: anything of another type is one ValidationError
-naming the argument, raised before a writer opens its file.
+naming the argument, raised before a writer opens its file. A collection of
+string ids (subjects, generator kinds) goes through ``_ids``.
 """
 
 from __future__ import annotations
@@ -375,6 +376,20 @@ def _instance(name: str, value, cls: type):
     if not isinstance(value, cls):
         raise ValidationError(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
     return value
+
+
+def _ids(name: str, value) -> list[str]:
+    """value as a list, if it is a collection of strings and not a string
+    (whose characters would be taken for ids); otherwise a ValidationError
+    naming the collection as name + "s": "subject" names the subjects."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        got = f"the string {value!r}" if isinstance(value, str) else repr(value)
+        raise ValidationError(f"{name}s must be a collection of ids, got {got}")
+    ids = list(value)
+    for item in ids:
+        if not isinstance(item, str):
+            raise ValidationError(f"{name} ids must be strings, got {item!r}")
+    return ids
 
 
 def _gravity(gravity: GravitySpec | None) -> GravitySpec:

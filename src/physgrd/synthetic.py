@@ -42,6 +42,7 @@ from .motion_data import (
     GravitySpec,
     MotionClip,
     _backward_diff,
+    _ids,
     _numeric,
     to_bodyweight,
 )
@@ -87,12 +88,10 @@ def _check_kind(kind) -> None:
 def _check_param(key: str, value) -> None:
     """Raise a ValidationError unless value is one the table allows for key."""
     spec = PARAMS[key]
-    if spec.bounds is not None:
-        check_range(key, value, spec.bounds)
-        shape = np.shape(spec.default)  # a number, or the 3 of x0 and v0
-        if np.shape(value) != shape:
-            wanted = f"{shape[0]} numbers" if shape else "a number"
-            raise ValidationError(f"{key} must be {wanted}, got {value!r}")
+    if spec.bounds is not None:  # one number, or x0's and v0's 3, each checked alone
+        vector = isinstance(spec.default, tuple)
+        for x in _numeric(key, value, (3,)).tolist() if vector else (value,):
+            check_range(key, x, spec.bounds)
     elif key == "missing_spans":
         try:
             ok = all(0.0 <= start <= end <= 1.0 for start, end in value)
@@ -342,7 +341,7 @@ def make_dataset(
     check_int("n_subjects", n_subjects)
     check_int("clips_per_subject", clips_per_subject)
     check_int("seed", seed, lo=0)
-    kinds = list(kinds)
+    kinds = _ids("kind", kinds)
     for kind in kinds:
         _check_kind(kind)
     if not isinstance(base_params, (Mapping, type(None))):

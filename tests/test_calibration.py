@@ -149,6 +149,12 @@ class TestCalibrate:
             with pytest.raises(error, match=re.escape(repr(cell))):
                 calibrate(spring_clips(n=1), [(70.0, 3.0), cell], mode=mode)
 
+    @pytest.mark.parametrize("grid, got", [(5, "int"), (70.0, "float")], ids=["int", "float"])
+    def test_grid_that_is_not_a_collection_is_named(self, grid, got):
+        # each raised a bare TypeError
+        with pytest.raises(ValidationError, match=f"^grid must be of type Iterable, got {got}$"):
+            calibrate(spring_clips(n=1), grid)
+
     def test_batched_matches_reference(self):
         # clips of several lengths, kinds and subjects, two clips for S1
         clips = spring_clips(n=2) + [

@@ -102,10 +102,13 @@ class TestGen:
         # walk parameters, which no hop takes, once went unchecked
         ("--kind", "hop", "--speed", "-1"),
         ("--kind", "hop", "--step-freq", "nan"),
+        # and a start of another count than 3 was gen's own usage error
+        ("--kind", "ballistic", "--x0", "0,2"),
+        ("--kind", "ballistic", "--v0", "0,0,0,1"),
     ], ids=["jitter-nan", "jitter-2", "plate-noise-nan", "amplitude-nan", "kd-inf", "x0-nan",
             "duration-1e12", "ballistic-duration-1e12", "hop-freq-1e-300", "freq-negative",
             "duration-nan", "frame-rate-nan", "freq-nan", "hop-speed-negative",
-            "hop-step-freq-nan"])
+            "hop-step-freq-nan", "x0-two-numbers", "v0-four-numbers"])
     def test_bad_generator_parameter_is_runtime_error(self, tmp_path, capsys, flags):
         assert run("gen", *flags, "--out-dir", tmp_path) == 1
         err = capsys.readouterr().err.splitlines()
@@ -199,6 +202,18 @@ class TestCalibrate:
         assert len(err) == 1 and err[0].startswith("physgrd: error: ")
         assert "must be finite and non-negative" in err[0]
         assert not (tmp_path / "c" / "calibration_report.csv").exists()
+
+    @pytest.mark.parametrize("cell", ["5", "1,2,3"], ids=["one-number", "three-numbers"])
+    def test_extra_cell_of_another_count_is_runtime_error(self, tmp_path, capsys, cell):
+        # calibrate checks each cell; the CLI's own (kp, kd) check made this a usage error
+        manifest = gen_small(tmp_path / "data")
+        capsys.readouterr()
+        assert run("calibrate", "--manifest", manifest, "--extra-cell", cell,
+                   "--out-dir", tmp_path / "c") == 1
+        listed = tuple(float(x) for x in cell.split(","))
+        assert capsys.readouterr().err.splitlines() == [
+            f"physgrd: error: ValidationError: gain cell must be a (kp, kd) pair, got {listed!r}"]
+        assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["subjects"][0].pop("mass_kg"),

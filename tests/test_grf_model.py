@@ -80,6 +80,16 @@ class TestElu:
             assert np.ascontiguousarray(out).tobytes() == ref.tobytes()
         assert _elu_grad(x.copy()).tobytes() == conv_reference._elu_grad(x).tobytes()
 
+    @pytest.mark.parametrize("out, got", [
+        (np.empty(4), r"float64 \(4,\)"), (np.empty((3, 1)), r"float64 \(3, 1\)"),
+        (np.empty(3, dtype=int), r"int64 \(3,\)"), ([0.0, 0.0, 0.0], r"list \(3,\)"),
+    ], ids=["short", "column", "int", "list"])
+    def test_out_of_another_shape_or_type_is_named(self, out, got):
+        # each raised numpy's ValueError or a TypeError
+        with pytest.raises(ValidationError,
+                           match=rf"^out must be a float64 array of x's shape \(3,\), got {got}$"):
+            elu(np.array([-1.0, 0.0, 1.0]), out=out)
+
 
 class TestForward:
     def test_zero_parameters_give_zero_prediction(self):
@@ -737,3 +747,15 @@ class TestTrainConfig:
                              ((7, (6, 6, 6, 2**63)), {})):
             with pytest.raises(ValidationError):
                 TemporalConvNet(*args, **kwargs)
+
+    @pytest.mark.parametrize("widths", [
+        {"conv_channels": 5}, {"fc_widths": 8}, {"conv_channels": None},
+        {"conv_channels": np.array(6)}, {"conv_channels": (6, 6, 6)}, {"fc_widths": (8, 6, 4)},
+    ], ids=["conv-int", "fc-int", "conv-none", "conv-0d-array", "three-conv", "three-fc"])
+    def test_widths_that_are_not_four_and_two_are_named(self, widths):
+        # the first four raised TypeError, in the config and in the net
+        message = "^architecture is fixed at four conv and three FC layers, got conv_channels "
+        with pytest.raises(ValidationError, match=message):
+            TrainConfig(**widths)
+        with pytest.raises(ValidationError, match=message):
+            TemporalConvNet(9, **{**TOY, **widths})

@@ -1,4 +1,4 @@
-"""Fuzzing the library's array arguments.
+"""Fuzzing the library's array and scalar arguments.
 
 Every array argument of an exported callable goes through one rule,
 ``motion_data._numeric``. Whatever one argument holds (a wrong shape, zero
@@ -7,9 +7,12 @@ the call must return a value or raise a PhysgrdError: never another
 exception, nor a warning, which pytest makes an error. The records' array
 fields are fuzzed the same way in test_motion_data.py. A record argument of
 the wrong type is one ValidationError naming it, and a writer raises it
-before the file is opened.
+before the file is opened. A scalar argument takes one number, not a bool,
+through ``errors.check_range`` or ``errors.check_int``: a one-item list,
+tuple or array is an error too.
 """
 
+import dataclasses
 import inspect
 import json
 import re
@@ -21,16 +24,17 @@ from hypothesis import strategies as st
 
 import physgrd
 from physgrd.calibration import calibrate, write_best_gains, write_report_csv
-from physgrd.dynamics import PDGains, euler_step, pd_force, physics_force_series, rollout_forces
-from physgrd.dynamics import simulate, write_sim_csv
-from physgrd.errors import PhysgrdError, ValidationError
+from physgrd.dynamics import PDGains, SimResult, euler_step, pd_force, physics_force_series
+from physgrd.dynamics import rollout_forces, simulate, write_sim_csv
+from physgrd.errors import PhysgrdError, UnitError, ValidationError
 from physgrd.grf_model import Prediction, TemporalConvNet, TrainConfig, TrainLogRow
 from physgrd.grf_model import composite_loss, elu, save_checkpoint, train, write_prediction_csv
 from physgrd.grf_model import write_train_log
 from physgrd.metrics import aggregate, evaluate_prediction, vgrf_mse, vrpe, write_metric_table
-from physgrd.motion_data import Dataset, DatasetEntry, entry_stems, finite_diff_velocity
-from physgrd.motion_data import from_bodyweight, to_bodyweight, write_clip_csv, write_force_plate
-from physgrd.motion_data import write_manifest
+from physgrd.motion_data import Dataset, DatasetEntry, MotionClip, entry_stems
+from physgrd.motion_data import finite_diff_velocity, from_bodyweight, load_clip_csv
+from physgrd.motion_data import load_force_plate, load_manifest, to_bodyweight, write_clip_csv
+from physgrd.motion_data import write_force_plate, write_manifest
 from physgrd.svgplot import LineSeries, write_series_csv, write_svg
 from physgrd.synthetic import build_features, gen_synthetic, make_dataset
 from test_motion_data import _ARRAY_FIELDS
@@ -47,6 +51,14 @@ _BATCH_PLATE = np.where(np.resize(PLATE.valid_mask, (B, T))[..., None, None],
 
 def _aggregate_one(value, kind):
     return aggregate({("S1", "walk"): value, ("S2", "walk"): value}, kind)
+
+
+def _exported(*methods):
+    """Each callable physgrd exports, and the named methods of TemporalConvNet."""
+    exported = {name: obj for name, obj in vars(physgrd).items()
+                if callable(obj) and not name.startswith("_") and not inspect.ismodule(obj)}
+    exported.update({f"TemporalConvNet.{m}": getattr(TemporalConvNet, m) for m in methods})
+    return exported
 
 
 # each callable with a valid call of it; every array argument is drawn in turn
@@ -134,11 +146,7 @@ def test_every_exported_array_parameter_is_fuzzed():
     """Each parameter annotated as an array, of a callable physgrd exports or
     of TemporalConvNet's forward and loss_and_grads, is in CALLS or, for a
     record, in test_motion_data's record fuzz; an ``out`` buffer is output."""
-    exported = {name: obj for name, obj in vars(physgrd).items()
-                if callable(obj) and not name.startswith("_") and not inspect.ismodule(obj)}
-    exported.update({f"TemporalConvNet.{m}": getattr(TemporalConvNet, m)
-                     for m in ("forward", "loss_and_grads")})
-    wanted = {(name, p.name) for name, obj in exported.items()
+    wanted = {(name, p.name) for name, obj in _exported("forward", "loss_and_grads").items()
               for p in inspect.signature(obj).parameters.values()
               if "ndarray" in str(p.annotation) and p.name != "out"}
     assert ("pd_force", "target_next") in wanted and ("GravitySpec", "g_accel") in wanted
@@ -221,8 +229,7 @@ def test_every_exported_record_parameter_is_checked():
     through one check, _gravity, tested in test_dynamics; calibrate's grid
     is checked cell by cell as (kp, kd) pairs; CalibrationReport is a
     result that calibrate builds."""
-    exported = {name: obj for name, obj in vars(physgrd).items()
-                if callable(obj) and not name.startswith("_") and not inspect.ismodule(obj)}
+    exported = _exported()
     records = re.compile(r"\b(%s)\b" % "|".join(
         name for name, obj in exported.items() if inspect.isclass(obj)))
     wanted = {(name, p.name) for name, obj in exported.items()
@@ -295,3 +302,89 @@ def test_json_artifact_bytes(tmp_path, writer):
     write(path, record)
     text = path.read_text()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def _load_clip(**kwargs):
+    write_clip_csv(CLIP, "clip.csv")
+    return load_clip_csv("clip.csv", **kwargs)
+
+
+def _load_plate(**kwargs):
+    write_force_plate(PLATE, "plate.csv", CLIP.frame_rate)
+    return load_force_plate("plate.csv", force_unit="newton", **kwargs)
+
+
+# each callable with a valid call of it and its scalar arguments, each drawn
+# in turn; files are written in the test's working directory
+SCALAR_CALLS = {
+    **{call: (*CALLS[call], names) for call, names in (
+        ("euler_step", ("dt",)), ("TemporalConvNet.loss_and_grads", ("lambda1", "lambda2")),
+        ("to_bodyweight", ("mass",)), ("build_features", ("frame_rate",)))},
+    "MotionClip": (MotionClip, dict(subject_id="S1", motion_label="walk", frame_rate=100.0,
+                                    mass=70.0, root_positions=CLIP.root_positions,
+                                    features=CLIP.features), ("frame_rate", "mass")),
+    "PDGains": (PDGains, dict(kp=70.0, kd=3.0), ("kp", "kd")),
+    "SimResult": (SimResult, dict(positions=np.zeros((2, 3)), velocities=np.zeros((2, 3)),
+                                  total_force=np.zeros((1, 3)), dt=0.01), ("dt",)),
+    "TrainConfig": (TrainConfig, dataclasses.asdict(NET_CFG),
+                    ("epochs", "batch_size", "learning_rate", "seed", "lambda1", "lambda2",
+                     "window_len")),
+    "TemporalConvNet": (TemporalConvNet, dict(input_width=D, conv_channels=(2, 2, 2, 2),
+                                              fc_widths=(2, 2), seed=0), ("input_width", "seed")),
+    "gen_synthetic": (gen_synthetic, dict(kind="ballistic", params={"duration": 0.05}, seed=0),
+                      ("seed",)),
+    "make_dataset": (make_dataset, dict(kinds=["ballistic"], n_subjects=1, clips_per_subject=1,
+                                        seed=0, base_params={"duration": 0.05}),
+                     ("n_subjects", "clips_per_subject", "seed")),
+    "load_clip_csv": (_load_clip, dict(mass=70.0, frame_rate=100.0), ("mass", "frame_rate")),
+    "load_force_plate": (_load_plate, dict(mass=70.0), ("mass",)),
+    "write_force_plate": (write_force_plate, dict(record=PLATE, path="plate.csv",
+                                                  frame_rate=100.0), ("frame_rate",)),
+    "write_prediction_csv": (write_prediction_csv, dict(pred=Prediction(np.ones((T, 2, 3))),
+                                                        path="pred.csv", frame_rate=100.0),
+                             ("frame_rate",)),
+    "write_sim_csv": (write_sim_csv, dict(result=simulate(CLIP, PDGains(70.0, 3.0)),
+                                          path="sim.csv", frame_rate=100.0), ("frame_rate",)),
+}
+SCALAR_ARGS = [(call, name) for call, (_, _, names) in SCALAR_CALLS.items() for name in names]
+
+
+@pytest.mark.parametrize("wrap", [list, tuple, np.array, bool],
+                         ids=["list", "tuple", "array", "bool"])
+@pytest.mark.parametrize("call, name", SCALAR_ARGS, ids=[f"{c}-{n}" for c, n in SCALAR_ARGS])
+def test_scalar_argument_takes_one_number(tmp_path, monkeypatch, call, name, wrap):
+    """A one-item list, tuple or array, or True, in a number's place is one
+    ValidationError or UnitError. A list once passed the range check item
+    by item: MotionClip(frame_rate=[100.0]) made a clip whose dt raised
+    TypeError, and euler_step took a dt for each component."""
+    monkeypatch.chdir(tmp_path)
+    func, kwargs, _ = SCALAR_CALLS[call]
+    func(**kwargs)
+    value = True if wrap is bool else wrap([kwargs[name]])
+    with pytest.raises((ValidationError, UnitError)):
+        func(**{**kwargs, name: value})
+
+
+def test_every_exported_scalar_parameter_is_fuzzed():
+    """Each parameter annotated as a number, of a callable physgrd exports or
+    of TemporalConvNet's loss_and_grads, is in SCALAR_CALLS; a calibration
+    report's best_score is a result that calibrate builds."""
+    wanted = {(name, p.name) for name, obj in _exported("loss_and_grads").items()
+              for p in inspect.signature(obj).parameters.values()
+              if str(p.annotation) in ("float", "int", "float | None")}
+    assert ("MotionClip", "mass") in wanted and ("euler_step", "dt") in wanted
+    assert wanted - set(SCALAR_ARGS) == {("CalibrationReport", "best_score")}
+
+
+@pytest.mark.parametrize("mass", [(70.0,), True], ids=["tuple", "bool"])
+def test_manifest_reads_back_the_mass_of_every_clip_it_takes(tmp_path, mass):
+    """write_manifest writes a clip's mass as its subject's mass_kg. A clip of
+    mass (70.0,) or True once wrote a manifest that load_manifest rejected;
+    now the clip is rejected, and a clip of one number round-trips."""
+    def clip(m):
+        return MotionClip("S1", "walk", CLIP.frame_rate, m, CLIP.root_positions, CLIP.features)
+
+    with pytest.raises(UnitError, match="^mass must be finite and positive, got "):
+        clip(mass)
+    write_manifest(Dataset((DatasetEntry(clip(70.0), PLATE),)), tmp_path)
+    assert load_manifest(tmp_path / "manifest.json").clips()[0].mass == 70.0

@@ -275,6 +275,26 @@ class TestAggregate:
         with pytest.raises(ValidationError):
             aggregate({}, kind="vrpe")
 
+    @pytest.mark.parametrize("per_clip, key", [
+        ({"S1hop": 1.0}, "'S1hop'"),
+        ({5: 1.0}, "5"),
+        ({("S1", "hop"): 1.0, "S2hop": 2.0}, "'S2hop'"),
+        ({("S1",): 1.0}, r"\('S1',\)"),
+        ({("S1", 7): 1.0}, r"\('S1', 7\)"),
+        ({(1, "hop"): 1.0, ("S2", "hop"): 2.0}, r"\(1, 'hop'\)"),
+    ], ids=["string", "int", "mixed", "one-item", "int-motion", "int-subject"])
+    def test_key_must_be_a_tuple_of_subject_and_motion_strings(self, per_clip, key):
+        # a string key was taken for a tuple ({'1': (1.0, 0.0)} for "S1hop"),
+        # and an int key or keys of mixed types raised TypeError
+        with pytest.raises(ValidationError, match=f"^metric key {key} must be a "
+                           r"\(subject, motion, \.\.\.\) tuple whose subject and motion are strings$"):
+            aggregate(per_clip, kind="vrpe")
+
+    def test_trial_keys_of_mixed_types_allowed(self):
+        # keys are not sorted, so trials need not be comparable
+        table = aggregate({("S1", "hop", 0): 1.0, ("S1", "hop", "b"): 3.0}, kind="vrpe")
+        assert table.rows == {"hop": (2.0, 1.0)}
+
     def test_csv_layout(self, tmp_path):
         table = aggregate(
             {("S1", "hop"): (0.1, 0.2), ("S1", "walk"): (0.3, 0.4)}, kind="vgrf"

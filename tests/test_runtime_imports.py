@@ -1,4 +1,5 @@
-"""physgrd's runtime dependencies are numpy and the standard library.
+"""physgrd's runtime dependencies are numpy and the standard library, and
+its range rule takes one number.
 
 scipy, hypothesis and pytest may be installed beside it, but only tests
 and benchmarks may import them. Each module of the package is parsed, not
@@ -37,3 +38,23 @@ def test_only_motion_data_imports_json():
     importers = [path.stem for path in sorted(PACKAGE.glob("*.py"))
                  if "json" in absolute_imports(path)]
     assert importers == ["motion_data"]
+
+
+def test_check_range_is_given_one_number():
+    """errors.check_range takes one number, so no call passes it a tuple,
+    list or generator of them: each number is checked on its own, and a
+    vector takes its shape from the array rule, motion_data._numeric."""
+    values = {
+        (path.name, node.lineno): _value(node) for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("check_range")
+    }
+    assert len(values) > 10  # the calls were found
+    assert [at for at, value in values.items() if isinstance(
+        value, (ast.Tuple, ast.List, ast.GeneratorExp, ast.ListComp))] == []
+
+
+def _value(call):
+    """The node a check_range call passes as its value: its second argument."""
+    given = call.args[1:2] + [k.value for k in call.keywords if k.arg == "value"]
+    return given[0] if given else None

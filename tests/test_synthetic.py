@@ -207,21 +207,26 @@ class TestMakeDataset:
         ({"speed": -1.0}, "speed must be finite and non-negative, got -1.0"),
         ({"step_freq": float("nan")}, "step_freq must be finite and positive, got nan"),
         # nor was a ballistic start's length
-        ({"x0": (0.0, 1.0)}, r"x0 must be 3 numbers, got \(0.0, 1.0\)"),
+        ({"x0": (0.0, 1.0)}, r"x0 must be \(3,\), got \(2,\)"),
     ], ids=["int", "list", "text-mass", "none-mass", "negative-mass", "misspelt-key",
             "walk-speed", "walk-step-freq", "ballistic-x0"])
     def test_malformed_base_params_rejected(self, base_params, named):
         with pytest.raises(ValidationError, match=named):
             make_dataset(["hop"], 1, base_params=base_params)
 
-    @pytest.mark.parametrize("kinds, named", [(["hop", "jump"], "'jump'"), ("hop", "'h'")],
-                             ids=["unknown", "bare-string"])
-    def test_unknown_kind_rejected_before_any_clip(self, monkeypatch, kinds, named):
+    @pytest.mark.parametrize("kinds, message", [
+        (["hop", "jump"], "unknown generator kind 'jump'"),
+        # a string's characters were taken for kinds: "unknown generator kind 'h'"
+        ("hop", "kinds must be a collection of ids, got the string 'hop'"),
+        (None, "kinds must be a collection of ids, got None"),  # a TypeError
+        (["hop", 3], "kind ids must be strings, got 3"),
+    ], ids=["unknown", "bare-string", "none", "int-kind"])
+    def test_unknown_kind_rejected_before_any_clip(self, monkeypatch, kinds, message):
         def never(*args, **kwargs):
             raise AssertionError("generated a clip before the kinds were checked")
 
         monkeypatch.setattr(synthetic, "gen_synthetic", never)
-        with pytest.raises(ValidationError, match=f"unknown generator kind {named}"):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             make_dataset(kinds, 1)
 
     def test_unknown_param_rejected(self):
@@ -233,15 +238,15 @@ class TestMakeDataset:
                 gen_synthetic(kind, {key: 1.0}, seed=0)
 
     @pytest.mark.parametrize("kind, params, named", [
-        ("ballistic", {"x0": (0.0, 1.0)}, "x0 must be 3 numbers"),
+        ("ballistic", {"x0": (0.0, 1.0)}, r"x0 must be \(3,\), got \(2,\)"),
         ("walk", {"missing_spans": (0.1, 0.2)}, "missing_spans must be"),
         ("walk", {"missing_spans": ((0.1, 0.2, 0.3),)}, "missing_spans must be"),
         ("walk", {"missing_spans": (("a", "b"),)}, "missing_spans must be"),
         ("walk", {"missing_spans": ((0.6, 0.5),)}, "missing_spans must be"),
         ("hop", [("duration", 1.0)], "hop parameters must be a mapping, got list"),
         # each passed the range check item by item, then float() raised TypeError
-        ("hop", {"freq": (1.0, 2.0)}, r"freq must be a number, got \(1.0, 2.0\)"),
-        ("walk", {"mass": [70.0]}, r"mass must be a number, got \[70.0\]"),
+        ("hop", {"freq": (1.0, 2.0)}, r"freq must be finite and positive, got \(1.0, 2.0\)"),
+        ("walk", {"mass": [70.0]}, r"mass must be finite and positive, got \[70.0\]"),
     ], ids=["short-vector", "flat-span", "triple-span", "text-span",
             "reversed-span", "params-list", "vector-freq", "list-mass"])
     def test_malformed_structured_param_rejected(self, kind, params, named):
