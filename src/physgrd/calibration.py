@@ -58,12 +58,9 @@ class GainGrid:
 
     def __post_init__(self):
         for name, vals in (("kp_values", self.kp_values), ("kd_values", self.kd_values)):
-            vals = tuple(vals)
+            vals = tuple(check_range(name, val, NON_NEGATIVE) for val in vals)
             if not vals:
                 raise ValidationError(f"{name} must be non-empty")
-            for val in vals:
-                check_range(name, val, NON_NEGATIVE)
-            vals = tuple(map(float, vals))
             object.__setattr__(self, name, vals)
             if len(set(vals)) != len(vals):
                 raise ValidationError(f"{name} contains duplicates")

@@ -88,9 +88,6 @@ def _of_subject(dataset: Dataset, subject: str | None) -> list[tuple[DatasetEntr
 
 def cmd_gen(args, parser) -> int:
     kinds = [k.strip() for k in args.kind.split(",")]
-    for k in kinds:
-        if k not in synthetic.KINDS:
-            parser.error(f"unknown kind {k!r} (choose from {', '.join(synthetic.KINDS)})")
     # every generator flag's dest is the name of the parameter it sets
     base = {k: v for k, v in vars(args).items() if k in synthetic.PARAMS and v is not None}
 
@@ -114,8 +111,6 @@ def cmd_calibrate(args, parser) -> int:
     if args.kp is not None and args.kp_values is not None:
         parser.error("--kp/--kd and --kp-values/--kd-values cannot be combined")
     dataset = load_manifest(args.manifest)
-    if len(dataset) == 0:
-        raise PhysgrdError("empty dataset: manifest lists no clips")
     if args.kp is not None:
         cells = [(args.kp, args.kd)]
     elif args.kp_values is not None:
@@ -143,11 +138,8 @@ def cmd_simulate(args, parser) -> int:
     gravity = _gravity(args)
     if args.manifest:
         dataset = load_manifest(args.manifest)
-    elif args.clip:
-        clip = load_clip_csv(args.clip)
-        dataset = Dataset((DatasetEntry(clip=clip),))
     else:
-        parser.error("simulate needs --manifest or --clip")
+        dataset = Dataset((DatasetEntry(clip=load_clip_csv(args.clip)),))
     out = _out_dir(args)
     rows = []
     results = _simulations(dataset.clips(), gains, gravity, args.mode)
@@ -332,8 +324,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", parents=[common, gravity, mode, gains],
                        help="PD-track clips and export")
-    p.add_argument("--manifest")
-    p.add_argument("--clip", help="single clip CSV instead of a manifest")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--manifest")
+    source.add_argument("--clip", help="single clip CSV instead of a manifest")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", parents=[common, gravity, mode, gains], help="train the force predictor")

@@ -64,8 +64,8 @@ class PDGains:
     kd: float
 
     def __post_init__(self):
-        check_range("kp", self.kp, NON_NEGATIVE, UnitError)
-        check_range("kd", self.kd, NON_NEGATIVE, UnitError)
+        object.__setattr__(self, "kp", check_range("kp", self.kp, NON_NEGATIVE, UnitError))
+        object.__setattr__(self, "kd", check_range("kd", self.kd, NON_NEGATIVE, UnitError))
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class SimResult:
     dt: float
 
     def __post_init__(self):
-        check_range("dt", self.dt, POSITIVE, UnitError)
+        object.__setattr__(self, "dt", check_range("dt", self.dt, POSITIVE, UnitError))
         pos = _readonly(self, "positions", (None, 3), finite=True)
         if len(pos) < 1:
             raise ValidationError("simulation must have at least one frame")
@@ -160,7 +160,7 @@ def euler_step(
     arrays are returned.
     """
     gravity = _gravity(gravity)
-    check_range("dt", dt, POSITIVE, UnitError)
+    dt = check_range("dt", dt, POSITIVE, UnitError)
     pos, vel, f = (_numeric(name, a, None) for name, a in
                    (("pos", pos), ("vel", vel), ("normalized_force", normalized_force)))
     shape = _broadcast("euler_step", "position, velocity, force and gravity",
@@ -194,8 +194,7 @@ def _pd_steps(bucket: Sequence[MotionClip], kp, kd, gravity: GravitySpec, mode: 
     """
     if mode not in ("closed_loop", "open_loop"):
         raise ValidationError(f"unknown simulation mode {mode!r}")
-    dt = bucket[0].dt
-    check_range("dt", dt, POSITIVE, UnitError)
+    dt = check_range("dt", bucket[0].dt, POSITIVE, UnitError)
     ref = np.stack([c.root_positions for c in bucket], axis=2)[..., None]
     shape = np.broadcast_shapes(np.shape(kp), np.shape(kd), ref[0].shape)
 

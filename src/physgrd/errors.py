@@ -3,8 +3,9 @@
 Everything raised on purpose derives from PhysgrdError so callers (and the
 CLI) can distinguish our failures from genuine bugs. Every numeric input is
 checked where it enters by check_range ("lo <= x < hi" on one real number,
-so NaN, None, strings, booleans and sequences fail) or check_int; the error
-names the input first.
+so NaN, None, strings, booleans and sequences fail) or check_int, which
+return it as the float or int the package stores; the error names the input
+first.
 """
 
 import math
@@ -58,14 +59,21 @@ FINITE = (-sys.float_info.max, math.inf, "finite")
 _REAL = (float, int, numbers.Real)  # float and int first: the ABC check alone is slow
 
 
-def check_range(name: str, value, bounds: tuple, error: type = ValidationError) -> None:
-    """Raise error unless value is one real number x, not a bool, with lo <= x
-    < hi for bounds (lo, hi, wording). A sequence or an array is not a number:
-    a caller checks its items one at a time. The check uses no numpy, so a
-    check made at every step stays cheap."""
+def check_range(name: str, value, bounds: tuple, error: type = ValidationError) -> float:
+    """Return value as a float if it is one real number x, not a bool, with
+    lo <= x < hi for bounds (lo, hi, wording); raise error otherwise, for an
+    integer beyond the float range too. A sequence or an array is not a
+    number: a caller checks its items one at a time. The check uses no numpy,
+    so a check made at every step stays cheap."""
     lo, hi, wording = bounds
-    if isinstance(value, bool) or not (isinstance(value, _REAL) and lo <= value < hi):
-        raise error(f"{name} must be {wording}, got {value!r}")
+    if isinstance(value, _REAL) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.nan
+        if lo <= x < hi:
+            return x
+    raise error(f"{name} must be {wording}, got {value!r}")
 
 
 def check_int(name: str, value, lo: int = 1, hi: float = math.inf) -> int:

@@ -219,15 +219,15 @@ class TrainConfig:
     fc_widths: tuple[int, ...] = (64, 32)
 
     def __post_init__(self):
-        # integers are stored as ints, so that asdict(self) is JSON for numpy ints too
+        # numbers are stored as ints and floats, so that asdict(self) is JSON for numpy ones too
         for name, lo in (("epochs", 1), ("batch_size", 1), ("window_len", 1), ("seed", 0)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
         conv_channels, fc_widths = _widths(self.conv_channels, self.fc_widths)
         object.__setattr__(self, "conv_channels", conv_channels)
         object.__setattr__(self, "fc_widths", fc_widths)
-        check_range("learning_rate", self.learning_rate, POSITIVE)
-        check_range("lambda1", self.lambda1, NON_NEGATIVE)
-        check_range("lambda2", self.lambda2, NON_NEGATIVE)
+        for name, bounds in (("learning_rate", POSITIVE), ("lambda1", NON_NEGATIVE),
+                             ("lambda2", NON_NEGATIVE)):
+            object.__setattr__(self, name, check_range(name, getattr(self, name), bounds))
 
 
 @dataclass(frozen=True)
@@ -525,8 +525,8 @@ class TemporalConvNet:
         plate_force = _numeric("plate_force", plate_force, (B, T, 2, 3), finite=True, nan_ok=True)
         valid = _numeric("valid", valid, (B, T), bool)
         phys_bw = _numeric("phys_bw", phys_bw, (B, T, 3), finite=True)
-        check_range("lambda1", lambda1, NON_NEGATIVE)
-        check_range("lambda2", lambda2, NON_NEGATIVE)
+        lambda1 = check_range("lambda1", lambda1, NON_NEGATIVE)
+        lambda2 = check_range("lambda2", lambda2, NON_NEGATIVE)
         out, cache = self._forward(features, want_cache=True)
         pred = out.reshape(B, T, 2, 3)
         term1, term2, dpred = _loss_terms(pred, plate_force, valid, phys_bw, lambda1, lambda2)

@@ -285,7 +285,7 @@ def to_bodyweight(force: np.ndarray, mass: float = 1.0) -> np.ndarray:
     under, so plate data and physics supervision share one unit. The mass
     must be finite and positive (UnitError).
     """
-    check_range("mass", mass, POSITIVE, UnitError)
+    mass = check_range("mass", mass, POSITIVE, UnitError)
     return _numeric("force", force, None) / (mass * STANDARD_GRAVITY)
 
 
@@ -297,8 +297,7 @@ def from_bodyweight(force_bw: np.ndarray) -> np.ndarray:
 def _frame_times(n: int, frame_rate: float) -> np.ndarray:
     """The times of n frames at frame_rate, which must be finite and positive
     (UnitError): the t column of every per-frame CSV."""
-    check_range("frame_rate", frame_rate, POSITIVE, UnitError)
-    return np.arange(n) / frame_rate
+    return np.arange(n) / check_range("frame_rate", frame_rate, POSITIVE, UnitError)
 
 
 def _check_finite(name: str, a: np.ndarray, nan_ok: bool = False) -> None:
@@ -416,8 +415,9 @@ class MotionClip:
     def __post_init__(self):
         for name in ("subject_id", "motion_label"):  # they name output files
             _check_name(name, getattr(self, name))
-        check_range("frame_rate", self.frame_rate, POSITIVE, UnitError)
-        check_range("mass", self.mass, POSITIVE, UnitError)
+        object.__setattr__(self, "frame_rate",
+                           check_range("frame_rate", self.frame_rate, POSITIVE, UnitError))
+        object.__setattr__(self, "mass", check_range("mass", self.mass, POSITIVE, UnitError))
         pos = _readonly(self, "root_positions", (None, 3), finite=True)
         feat = _readonly(self, "features", (None, None), finite=True)
         if feat.shape[1] < 3:
@@ -583,7 +583,8 @@ def _load_clip(
         raise UnitError(f"{path}: single-row clip needs an explicit frame_rate")
     if frame_rate is not None:
         rate = frame_rate  # explicit rate wins over the inferred one
-    check_range(f"{path}: frame rate", rate, POSITIVE, UnitError)  # 1 / a subnormal step is inf
+    # 1 / a subnormal step is inf
+    rate = check_range(f"{path}: frame rate", rate, POSITIVE, UnitError)
 
     features = data[:, 1:]  # position columns double as leading features
     return t, MotionClip(
@@ -653,7 +654,7 @@ def _load_plate(
     force, cop, contact = feet[:, :, :3], feet[:, :, 3:5], feet[:, :, 5] != 0.0
 
     if force_unit == "newton":
-        check_range("mass of a newton-valued plate file", mass, POSITIVE, UnitError)
+        mass = check_range("mass of a newton-valued plate file", mass, POSITIVE, UnitError)
         with np.errstate(over="ignore"):
             force_bw = to_bodyweight(force, mass)
         if np.any(np.isfinite(force) & ~np.isfinite(force_bw)):
@@ -718,7 +719,7 @@ def load_manifest(path: str | Path) -> Dataset:
         if not isinstance(specs, list):
             raise ParseError(f"{path}: 'clips' of subject {sid!r} must be a list")
         _check_name(f"{path}: subject_id", sid)
-        check_range(f"{path}: mass_kg of subject {sid!r}", mass, POSITIVE, UnitError)
+        mass = check_range(f"{path}: mass_kg of subject {sid!r}", mass, POSITIVE, UnitError)
         for spec in specs:
             try:
                 clip_path, label = spec["clip_path"], spec["motion_label"]

@@ -85,14 +85,16 @@ def _check_kind(kind) -> None:
         raise ValidationError(f"unknown generator kind {kind!r}")
 
 
-def _check_param(key: str, value) -> None:
-    """Raise a ValidationError unless value is one the table allows for key."""
+def _check_param(key: str, value):
+    """value as the table stores key's parameter, a float or x0's and v0's
+    three floats; a ValidationError unless the table allows it."""
     spec = PARAMS[key]
     if spec.bounds is not None:  # one number, or x0's and v0's 3, each checked alone
-        vector = isinstance(spec.default, tuple)
-        for x in _numeric(key, value, (3,)).tolist() if vector else (value,):
-            check_range(key, x, spec.bounds)
-    elif key == "missing_spans":
+        if isinstance(spec.default, tuple):
+            value = _numeric(key, value, (3,)).tolist()
+            return tuple(check_range(key, x, spec.bounds) for x in value)
+        return check_range(key, value, spec.bounds)
+    if key == "missing_spans":
         try:
             ok = all(0.0 <= start <= end <= 1.0 for start, end in value)
         except (TypeError, ValueError):  # not a sequence of number pairs
@@ -100,6 +102,7 @@ def _check_param(key: str, value) -> None:
         if not ok:
             raise ValidationError(f"missing_spans must be (start, end) pairs with "
                                   f"0 <= start <= end <= 1, got {value!r}")
+    return value
 
 
 def _merge_params(kind: str, params: Mapping | None) -> dict:
@@ -112,7 +115,7 @@ def _merge_params(kind: str, params: Mapping | None) -> dict:
             raise ValidationError(f"unknown {kind} parameter {key!r}")
         merged[key] = value
     for key, value in merged.items():
-        _check_param(key, value)
+        merged[key] = _check_param(key, value)
     return merged
 
 
@@ -125,7 +128,7 @@ def build_features(positions: np.ndarray, frame_rate: float) -> np.ndarray:
     magnitudes. Positions must be finite, the frame rate positive (UnitError).
     """
     pos = _numeric("positions", positions, (None, 3), finite=True)
-    check_range("frame_rate", frame_rate, POSITIVE, UnitError)
+    frame_rate = check_range("frame_rate", frame_rate, POSITIVE, UnitError)
     vel = _backward_diff(pos, frame_rate)
     return np.hstack([pos, vel, to_bodyweight(_backward_diff(vel, frame_rate))])
 
@@ -159,7 +162,7 @@ def _plate_from_split(
     cop[~contact] = np.nan
 
     missing = np.zeros(T, dtype=bool)
-    missing[: int(round(float(p["missing_lead"]) * T))] = True
+    missing[: int(round(p["missing_lead"] * T))] = True
     for start, end in p["missing_spans"]:
         missing[int(round(start * T)): int(round(end * T))] = True
     force[missing] = np.nan
@@ -168,7 +171,7 @@ def _plate_from_split(
 
 def _frames(p: Mapping, endpoint: bool = False) -> int:
     """Frames in duration x frame_rate, one more with the end point sampled too."""
-    span = float(p["duration"]) * float(p["frame_rate"])
+    span = p["duration"] * p["frame_rate"]
     if span > MAX_FRAMES:  # inf too; checked before anything is allocated
         raise ValidationError(
             f"duration {p['duration']} s at {p['frame_rate']} Hz exceeds {MAX_FRAMES} frames"
@@ -182,12 +185,9 @@ def _frames(p: Mapping, endpoint: bool = False) -> int:
 
 
 def _gen_hop(p: dict, rng: np.random.Generator):
-    freq = float(p["freq"])
-    amp = float(p["amplitude"])
-    jit = float(p["jitter"])
+    freq, amp, jit, rate = p["freq"], p["amplitude"], p["jitter"], p["frame_rate"]
     if jit:
         freq *= 1.0 + jit * (rng.random() - 0.5)
-    rate = float(p["frame_rate"])
     T = _frames(p)
     if not rate / freq <= MAX_FRAMES:  # inf too; checked before anything is allocated
         raise ValidationError(
@@ -219,13 +219,10 @@ def _gen_hop(p: dict, rng: np.random.Generator):
 
 
 def _gen_walk(p: dict, rng: np.random.Generator):
-    speed = float(p["speed"])
-    step_freq = float(p["step_freq"])
-    jit = float(p["jitter"])
+    speed, step_freq, jit, rate = p["speed"], p["step_freq"], p["jitter"], p["frame_rate"]
     if jit:
         speed *= 1.0 + jit * (rng.random() - 0.5)
         step_freq *= 1.0 + jit * (rng.random() - 0.5)
-    rate = float(p["frame_rate"])
     dt = 1.0 / rate
     T = _frames(p)
     t = np.arange(T) * dt
@@ -238,7 +235,7 @@ def _gen_walk(p: dict, rng: np.random.Generator):
     )
     omega = 2.0 * np.pi * step_freq
     py = 0.03 * np.sin(omega * t)  # lateral sway, m
-    pz = 0.95 - float(p["bob_amplitude"]) * 0.5 * (1.0 - np.cos(omega * t))
+    pz = 0.95 - p["bob_amplitude"] * 0.5 * (1.0 - np.cos(omega * t))
     positions = np.column_stack([px, py, pz])
 
     # discrete inverse dynamics: the stored force series rolls out to the
@@ -251,24 +248,20 @@ def _gen_walk(p: dict, rng: np.random.Generator):
 
 
 def _gen_ballistic(p: dict, rng: np.random.Generator):
-    x0, v0 = _numeric("x0", p["x0"], (3,)), _numeric("v0", p["v0"], (3,))
-    rate = float(p["frame_rate"])
+    x0, v0 = np.array(p["x0"]), np.array(p["v0"])
     T = _frames(p, endpoint=True)
-    t = (np.arange(T) / rate)[:, None]
+    t = (np.arange(T) / p["frame_rate"])[:, None]
     positions = x0 + v0 * t - 0.5 * GravitySpec().g_accel * t**2
     return positions, np.zeros((T, 3)), 0.5
 
 
 def _gen_spring_tracked(p: dict, rng: np.random.Generator):
-    kp = float(p["kp"])
-    kd = float(p["kd"])
-    rate = float(p["frame_rate"])
-    dt = 1.0 / rate
+    kp, kd, jit = p["kp"], p["kd"], p["jitter"]
+    dt = 1.0 / p["frame_rate"]
     if kp * dt * dt >= 1.0:
         raise ValidationError(f"kp {kp} too stiff for dt {dt}: kp*dt^2 must be < 1")
     T = _frames(p)
     base = 1.0  # start height, m
-    jit = float(p["jitter"])
     if jit:
         base += 0.2 * jit * (rng.random() - 0.5)
 
@@ -315,11 +308,11 @@ def gen_synthetic(
         "ballistic": _gen_ballistic,
         "spring_tracked": _gen_spring_tracked,
     }[kind]
-    rate = float(p["frame_rate"])
+    rate = p["frame_rate"]
     with np.errstate(over="ignore", invalid="ignore"):  # MotionClip rejects a non-finite clip
         positions, total, share = builder(p, rng)
         plate = _plate_from_split(to_bodyweight(total), share, positions[:, :2], p, rng)
-        clip = MotionClip(p["subject_id"], kind, rate, float(p["mass"]),
+        clip = MotionClip(p["subject_id"], kind, rate, p["mass"],
                           positions, build_features(positions, rate))
     return clip, plate
 
@@ -350,12 +343,12 @@ def make_dataset(
     for key, value in base_params.items():
         if key not in PARAMS:
             raise ValidationError(f"unknown generator parameter {key!r}")
-        _check_param(key, value)
+        base_params[key] = _check_param(key, value)
     entries: list[DatasetEntry] = []
     for si in range(n_subjects):
         sid = f"S{si + 1}"
         srng = np.random.default_rng(np.random.SeedSequence((seed, si)))
-        mass = float(base_params["mass"]) if "mass" in base_params else 55.0 + 30.0 * srng.random()
+        mass = base_params["mass"] if "mass" in base_params else 55.0 + 30.0 * srng.random()
         for kind in kinds:
             for ci in range(clips_per_subject):
                 params = {k: v for k, v in base_params.items() if kind in PARAMS[k].kinds}

@@ -79,10 +79,12 @@ class TestGen:
             run("gen", "--kind", "hop", "--frobnicate", "--out-dir", tmp_path)
         assert exc.value.code == 2
 
-    def test_unknown_kind_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run("gen", "--kind", "sprint", "--out-dir", tmp_path)
-        assert exc.value.code == 2
+    def test_unknown_kind_is_runtime_error(self, tmp_path, capsys):
+        # make_dataset checks the kinds, as it checks every other generator value
+        assert run("gen", "--kind", "sprint", "--out-dir", tmp_path) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["physgrd: error: ValidationError: unknown generator kind 'sprint'"]
+        assert not list(tmp_path.iterdir())
 
     # make_dataset checks every generator parameter; gen keeps no copy of those checks
     @pytest.mark.parametrize("flags", [
@@ -173,6 +175,15 @@ class TestCalibrate:
             run("calibrate", "--manifest", manifest, *cells, "--out-dir", tmp_path / "calib")
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines() == [f"physgrd: usage-error: {message}"]
+        assert not (tmp_path / "calib").exists()
+
+    def test_empty_manifest_is_runtime_error(self, tmp_path, capsys):
+        # calibrate's own check, not a copy in the command, names the empty clip list
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"subjects": []}))
+        assert run("calibrate", "--manifest", manifest, "--out-dir", tmp_path / "calib") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["physgrd: error: ValidationError: calibration needs at least one clip"]
         assert not (tmp_path / "calib").exists()
 
     def test_missing_manifest_is_runtime_error(self, tmp_path, capfd):
@@ -371,6 +382,18 @@ class TestSimulate:
         assert len(err) == 1 and err[0].startswith(f"physgrd: error: {error.format(manifest)}")
         written = set(tree_bytes(tmp_path)) - set(before)
         assert written == set()
+
+    @pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
+    def test_manifest_and_clip_are_one_required_choice(self, tmp_path, capsys, both):
+        # given both, simulate once ran the manifest and ignored --clip
+        manifest = gen_small(tmp_path / "data", subjects=1)
+        inputs = ["--manifest", manifest, "--clip", manifest.parent / "S1_hop_000_clip.csv"]
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", *(inputs if both else []), "--out-dir", tmp_path / "out")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("physgrd: usage-error: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "plot"])
     def test_mass_flag_is_gone(self, tmp_path, capsys, command):

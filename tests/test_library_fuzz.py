@@ -28,7 +28,8 @@ from physgrd.dynamics import PDGains, SimResult, euler_step, pd_force, physics_f
 from physgrd.dynamics import rollout_forces, simulate, write_sim_csv
 from physgrd.errors import PhysgrdError, UnitError, ValidationError
 from physgrd.grf_model import Prediction, TemporalConvNet, TrainConfig, TrainLogRow
-from physgrd.grf_model import composite_loss, elu, save_checkpoint, train, write_prediction_csv
+from physgrd.grf_model import composite_loss, elu, load_checkpoint, save_checkpoint, train
+from physgrd.grf_model import write_prediction_csv
 from physgrd.grf_model import write_train_log
 from physgrd.metrics import aggregate, evaluate_prediction, vgrf_mse, vrpe, write_metric_table
 from physgrd.motion_data import Dataset, DatasetEntry, MotionClip, entry_stems
@@ -347,6 +348,8 @@ SCALAR_CALLS = {
                                           path="sim.csv", frame_rate=100.0), ("frame_rate",)),
 }
 SCALAR_ARGS = [(call, name) for call, (_, _, names) in SCALAR_CALLS.items() for name in names]
+REAL_ARGS = [(call, name) for call, name in SCALAR_ARGS
+             if isinstance(SCALAR_CALLS[call][1][name], float)]
 
 
 @pytest.mark.parametrize("wrap", [list, tuple, np.array, bool],
@@ -365,6 +368,74 @@ def test_scalar_argument_takes_one_number(tmp_path, monkeypatch, call, name, wra
         func(**{**kwargs, name: value})
 
 
+def _bits(value):
+    """value in a form that compares every bit and type of its numbers: an
+    array by dtype, shape and bytes, a number by type and repr."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return [_bits(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, (tuple, list)):
+        return [_bits(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    return type(value).__name__, repr(value)
+
+
+@pytest.mark.parametrize("call, name", REAL_ARGS, ids=[f"{c}-{n}" for c, n in REAL_ARGS])
+def test_real_argument_of_any_real_type_gives_the_same_bits(tmp_path, monkeypatch, call, name):
+    """A Python float v, np.float64(v) and, where v is exact in float32,
+    np.float32(v) give the same returned values and written files, bit for
+    bit; so do int(v) and np.int64(v) for an integral v. A record stores the
+    number as a float. MotionClip(frame_rate=np.float32(100.0)) once kept
+    its float32 rate, so its dt was np.float32(0.01)."""
+    monkeypatch.chdir(tmp_path)
+    func, kwargs, _ = SCALAR_CALLS[call]
+    v = kwargs[name]
+
+    def run(value):
+        out = func(**{**kwargs, name: value})
+        if dataclasses.is_dataclass(out) and hasattr(out, name):
+            assert type(getattr(out, name)) is float
+        return _bits(out), {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+
+    expected = run(v)
+    kinds = [np.float64] + [np.float32] * (float(np.float32(v)) == v)
+    kinds += [int, np.int64] * v.is_integer()
+    for kind in kinds:
+        assert run(kind(v)) == expected, kind.__name__
+
+
+@pytest.mark.parametrize("call, name", REAL_ARGS, ids=[f"{c}-{n}" for c, n in REAL_ARGS])
+def test_integer_beyond_the_float_range_is_one_error(tmp_path, monkeypatch, call, name):
+    """10**400 once passed the range check, lo <= x < hi, and then raised
+    OverflowError inside float() or arithmetic, or was stored as it came."""
+    monkeypatch.chdir(tmp_path)
+    func, kwargs, _ = SCALAR_CALLS[call]
+    with pytest.raises((ValidationError, UnitError), match=name.replace("_", "[_ ]")):
+        func(**{**kwargs, name: 10**400})
+
+
+def test_float32_frame_rate_simulates_as_its_float():
+    """A mocap header may store its rate as a 32-bit float, as C3D's POINT:RATE
+    does. A clip at np.float32(100.0) once stepped with dt = np.float32(0.01),
+    and a 1 s hop ended at z = 0.6360813539962887, not 0.6360813383492292."""
+    clip, _ = gen_synthetic("hop", {"duration": 1.0}, seed=0)
+    as32 = dataclasses.replace(clip, frame_rate=np.float32(clip.frame_rate))
+    for mode in ("closed_loop", "open_loop"):
+        assert _bits(simulate(as32, PDGains(70.0, 3.0), mode=mode)) == _bits(
+            simulate(clip, PDGains(70.0, 3.0), mode=mode))
+
+
+def test_checkpoint_of_a_float32_learning_rate_loads(tmp_path):
+    """save_checkpoint once raised TypeError for a numpy learning rate, which
+    TrainConfig kept as it came; now the config saves and loads as floats."""
+    cfg = dataclasses.replace(NET_CFG, learning_rate=np.float32(2**-15))
+    save_checkpoint(NET, cfg, tmp_path / "checkpoint.json")
+    _, loaded = load_checkpoint(tmp_path / "checkpoint.json")
+    assert loaded == cfg and type(loaded.learning_rate) is float
+
+
 def test_every_exported_scalar_parameter_is_fuzzed():
     """Each parameter annotated as a number, of a callable physgrd exports or
     of TemporalConvNet's loss_and_grads, is in SCALAR_CALLS; a calibration
@@ -380,11 +451,15 @@ def test_every_exported_scalar_parameter_is_fuzzed():
 def test_manifest_reads_back_the_mass_of_every_clip_it_takes(tmp_path, mass):
     """write_manifest writes a clip's mass as its subject's mass_kg. A clip of
     mass (70.0,) or True once wrote a manifest that load_manifest rejected;
-    now the clip is rejected, and a clip of one number round-trips."""
+    now the clip is rejected, and a clip of one number round-trips. A numpy
+    mass once made write_manifest raise TypeError; now it is written as a float."""
     def clip(m):
         return MotionClip("S1", "walk", CLIP.frame_rate, m, CLIP.root_positions, CLIP.features)
 
     with pytest.raises(UnitError, match="^mass must be finite and positive, got "):
         clip(mass)
-    write_manifest(Dataset((DatasetEntry(clip(70.0), PLATE),)), tmp_path)
-    assert load_manifest(tmp_path / "manifest.json").clips()[0].mass == 70.0
+    for good in (70.0, np.int64(70), np.float32(70.5)):
+        write_manifest(Dataset((DatasetEntry(clip(good), PLATE),)), tmp_path)
+        written = json.loads((tmp_path / "manifest.json").read_text())["subjects"][0]["mass_kg"]
+        assert type(written) is float and written == good
+        assert load_manifest(tmp_path / "manifest.json").clips()[0].mass == good

@@ -1,5 +1,5 @@
-"""physgrd's runtime dependencies are numpy and the standard library, and
-its range rule takes one number.
+"""physgrd's runtime dependencies are numpy and the standard library, its
+range rule takes one number, and its records keep the numbers they check.
 
 scipy, hypothesis and pytest may be installed beside it, but only tests
 and benchmarks may import them. Each module of the package is parsed, not
@@ -52,6 +52,40 @@ def test_check_range_is_given_one_number():
     assert len(values) > 10  # the calls were found
     assert [at for at, value in values.items() if isinstance(
         value, (ast.Tuple, ast.List, ast.GeneratorExp, ast.ListComp))] == []
+
+
+def test_records_keep_the_numbers_they_check():
+    """A dataclass's __post_init__ stores what check_range returns for each of
+    its own fields (self.<field> or getattr(self, name)), so a record holds
+    the float the package computes with, whatever real number it was given.
+    A check of a derived value, such as GravitySpec's magnitude, is no field's."""
+    found, dropped = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(cls, ast.ClassDef)
+                    and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)):
+                continue
+            fields = {node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)}
+            for init in cls.body:
+                if not (isinstance(init, ast.FunctionDef) and init.name == "__post_init__"):
+                    continue
+                for node in ast.walk(init):
+                    if _checks_a_field(node, fields):
+                        found.add(cls.name)
+                    if isinstance(node, ast.Expr) and _checks_a_field(node.value, fields):
+                        dropped.append(f"{path.name}:{node.lineno} {cls.name}")
+    assert {"MotionClip", "PDGains", "SimResult", "TrainConfig"} <= found
+    assert dropped == []
+
+
+def _checks_a_field(node, fields):
+    """Whether node is a check_range call whose value is a field of self."""
+    if not (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("check_range")):
+        return False
+    value = _value(node)
+    if isinstance(value, ast.Attribute):
+        return ast.unparse(value.value) == "self" and value.attr in fields
+    return isinstance(value, ast.Call) and ast.unparse(value).startswith("getattr(self, ")
 
 
 def _value(call):
