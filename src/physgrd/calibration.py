@@ -35,7 +35,7 @@ from . import metrics
 from .dynamics import DIVERGENCE_LIMIT, GravitySpec, PDGains, SimMode, _buckets, _pd_steps
 from .dynamics import simulate  # noqa: F401  perfbench/tracing.py wraps calibration.simulate
 from .errors import NON_NEGATIVE, PhysgrdError, UnitError, ValidationError, check_range
-from .motion_data import MotionClip, _gravity, _instance, _json_number, _numeric, _read_json
+from .motion_data import MotionClip, _gravity, _instance, _numeric, _read_json
 from .motion_data import _write_json, _write_table
 
 # kp swept at kd = 0, then kd swept at kp = 70
@@ -58,7 +58,7 @@ class GainGrid:
 
     def __post_init__(self):
         for name, vals in (("kp_values", self.kp_values), ("kd_values", self.kd_values)):
-            vals = tuple(check_range(name, val, NON_NEGATIVE) for val in vals)
+            vals = tuple(check_range(name, val, NON_NEGATIVE, UnitError) for val in vals)
             if not vals:
                 raise ValidationError(f"{name} must be non-empty")
             object.__setattr__(self, name, vals)
@@ -126,11 +126,13 @@ def _bucket_scores(
 
 
 def _cell(cell) -> tuple[float, float]:
-    """A listed grid cell as a (kp, kd) pair of floats."""
+    """A listed grid cell as a (kp, kd) pair of floats, each PDGains' rule."""
     try:
-        return tuple(_numeric("gain cell", cell, (2,)).tolist())
+        pair = _numeric("gain cell", cell, (2,)).tolist()
     except ValidationError:  # named by the cell itself, as the caller listed it
         raise ValidationError(f"gain cell must be a (kp, kd) pair, got {cell!r}") from None
+    return tuple(check_range(f"gain cell {cell!r}: {name}", x, NON_NEGATIVE, UnitError)
+                 for name, x in zip(("kp", "kd"), pair))
 
 
 def calibrate(
@@ -161,11 +163,6 @@ def calibrate(
             repeated = next(cell for i, cell in enumerate(cells) if cell in cells[:i])
             raise ValidationError(f"cell list contains duplicates, such as {repeated!r}")
 
-    for cell in cells:  # reject an invalid cell, by name, before anything is simulated
-        try:
-            PDGains(*cell)
-        except UnitError as exc:
-            raise UnitError(f"gain cell {cell!r}: {exc}") from None
     kp, kd = np.array(cells, dtype=float).T
     scores = np.empty((len(cells), len(clips)))
     diverged = np.zeros((len(cells), len(clips)), dtype=bool)
@@ -235,9 +232,9 @@ def load_gains(path: str | Path, mode: SimMode) -> PDGains:
     """
     doc = _read_json(Path(path), "gains")
     try:
-        gains = PDGains(_json_number(doc["kp"]), _json_number(doc["kd"]))
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValidationError(f"{path}: gains need numeric 'kp' and 'kd' ({exc!r})") from None
+        gains = PDGains(doc["kp"], doc["kd"])
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: gains need a 'kp' and a 'kd' ({exc!r})") from None
     except UnitError as exc:
         raise UnitError(f"{path}: {exc}") from None
     recorded = doc.get("mode", mode)  # doc is an object: it has kp and kd

@@ -13,6 +13,7 @@ import argparse
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from . import calibration, grf_model, metrics, svgplot, synthetic
 from .dynamics import (
     GravitySpec,
     PDGains,
+    SimMode,
     _frame_forces,
     _simulations,
     simulate,
@@ -289,7 +291,7 @@ def build_parser() -> _Parser:
     gravity.add_argument("--gravity-z", type=float, default=float(GravitySpec().g_accel[2]),
                          help="gravity magnitude along -z [m/s^2]")
     mode = _Parser(add_help=False)  # the commands that simulate
-    mode.add_argument("--mode", choices=("closed_loop", "open_loop"),
+    mode.add_argument("--mode", choices=get_args(SimMode),
                       default="closed_loop", help="simulation feedback mode")
     gains = _Parser(add_help=False)
     gains.add_argument("--kp", type=float, default=grf_model.DEFAULT_GAINS.kp,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
@@ -192,7 +192,7 @@ def _pd_steps(bucket: Sequence[MotionClip], kp, kd, gravity: GravitySpec, mode: 
     is checked at the call. Arrays are stepped in place: copy what must
     outlive the next step. Each element follows the scalar arithmetic.
     """
-    if mode not in ("closed_loop", "open_loop"):
+    if mode not in get_args(SimMode):
         raise ValidationError(f"unknown simulation mode {mode!r}")
     dt = check_range("dt", bucket[0].dt, POSITIVE, UnitError)
     ref = np.stack([c.root_positions for c in bucket], axis=2)[..., None]

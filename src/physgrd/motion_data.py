@@ -100,14 +100,6 @@ def _check_unit(name: str, value) -> None:
         raise UnitError(f"{name} must be 'bodyweight' or 'newton', got {value!r}")
 
 
-def _json_number(value) -> float:
-    """A JSON number, an int or a float but not a bool, as a float; otherwise
-    TypeError, or OverflowError for an integer beyond the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {type(value).__name__}")
-    return float(value)
-
-
 def _clip_header(width: int) -> tuple[str, ...]:
     """Clip CSV header for feature width ``width`` (>= 3)."""
     return ("t", "px", "py", "pz") + tuple(f"f{i}" for i in range(width - 3))
@@ -690,10 +682,9 @@ def load_manifest(path: str | Path) -> Dataset:
     """The clips and plates a manifest lists, with its subjects' masses.
 
     The manifest's own values are checked before the files they name are
-    read, and their errors start with its path: mass_kg must be a JSON
-    number, subject ids must be unique, paths must not be empty, and the
-    rules of MotionClip and load_force_plate hold. Errors of a clip or
-    plate file name that file.
+    read, and their errors start with its path: subject ids must be unique,
+    paths must not be empty, and the rules of MotionClip (mass_kg's too) and
+    load_force_plate hold. Errors of a clip or plate file name that file.
     """
     path = Path(path)
     doc = _read_json(path, "manifest")
@@ -705,20 +696,18 @@ def load_manifest(path: str | Path) -> Dataset:
     seen: set[str] = set()
     for n, subj in enumerate(doc["subjects"]):
         try:
-            sid, mass, specs = subj["id"], _json_number(subj["mass_kg"]), subj["clips"]
-        except (KeyError, TypeError, OverflowError) as exc:
+            sid, mass, specs = subj["id"], subj["mass_kg"], subj["clips"]
+        except (KeyError, TypeError) as exc:
             raise ParseError(
-                f"{path}: subject {n} needs an 'id', a numeric 'mass_kg' and a 'clips' "
+                f"{path}: subject {n} needs an 'id', a 'mass_kg' and a 'clips' "
                 f"list ({type(exc).__name__}: {exc})"
             ) from None
-        if not isinstance(sid, str):
-            raise ParseError(f"{path}: 'id' of subject {n} must be a string, got {sid!r}")
+        _check_name(f"{path}: subject_id", sid)
         if sid in seen:
             raise ParseError(f"{path}: subject id {sid!r} is repeated (subject {n})")
         seen.add(sid)
         if not isinstance(specs, list):
             raise ParseError(f"{path}: 'clips' of subject {sid!r} must be a list")
-        _check_name(f"{path}: subject_id", sid)
         mass = check_range(f"{path}: mass_kg of subject {sid!r}", mass, POSITIVE, UnitError)
         for spec in specs:
             try:

@@ -45,12 +45,13 @@ class TestGainGrid:
             GainGrid((10.0, 10.0), (0.0,))
         with pytest.raises(ValidationError):
             GainGrid((30.0, 10.0), (0.0,))
-        with pytest.raises(ValidationError):
+        # a gain value follows PDGains' rule
+        with pytest.raises(UnitError):
             GainGrid((-1.0, 10.0), (0.0,))
         for bad in (np.nan, np.inf):
-            with pytest.raises(ValidationError):
+            with pytest.raises(UnitError):
                 GainGrid((10.0, bad), (0.0,))
-            with pytest.raises(ValidationError):
+            with pytest.raises(UnitError):
                 GainGrid((10.0,), (0.0, bad))
 
     def test_default_cells_walk_both_gain_axes(self):
@@ -403,9 +404,10 @@ class TestReportIO:
         '{"kp": 70, "kd": null}', '{"kp": 1' + "0" * 400 + ', "kd": 3}',
     ], ids=["bool-and-string", "bool", "string", "null", "int-beyond-float"])
     def test_gains_must_be_json_numbers(self, tmp_path, text):
+        # PDGains' own rule, named by the file and the field
         path = tmp_path / "gains.json"
         path.write_text(text)
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: gains need numeric"):
+        with pytest.raises(UnitError, match=f"^{re.escape(str(path))}: k[pd] must be finite"):
             load_gains(path, "closed_loop")
 
     @pytest.mark.parametrize("mode", ["closed_loop", "open_loop"])

@@ -362,8 +362,8 @@ class TestSimulate:
          "ValidationError: {}: motion_label"),
         (lambda doc: doc["subjects"][0].update(mass_kg=float("inf")), "UnitError: {}: mass_kg"),
         (lambda doc: doc["subjects"][0].update(mass_kg=-5), "UnitError: {}: mass_kg"),
-        (lambda doc: doc["subjects"][0].update(mass_kg=True), "ParseError: {}: subject 0"),
-        (lambda doc: doc["subjects"][0].update(mass_kg="70"), "ParseError: {}: subject 0"),
+        (lambda doc: doc["subjects"][0].update(mass_kg=True), "UnitError: {}: mass_kg"),
+        (lambda doc: doc["subjects"][0].update(mass_kg="70"), "UnitError: {}: mass_kg"),
         (lambda doc: doc["subjects"].append({**doc["subjects"][0], "mass_kg": 99}),
          "ParseError: {}: subject id 'S1' is repeated"),
         (lambda doc: doc["subjects"][0]["clips"][0].update(force_unit="kgf"),

@@ -402,12 +402,12 @@ class TestManifest:
         (lambda doc: doc["subjects"][0].pop("mass_kg"), ParseError),
         (lambda doc: doc["subjects"][0].pop("id"), ParseError),
         (lambda doc: doc["subjects"][0].pop("clips"), ParseError),
-        (lambda doc: doc["subjects"][0].update(mass_kg="heavy"), ParseError),
+        (lambda doc: doc["subjects"][0].update(mass_kg="heavy"), UnitError),
         (lambda doc: doc["subjects"][0].update(clips="S1_hop_000_clip.csv"), ParseError),
         (lambda doc: doc["subjects"][0]["clips"][0].pop("clip_path"), ParseError),
         (lambda doc: doc["subjects"].append(7), ParseError),
         (lambda doc: doc.update(subjects={"S1": {}}), ParseError),
-        (lambda doc: doc["subjects"][0].update(id=5), ParseError),
+        (lambda doc: doc["subjects"][0].update(id=5), ValidationError),
         (lambda doc: doc["subjects"][0]["clips"][0].update(motion_label=[1]), ParseError),
         (lambda doc: doc["subjects"][0]["clips"][0].update(clip_path=5), ParseError),
         (lambda doc: doc["subjects"][0]["clips"][0].update(plate_path=True), ParseError),

@@ -1,5 +1,6 @@
 """physgrd's runtime dependencies are numpy and the standard library, its
-range rule takes one number, and its records keep the numbers they check.
+range rule takes one number, its records keep the numbers they check, and
+the simulation mode names are written once.
 
 scipy, hypothesis and pytest may be installed beside it, but only tests
 and benchmarks may import them. Each module of the package is parsed, not
@@ -76,6 +77,23 @@ def test_records_keep_the_numbers_they_check():
                         dropped.append(f"{path.name}:{node.lineno} {cls.name}")
     assert {"MotionClip", "PDGains", "SimResult", "TrainConfig"} <= found
     assert dropped == []
+
+
+def test_mode_names_are_written_once():
+    """The simulation modes are written once, as dynamics.SimMode's Literal; a
+    tuple, list or set that spells both names out is a second copy that could
+    drift from it, so every list of the modes reads them through
+    typing.get_args(SimMode)."""
+    subscripts, copies = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        slices = {id(node.slice) for node in ast.walk(tree) if isinstance(node, ast.Subscript)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and {"closed_loop", "open_loop"} <= {
+                    elt.value for elt in node.elts if isinstance(elt, ast.Constant)}:
+                (subscripts if id(node) in slices else copies).append(f"{path.name}:{node.lineno}")
+    assert len(subscripts) == 1  # SimMode = Literal["closed_loop", "open_loop"]
+    assert copies == []
 
 
 def _checks_a_field(node, fields):
