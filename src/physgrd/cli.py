@@ -96,11 +96,10 @@ def cmd_gen(args, parser) -> int:
     dataset = synthetic.make_dataset(
         kinds, args.subjects, args.clips, seed=args.seed, base_params=base
     )
-    out = _out_dir(args)
-    manifest = write_manifest(dataset, out)
+    manifest = write_manifest(dataset, args.out_dir)  # it makes the directory once it can write
     for stem in entry_stems(dataset):
-        print(out / f"{stem}_clip.csv")
-        print(out / f"{stem}_plate.csv")
+        print(manifest.parent / f"{stem}_clip.csv")
+        print(manifest.parent / f"{stem}_plate.csv")
     print(manifest)
     return 0
 

@@ -194,7 +194,7 @@ def _pd_steps(bucket: Sequence[MotionClip], kp, kd, gravity: GravitySpec, mode: 
     """
     if mode not in get_args(SimMode):
         raise ValidationError(f"unknown simulation mode {mode!r}")
-    dt = check_range("dt", bucket[0].dt, POSITIVE, UnitError)
+    dt = bucket[0].dt
     ref = np.stack([c.root_positions for c in bucket], axis=2)[..., None]
     shape = np.broadcast_shapes(np.shape(kp), np.shape(kd), ref[0].shape)
 

@@ -286,10 +286,19 @@ def from_bodyweight(force_bw: np.ndarray) -> np.ndarray:
     return _numeric("force_bw", force_bw, None) * STANDARD_GRAVITY
 
 
+def _frame_rate(n: int, frame_rate: float) -> float:
+    """frame_rate as a float, if it is finite and positive and n frames at it
+    have a finite step and a finite last time; a UnitError otherwise."""
+    rate = check_range("frame_rate", frame_rate, POSITIVE, UnitError)
+    if not (math.isfinite(1.0 / rate) and math.isfinite((n - 1) / rate)):
+        raise UnitError(f"frame_rate {rate!r} gives a non-finite frame step or frame time")
+    return rate
+
+
 def _frame_times(n: int, frame_rate: float) -> np.ndarray:
-    """The times of n frames at frame_rate, which must be finite and positive
-    (UnitError): the t column of every per-frame CSV."""
-    return np.arange(n) / check_range("frame_rate", frame_rate, POSITIVE, UnitError)
+    """The times of n frames at frame_rate, checked by _frame_rate: the t
+    column of every per-frame CSV."""
+    return np.arange(n) / _frame_rate(n, frame_rate)
 
 
 def _check_finite(name: str, a: np.ndarray, nan_ok: bool = False) -> None:
@@ -407,8 +416,6 @@ class MotionClip:
     def __post_init__(self):
         for name in ("subject_id", "motion_label"):  # they name output files
             _check_name(name, getattr(self, name))
-        object.__setattr__(self, "frame_rate",
-                           check_range("frame_rate", self.frame_rate, POSITIVE, UnitError))
         object.__setattr__(self, "mass", check_range("mass", self.mass, POSITIVE, UnitError))
         pos = _readonly(self, "root_positions", (None, 3), finite=True)
         feat = _readonly(self, "features", (None, None), finite=True)
@@ -420,6 +427,7 @@ class MotionClip:
             )
         if len(pos) < 1:
             raise ValidationError("clip must have at least one frame")
+        object.__setattr__(self, "frame_rate", _frame_rate(len(pos), self.frame_rate))
 
     def __len__(self) -> int:
         return len(self.root_positions)
@@ -545,6 +553,8 @@ def load_clip_csv(
     The file format carries no metadata, so subject, motion label and mass
     come from the caller (the dataset manifest supplies them). The frame rate
     is inferred from the time column; a single-row file needs it passed in.
+    An explicit rate for a longer file must give the file's frame times
+    (+-1e-6 s); another is a UnitError naming both rates.
     """
     return _load_clip(path, subject_id, motion_label, mass, frame_rate)[1]
 
@@ -570,13 +580,18 @@ def _load_clip(
             raise UnitError(f"{path}: timestamps must be strictly increasing")
         if not drift <= _TIME_TOLERANCE:
             raise ValidationError(f"{path}: non-uniform frame spacing (max drift {drift:.3g} s)")
-        rate = 1.0 / dt
+        inferred = 1.0 / dt
     elif frame_rate is None:
         raise UnitError(f"{path}: single-row clip needs an explicit frame_rate")
-    if frame_rate is not None:
-        rate = frame_rate  # explicit rate wins over the inferred one
     # 1 / a subnormal step is inf
-    rate = check_range(f"{path}: frame rate", rate, POSITIVE, UnitError)
+    rate = check_range(f"{path}: frame rate", inferred if frame_rate is None else frame_rate,
+                       POSITIVE, UnitError)
+    if frame_rate is not None and len(t) >= 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            off = float(np.max(np.abs(t - (t[0] + np.arange(len(t)) / rate))))
+        if not off <= _TIME_TOLERANCE:
+            raise UnitError(f"{path}: frame_rate {rate!r} does not give the file's frame "
+                            f"times, whose rate is {inferred!r}")
 
     features = data[:, 1:]  # position columns double as leading features
     return t, MotionClip(
@@ -779,11 +794,15 @@ def write_manifest(dataset: Dataset, out_dir: str | Path) -> Path:
 
     Returns the manifest path. File names are derived deterministically from
     subject, motion label and position in the dataset. A subject whose clips
-    differ in mass is a ValidationError, raised before anything is written.
+    differ in mass, or a one-frame clip, is a ValidationError, raised before
+    anything is written.
     """
     _instance("dataset", dataset, Dataset)
     masses: dict[str, float] = {}
-    for clip in dataset.clips():  # the manifest holds one mass per subject
+    for clip in dataset.clips():  # the manifest holds one mass per subject, and no frame rate
+        if len(clip) < 2:  # load_clip_csv would need the rate of its one row
+            raise ValidationError(f"clip '{clip.subject_id}/{clip.motion_label}' has one frame, "
+                                  f"and a manifest does not record its frame rate")
         mass = masses.setdefault(clip.subject_id, clip.mass)
         if clip.mass != mass:
             raise ValidationError(f"subject {clip.subject_id!r} has clips of {mass!r} and "

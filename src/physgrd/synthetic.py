@@ -86,22 +86,26 @@ def _check_kind(kind) -> None:
 
 
 def _check_param(key: str, value):
-    """value as the table stores key's parameter, a float or x0's and v0's
-    three floats; a ValidationError unless the table allows it."""
+    """value as the table stores key's parameter, a float, x0's and v0's
+    three floats or missing_spans' float pairs; a ValidationError unless the
+    table allows it."""
     spec = PARAMS[key]
     if spec.bounds is not None:  # one number, or x0's and v0's 3, each checked alone
         if isinstance(spec.default, tuple):
             value = _numeric(key, value, (3,)).tolist()
             return tuple(check_range(key, x, spec.bounds) for x in value)
         return check_range(key, value, spec.bounds)
-    if key == "missing_spans":
+    if key == "missing_spans":  # read once, so a one-shot iterable keeps its spans
         try:
-            ok = all(0.0 <= start <= end <= 1.0 for start, end in value)
-        except (TypeError, ValueError):  # not a sequence of number pairs
+            spans = tuple((check_range(key, start, FINITE), check_range(key, end, FINITE))
+                          for start, end in value)
+            ok = all(0.0 <= start <= end <= 1.0 for start, end in spans)
+        except (TypeError, ValueError, ValidationError):  # not an iterable of number pairs
             ok = False
         if not ok:
             raise ValidationError(f"missing_spans must be (start, end) pairs with "
                                   f"0 <= start <= end <= 1, got {value!r}")
+        return spans
     return value
 
 

@@ -117,6 +117,16 @@ class TestGen:
         assert len(err) == 1 and err[0].startswith("physgrd: error: ValidationError: ")
         assert not list(tmp_path.iterdir())
 
+    def test_one_frame_clip_is_runtime_error(self, tmp_path, capsys):
+        # gen once wrote this manifest, and every command that read it failed on
+        # the one-row clip, which needs a frame rate the manifest does not hold
+        out = tmp_path / "data"
+        assert run("gen", "--kind", "hop", "--duration", "0.01", "--out-dir", out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "physgrd: error: ValidationError: clip 'S1/hop' has one frame, "
+            "and a manifest does not record its frame rate"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag", [
         (("gen", "--kind", "hop"), ("--gravity-z", "1.62")),
         (("gen", "--kind", "hop"), ("--mode", "open_loop")),

@@ -78,6 +78,15 @@ class TestMotionClip:
         with pytest.raises(UnitError, match="mass"):
             make_clip([[0, 0, 1]], mass=np.inf)
 
+    def test_rate_whose_frame_times_overflow_is_unit_error(self):
+        # the clip was made with dt = inf, and its CSV held inf times
+        for frames in (1, 3):
+            with pytest.raises(UnitError, match=r"^frame_rate 1e-310 gives a non-finite"):
+                make_clip([[0, 0, 1]] * frames, rate=1e-310)
+        with pytest.raises(UnitError, match=r"^frame_rate 1e-308 gives a non-finite"):
+            make_clip([[0, 0, 1]] * 3, rate=1e-308)  # a finite step, an infinite last time
+        assert make_clip([[0, 0, 1]], rate=1e-308).dt == 1 / 1e-308
+
     @pytest.mark.parametrize("field", ["subject_id", "motion_label"])
     @pytest.mark.parametrize("name", ["../x", "a/b", "a,b", "", "a b", "x\n", 5,
                                       pytest.param("a" * 101, id="101-chars")])
@@ -187,6 +196,17 @@ class TestClipCsv:
         clip = load_clip_csv(path, frame_rate=100.0)
         assert len(clip) == 1
 
+    def test_explicit_rate_must_give_the_file_times(self, tmp_path):
+        # a 100 Hz file loaded at 50 Hz became a clip whose last frame was at 1.98 s, not 0.99 s
+        clip, _ = gen_synthetic("hop", {"duration": 1.0}, seed=3)
+        path = tmp_path / "c.csv"
+        write_clip_csv(clip, path)
+        assert load_clip_csv(path, frame_rate=100.0).frame_rate == 100.0
+        message = (f"{path}: frame_rate 50.0 does not give the file's frame times, "
+                   f"whose rate is 100.0")
+        with pytest.raises(UnitError, match=f"^{re.escape(message)}$"):
+            load_clip_csv(path, frame_rate=50.0)
+
     def test_round_trip_exact(self, tmp_path):
         clip, _ = gen_synthetic("hop", {"duration": 1.0}, seed=3)
         path = tmp_path / "c.csv"
@@ -282,6 +302,14 @@ class TestForcePlate:
         ok = plate.valid_mask
         np.testing.assert_array_equal(back.per_foot_force[ok], plate.per_foot_force[ok])
         np.testing.assert_array_equal(back.contact_flags, plate.contact_flags)
+
+    def test_rate_whose_frame_times_overflow_writes_nothing(self, tmp_path):
+        # the file once held inf times, with numpy's overflow warning
+        _, plate = gen_synthetic("walk", {"duration": 1.0}, seed=0)
+        path = tmp_path / "p.csv"
+        with pytest.raises(UnitError, match=r"^frame_rate 1e-310 gives a non-finite"):
+            write_force_plate(plate, path, 1e-310)
+        assert not list(tmp_path.iterdir())
 
     def test_newton_conversion(self, tmp_path):
         force = np.full((2, 2, 3), 58.86)  # 0.1 BW for a 60 kg subject
@@ -382,6 +410,15 @@ class TestManifest:
         out = tmp_path / "out"
         with pytest.raises(ValidationError, match=r"^subject 'S1' has clips of 70\.0 and 80\.0 kg"):
             write_manifest(Dataset((DatasetEntry(hop, None), DatasetEntry(walk, None))), out)
+        assert not out.exists()
+
+    def test_one_frame_clip_rejected_before_writing(self, tmp_path):
+        # its one-row CSV would need a frame rate, which the manifest does not record
+        hop, _ = gen_synthetic("hop", {"duration": 0.5}, seed=1)
+        one = MotionClip("S2", "hop", 100.0, 70.0, hop.root_positions[:1], hop.features[:1])
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match=r"^clip 'S2/hop' has one frame"):
+            write_manifest(Dataset((DatasetEntry(hop, None), DatasetEntry(one, None))), out)
         assert not out.exists()
 
     def test_loads_manifest_and_single_clip(self, tmp_path):

@@ -116,6 +116,12 @@ class TestWalk:
         T = len(plate)
         assert not plate.valid_mask[int(0.5 * T): int(0.6 * T) - 1].any()
 
+    def test_missing_spans_of_a_one_shot_iterable(self):
+        # the check once read the iterator empty, and no frame was marked missing
+        plates = [gen_synthetic("hop", {"duration": 1.0, "missing_spans": spans}, 0)[1]
+                  for spans in (iter([(0.1, 0.5)]), [(0.1, 0.5)])]
+        assert [int((~p.valid_mask).sum()) for p in plates] == [40, 40]
+
 
 class TestSpringTracked:
     def test_self_consistency_to_1e9(self):
@@ -243,12 +249,13 @@ class TestMakeDataset:
         ("walk", {"missing_spans": ((0.1, 0.2, 0.3),)}, "missing_spans must be"),
         ("walk", {"missing_spans": (("a", "b"),)}, "missing_spans must be"),
         ("walk", {"missing_spans": ((0.6, 0.5),)}, "missing_spans must be"),
+        ("walk", {"missing_spans": ((True, True),)}, "missing_spans must be"),
         ("hop", [("duration", 1.0)], "hop parameters must be a mapping, got list"),
         # each passed the range check item by item, then float() raised TypeError
         ("hop", {"freq": (1.0, 2.0)}, r"freq must be finite and positive, got \(1.0, 2.0\)"),
         ("walk", {"mass": [70.0]}, r"mass must be finite and positive, got \[70.0\]"),
     ], ids=["short-vector", "flat-span", "triple-span", "text-span",
-            "reversed-span", "params-list", "vector-freq", "list-mass"])
+            "reversed-span", "bool-span", "params-list", "vector-freq", "list-mass"])
     def test_malformed_structured_param_rejected(self, kind, params, named):
         with pytest.raises(ValidationError, match=named):
             gen_synthetic(kind, params, seed=0)
